@@ -8,9 +8,13 @@ rate-compare     swapping rates of the two schemes plus the crossover verdict
 verify           oracle-vs-closed-form comparison, machine-readable JSON
 fock-check       exact small-Hilbert-space invariant suite
 
-Values come from an optional preset, then an optional config file, then
-flags, with later sources overriding earlier ones.  Exit codes: 0 success,
-1 usage error, 2 verification failure, 3 model-validity error.
+Values come from an optional preset, then an optional config file, then flags
+(parsed as config lines), later sources overriding earlier ones.  Sweeps and
+rate-compare read the link through ``config.resolve_link``: a source is eps_x
+or p_x, never both, and required unless swept; numbers are finite and counts
+whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3, clock = 1 GHz.  ``verify``
+reads no link and defaults to 20 scenarios at p_sfg = 0.05.  Exit codes:
+0 success, 1 usage error, 2 verification failure, 3 model-validity error.
 """
 
 from __future__ import annotations
@@ -20,21 +24,24 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lo_bsm, nlo_bsm, oracle, rates, sfg_device
 from .config import (
     ConfigValue,
+    Link,
     build_cavity,
-    build_scenario,
     build_waveguide,
+    get_count,
     get_dimensionless,
-    get_frequency_hz,
     get_string,
     merge,
     parse_config_file,
+    parse_config_text,
+    resolve,
+    resolve_link,
 )
 from .errors import (
     DomainError,
@@ -55,7 +62,7 @@ from .fock_sim import (
     swap_condition_on_sfg,
     tri_mode_state,
 )
-from .photon_stats import SwapScenario, epsilon_from_p
+from .photon_stats import SwapScenario, check_probability, epsilon_from_p
 from .presets import DEMONSTRATED_RING_P_SFG, get_preset, preset_names
 
 EXIT_OK = 0
@@ -64,6 +71,7 @@ EXIT_VERIFY_FAIL = 2
 EXIT_MODEL_VALIDITY = 3
 
 SWEEP_VARIABLES = ("p", "epsilon", "eta_a", "eta_b", "p_sfg")
+_SPEC_KEYS = ("variable", "start", "stop", "points", "scale", "outputs")
 SWEEP_OUTPUTS = (
     "f_lo_general",
     "f_lo_balanced_smalleta",
@@ -124,55 +132,7 @@ class SweepSpec:
         return values
 
 
-@dataclass(frozen=True)
-class SweepContext:
-    """Fully resolved inputs for one grid point."""
-
-    scenario: SwapScenario
-    p_sfg: float
-    clock: float
-
-
-def _fixed_value(fixed: dict[str, ConfigValue], key: str, default: float) -> float:
-    return get_dimensionless(fixed, key) if key in fixed else default
-
-
-def _fixed_epsilon(fixed: dict[str, ConfigValue], side: str) -> float:
-    if f"eps_{side}" in fixed:
-        return get_dimensionless(fixed, f"eps_{side}")
-    if f"p_{side}" in fixed:
-        return epsilon_from_p(get_dimensionless(fixed, f"p_{side}"))
-    return epsilon_from_p(0.01)
-
-
-def _resolve_context(spec: SweepSpec, x: float) -> SweepContext:
-    fixed = spec.fixed
-    eps_a = _fixed_epsilon(fixed, "a")
-    eps_b = _fixed_epsilon(fixed, "b")
-    eta_a = _fixed_value(fixed, "eta_a", 1.0)
-    eta_b = _fixed_value(fixed, "eta_b", 1.0)
-    p_sfg = _fixed_value(fixed, "p_sfg", 1e-3)
-    clock = get_frequency_hz(fixed, "clock") if "clock" in fixed else 1e9
-
-    if spec.variable == "p":
-        eps_a = eps_b = epsilon_from_p(x)
-    elif spec.variable == "epsilon":
-        eps_a = eps_b = x
-    elif spec.variable == "eta_a":
-        eta_a = x
-    elif spec.variable == "eta_b":
-        eta_b = x
-    elif spec.variable == "p_sfg":
-        p_sfg = x
-    return SweepContext(
-        scenario=SwapScenario.from_values(eps_a, eps_b, eta_a, eta_b),
-        p_sfg=p_sfg,
-        clock=clock,
-    )
-
-
-def _evaluate_output(name: str, ctx: SweepContext) -> float:
-    scenario = ctx.scenario
+def _evaluate_output(name: str, scenario: SwapScenario, link: Link) -> float:
     if name == "f_lo_general":
         return lo_bsm.fidelity_general(scenario).fidelity
     if name == "f_lo_balanced_smalleta":
@@ -182,43 +142,42 @@ def _evaluate_output(name: str, ctx: SweepContext) -> float:
     if name == "f_nlo":
         return nlo_bsm.fidelity_nlo(scenario.source_a, scenario.source_b)
     if name == "r_lo":
-        return rates.rate_lo(scenario, ctx.clock)
+        return rates.rate_lo(scenario, link.clock)
     if name == "r_nlo":
-        return rates.rate_nlo(scenario, ctx.p_sfg, ctx.clock)
+        return rates.rate_nlo(scenario, link.p_sfg, link.clock)
     if name == "lo_bound":
         return lo_bsm.ONE_THIRD
     raise UsageError(f"unknown output {name!r}")
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
-    """Evaluate all requested columns over the grid, rows in grid order."""
-    columns = [spec.variable, *spec.outputs]
+    """Evaluate all requested columns over the grid, rows in grid order.
+
+    The fixed entries are resolved once; each point replaces the swept fields.
+    """
+    fields = ("eps_a", "eps_b") if spec.variable in ("p", "epsilon") else (spec.variable,)
+    to_field = epsilon_from_p if spec.variable == "p" else float
+    link = resolve_link(spec.fixed, dict.fromkeys(fields, to_field(spec.start)))
     rows = []
     for x in spec.grid():
-        ctx = _resolve_context(spec, float(x))
-        rows.append([float(x)] + [_evaluate_output(name, ctx) for name in spec.outputs])
-    return columns, rows
+        x = float(x)
+        point = replace(link, **dict.fromkeys(fields, to_field(x)))
+        scenario = point.scenario()
+        rows.append([x] + [_evaluate_output(name, scenario, point) for name in spec.outputs])
+    return [spec.variable, *spec.outputs], rows
 
 
 def _sweep_spec_from_entries(entries: dict[str, ConfigValue]) -> SweepSpec:
-    for key in ("variable", "start", "stop", "points"):
-        if key not in entries:
-            raise UsageError(f"sweep needs key {key!r} (flag or config)")
     outputs = get_string(entries, "outputs") if "outputs" in entries else ",".join(
         ("f_nlo", "f_lo_balanced_smalleta", "f_lo_unbalanced", "lo_bound")
     )
     scale = get_string(entries, "scale") if "scale" in entries else "linear"
-    fixed = {
-        key: value
-        for key, value in entries.items()
-        if key not in ("variable", "start", "stop", "points", "scale", "outputs")
-    }
-    variable = get_string(entries, "variable")
+    fixed = {key: value for key, value in entries.items() if key not in _SPEC_KEYS}
     return SweepSpec(
-        variable=variable,
+        variable=get_string(entries, "variable"),
         start=get_dimensionless(entries, "start"),
         stop=get_dimensionless(entries, "stop"),
-        points=int(get_dimensionless(entries, "points")),
+        points=get_count(entries, "points"),
         scale=scale,
         fixed=fixed,
         outputs=tuple(part.strip() for part in outputs.split(",") if part.strip()),
@@ -257,12 +216,7 @@ def _collect_entries(args: argparse.Namespace, flag_entries: dict[str, ConfigVal
 
 
 def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
-    flag_entries: dict[str, ConfigValue] = {}
-    for key in ("variable", "start", "stop", "points", "scale", "outputs"):
-        value = getattr(args, key)
-        if value is not None:
-            flag_entries[key] = _flag_entry(value)
-    entries = _collect_entries(args, flag_entries)
+    entries = _collect_entries(args, _flag_entries(args, _SPEC_KEYS))
     spec = _sweep_spec_from_entries(entries)
     columns, rows = run_sweep(spec)
     if args.format == "csv":
@@ -272,10 +226,10 @@ def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _flag_entry(value: str) -> ConfigValue:
-    from .config import parse_config_text
-
-    return parse_config_text(f"x = {value}")["x"]
+def _flag_entries(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, ConfigValue]:
+    """The flags given among ``keys``, each parsed as a config line so the same rules apply."""
+    given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return {k: parse_config_text(f"{k} = {v}", source="<flags>")[k] for k, v in given.items()}
 
 
 # --- subcommand: device ---------------------------------------------------------
@@ -283,8 +237,6 @@ def _flag_entry(value: str) -> ConfigValue:
 
 def cmd_device(args: argparse.Namespace) -> int:
     entries = _collect_entries(args, {})
-    if not entries:
-        raise UsageError("device needs --preset or --config")
     report: dict = {"reference_demonstrated_p_sfg": DEMONSTRATED_RING_P_SFG}
     caught: list[str] = []
     with warnings.catch_warnings(record=True) as records:
@@ -301,7 +253,9 @@ def cmd_device(args: argparse.Namespace) -> int:
             waveguide = build_waveguide(entries)
             report["waveguide"] = {"p_sfg": sfg_device.p_sfg_waveguide(waveguide)}
         if "p_sfg" in entries and "cavity" not in report and "waveguide" not in report:
-            report["quoted"] = {"p_sfg": get_dimensionless(entries, "p_sfg")}
+            p_sfg = get_dimensionless(entries, "p_sfg")
+            check_probability(p_sfg, "p_sfg")
+            report["quoted"] = {"p_sfg": p_sfg}
         caught = [str(record.message) for record in records]
     if not any(key in report for key in ("cavity", "waveguide", "quoted")):
         raise UsageError("no device parameters found (expected cavity, waveguide, or p_sfg keys)")
@@ -326,20 +280,10 @@ def cmd_device(args: argparse.Namespace) -> int:
 
 
 def cmd_rate_compare(args: argparse.Namespace) -> int:
-    flag_entries: dict[str, ConfigValue] = {}
-    if args.p_sfg is not None:
-        flag_entries["p_sfg"] = _flag_entry(args.p_sfg)
-    if args.clock is not None:
-        flag_entries["clock"] = _flag_entry(args.clock)
-    entries = _collect_entries(args, flag_entries)
-    if not entries:
-        raise UsageError("rate-compare needs --preset or --config")
-    scenario = build_scenario(entries)
-    p_sfg = get_dimensionless(entries, "p_sfg") if "p_sfg" in entries else 1e-3
-    clock = get_frequency_hz(entries, "clock") if "clock" in entries else 1e9
-
-    rep = rates.rate_report(scenario, p_sfg, clock)
-    verdict = rates.crossover(p_sfg, scenario.channel_a.eta, scenario.channel_b.eta)
+    entries = _collect_entries(args, _flag_entries(args, ("p_sfg", "clock")))
+    link = resolve_link(entries)
+    rep = rates.rate_report(link.scenario(), link.p_sfg, link.clock)
+    verdict = rates.crossover(link.p_sfg, link.eta_a, link.eta_b)
 
     # Pair probabilities needed to reach the same target fidelity under each
     # scheme; the linear-optical curves only touch 1/3 at zero pumping, so the
@@ -360,13 +304,13 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
 
     report = {
         "scenario": {
-            "eps_a": scenario.source_a.epsilon,
-            "eps_b": scenario.source_b.epsilon,
-            "eta_a": scenario.channel_a.eta,
-            "eta_b": scenario.channel_b.eta,
+            "eps_a": link.eps_a,
+            "eps_b": link.eps_b,
+            "eta_a": link.eta_a,
+            "eta_b": link.eta_b,
         },
-        "p_sfg": p_sfg,
-        "clock": clock,
+        "p_sfg": link.p_sfg,
+        "clock": link.clock,
         "rate_lo": rep.rate_lo,
         "rate_nlo": rep.rate_nlo,
         "crossover_ratio": verdict.ratio,
@@ -378,7 +322,7 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"rate_lo  = {rep.rate_lo:.6e} /s (attenuated, p_a = eta_b p_b / eta_a)",
-            f"rate_nlo = {rep.rate_nlo:.6e} /s (p_sfg = {p_sfg:g})",
+            f"rate_nlo = {rep.rate_nlo:.6e} /s (p_sfg = {link.p_sfg:g})",
             f"rate_nlo / rate_lo = {verdict.ratio:.6e}"
             + ("  -> nonlinear scheme wins" if verdict.nlo_wins else "  -> linear scheme wins"),
             f"pair probability for fidelity {f_target:.4f}: nlo {narrative['p_nlo']:.4f}",
@@ -395,9 +339,13 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
 # --- subcommand: verify -----------------------------------------------------------
 
 
+VERIFY_DEFAULTS = {"scenarios": 20, "p_sfg": 0.05, "eps_min": 0.01, "eps_max": 0.45,
+                   "eta_min": 0.05, "eta_max": 1.0}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    entries = _collect_entries(args, {})
-    count = int(get_dimensionless(entries, "scenarios")) if "scenarios" in entries else args.scenarios
+    entries = _collect_entries(args, _flag_entries(args, ("scenarios", "p_sfg")))
+    values = resolve(entries, VERIFY_DEFAULTS)
     cfg = oracle.OracleConfig(
         mode="exact-sum",
         n_max=args.n_max,
@@ -406,22 +354,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         workers=args.workers,
     )
-
-    def value_or(key: str, default: float) -> float:
-        return get_dimensionless(entries, key) if key in entries else default
-
     scenarios = oracle.random_scenarios(
-        count,
+        values["scenarios"],
         args.seed,
-        eps_range=(value_or("eps_min", 0.01), value_or("eps_max", 0.45)),
-        eta_range=(value_or("eta_min", 0.05), value_or("eta_max", 1.0)),
+        eps_range=(values["eps_min"], values["eps_max"]),
+        eta_range=(values["eta_min"], values["eta_max"]),
     )
     methods = {
         "exact": ("exact-sum",),
         "mc": ("monte-carlo",),
         "both": ("exact-sum", "monte-carlo"),
     }[args.method]
-    report = oracle.verification_report(scenarios, cfg, p_sfg=args.p_sfg, methods=methods)
+    report = oracle.verification_report(scenarios, cfg, p_sfg=values["p_sfg"], methods=methods)
     _write_output(_format_json(report), args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
@@ -590,12 +534,12 @@ def build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="oracle vs closed forms")
     add_common(verify, "json", ("json",))
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--scenarios", type=int, default=20)
+    verify.add_argument("--scenarios", default=None, help="default 20")
     verify.add_argument("--samples", type=int, default=200_000)
     verify.add_argument("--n-max", dest="n_max", type=int, default=200)
     verify.add_argument("--shards", type=int, default=64)
     verify.add_argument("--workers", type=int, default=1)
-    verify.add_argument("--p-sfg", dest="p_sfg", type=float, default=0.05)
+    verify.add_argument("--p-sfg", dest="p_sfg", default=None, help="default 0.05")
     verify.add_argument("--method", default="exact", choices=("exact", "mc", "both"))
     verify.set_defaults(func=cmd_verify)
 

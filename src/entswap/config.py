@@ -13,9 +13,10 @@ Lab-facing parameters are written the way they are quoted on hardware:
     clock = 1 GHz
     outputs = f_nlo,f_lo_unbalanced
 
-Numeric values carry at most one unit token; anything that does not parse as
-a number is kept as a raw string (sweep variables, output lists).  All
-conversions happen here, at the boundary: frequencies become Hz (and are
+Numeric values carry at most one unit token and must be finite: ``nan`` and
+``inf`` are rejected here, for flags, files and presets alike.  Anything
+that does not parse as a number is kept as a raw string (sweep variables,
+output lists).  All conversions happen here, at the boundary: frequencies become Hz (and are
 multiplied by 2*pi only where a device model needs angular units), lengths
 become the unit each consumer expects, and the percent sign in the
 normalized-efficiency unit becomes a factor of 1/100, which is the single
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .photon_stats import SwapScenario, epsilon_from_p
+from .photon_stats import SwapScenario, check_clock, check_probability, epsilon_from_p
 from .sfg_device import (
     CavityParams,
     WaveguideParams,
@@ -82,6 +83,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, ConfigVa
         except ValueError:
             entries[key] = value_part.strip()
             continue
+        if not math.isfinite(magnitude):
+            raise ConfigError(f"{source}:{lineno}: key {key!r} must be finite, got {tokens[0]!r}")
         if len(tokens) == 1:
             entries[key] = Quantity(magnitude, None)
         elif len(tokens) == 2:
@@ -105,8 +108,14 @@ def merge(base: dict[str, ConfigValue], overrides: dict[str, ConfigValue]) -> di
     return merged
 
 
+def _entry(entries: dict[str, ConfigValue], key: str) -> ConfigValue:
+    if key not in entries:
+        raise ConfigError(f"missing key {key!r}")
+    return entries[key]
+
+
 def _quantity(entries: dict[str, ConfigValue], key: str) -> Quantity:
-    value = entries[key]
+    value = _entry(entries, key)
     if not isinstance(value, Quantity):
         raise ConfigError(f"key {key!r} must be numeric, got {value!r}")
     return value
@@ -139,6 +148,14 @@ def get_frequency_hz(entries: dict[str, ConfigValue], key: str) -> float:
     return q.value * _FREQUENCY_HZ[q.unit]
 
 
+def get_count(entries: dict[str, ConfigValue], key: str) -> int:
+    """A whole number >= 0, such as a grid size or a scenario count."""
+    value = get_dimensionless(entries, key)
+    if not (value >= 0.0 and value.is_integer()):
+        raise ConfigError(f"key {key!r} must be a whole number >= 0, got {value!r}")
+    return int(value)
+
+
 def get_length_cm(entries: dict[str, ConfigValue], key: str) -> float:
     return _converted(entries, key, _LENGTH_CM, "length")
 
@@ -156,41 +173,78 @@ def get_sfg_efficiency(entries: dict[str, ConfigValue], key: str) -> float:
 
 
 def get_string(entries: dict[str, ConfigValue], key: str) -> str:
-    value = entries[key]
+    value = _entry(entries, key)
     if isinstance(value, Quantity):
         raise ConfigError(f"key {key!r} must be a word, got a number")
     return value
 
 
+def resolve(entries: dict[str, ConfigValue], defaults: dict[str, float]) -> dict[str, float]:
+    """Every key of ``defaults``, read from ``entries`` where given: the clock
+    as a frequency, the scenario count as a whole number, the rest dimensionless."""
+    readers = {"clock": get_frequency_hz, "scenarios": get_count}
+    return {
+        key: readers.get(key, get_dimensionless)(entries, key) if key in entries else default
+        for key, default in defaults.items()
+    }
+
+
+LINK_DEFAULTS = {"eta_a": 1.0, "eta_b": 1.0, "p_sfg": 1e-3, "clock": 1e9}
+
+
+@dataclass(frozen=True)
+class Link:
+    """Resolved link parameters; p_sfg and the clock, which no scenario holds, are checked here."""
+
+    eps_a: float
+    eps_b: float
+    eta_a: float
+    eta_b: float
+    p_sfg: float
+    clock: float
+
+    def __post_init__(self) -> None:
+        check_probability(self.p_sfg, "p_sfg")
+        check_clock(self.clock)
+
+    def scenario(self) -> SwapScenario:
+        return SwapScenario.from_values(self.eps_a, self.eps_b, self.eta_a, self.eta_b)
+
+
+def _either(entries: dict[str, ConfigValue], first: str, second: str, what: str) -> str:
+    """Which of two alternative keys is given; exactly one of them must be."""
+    if first in entries and second in entries:
+        raise ConfigError(f"give either {first!r} or {second!r}, not both")
+    if first not in entries and second not in entries:
+        raise ConfigError(f"missing {what} {first!r} or {second!r}")
+    return first if first in entries else second
+
+
 def _source_epsilon(entries: dict[str, ConfigValue], side: str) -> float:
-    eps_key, p_key = f"eps_{side}", f"p_{side}"
-    if eps_key in entries and p_key in entries:
-        raise ConfigError(f"give either {eps_key!r} or {p_key!r}, not both")
-    if eps_key in entries:
-        return get_dimensionless(entries, eps_key)
-    if p_key in entries:
-        return epsilon_from_p(get_dimensionless(entries, p_key))
-    raise ConfigError(f"missing source parameter {eps_key!r} or {p_key!r}")
+    key = _either(entries, f"eps_{side}", f"p_{side}", "source parameter")
+    value = get_dimensionless(entries, key)
+    return value if key.startswith("eps") else epsilon_from_p(value)
+
+
+def resolve_link(entries: dict[str, ConfigValue], swept: dict[str, float] | None = None) -> Link:
+    """The link every command reads: each source from eps_x or p_x (not both), the rest
+    from LINK_DEFAULTS when absent.  Fields in ``swept`` (a sweep's values) are not read."""
+    swept = swept or {}
+    values = {f"eps_{s}": _source_epsilon(entries, s) for s in "ab" if f"eps_{s}" not in swept}
+    values.update(resolve(entries, {k: v for k, v in LINK_DEFAULTS.items() if k not in swept}))
+    return Link(**values, **swept)
 
 
 def build_scenario(entries: dict[str, ConfigValue]) -> SwapScenario:
     """Scenario from keys eps_a/p_a, eps_b/p_b, eta_a, eta_b (etas default to 1)."""
-    eta_a = get_dimensionless(entries, "eta_a") if "eta_a" in entries else 1.0
-    eta_b = get_dimensionless(entries, "eta_b") if "eta_b" in entries else 1.0
-    return SwapScenario.from_values(
-        _source_epsilon(entries, "a"), _source_epsilon(entries, "b"), eta_a, eta_b
-    )
+    return resolve_link(entries).scenario()
 
 
 def _mode_omega(entries: dict[str, ConfigValue], mode: str) -> float:
-    lam_key, freq_key = f"lambda_{mode}", f"freq_{mode}"
-    if lam_key in entries and freq_key in entries:
-        raise ConfigError(f"give either {lam_key!r} or {freq_key!r}, not both")
-    if lam_key in entries:
-        return omega_from_wavelength_nm(get_wavelength_nm(entries, lam_key))
-    if freq_key in entries:
-        return 2.0 * math.pi * get_frequency_hz(entries, freq_key)
-    raise ConfigError(f"missing mode frequency: {lam_key!r} or {freq_key!r}")
+    key = _either(entries, f"lambda_{mode}", f"freq_{mode}", "mode frequency")
+    if key.startswith("lambda"):
+        return omega_from_wavelength_nm(get_wavelength_nm(entries, key))
+    return 2.0 * math.pi * get_frequency_hz(entries, key)
 
 
 def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
@@ -202,14 +256,10 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
     quality factors qe_x default to 2*q_x (half the loss through the port);
     drives are on resonance.
     """
-    if "g" in entries and "g_shg" in entries:
-        raise ConfigError("give either 'g' or 'g_shg', not both")
-    if "g" in entries:
-        g = 2.0 * math.pi * get_frequency_hz(entries, "g")
-    elif "g_shg" in entries:
-        g = sfg_coupling_from_shg(2.0 * math.pi * get_frequency_hz(entries, "g_shg"))
-    else:
-        raise ConfigError("missing coupling rate 'g' or 'g_shg'")
+    key = _either(entries, "g", "g_shg", "coupling rate")
+    g = 2.0 * math.pi * get_frequency_hz(entries, key)
+    if key == "g_shg":
+        g = sfg_coupling_from_shg(g)
 
     omega_a = _mode_omega(entries, "a")
     omega_b = _mode_omega(entries, "b")
@@ -220,10 +270,7 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
 
     kappas = {}
     for mode, omega in (("a", omega_a), ("b", omega_b), ("c", omega_c)):
-        q_key = f"q_{mode}"
-        if q_key not in entries:
-            raise ConfigError(f"missing quality factor {q_key!r}")
-        kappas[mode] = kappa_from_q(omega, get_dimensionless(entries, q_key))
+        kappas[mode] = kappa_from_q(omega, get_dimensionless(entries, f"q_{mode}"))
         qe_key = f"qe_{mode}"
         if qe_key in entries:
             kappas[mode + "e"] = kappa_from_q(omega, get_dimensionless(entries, qe_key))
@@ -248,17 +295,10 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
 
 def build_waveguide(entries: dict[str, ConfigValue]) -> WaveguideParams:
     """Waveguide from keys eta_sfg (or eta_shg), accept, length, lambda."""
-    if "eta_sfg" in entries and "eta_shg" in entries:
-        raise ConfigError("give either 'eta_sfg' or 'eta_shg', not both")
-    if "eta_sfg" in entries:
-        eta = get_sfg_efficiency(entries, "eta_sfg")
-    elif "eta_shg" in entries:
-        eta = sfg_efficiency_from_shg(get_sfg_efficiency(entries, "eta_shg"))
-    else:
-        raise ConfigError("missing normalized efficiency 'eta_sfg' or 'eta_shg'")
-    for key in ("accept", "length", "lambda"):
-        if key not in entries:
-            raise ConfigError(f"missing waveguide key {key!r}")
+    key = _either(entries, "eta_sfg", "eta_shg", "normalized efficiency")
+    eta = get_sfg_efficiency(entries, key)
+    if key == "eta_shg":
+        eta = sfg_efficiency_from_shg(eta)
     wavelength_nm = get_wavelength_nm(entries, "lambda")
     photon_frequency = omega_from_wavelength_nm(wavelength_nm) / (2.0 * math.pi)
     return WaveguideParams(

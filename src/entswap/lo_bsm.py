@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, UndefinedFidelityError
-from .photon_stats import SwapScenario
+from .photon_stats import SwapScenario, check_epsilon, check_pair_probability, check_probability
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -37,8 +37,8 @@ def fidelity_leading_order(p_a: float, p_b: float) -> float:
 
     Bounded by 1/3, saturated at p_A = p_B.
     """
-    _check_pair_prob(p_a, "p_a")
-    _check_pair_prob(p_b, "p_b")
+    check_pair_probability(p_a, "p_a")
+    check_pair_probability(p_b, "p_b")
     denom = p_a * p_b + p_a * p_a + p_b * p_b
     if denom == 0.0:
         raise UndefinedFidelityError("both pair probabilities are zero; no herald events exist")
@@ -53,10 +53,9 @@ def fidelity_leading_order_lossy(p_a: float, p_b: float, eta: float) -> float:
     Maximized at p_A = eta * p_B where it reaches 1/3; at p_A = p_B it
     degrades to roughly eta.
     """
-    _check_pair_prob(p_a, "p_a")
-    _check_pair_prob(p_b, "p_b")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must be in [0, 1], got {eta}")
+    check_pair_probability(p_a, "p_a")
+    check_pair_probability(p_b, "p_b")
+    check_probability(eta, "eta")
     if eta == 0.0:
         raise UndefinedFidelityError("eta = 0 leaves no faithful herald events")
     denom = eta * p_a * p_b + p_a * p_a + eta * eta * p_b * p_b
@@ -126,12 +125,10 @@ def fidelity_balanced(eps: float, eta: float) -> float:
 
         (1-eps)^2 (1-eps+eps*eta)^3 / (3(1-eps) + eps*eta)
     """
-    if not 0.0 < eps < 1.0:
-        if eps == 0.0:
-            raise UndefinedFidelityError("eps = 0 produces no herald events")
-        raise DomainError(f"eps must be in (0, 1), got {eps}")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must be in [0, 1], got {eta}")
+    check_epsilon(eps, "eps")
+    check_probability(eta, "eta")
+    if eps == 0.0:
+        raise UndefinedFidelityError("eps = 0 produces no herald events")
     u = 1.0 - eps
     d = u + eps * eta
     return u * u * d**3 / (3.0 * u + eps * eta)
@@ -142,7 +139,7 @@ def fidelity_balanced_smalleta(p: float) -> float:
 
         (1/3) * ((1 + sqrt(1 - 4p)) / 2)^4
     """
-    _check_pair_prob(p, "p")
+    check_pair_probability(p, "p")
     q = 0.5 * (1.0 + (max(0.0, 1.0 - 4.0 * p)) ** 0.5)
     return ONE_THIRD * q**4
 
@@ -155,7 +152,7 @@ def fidelity_unbalanced_limit(p_b: float) -> float:
     p_B is the pair probability of the source behind the lossier channel;
     the other source is assumed attenuated to the matching photon flux.
     """
-    _check_pair_prob(p_b, "p_b")
+    check_pair_probability(p_b, "p_b")
     q = 0.5 * (1.0 + (max(0.0, 1.0 - 4.0 * p_b)) ** 0.5)
     return ONE_THIRD * q * q
 
@@ -202,14 +199,9 @@ def optimal_epsilon_a(eps_b: float, eta_a: float, eta_b: float) -> float:
     """
     if not 0.0 < eps_b < 1.0:
         raise DomainError(f"eps_b must be in (0, 1), got {eps_b}")
-    if eta_a <= 0.0:
+    check_probability(eta_a, "eta_a")
+    check_probability(eta_b, "eta_b")
+    if eta_a == 0.0:
         raise DomainError(f"eta_a must be > 0, got {eta_a}")
-    if eta_b < 0.0:
-        raise DomainError(f"eta_b must be >= 0, got {eta_b}")
     flux_b = eps_b * eta_b
     return flux_b / ((1.0 - eps_b) * eta_a + flux_b)
-
-
-def _check_pair_prob(p: float, name: str) -> None:
-    if p < 0.0 or p > 0.25 + 1e-15:
-        raise DomainError(f"{name} must be in [0, 1/4], got {p}")

@@ -22,7 +22,13 @@ from .errors import (
     ModelValidityWarning,
     UndefinedFidelityError,
 )
-from .photon_stats import SourceParams, SwapScenario, epsilon_from_p, joint_arrival_pmf
+from .photon_stats import (
+    SourceParams,
+    SwapScenario,
+    check_probability,
+    epsilon_from_p,
+    joint_arrival_pmf,
+)
 
 # Above this single-photon conversion probability the weak-interaction
 # expansion behind the herald weights starts to be questionable unless the
@@ -41,8 +47,7 @@ class NloFidelityReport:
 
 
 def _check_p_sfg(p_sfg: float) -> None:
-    if not 0.0 <= p_sfg <= 1.0:
-        raise DomainError(f"p_sfg must be in [0, 1], got {p_sfg}")
+    check_probability(p_sfg, "p_sfg")
     if p_sfg > WEAK_SFG_WARN_THRESHOLD:
         warnings.warn(
             f"p_sfg = {p_sfg:g} is outside the weak-conversion regime; results "

@@ -28,7 +28,7 @@ from .errors import (
     ModelValidityError,
     UndefinedFidelityError,
 )
-from .photon_stats import SwapScenario
+from .photon_stats import SwapScenario, check_probability
 
 RNG_DESCRIPTION = "numpy PCG64 seeded by SeedSequence([seed, shard_index])"
 
@@ -126,8 +126,7 @@ def exact_fidelity_nlo(
     arithmetic.
     """
     _require_mode(cfg, "exact-sum")
-    if not 0.0 <= p_sfg <= 1.0:
-        raise DomainError(f"p_sfg must be in [0, 1], got {p_sfg}")
+    check_probability(p_sfg, "p_sfg")
     ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
     ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
     w_a, pmf_a = _arrival_table(ea, ha, cfg.n_max)
@@ -195,8 +194,7 @@ def mc_fidelity_nlo(
 ) -> OracleEstimate:
     """Sampled fidelity with acceptance probability k*l*p_sfg per trial."""
     _require_mode(cfg, "monte-carlo")
-    if not 0.0 <= p_sfg <= 1.0:
-        raise DomainError(f"p_sfg must be in [0, 1], got {p_sfg}")
+    check_probability(p_sfg, "p_sfg")
 
     def shard(idx: int, size: int) -> tuple[int, int]:
         rng = np.random.default_rng([cfg.seed, idx])

@@ -20,6 +20,34 @@ from .errors import DomainError
 _EXACT_BINOM_MAX_N = 60
 
 
+# The domain rules, one function each, written as ``not lo <= x <= hi`` so
+# that NaN, which fails every comparison, is rejected.  Errors name the key.
+
+
+def check_probability(value: float, name: str) -> None:
+    """Reject a transmission or p_sfg outside [0, 1]: "p_sfg must be in [0, 1], got nan"."""
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must be in [0, 1], got {value}")
+
+
+def check_pair_probability(p: float, name: str) -> None:
+    """Reject p outside [0, 1/4], allowing ulps above 1/4 so grids may end on it."""
+    if not 0.0 <= p <= 0.25 + 1e-15:
+        raise DomainError(f"{name} must be in [0, 1/4], got {p}")
+
+
+def check_epsilon(eps: float, name: str) -> None:
+    """Reject a conversion efficiency outside [0, 1)."""
+    if not 0.0 <= eps < 1.0:
+        raise DomainError(f"{name} must be in [0, 1), got {eps}")
+
+
+def check_clock(clock: float) -> None:
+    """Reject a pump clock rate (Hz) that is negative or not finite."""
+    if not 0.0 <= clock < math.inf:
+        raise DomainError(f"clock rate must be finite and >= 0, got {clock}")
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Pair source described by its conversion efficiency ``epsilon`` in [0, 1).
@@ -31,8 +59,7 @@ class SourceParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon < 1.0:
-            raise DomainError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        check_epsilon(self.epsilon, "epsilon")
 
     @property
     def p(self) -> float:
@@ -52,8 +79,7 @@ class ChannelParams:
     eta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise DomainError(f"eta must be in [0, 1], got {self.eta}")
+        check_probability(self.eta, "eta")
 
 
 @dataclass(frozen=True)
@@ -81,8 +107,7 @@ class SwapScenario:
 
 def p_from_epsilon(eps: float) -> float:
     """Single-pair probability (1 - eps) * eps for conversion efficiency eps."""
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"epsilon must be in [0, 1), got {eps}")
+    check_epsilon(eps, "epsilon")
     return (1.0 - eps) * eps
 
 
@@ -92,8 +117,7 @@ def epsilon_from_p(p: float) -> float:
     Valid for 0 <= p <= 1/4; a few ulps of overshoot above 1/4 are tolerated
     so that swept grids may end exactly at the boundary.
     """
-    if p < 0.0 or p > 0.25 + 1e-15:
-        raise DomainError(f"pair probability must be in [0, 1/4], got {p}")
+    check_pair_probability(p, "pair probability")
     radicand = max(0.0, 1.0 - 4.0 * p)
     return 0.5 * (1.0 - math.sqrt(radicand))
 

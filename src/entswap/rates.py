@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .photon_stats import SwapScenario
+from .photon_stats import SwapScenario, check_clock, check_probability
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def rate_lo(scenario: SwapScenario, clock: float, attenuated: bool = True) -> fl
     by the optimal-fidelity value eta_B p_B / eta_A, giving eta_B^2 p_B^2 R_c;
     otherwise the scenario's own p_A is used.
     """
-    _check_clock(clock)
+    check_clock(clock)
     ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
     p_b = scenario.source_b.p
     if attenuated:
@@ -50,9 +50,8 @@ def rate_lo(scenario: SwapScenario, clock: float, attenuated: bool = True) -> fl
 
 def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
     """SFG-heralded swapping rate p_sfg eta_A eta_B p_A p_B R_c (no attenuation)."""
-    _check_clock(clock)
-    if not 0.0 <= p_sfg <= 1.0:
-        raise DomainError(f"p_sfg must be in [0, 1], got {p_sfg}")
+    check_clock(clock)
+    check_probability(p_sfg, "p_sfg")
     ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
     return p_sfg * ha * hb * scenario.source_a.p * scenario.source_b.p * clock
 
@@ -64,12 +63,11 @@ def crossover(p_sfg: float, eta_a: float, eta_b: float) -> CrossoverResult:
     equals rate_nlo / rate_lo when the linear-optical side runs attenuated
     and the SFG side runs at p_A = p_B.
     """
-    if eta_b <= 0.0:
+    check_probability(eta_a, "eta_a")
+    check_probability(eta_b, "eta_b")
+    check_probability(p_sfg, "p_sfg")
+    if eta_b == 0.0:
         raise DomainError(f"eta_b must be > 0, got {eta_b}")
-    if eta_a < 0.0 or eta_a > 1.0 or eta_b > 1.0:
-        raise DomainError("transmissions must be in [0, 1]")
-    if not 0.0 <= p_sfg <= 1.0:
-        raise DomainError(f"p_sfg must be in [0, 1], got {p_sfg}")
     ratio = p_sfg * eta_a / eta_b
     return CrossoverResult(nlo_wins=ratio > 1.0, ratio=ratio)
 
@@ -81,8 +79,3 @@ def rate_report(scenario: SwapScenario, p_sfg: float, clock: float) -> RateRepor
         clock_rate=clock,
         crossover_ratio=crossover(p_sfg, scenario.channel_a.eta, scenario.channel_b.eta).ratio,
     )
-
-
-def _check_clock(clock: float) -> None:
-    if clock < 0.0:
-        raise DomainError(f"clock rate must be >= 0, got {clock}")

@@ -227,6 +227,15 @@ class TestVerifyCommand:
         assert payload["failures"] == 0
         assert "PCG64" in payload["rng"]
 
+    def test_flag_beats_config_and_config_beats_default(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("scenarios = 1\np_sfg = 0.02\n")
+        code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--scenarios", "3")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert len({json.dumps(row["scenario"]) for row in payload["rows"]}) == 3
+        assert payload["p_sfg"] == 0.02
+
     def test_bit_identical_across_runs_and_workers(self, capsys):
         args = ["verify", "--seed", "11", "--scenarios", "2", "--method", "both",
                 "--samples", "100000"]
@@ -267,6 +276,59 @@ class TestFockCheckCommand:
                 parts = line.split()
                 if len(parts) == 3 and parts[0] in ("ee", "el", "le", "ll"):
                     float(parts[1]), float(parts[2])
+
+
+SWEEP_ETA_B = (
+    "fidelity-sweep", "--variable", "eta_b", "--start", "0.1", "--stop", "1",
+    "--points", "3", "--outputs", "f_lo_general",
+)
+SWEEP_P = ("fidelity-sweep", "--variable", "p", "--start", "0.01", "--stop", "0.2")
+SWEEP_P_SFG = (
+    "fidelity-sweep", "--preset", "satellite", "--variable", "p_sfg", "--start", "0.5",
+    "--stop", "5", "--points", "3", "--outputs", "f_nlo",
+)
+RATE = ("rate-compare", "--preset", "satellite", "--format", "json")
+EPS_AND_P = "eps_a = 0.1\np_a = 0.01\np_b = 0.01\n"
+P_NAN = "p_a = nan\np_b = 0.01\n"
+RING_NAN_G = (
+    "g = nan MHz\nlambda_a = 1550 nm\nlambda_b = 1550 nm\nq_a = 4e5\nq_b = 4e5\nq_c = 1e5\n"
+)
+WG_INF_ETA = "eta_sfg = inf %/W/cm^2\naccept = 6 GHz*cm\nlength = 1 cm\nlambda = 1550 nm\n"
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            pytest.param(SWEEP_ETA_B, EPS_AND_P, "not both", id="sweep-eps-and-p"),
+            pytest.param(("rate-compare",), EPS_AND_P, "not both", id="rate-eps-and-p"),
+            pytest.param(SWEEP_ETA_B, P_NAN, "'p_a' must be finite", id="sweep-p-nan"),
+            pytest.param(("rate-compare",), P_NAN, "'p_a' must be finite", id="rate-p-nan"),
+            pytest.param(SWEEP_ETA_B, None, "missing source", id="sweep-no-source"),
+            pytest.param((*RATE, "--clock", "nan"), None, "'clock' must be finite", id="clock-nan"),
+            pytest.param((*RATE, "--clock", "inf"), None, "'clock' must be finite", id="clock-inf"),
+            pytest.param((*SWEEP_P, "--points", "2.7"), None, "whole number", id="points-2.7"),
+            pytest.param((*SWEEP_P, "--points", "inf"), None, "must be finite", id="points-inf"),
+            pytest.param((*SWEEP_P, "--points", "nan"), None, "must be finite", id="points-nan"),
+            pytest.param(SWEEP_P_SFG, None, "p_sfg must be in [0, 1]", id="sweep-p-sfg-5"),
+            pytest.param(("verify",), "scenarios = 2.9", "whole number", id="scenarios-2.9"),
+            pytest.param(("verify",), "scenarios = nan", "must be finite", id="scenarios-nan"),
+            pytest.param(("verify", "--scenarios", "-1"), None, "whole number", id="scenarios-neg"),
+            pytest.param(("device",), RING_NAN_G, "'g' must be finite", id="device-g-nan"),
+            pytest.param(("device",), WG_INF_ETA, "'eta_sfg' must be finite", id="device-eta-inf"),
+            pytest.param(("device",), "p_sfg = 5", "p_sfg must be in [0, 1]", id="device-p-sfg-5"),
+        ],
+    )
+    def test_usage_error_without_output(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            path = tmp_path / "input.cfg"
+            path.write_text(config)
+            argv = (*argv, "--config", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestOutputFile:

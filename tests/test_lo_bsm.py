@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,24 @@ class TestOptimalAttenuation:
             fidelity_general(scenario(float(e), eps_b, eta_a, eta_b)).fidelity for e in grid
         ]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+
+class TestNanRejected:
+    # NaN fails every comparison, so each check must be written to reject it.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: fidelity_balanced_smalleta(math.nan), id="balanced-smalleta"),
+            pytest.param(lambda: fidelity_unbalanced_limit(math.nan), id="unbalanced-limit"),
+            pytest.param(lambda: fidelity_leading_order(math.nan, 0.01), id="leading-order"),
+            pytest.param(lambda: optimal_epsilon_a(0.1, math.nan, 0.5), id="optimal-eta-a-nan"),
+            pytest.param(lambda: optimal_epsilon_a(0.1, 0.5, math.nan), id="optimal-eta-b-nan"),
+            pytest.param(lambda: optimal_epsilon_a(0.1, 5.0, 0.5), id="optimal-eta-a-above-1"),
+        ],
+    )
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestLeadingOrderConsistency:

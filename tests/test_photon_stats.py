@@ -122,7 +122,7 @@ class TestEpsilonPConversions:
         assert eps == pytest.approx(0.5 * (1.0 - math.sqrt(0.2)), abs=1e-15)
         assert (1 - eps) * eps == pytest.approx(0.2, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [-0.01, 0.26, 1.0])
+    @pytest.mark.parametrize("bad", [-0.01, 0.26, 1.0, math.nan])
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             epsilon_from_p(bad)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from entswap.errors import DomainError
@@ -85,3 +87,18 @@ class TestRateRatioIdentity:
             report.crossover_ratio, rel=1e-13
         )
         assert report.clock_rate == 1e9
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("clock", [math.nan, math.inf])
+    def test_clock_rejected(self, clock):
+        scen = scenario_from_p(0.01, 0.01, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            rate_lo(scen, clock)
+        with pytest.raises(DomainError):
+            rate_nlo(scen, 1e-3, clock)
+
+    @pytest.mark.parametrize("eta_a, eta_b", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_crossover_rejects_nan_transmission(self, eta_a, eta_b):
+        with pytest.raises(DomainError):
+            crossover(0.1, eta_a, eta_b)
