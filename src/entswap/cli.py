@@ -14,7 +14,8 @@ rate-compare read the link through ``config.resolve_link``: a source is eps_x
 or p_x, never both, and required unless swept; numbers are finite and counts
 whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3, clock = 1 GHz.  ``verify``
 reads no link and defaults to 20 scenarios at p_sfg = 0.05.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 model-validity error.
+0 success, 1 usage error, 2 verification failure (or nothing compared),
+3 model-validity error.
 """
 
 from __future__ import annotations
@@ -347,7 +348,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     entries = _collect_entries(args, _flag_entries(args, ("scenarios", "p_sfg")))
     values = resolve(entries, VERIFY_DEFAULTS)
     cfg = oracle.OracleConfig(
-        mode="exact-sum",
         n_max=args.n_max,
         samples=args.samples,
         seed=args.seed,

@@ -163,8 +163,7 @@ def p_for_balanced_smalleta(f_target: float) -> float:
     Inverts (1/3) q^4 = f with q = (1 + sqrt(1-4p))/2; defined for targets in
     [1/48, 1/3].
     """
-    q = (3.0 * f_target) ** 0.25
-    return _p_from_q(q, f_target)
+    return _p_for_target(f_target, 0.25)
 
 
 def p_for_unbalanced_limit(f_target: float) -> float:
@@ -172,11 +171,13 @@ def p_for_unbalanced_limit(f_target: float) -> float:
 
     Inverts (1/3) q^2 = f; defined for targets in [1/12, 1/3].
     """
-    q = (3.0 * f_target) ** 0.5
-    return _p_from_q(q, f_target)
+    return _p_for_target(f_target, 0.5)
 
 
-def _p_from_q(q: float, f_target: float) -> float:
+def _p_for_target(f_target: float, power: float) -> float:
+    # q = (3 f)^power.  A negative target would give a complex root and NaN
+    # fails every comparison, so both take q = 0, which is out of reach.
+    q = (3.0 * f_target) ** power if f_target >= 0.0 else 0.0
     if not 0.5 <= q <= 1.0 + 1e-15:
         raise DomainError(
             f"target fidelity {f_target:g} is outside the reachable range of this curve"

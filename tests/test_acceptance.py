@@ -86,7 +86,7 @@ def test_01_lossy_fidelity_bound():
 def test_02_oracle_equivalence():
     def body():
         start = time.perf_counter()
-        exact_cfg = OracleConfig(mode="exact-sum", n_max=200)
+        exact_cfg = OracleConfig(n_max=200)
         worst = 0.0
         for scen in random_scenarios(1000, seed=2002):
             estimate = exact_fidelity_lo(scen, exact_cfg)
@@ -98,7 +98,7 @@ def test_02_oracle_equivalence():
         for index, scen in enumerate(
             random_scenarios(20, seed=2003, eps_range=(0.05, 0.45), eta_range=(0.2, 1.0))
         ):
-            cfg = OracleConfig(mode="monte-carlo", samples=10_000_000, seed=2004 + index)
+            cfg = OracleConfig(samples=10_000_000, seed=2004 + index)
             estimate = mc_fidelity_lo(scen, cfg)
             closed = fidelity_general(scen).fidelity
             assert abs(estimate.value - closed) <= MC_SIGMAS * estimate.std_error
@@ -111,7 +111,7 @@ def test_03_heralded_fidelity_is_loss_independent():
     def body():
         sources = (SourceParams(0.22), SourceParams(0.31))
         expected = fidelity_nlo(*sources)
-        cfg = OracleConfig(mode="exact-sum", n_max=200)
+        cfg = OracleConfig(n_max=200)
         rng = np.random.default_rng(3003)
         values = []
         for _ in range(100):

@@ -5,6 +5,7 @@ import pytest
 from entswap.cli import (
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY_FAIL,
     SweepSpec,
     UsageError,
     main,
@@ -236,6 +237,24 @@ class TestVerifyCommand:
         assert len({json.dumps(row["scenario"]) for row in payload["rows"]}) == 3
         assert payload["p_sfg"] == 0.02
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("--scenarios", "0"), id="no-scenarios"),
+            pytest.param(
+                ("--scenarios", "1", "--method", "mc", "--p-sfg", "0.3", "--samples", "10000"),
+                id="all-undersampled",
+            ),
+        ],
+    )
+    def test_run_without_comparison_fails(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_VERIFY_FAIL
+        payload = json.loads(out)
+        assert payload["compared"] == 0
+        assert payload["failures"] == 0
+        assert payload["pass"] is False
+
     def test_bit_identical_across_runs_and_workers(self, capsys):
         args = ["verify", "--seed", "11", "--scenarios", "2", "--method", "both",
                 "--samples", "100000"]
@@ -317,6 +336,12 @@ class TestRejectedInputs:
             pytest.param(("device",), RING_NAN_G, "'g' must be finite", id="device-g-nan"),
             pytest.param(("device",), WG_INF_ETA, "'eta_sfg' must be finite", id="device-eta-inf"),
             pytest.param(("device",), "p_sfg = 5", "p_sfg must be in [0, 1]", id="device-p-sfg-5"),
+            pytest.param((*RATE, "--delta", "1"), None, "reachable range", id="rate-delta-1"),
+            pytest.param(("verify", "--seed", "-1"), None, "seed must be >= 0", id="verify-seed-neg"),
+            pytest.param(
+                ("verify", "--seed", "-1", "--method", "mc"), None, "seed must be >= 0",
+                id="verify-seed-neg-mc",
+            ),
         ],
     )
     def test_usage_error_without_output(self, tmp_path, capsys, argv, config, message):

@@ -94,7 +94,7 @@ class TestFidelityGeneral:
 
     def test_matches_exact_sum_oracle(self):
         scen = scenario(0.2, 0.05, 0.3, 0.9)
-        estimate = exact_fidelity_lo(scen, OracleConfig(mode="exact-sum", n_max=200))
+        estimate = exact_fidelity_lo(scen, OracleConfig(n_max=200))
         assert fidelity_general(scen).fidelity == pytest.approx(
             estimate.value, abs=max(estimate.tail_bound, 1e-10)
         )
@@ -265,6 +265,9 @@ class TestNanRejected:
             pytest.param(lambda: optimal_epsilon_a(0.1, math.nan, 0.5), id="optimal-eta-a-nan"),
             pytest.param(lambda: optimal_epsilon_a(0.1, 0.5, math.nan), id="optimal-eta-b-nan"),
             pytest.param(lambda: optimal_epsilon_a(0.1, 5.0, 0.5), id="optimal-eta-a-above-1"),
+            # A fractional power of a negative target is complex, not an error.
+            pytest.param(lambda: p_for_balanced_smalleta(-2.0 / 3.0), id="balanced-target-neg"),
+            pytest.param(lambda: p_for_unbalanced_limit(-2.0 / 3.0), id="unbalanced-target-neg"),
         ],
     )
     def test_domain_error(self, call):

@@ -20,7 +20,7 @@ from entswap.oracle import (
 )
 from entswap.photon_stats import SourceParams, SwapScenario
 
-EXACT = OracleConfig(mode="exact-sum", n_max=200)
+EXACT = OracleConfig(n_max=200)
 
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
@@ -30,19 +30,11 @@ def scenario(eps_a, eps_b, eta_a, eta_b):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
-            OracleConfig(mode="guess")
-        with pytest.raises(DomainError):
             OracleConfig(n_max=0)
         with pytest.raises(DomainError):
             OracleConfig(samples=0)
-
-    def test_mode_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            mc_fidelity_lo(scenario(0.2, 0.2, 0.5, 0.5), EXACT)
-        with pytest.raises(DomainError):
-            exact_fidelity_lo(
-                scenario(0.2, 0.2, 0.5, 0.5), OracleConfig(mode="monte-carlo")
-            )
+            OracleConfig(seed=-1)
 
 
 class TestExactSumLo:
@@ -72,7 +64,7 @@ class TestExactSumLo:
     def test_monotone_convergence_in_truncation(self):
         scen = scenario(0.4, 0.35, 0.6, 0.8)
         values = [
-            exact_fidelity_lo(scen, OracleConfig(mode="exact-sum", n_max=n)).value
+            exact_fidelity_lo(scen, OracleConfig(n_max=n)).value
             for n in (5, 10, 20, 40, 80, 160)
         ]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
@@ -114,27 +106,27 @@ class TestExactSumNlo:
 class TestMonteCarloLo:
     def test_seed_determinism(self):
         scen = scenario(0.2, 0.2, 0.5, 0.5)
-        cfg = OracleConfig(mode="monte-carlo", samples=200_000, seed=99)
+        cfg = OracleConfig(samples=200_000, seed=99)
         first = mc_fidelity_lo(scen, cfg)
         second = mc_fidelity_lo(scen, cfg)
         assert first == second
 
     def test_worker_count_does_not_change_the_estimate(self):
         scen = scenario(0.2, 0.2, 0.5, 0.5)
-        kwargs = dict(mode="monte-carlo", samples=300_000, seed=5)
+        kwargs = dict(samples=300_000, seed=5)
         serial = mc_fidelity_lo(scen, OracleConfig(workers=1, **kwargs))
         threaded = mc_fidelity_lo(scen, OracleConfig(workers=4, **kwargs))
         assert serial == threaded
 
     def test_five_sigma_agreement(self):
         scen = scenario(0.2, 0.2, 0.5, 0.5)
-        cfg = OracleConfig(mode="monte-carlo", samples=1_000_000, seed=31)
+        cfg = OracleConfig(samples=1_000_000, seed=31)
         estimate = mc_fidelity_lo(scen, cfg)
         closed = fidelity_general(scen).fidelity
         assert abs(estimate.value - closed) <= 5 * estimate.std_error
 
     def test_silent_sources_raise(self):
-        cfg = OracleConfig(mode="monte-carlo", samples=1000, seed=0)
+        cfg = OracleConfig(samples=1000, seed=0)
         with pytest.raises(InsufficientStatisticsError):
             mc_fidelity_lo(scenario(0.0, 0.0, 0.5, 0.5), cfg)
 
@@ -143,7 +135,7 @@ class TestMonteCarloLo:
         closed = fidelity_general(scen).fidelity
         estimates, variances = [], []
         for seed in range(100):
-            cfg = OracleConfig(mode="monte-carlo", samples=100_000, seed=seed)
+            cfg = OracleConfig(samples=100_000, seed=seed)
             est = mc_fidelity_lo(scen, cfg)
             estimates.append(est.value)
             variances.append(est.std_error**2)
@@ -155,7 +147,7 @@ class TestMonteCarloLo:
 class TestMonteCarloNlo:
     def test_five_sigma_agreement(self):
         scen = scenario(0.2, 0.2, 0.9, 0.1)
-        cfg = OracleConfig(mode="monte-carlo", samples=2_000_000, seed=77)
+        cfg = OracleConfig(samples=2_000_000, seed=77)
         estimate = mc_fidelity_nlo(scen, 1e-2, cfg)
         closed = fidelity_nlo(scen.source_a, scen.source_b)
         assert estimate.std_error > 0.0
@@ -167,18 +159,18 @@ class TestMonteCarloNlo:
         closed = fidelity_nlo(SourceParams(0.25), SourceParams(0.25))
         for seed, (ha, hb) in enumerate(((1.0, 1.0), (0.9, 0.2), (0.3, 0.6))):
             scen = scenario(0.25, 0.25, ha, hb)
-            cfg = OracleConfig(mode="monte-carlo", samples=2_000_000, seed=500 + seed)
+            cfg = OracleConfig(samples=2_000_000, seed=500 + seed)
             estimate = mc_fidelity_nlo(scen, 2e-2, cfg)
             assert abs(estimate.value - closed) <= 5 * estimate.std_error
 
     def test_seed_determinism(self):
         scen = scenario(0.2, 0.2, 0.9, 0.1)
-        cfg = OracleConfig(mode="monte-carlo", samples=500_000, seed=123)
+        cfg = OracleConfig(samples=500_000, seed=123)
         assert mc_fidelity_nlo(scen, 1e-2, cfg) == mc_fidelity_nlo(scen, 1e-2, cfg)
 
     def test_oversized_herald_weight_rejected(self):
         scen = scenario(0.45, 0.45, 1.0, 1.0)
-        cfg = OracleConfig(mode="monte-carlo", samples=200_000, seed=1)
+        cfg = OracleConfig(samples=200_000, seed=1)
         with pytest.raises(ModelValidityError):
             mc_fidelity_nlo(scen, 0.5, cfg)
 
@@ -199,7 +191,7 @@ class TestRandomScenarios:
 
 class TestVerificationReport:
     def test_default_grid_passes(self):
-        cfg = OracleConfig(mode="exact-sum", n_max=200, samples=300_000, seed=0)
+        cfg = OracleConfig(n_max=200, samples=300_000, seed=0)
         report = verification_report(
             random_scenarios(5, seed=0), cfg, p_sfg=0.05, methods=("exact-sum",)
         )
@@ -210,7 +202,7 @@ class TestVerificationReport:
         assert all(row["pass"] for row in report["rows"])
 
     def test_corrupted_closed_form_is_detected(self):
-        cfg = OracleConfig(mode="exact-sum", n_max=200, samples=100_000, seed=0)
+        cfg = OracleConfig(n_max=200, samples=100_000, seed=0)
         report = verification_report(
             random_scenarios(3, seed=0),
             cfg,
@@ -220,8 +212,18 @@ class TestVerificationReport:
         assert not report["pass"]
         assert report["failures"] >= 3
 
+    def test_no_comparison_does_not_pass(self):
+        report = verification_report([], EXACT, methods=("exact-sum",))
+        assert report["compared"] == 0
+        assert report["failures"] == 0
+        assert report["pass"] is False
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError, match="method"):
+            verification_report(random_scenarios(1, seed=0), EXACT, methods=("guess",))
+
     def test_undersampled_rows_reported_not_fatal(self):
-        cfg = OracleConfig(mode="exact-sum", n_max=200, samples=2_000, seed=0)
+        cfg = OracleConfig(n_max=200, samples=2_000, seed=0)
         report = verification_report(
             random_scenarios(2, seed=4), cfg, p_sfg=1e-3, methods=("monte-carlo",)
         )
