@@ -16,6 +16,7 @@ from .errors import (
     ModelValidityWarning,
     TruncationError,
     UndefinedFidelityError,
+    UsageError,
 )
 from .photon_stats import (
     ChannelParams,

@@ -1,5 +1,8 @@
 """Command-line surface: sweeps, device numbers, rate comparison, verification.
 
+Argument parsing, output formatting and exit codes only: the sweep engine is
+``entswap.sweep`` and the Fock invariant suite ``fock_sim.run_fock_checks``.
+
 Subcommands
 -----------
 fidelity-sweep   fidelity (and rate) columns over a parameter grid, CSV/JSON
@@ -22,167 +25,39 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import lo_bsm, nlo_bsm, oracle, rates, sfg_device
 from .config import (
     ConfigValue,
-    Link,
     build_cavity,
     build_waveguide,
-    get_count,
     get_dimensionless,
-    get_string,
     merge,
     parse_config_file,
     parse_config_text,
     resolve,
     resolve_link,
 )
-from .errors import (
-    DomainError,
-    EntswapError,
-    InputError,
-    ModelValidityError,
-    ConfigError,
-)
-from .fock_sim import (
-    BELL_LABELS,
-    bell_fidelity,
-    bell_state,
-    dfg_spurious_amplitude,
-    herald_amplitude,
-    product_state,
-    sfg_evolve,
-    sfg_projection_vectors,
-    swap_condition_on_sfg,
-    tri_mode_state,
-)
-from .photon_stats import SwapScenario, check_probability, epsilon_from_p
+from .errors import ConfigError, DomainError, InputError, ModelValidityError, UsageError
+# Re-exported: perfbench's tracer test looks sfg_evolve up as cli.sfg_evolve.
+from .fock_sim import dump_reference_states, run_fock_checks, sfg_evolve  # noqa: F401
+from .photon_stats import check_probability
 from .presets import DEMONSTRATED_RING_P_SFG, get_preset, preset_names
+from .sweep import SPEC_KEYS, SWEEP_VARIABLES, SweepSpec, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_MODEL_VALIDITY = 3
 
-SWEEP_VARIABLES = ("p", "epsilon", "eta_a", "eta_b", "p_sfg")
-_SPEC_KEYS = ("variable", "start", "stop", "points", "scale", "outputs")
-SWEEP_OUTPUTS = (
-    "f_lo_general",
-    "f_lo_balanced_smalleta",
-    "f_lo_unbalanced",
-    "f_nlo",
-    "r_lo",
-    "r_nlo",
-    "lo_bound",
-)
 NUMBER_FORMAT = "%.12e"
-
-
-class UsageError(EntswapError):
-    """Bad flags or bad sweep/config entries; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # keep exit-code contract instead of argparse's 2
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated sweep request: one variable, a grid, fixed context, outputs."""
-
-    variable: str
-    start: float
-    stop: float
-    points: int
-    scale: str
-    fixed: dict[str, ConfigValue]
-    outputs: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
-            raise UsageError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        if not self.start < self.stop:
-            raise UsageError(f"need start < stop, got {self.start} >= {self.stop}")
-        if self.points < 2:
-            raise UsageError(f"need points >= 2, got {self.points}")
-        if self.scale not in ("linear", "log"):
-            raise UsageError(f"scale must be 'linear' or 'log', got {self.scale!r}")
-        if self.scale == "log" and self.start <= 0.0:
-            raise UsageError("log scale needs a positive range")
-        unknown = [name for name in self.outputs if name not in SWEEP_OUTPUTS]
-        if unknown:
-            raise UsageError(f"unknown outputs {unknown}; available: {SWEEP_OUTPUTS}")
-        if not self.outputs:
-            raise UsageError("at least one output column is required")
-
-    def grid(self) -> np.ndarray:
-        if self.scale == "linear":
-            values = np.linspace(self.start, self.stop, self.points)
-        else:
-            values = np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
-        # Pin the endpoints so boundary values (e.g. p = 1/4) stay exact.
-        values[0], values[-1] = self.start, self.stop
-        return values
-
-
-def _evaluate_output(name: str, scenario: SwapScenario, link: Link) -> float:
-    if name == "f_lo_general":
-        return lo_bsm.fidelity_general(scenario).fidelity
-    if name == "f_lo_balanced_smalleta":
-        return lo_bsm.fidelity_balanced_smalleta(scenario.source_b.p)
-    if name == "f_lo_unbalanced":
-        return lo_bsm.fidelity_unbalanced_limit(scenario.source_b.p)
-    if name == "f_nlo":
-        return nlo_bsm.fidelity_nlo(scenario.source_a, scenario.source_b)
-    if name == "r_lo":
-        return rates.rate_lo(scenario, link.clock)
-    if name == "r_nlo":
-        return rates.rate_nlo(scenario, link.p_sfg, link.clock)
-    if name == "lo_bound":
-        return lo_bsm.ONE_THIRD
-    raise UsageError(f"unknown output {name!r}")
-
-
-def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
-    """Evaluate all requested columns over the grid, rows in grid order.
-
-    The fixed entries are resolved once; each point replaces the swept fields.
-    """
-    fields = ("eps_a", "eps_b") if spec.variable in ("p", "epsilon") else (spec.variable,)
-    to_field = epsilon_from_p if spec.variable == "p" else float
-    link = resolve_link(spec.fixed, dict.fromkeys(fields, to_field(spec.start)))
-    rows = []
-    for x in spec.grid():
-        x = float(x)
-        point = replace(link, **dict.fromkeys(fields, to_field(x)))
-        scenario = point.scenario()
-        rows.append([x] + [_evaluate_output(name, scenario, point) for name in spec.outputs])
-    return [spec.variable, *spec.outputs], rows
-
-
-def _sweep_spec_from_entries(entries: dict[str, ConfigValue]) -> SweepSpec:
-    outputs = get_string(entries, "outputs") if "outputs" in entries else ",".join(
-        ("f_nlo", "f_lo_balanced_smalleta", "f_lo_unbalanced", "lo_bound")
-    )
-    scale = get_string(entries, "scale") if "scale" in entries else "linear"
-    fixed = {key: value for key, value in entries.items() if key not in _SPEC_KEYS}
-    return SweepSpec(
-        variable=get_string(entries, "variable"),
-        start=get_dimensionless(entries, "start"),
-        stop=get_dimensionless(entries, "stop"),
-        points=get_count(entries, "points"),
-        scale=scale,
-        fixed=fixed,
-        outputs=tuple(part.strip() for part in outputs.split(",") if part.strip()),
-    )
 
 
 def _format_csv(columns: list[str], rows: list[list[float]]) -> str:
@@ -217,8 +92,7 @@ def _collect_entries(args: argparse.Namespace, flag_entries: dict[str, ConfigVal
 
 
 def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
-    entries = _collect_entries(args, _flag_entries(args, _SPEC_KEYS))
-    spec = _sweep_spec_from_entries(entries)
+    spec = SweepSpec.from_entries(_collect_entries(args, _flag_entries(args, SPEC_KEYS)))
     columns, rows = run_sweep(spec)
     if args.format == "csv":
         _write_output(_format_csv(columns, rows), args.out)
@@ -298,6 +172,10 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
         "p_lo_balanced": lo_bsm.p_for_balanced_smalleta(f_target - delta),
         "p_lo_unbalanced": lo_bsm.p_for_unbalanced_limit(f_target - delta),
     }
+    # A target of 1/3, or one that rounds to it, inverts to p = 0; the balanced
+    # curve's q = (3f)^(1/4) rounds to 1 before the unbalanced curve's does.
+    if not narrative["p_lo_balanced"] > 0.0:
+        raise UsageError(f"--delta must move the target fidelity below 1/3, got {delta!r}")
     narrative["pair_prob_ratio_balanced"] = (narrative["p_nlo"] / narrative["p_lo_balanced"]) ** 2
     narrative["pair_prob_ratio_unbalanced"] = (
         narrative["p_nlo"] / narrative["p_lo_unbalanced"]
@@ -373,106 +251,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --- subcommand: fock-check --------------------------------------------------------
 
 
-def run_fock_checks() -> list[dict]:
-    """Invariant suite over the exact simulators; one row per check."""
-    rows = []
-
-    # Unitarity across a batch of states and interaction strengths.
-    drift = 0.0
-    for occupations in ((1, 1, 0), (2, 2, 0), (3, 1, 0), (2, 3, 1)):
-        for gt in (1e-3, 1e-2, 5e-2, 0.5):
-            state = tri_mode_state(*occupations, cutoff=6)
-            drift = max(drift, abs(sfg_evolve(state, gt, 6).norm() - 1.0))
-    rows.append(_check_row("unitarity", "norm drift across evolutions", drift, 1e-12))
-
-    # Leading-order herald amplitude -i sqrt(p n_a n_b), third-order remainder.
-    for gt in (1e-3, 1e-2, 5e-2):
-        worst = 0.0
-        for n_a in (1, 2, 3):
-            for n_b in (1, 2, 3):
-                amp = herald_amplitude(n_a, n_b, gt, cutoff=7)
-                target = -1j * gt * math.sqrt(n_a * n_b)
-                rel = abs(amp - target) / abs(target)
-                worst = max(worst, rel / (gt * gt * n_a * n_b))
-        rows.append(
-            _check_row(
-                f"amplitude-law gt={gt:g}",
-                "relative error over remainder bound",
-                worst,
-                1.0,
-            )
-        )
-
-    # The four herald projectors are orthonormal and complete.
-    vectors = sfg_projection_vectors()
-    gram_error = 0.0
-    total = np.zeros((4, 4), dtype=complex)
-    names = list(vectors)
-    for i, name_i in enumerate(names):
-        for j, name_j in enumerate(names):
-            overlap = np.vdot(vectors[name_i], vectors[name_j])
-            gram_error = max(gram_error, abs(overlap - (1.0 if i == j else 0.0)))
-        total += np.outer(vectors[name_i], vectors[name_i].conj())
-    completeness = float(np.max(np.abs(total - np.eye(4))))
-    rows.append(_check_row("projector-orthonormality", "Gram matrix error", gram_error, 1e-12))
-    rows.append(_check_row("projector-completeness", "sum vs identity", completeness, 1e-12))
-
-    # Complete measurement resolves all four Bell states with unit fidelity.
-    state = product_state(bell_state("phi+"), bell_state("phi+"))
-    outcomes = swap_condition_on_sfg(state, elements="two")
-    fid_error = 0.0
-    weight_error = 0.0
-    seen = []
-    for outcome in outcomes:
-        fid_error = max(
-            fid_error, abs(1.0 - bell_fidelity(outcome.conditioned_state, outcome.label))
-        )
-        weight_error = max(weight_error, abs(outcome.probability - 0.25))
-        seen.append(outcome.label)
-    rows.append(_check_row("complete-bsm fidelity", "1 - overlap with Bell state", fid_error, 1e-12))
-    rows.append(_check_row("complete-bsm weights", "outcome probability vs 1/4", weight_error, 1e-12))
-    rows.append(
-        _check_row(
-            "complete-bsm coverage",
-            "all four Bell states resolved",
-            0.0 if sorted(seen) == sorted(BELL_LABELS) else 1.0,
-            0.5,
-        )
-    )
-
-    # Reverse-direction conversion is no cleaner than spontaneous splitting.
-    ratio_error = 0.0
-    for gt in (1e-3, 1e-2, 5e-2):
-        dfg, spdc = dfg_spurious_amplitude(gt)
-        ratio = abs(spdc) / abs(dfg)
-        if not 0.5 <= ratio <= 2.0:
-            ratio_error = max(ratio_error, abs(ratio - 1.0))
-    rows.append(
-        _check_row("dfg-counterexample", "spurious/intended amplitude comparable", ratio_error, 0.5)
-    )
-    return rows
-
-
-def _check_row(name: str, detail: str, value: float, bound: float) -> dict:
-    return {
-        "check": name,
-        "detail": detail,
-        "value": value,
-        "bound": bound,
-        "pass": bool(value <= bound),
-    }
-
-
-def _dump_reference_states() -> str:
-    """Byte-stable dumps of the conditioned states of the complete measurement."""
-    state = product_state(bell_state("phi+"), bell_state("phi+"))
-    blocks = []
-    for outcome in swap_condition_on_sfg(state, elements="two"):
-        blocks.append(f"# projector {outcome.projector} -> {outcome.label}")
-        blocks.append(outcome.conditioned_state.dump())
-    return "\n".join(blocks) + "\n"
-
-
 def cmd_fock_check(args: argparse.Namespace) -> int:
     rows = run_fock_checks()
     if args.format == "json":
@@ -487,7 +265,7 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
             )
         text = "\n".join(lines) + "\n"
         if args.dump_states:
-            text += _dump_reference_states()
+            text += dump_reference_states()
         _write_output(text, args.out)
     return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VERIFY_FAIL
 
@@ -560,10 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, DomainError, InputError) as exc:
+    except (UsageError, ConfigError, DomainError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModelValidityError as exc:

@@ -228,7 +228,7 @@ def _source_epsilon(entries: dict[str, ConfigValue], side: str) -> float:
 
 def resolve_link(entries: dict[str, ConfigValue], swept: dict[str, float] | None = None) -> Link:
     """The link every command reads: each source from eps_x or p_x (not both), the rest
-    from LINK_DEFAULTS when absent.  Fields in ``swept`` (a sweep's values) are not read."""
+    from LINK_DEFAULTS when absent.  Fields in ``swept`` (a sweep's grid) are not read."""
     swept = swept or {}
     values = {f"eps_{s}": _source_epsilon(entries, s) for s in "ab" if f"eps_{s}" not in swept}
     values.update(resolve(entries, {k: v for k, v in LINK_DEFAULTS.items() if k not in swept}))

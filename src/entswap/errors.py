@@ -44,6 +44,10 @@ class ConfigError(EntswapError, ValueError):
     """A config file entry could not be parsed; the message names the offending key."""
 
 
+class UsageError(EntswapError):
+    """Bad flags or bad sweep/config entries; maps to exit code 1."""
+
+
 class ModelValidityWarning(UserWarning):
     """Soft warning that inputs are near or beyond a model's comfort zone
     (large single-photon conversion probability, strongly unequal linewidths)."""

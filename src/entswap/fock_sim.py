@@ -14,10 +14,14 @@ Basis labels are single whitespace-free tokens so states can be dumped as
 ``"na,nb,nc"`` in lexicographic order, four-photon kets are strings like
 ``"eell"`` (photons 1..4, e before l), and the up-converted photon modes are
 ``e_S1, l_S1, e_S2, l_S2`` for the first and second nonlinear element.
+
+``run_fock_checks`` is the invariant suite over both spaces (the
+``fock-check`` subcommand), one pass/fail row per check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -308,3 +312,85 @@ def bell_fidelity(state: StateVector, target: str) -> float:
         raise InputError("state must live on the two-photon time-bin basis")
     overlap = np.vdot(bell_state(target).amplitudes, state.amplitudes)
     return float(abs(overlap) ** 2)
+
+
+def run_fock_checks() -> list[dict]:
+    """Invariant suite over the exact simulators; one row per check."""
+    rows = []
+
+    # Unitarity across a batch of states and interaction strengths.
+    drift = 0.0
+    for occupations in ((1, 1, 0), (2, 2, 0), (3, 1, 0), (2, 3, 1)):
+        for gt in (1e-3, 1e-2, 5e-2, 0.5):
+            state = tri_mode_state(*occupations, cutoff=6)
+            drift = max(drift, abs(sfg_evolve(state, gt, 6).norm() - 1.0))
+    rows.append(_check_row("unitarity", "norm drift across evolutions", drift, 1e-12))
+
+    # Leading-order herald amplitude -i sqrt(p n_a n_b), third-order remainder.
+    for gt in (1e-3, 1e-2, 5e-2):
+        worst = 0.0
+        for n_a in (1, 2, 3):
+            for n_b in (1, 2, 3):
+                amp = herald_amplitude(n_a, n_b, gt, cutoff=7)
+                target = -1j * gt * math.sqrt(n_a * n_b)
+                rel = abs(amp - target) / abs(target)
+                worst = max(worst, rel / (gt * gt * n_a * n_b))
+        detail = "relative error over remainder bound"
+        rows.append(_check_row(f"amplitude-law gt={gt:g}", detail, worst, 1.0))
+
+    # The four herald projectors are orthonormal and complete.
+    vectors = sfg_projection_vectors()
+    gram_error = 0.0
+    total = np.zeros((4, 4), dtype=complex)
+    names = list(vectors)
+    for i, name_i in enumerate(names):
+        for j, name_j in enumerate(names):
+            overlap = np.vdot(vectors[name_i], vectors[name_j])
+            gram_error = max(gram_error, abs(overlap - (1.0 if i == j else 0.0)))
+        total += np.outer(vectors[name_i], vectors[name_i].conj())
+    completeness = float(np.max(np.abs(total - np.eye(4))))
+    rows.append(_check_row("projector-orthonormality", "Gram matrix error", gram_error, 1e-12))
+    rows.append(_check_row("projector-completeness", "sum vs identity", completeness, 1e-12))
+
+    # Complete measurement resolves all four Bell states with unit fidelity.
+    state = product_state(bell_state("phi+"), bell_state("phi+"))
+    outcomes = swap_condition_on_sfg(state, elements="two")
+    fid_error = 0.0
+    weight_error = 0.0
+    seen = []
+    for outcome in outcomes:
+        fidelity = bell_fidelity(outcome.conditioned_state, outcome.label)
+        fid_error = max(fid_error, abs(1.0 - fidelity))
+        weight_error = max(weight_error, abs(outcome.probability - 0.25))
+        seen.append(outcome.label)
+    rows.append(_check_row("complete-bsm fidelity", "1 - overlap with Bell state", fid_error, 1e-12))
+    rows.append(_check_row("complete-bsm weights", "outcome probability vs 1/4", weight_error, 1e-12))
+    covered = 0.0 if sorted(seen) == sorted(BELL_LABELS) else 1.0
+    rows.append(_check_row("complete-bsm coverage", "all four Bell states resolved", covered, 0.5))
+
+    # Reverse-direction conversion is no cleaner than spontaneous splitting.
+    ratio_error = 0.0
+    for gt in (1e-3, 1e-2, 5e-2):
+        dfg, spdc = dfg_spurious_amplitude(gt)
+        ratio = abs(spdc) / abs(dfg)
+        if not 0.5 <= ratio <= 2.0:
+            ratio_error = max(ratio_error, abs(ratio - 1.0))
+    rows.append(
+        _check_row("dfg-counterexample", "spurious/intended amplitude comparable", ratio_error, 0.5)
+    )
+    return rows
+
+
+def _check_row(name: str, detail: str, value: float, bound: float) -> dict:
+    return {"check": name, "detail": detail, "value": value, "bound": bound,
+            "pass": bool(value <= bound)}
+
+
+def dump_reference_states() -> str:
+    """Byte-stable dumps of the conditioned states of the complete measurement."""
+    state = product_state(bell_state("phi+"), bell_state("phi+"))
+    blocks = []
+    for outcome in swap_condition_on_sfg(state, elements="two"):
+        blocks.append(f"# projector {outcome.projector} -> {outcome.label}")
+        blocks.append(outcome.conditioned_state.dump())
+    return "\n".join(blocks) + "\n"

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, UndefinedFidelityError
 from .photon_stats import SwapScenario, check_epsilon, check_pair_probability, check_probability
 
@@ -106,7 +108,7 @@ def fidelity_general(scenario: SwapScenario) -> LoFidelityReport:
     """
     ua, ub, a, b, dd = _herald_terms(scenario)
     poly = _herald_polynomial(ua, ub, a, b)
-    if poly <= 0.0:
+    if np.any(poly <= 0.0):
         raise UndefinedFidelityError(
             "herald probability is zero (no source pumped into a transmitting channel)"
         )
@@ -140,8 +142,8 @@ def fidelity_balanced_smalleta(p: float) -> float:
         (1/3) * ((1 + sqrt(1 - 4p)) / 2)^4
     """
     check_pair_probability(p, "p")
-    q = 0.5 * (1.0 + (max(0.0, 1.0 - 4.0 * p)) ** 0.5)
-    return ONE_THIRD * q**4
+    q = _q(p)
+    return ONE_THIRD * ((q * q) * (q * q))
 
 
 def fidelity_unbalanced_limit(p_b: float) -> float:
@@ -153,8 +155,14 @@ def fidelity_unbalanced_limit(p_b: float) -> float:
     the other source is assumed attenuated to the matching photon flux.
     """
     check_pair_probability(p_b, "p_b")
-    q = 0.5 * (1.0 + (max(0.0, 1.0 - 4.0 * p_b)) ** 0.5)
+    q = _q(p_b)
     return ONE_THIRD * q * q
+
+
+def _q(p):
+    # (1 + sqrt(1 - 4p)) / 2 = 1 - eps, from sqrt rather than ** 0.5: see
+    # docs/formulas.md on why the closed forms a sweep reaches avoid **.
+    return 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p)))
 
 
 def p_for_balanced_smalleta(f_target: float) -> float:

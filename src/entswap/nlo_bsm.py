@@ -16,6 +16,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DomainError,
     ModelValidityError,
@@ -100,7 +102,7 @@ def p_total_sfg(scenario: SwapScenario, p_sfg: float) -> float:
 def fidelity_nlo(source_a: SourceParams, source_b: SourceParams) -> float:
     """Channel-independent heralded fidelity (1 - eps_A)^2 (1 - eps_B)^2."""
     ea, eb = source_a.epsilon, source_b.epsilon
-    if ea == 0.0 or eb == 0.0:
+    if np.any((ea == 0.0) | (eb == 0.0)):
         raise UndefinedFidelityError(
             "a source with eps = 0 never heralds, so the fidelity is undefined"
         )

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # Exact integer binomials below this order, log-gamma evaluation above.
@@ -20,32 +22,35 @@ from .errors import DomainError
 _EXACT_BINOM_MAX_N = 60
 
 
-# The domain rules, one function each, written as ``not lo <= x <= hi`` so
-# that NaN, which fails every comparison, is rejected.  Errors name the key.
+# The domain rules, one function each, for a float or an array of floats.
+# Each states the condition that must hold, so NaN, which fails every
+# comparison, is rejected.  Errors name the key and the first failing value.
 
 
-def check_probability(value: float, name: str) -> None:
+def _require(ok, value, rule: str) -> None:
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        first = np.asarray(value).flat[np.argmin(ok)].item()
+        raise DomainError(f"{rule}, got {first}")
+
+
+def check_probability(value, name: str) -> None:
     """Reject a transmission or p_sfg outside [0, 1]: "p_sfg must be in [0, 1], got nan"."""
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must be in [0, 1], got {value}")
+    _require((0.0 <= value) & (value <= 1.0), value, f"{name} must be in [0, 1]")
 
 
-def check_pair_probability(p: float, name: str) -> None:
+def check_pair_probability(p, name: str) -> None:
     """Reject p outside [0, 1/4], allowing ulps above 1/4 so grids may end on it."""
-    if not 0.0 <= p <= 0.25 + 1e-15:
-        raise DomainError(f"{name} must be in [0, 1/4], got {p}")
+    _require((0.0 <= p) & (p <= 0.25 + 1e-15), p, f"{name} must be in [0, 1/4]")
 
 
-def check_epsilon(eps: float, name: str) -> None:
+def check_epsilon(eps, name: str) -> None:
     """Reject a conversion efficiency outside [0, 1)."""
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"{name} must be in [0, 1), got {eps}")
+    _require((0.0 <= eps) & (eps < 1.0), eps, f"{name} must be in [0, 1)")
 
 
-def check_clock(clock: float) -> None:
+def check_clock(clock) -> None:
     """Reject a pump clock rate (Hz) that is negative or not finite."""
-    if not 0.0 <= clock < math.inf:
-        raise DomainError(f"clock rate must be finite and >= 0, got {clock}")
+    _require((0.0 <= clock) & (clock < math.inf), clock, "clock rate must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,10 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class SwapScenario:
-    """Two sources feeding one joint measurement through two lossy channels."""
+    """Two sources feeding one joint measurement through two lossy channels.
+
+    Fields may hold numpy arrays, so that one scenario stands for a sweep grid.
+    """
 
     source_a: SourceParams
     source_b: SourceParams
@@ -118,8 +126,7 @@ def epsilon_from_p(p: float) -> float:
     so that swept grids may end exactly at the boundary.
     """
     check_pair_probability(p, "pair probability")
-    radicand = max(0.0, 1.0 - 4.0 * p)
-    return 0.5 * (1.0 - math.sqrt(radicand))
+    return 0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p)))
 
 
 def pair_number_pmf(source: SourceParams, n: int) -> float:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .photon_stats import SwapScenario, check_clock, check_probability
 
@@ -42,9 +44,10 @@ def rate_lo(scenario: SwapScenario, clock: float, attenuated: bool = True) -> fl
     ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
     p_b = scenario.source_b.p
     if attenuated:
-        if ha <= 0.0:
+        if np.any(ha <= 0.0):
             raise DomainError("the attenuation convention needs eta_a > 0")
-        return (hb * p_b) ** 2 * clock
+        flux_b = hb * p_b
+        return flux_b * flux_b * clock
     return ha * hb * scenario.source_a.p * p_b * clock
 
 

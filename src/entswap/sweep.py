@@ -1,0 +1,104 @@
+"""One-variable sweeps: a whole grid through the closed forms in one pass.
+
+The link is resolved once, with the swept field set to the grid itself, and
+each output column is one call of a closed form on that array.  The closed
+forms use the same float operations for a float and for an array, so every
+sweep value equals the scalar call at its grid point bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import lo_bsm, nlo_bsm, rates
+from .config import ConfigValue, get_count, get_dimensionless, get_string, resolve_link
+from .errors import UsageError
+from .photon_stats import epsilon_from_p
+
+SWEEP_VARIABLES = ("p", "epsilon", "eta_a", "eta_b", "p_sfg")
+SPEC_KEYS = ("variable", "start", "stop", "points", "scale", "outputs")
+DEFAULT_OUTPUTS = ("f_nlo", "f_lo_balanced_smalleta", "f_lo_unbalanced", "lo_bound")
+
+# Each output column from the grid's scenario and link.
+COLUMNS = {
+    "f_lo_general": lambda s, link: lo_bsm.fidelity_general(s).fidelity,
+    "f_lo_balanced_smalleta": lambda s, link: lo_bsm.fidelity_balanced_smalleta(s.source_b.p),
+    "f_lo_unbalanced": lambda s, link: lo_bsm.fidelity_unbalanced_limit(s.source_b.p),
+    "f_nlo": lambda s, link: nlo_bsm.fidelity_nlo(s.source_a, s.source_b),
+    "r_lo": lambda s, link: rates.rate_lo(s, link.clock),
+    "r_nlo": lambda s, link: rates.rate_nlo(s, link.p_sfg, link.clock),
+    "lo_bound": lambda s, link: lo_bsm.ONE_THIRD,
+}
+SWEEP_OUTPUTS = tuple(COLUMNS)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Validated sweep request: one variable, a grid, fixed context, outputs."""
+
+    variable: str
+    start: float
+    stop: float
+    points: int
+    scale: str
+    fixed: dict[str, ConfigValue]
+    outputs: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if self.variable not in SWEEP_VARIABLES:
+            raise UsageError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
+        if not self.start < self.stop:
+            raise UsageError(f"need start < stop, got {self.start} >= {self.stop}")
+        if self.points < 2:
+            raise UsageError(f"need points >= 2, got {self.points}")
+        if self.scale not in ("linear", "log"):
+            raise UsageError(f"scale must be 'linear' or 'log', got {self.scale!r}")
+        if self.scale == "log" and self.start <= 0.0:
+            raise UsageError("log scale needs a positive range")
+        unknown = [name for name in self.outputs if name not in SWEEP_OUTPUTS]
+        if unknown:
+            raise UsageError(f"unknown outputs {unknown}; available: {SWEEP_OUTPUTS}")
+        if not self.outputs:
+            raise UsageError("at least one output column is required")
+
+    @classmethod
+    def from_entries(cls, entries: dict[str, ConfigValue]) -> "SweepSpec":
+        """The spec keys of merged config entries; every other entry is fixed context."""
+        given = "outputs" in entries
+        outputs = get_string(entries, "outputs") if given else ",".join(DEFAULT_OUTPUTS)
+        return cls(
+            variable=get_string(entries, "variable"),
+            start=get_dimensionless(entries, "start"),
+            stop=get_dimensionless(entries, "stop"),
+            points=get_count(entries, "points"),
+            scale=get_string(entries, "scale") if "scale" in entries else "linear",
+            fixed={key: value for key, value in entries.items() if key not in SPEC_KEYS},
+            outputs=tuple(part.strip() for part in outputs.split(",") if part.strip()),
+        )
+
+    def grid(self) -> np.ndarray:
+        if self.scale == "linear":
+            values = np.linspace(self.start, self.stop, self.points)
+        else:
+            values = np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
+        # Pin the endpoints so boundary values (e.g. p = 1/4) stay exact.
+        values[0], values[-1] = self.start, self.stop
+        return values
+
+
+def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
+    """Evaluate all requested columns over the grid, rows in grid order.
+
+    A swept value outside its domain fails the whole sweep, and the error
+    names the first grid value that is.
+    """
+    grid = spec.grid()
+    fields = ("eps_a", "eps_b") if spec.variable in ("p", "epsilon") else (spec.variable,)
+    swept = epsilon_from_p(grid) if spec.variable == "p" else grid
+    link = resolve_link(spec.fixed, dict.fromkeys(fields, swept))
+    scenario = link.scenario()
+    columns = [np.broadcast_to(COLUMNS[name](scenario, link), grid.shape) for name in spec.outputs]
+    return [spec.variable, *spec.outputs], np.column_stack([grid, *columns]).tolist()

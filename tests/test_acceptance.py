@@ -133,7 +133,7 @@ def _channels(eta_a, eta_b):
 
 
 def _fig2_rows():
-    from entswap.cli import SweepSpec, run_sweep
+    from entswap.sweep import SweepSpec, run_sweep
 
     params = get_preset("fig2").params
     spec = SweepSpec(

@@ -1,17 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from entswap.cli import (
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFY_FAIL,
-    SweepSpec,
-    UsageError,
-    main,
-    run_fock_checks,
-    run_sweep,
-)
+from entswap.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from entswap.errors import UsageError
+from entswap.fock_sim import run_fock_checks
+from entswap.sweep import SweepSpec, run_sweep
 from entswap.lo_bsm import fidelity_balanced_smalleta
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.photon_stats import SourceParams
@@ -134,6 +129,11 @@ class TestFidelitySweepCommand:
         code, _, err = run_cli(capsys, "fidelity-sweep")
         assert code == EXIT_USAGE
         assert "variable" in err
+
+    def test_fig2_preset_matches_reference_file(self, capsys):
+        code, out, _ = run_cli(capsys, "fidelity-sweep", "--preset", "fig2")
+        assert code == EXIT_OK
+        assert out.encode() == (Path(__file__).parent / "data" / "fig2.csv").read_bytes()
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "fidelity-sweep", "--preset", "fig2")
@@ -337,6 +337,8 @@ class TestRejectedInputs:
             pytest.param(("device",), WG_INF_ETA, "'eta_sfg' must be finite", id="device-eta-inf"),
             pytest.param(("device",), "p_sfg = 5", "p_sfg must be in [0, 1]", id="device-p-sfg-5"),
             pytest.param((*RATE, "--delta", "1"), None, "reachable range", id="rate-delta-1"),
+            pytest.param((*RATE, "--delta", "0"), None, "below 1/3", id="rate-delta-0"),
+            pytest.param((*RATE, "--delta", "1e-17"), None, "below 1/3", id="rate-delta-1e-17"),
             pytest.param(("verify", "--seed", "-1"), None, "seed must be >= 0", id="verify-seed-neg"),
             pytest.param(
                 ("verify", "--seed", "-1", "--method", "mc"), None, "seed must be >= 0",

@@ -10,6 +10,10 @@ from entswap.photon_stats import (
     SourceParams,
     SwapScenario,
     binomial_coefficient,
+    check_clock,
+    check_epsilon,
+    check_pair_probability,
+    check_probability,
     epsilon_from_p,
     joint_arrival_pmf,
     p_from_epsilon,
@@ -130,6 +134,45 @@ class TestEpsilonPConversions:
     def test_round_trip_on_grid(self):
         for p in np.linspace(0.0, 0.25, 26):
             assert p_from_epsilon(epsilon_from_p(float(p))) == pytest.approx(float(p), abs=1e-12)
+
+
+class TestDomainChecksOnArrays:
+    @pytest.mark.parametrize(
+        "check, values, message",
+        [
+            pytest.param(
+                lambda v: check_probability(v, "eta"), [0.5, 1.0, 1.25, 2.0],
+                "eta must be in [0, 1], got 1.25", id="probability",
+            ),
+            pytest.param(
+                lambda v: check_probability(v, "p_sfg"), [0.1, math.nan, 5.0], "got nan",
+                id="probability-nan",
+            ),
+            pytest.param(
+                lambda v: check_pair_probability(v, "p"), [0.0, 0.25, 0.3],
+                "p must be in [0, 1/4], got 0.3", id="pair-probability",
+            ),
+            pytest.param(
+                lambda v: check_epsilon(v, "eps"), [0.1, 1.0], "eps must be in [0, 1), got 1.0",
+                id="epsilon",
+            ),
+            pytest.param(
+                check_clock, [1e9, -1.0, math.inf], "clock rate must be finite and >= 0, got -1.0",
+                id="clock",
+            ),
+        ],
+    )
+    def test_first_failing_value_is_named(self, check, values, message):
+        with pytest.raises(DomainError) as info:
+            check(np.array(values))
+        assert str(info.value).endswith(message)
+
+    def test_arrays_inside_the_domain_pass(self):
+        grid = np.linspace(0.0, 0.25, 11)
+        check_probability(grid, "eta")
+        check_pair_probability(grid, "p")
+        check_epsilon(grid, "eps")
+        check_clock(grid)
 
 
 class TestJointArrivalPmf:
