@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 import warnings
+from itertools import chain
 
 from . import lo_bsm, nlo_bsm, oracle, rates, sfg_device
 from .config import (
@@ -61,10 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_csv(columns: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(NUMBER_FORMAT % value for value in row))
-    return "\n".join(lines) + "\n"
+    """The header line, then the whole table formatted by a single ``%``."""
+    row_format = ",".join([NUMBER_FORMAT] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + (row_format * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def _format_json(payload) -> str:

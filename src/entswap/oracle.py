@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DomainError,
@@ -31,6 +30,10 @@ from .errors import (
 from .photon_stats import SwapScenario, check_probability
 
 RNG_DESCRIPTION = "numpy PCG64 seeded by SeedSequence([seed, shard_index])"
+
+# Largest truncation the exact sums accept: each (n_max+1)^2 float table is
+# then about 32 MB, where an unchecked --n-max 100000 would ask for 80 GB.
+N_MAX_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class OracleConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
+        if not 1 <= self.n_max <= N_MAX_LIMIT:
+            raise DomainError(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
@@ -70,8 +73,11 @@ def _arrival_table(eps: float, eta: float, n_max: int) -> tuple[np.ndarray, np.n
     """Emission weights (1-eps) eps^n and the binomial arrival pmf table.
 
     pmf[n, k] is the probability that k of n photons arrive; scipy returns 0
-    for k > n, so the full rectangle is safe to sum over.
+    for k > n, so the full rectangle is safe to sum over.  scipy is imported
+    here, not at module level, so only commands that reach the oracle load it.
     """
+    from scipy import stats
+
     n = np.arange(n_max + 1)
     k = np.arange(n_max + 1)
     weights = (1.0 - eps) * eps**n

@@ -21,11 +21,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import c as _C_LIGHT
-from scipy.constants import h as _H_PLANCK
-from scipy.constants import hbar as _HBAR
-
 from .errors import DomainError, ModelValidityWarning
+
+# Exact SI values (2019 redefinition), written out so that importing this
+# module loads no scipy; tests pin them to scipy.constants with ==.
+_C_LIGHT = 299792458.0
+_H_PLANCK = 6.62607015e-34
+_HBAR = _H_PLANCK / (2.0 * math.pi)
 
 # Fractional linewidth disparity between the two input modes beyond which the
 # single-number p_sfg formula (which assumes kappa_a ~ kappa_b) gets flagged.

@@ -341,6 +341,10 @@ class TestRejectedInputs:
             pytest.param((*RATE, "--delta", "1e-17"), None, "below 1/3", id="rate-delta-1e-17"),
             pytest.param(("verify", "--seed", "-1"), None, "seed must be >= 0", id="verify-seed-neg"),
             pytest.param(
+                ("verify", "--n-max", "100000"), None, "n_max must be in [1, 2000]",
+                id="verify-n-max-huge",
+            ),
+            pytest.param(
                 ("verify", "--seed", "-1", "--method", "mc"), None, "seed must be >= 0",
                 id="verify-seed-neg-mc",
             ),

@@ -10,6 +10,7 @@ from entswap.errors import (
 from entswap.lo_bsm import fidelity_general
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import (
+    N_MAX_LIMIT,
     OracleConfig,
     exact_fidelity_lo,
     exact_fidelity_nlo,
@@ -35,6 +36,9 @@ class TestConfig:
             OracleConfig(samples=0)
         with pytest.raises(DomainError):
             OracleConfig(seed=-1)
+        assert OracleConfig(n_max=N_MAX_LIMIT).n_max == N_MAX_LIMIT
+        with pytest.raises(DomainError, match="n_max"):
+            OracleConfig(n_max=N_MAX_LIMIT + 1)
 
 
 class TestExactSumLo:

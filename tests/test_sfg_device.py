@@ -6,6 +6,7 @@ from scipy.constants import c as C_LIGHT
 from scipy.constants import h as H_PLANCK
 from scipy.constants import hbar as HBAR
 
+from entswap import sfg_device
 from entswap.errors import DomainError, ModelValidityWarning
 from entswap.sfg_device import (
     CavityParams,
@@ -23,6 +24,13 @@ from entswap.sfg_device import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def test_si_constants_equal_scipy_exactly():
+    # The module spells out the SI values so that importing it loads no scipy.
+    assert sfg_device._C_LIGHT == C_LIGHT
+    assert sfg_device._H_PLANCK == H_PLANCK
+    assert sfg_device._HBAR == HBAR
 
 
 def ingap_ring():
