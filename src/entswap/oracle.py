@@ -3,8 +3,10 @@
 Two routes, both deliberately avoiding the algebra used by the closed forms:
 
 * exact-sum: numerically accumulate the truncated four-index arrival sums,
-  with the per-photon binomial factors taken from scipy rather than from
-  this package, and report a geometric tail bound on the truncation;
+  with the per-photon arrival factors built by thinning one photon at a time
+  (the generative model the Monte Carlo route samples) rather than from this
+  package's binomial algebra, and report a geometric tail bound on the
+  truncation;
 * monte-carlo: sample the generative model (geometric pair numbers, binomial
   thinning, herald acceptance) with a seeded counter-derived RNG and report
   a binomial standard error.
@@ -72,16 +74,18 @@ class OracleEstimate:
 def _arrival_table(eps: float, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Emission weights (1-eps) eps^n and the binomial arrival pmf table.
 
-    pmf[n, k] is the probability that k of n photons arrive; scipy returns 0
-    for k > n, so the full rectangle is safe to sum over.  scipy is imported
-    here, not at module level, so only commands that reach the oracle load it.
+    pmf[n, k] is the probability that k of n photons arrive.  Row n follows
+    from row n-1 by sending one more photon through the channel: it is lost
+    with probability 1-eta (k stays) or arrives with probability eta (k grows
+    by one).  Entries with k > n are never written and stay 0, so the full
+    rectangle is safe to sum over.
     """
-    from scipy import stats
-
-    n = np.arange(n_max + 1)
-    k = np.arange(n_max + 1)
-    weights = (1.0 - eps) * eps**n
-    pmf = stats.binom.pmf(k[None, :], n[:, None], eta)
+    weights = (1.0 - eps) * eps ** np.arange(n_max + 1)
+    pmf = np.zeros((n_max + 1, n_max + 1))
+    pmf[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        pmf[n, : n + 1] = (1.0 - eta) * pmf[n - 1, : n + 1]
+        pmf[n, 1 : n + 1] += eta * pmf[n - 1, :n]
     return weights, pmf
 
 
@@ -231,12 +235,17 @@ def random_scenarios(
     return scenarios
 
 
-# Floor for exact-sum comparisons: double-precision accumulation noise.
+# Added to the exact-sum tail bound: double-precision accumulation noise.
 EXACT_ABS_TOLERANCE = 1e-10
 MC_SIGMA_TOLERANCE = 5.0
 # Below this many heralds a 5-sigma band is meaningless (the binomial error
 # estimate itself is unreliable), so the row is reported as under-sampled.
 MIN_HERALDS = 25
+# The widest band a compared Monte Carlo row can have (MIN_HERALDS heralds,
+# std error at most sqrt(1/4 / MIN_HERALDS)).  An exact-sum row whose tail
+# bound is looser than this would pass almost any value, so it is reported as
+# under-resolved instead of compared.
+MAX_TOLERANCE = MC_SIGMA_TOLERANCE * (0.25 / MIN_HERALDS) ** 0.5
 
 
 def _scenario_fields(scenario: SwapScenario) -> dict:
@@ -248,17 +257,33 @@ def _scenario_fields(scenario: SwapScenario) -> dict:
     }
 
 
+def _tolerance(method: str, estimate: OracleEstimate, n_max: int) -> float:
+    """Allowed |oracle - closed form|, or InsufficientStatisticsError when the
+    estimate is too coarse for a comparison to mean anything."""
+    if method == "exact-sum":
+        tolerance = estimate.tail_bound + EXACT_ABS_TOLERANCE
+        if tolerance > MAX_TOLERANCE:
+            raise InsufficientStatisticsError(
+                f"tail bound {estimate.tail_bound:.3g} at n_max={n_max} exceeds "
+                f"{MAX_TOLERANCE:g}; increase n_max for a meaningful comparison"
+            )
+        return tolerance
+    if estimate.heralds < MIN_HERALDS:
+        raise InsufficientStatisticsError(
+            f"only {estimate.heralds} heralds sampled; "
+            f"need >= {MIN_HERALDS} for a meaningful comparison"
+        )
+    return MC_SIGMA_TOLERANCE * estimate.std_error
+
+
 def _comparison_row(
     scenario: SwapScenario,
     model: str,
     method: str,
     estimate: OracleEstimate,
     closed_form: float,
+    tolerance: float,
 ) -> dict:
-    if method == "exact-sum":
-        tolerance = max(estimate.tail_bound, EXACT_ABS_TOLERANCE)
-    else:
-        tolerance = MC_SIGMA_TOLERANCE * estimate.std_error
     abs_diff = abs(estimate.value - closed_form)
     return {
         "scenario": _scenario_fields(scenario),
@@ -286,9 +311,10 @@ def verification_report(
 
     The closed forms are injectable so the comparison harness itself can be
     exercised against deliberately corrupted values.  Rows where a Monte
-    Carlo run sampled fewer than ``MIN_HERALDS`` heralds, or left the model,
-    are reported with an ``error`` field and excluded from the pass/fail
-    count; a report that compared no row does not pass.
+    Carlo run sampled fewer than ``MIN_HERALDS`` heralds, an exact sum's
+    tolerance exceeds ``MAX_TOLERANCE``, or the run left the model, are
+    reported with an ``error`` field and excluded from the pass/fail count; a
+    report that compared no row does not pass.
     """
     from . import lo_bsm, nlo_bsm
 
@@ -316,11 +342,7 @@ def verification_report(
             for method in methods:
                 try:
                     estimate = estimators[model, method](scenario)
-                    if estimate.heralds is not None and estimate.heralds < MIN_HERALDS:
-                        raise InsufficientStatisticsError(
-                            f"only {estimate.heralds} heralds sampled; "
-                            f"need >= {MIN_HERALDS} for a meaningful comparison"
-                        )
+                    tolerance = _tolerance(method, estimate, cfg.n_max)
                 except (InsufficientStatisticsError, ModelValidityError) as exc:
                     rows.append(
                         {
@@ -332,7 +354,7 @@ def verification_report(
                         }
                     )
                     continue
-                rows.append(_comparison_row(scenario, model, method, estimate, closed))
+                rows.append(_comparison_row(scenario, model, method, estimate, closed, tolerance))
 
     failures = sum(1 for row in rows if row["pass"] is False)
     compared = sum(1 for row in rows if row["pass"] is not None)

@@ -245,6 +245,7 @@ class TestVerifyCommand:
                 ("--scenarios", "1", "--method", "mc", "--p-sfg", "0.3", "--samples", "10000"),
                 id="all-undersampled",
             ),
+            pytest.param(("--scenarios", "1", "--n-max", "1"), id="tail-bound-too-loose"),
         ],
     )
     def test_run_without_comparison_fails(self, capsys, argv):
@@ -254,6 +255,19 @@ class TestVerifyCommand:
         assert payload["compared"] == 0
         assert payload["failures"] == 0
         assert payload["pass"] is False
+
+    @pytest.mark.parametrize("n_max", ["10", "20"])
+    def test_exact_tolerance_leaves_room_for_rounding(self, capsys, n_max):
+        # Here some nlo rows differ from the closed form by their tail bound
+        # to three digits; the rounding floor must add to that bound.
+        code, out, _ = run_cli(
+            capsys, "verify", "--method", "exact", "--scenarios", "20", "--n-max", n_max,
+            "--seed", "3",
+        )
+        payload = json.loads(out)
+        assert payload["failures"] == 0
+        assert payload["compared"] == 40
+        assert code == EXIT_OK
 
     def test_bit_identical_across_runs_and_workers(self, capsys):
         args = ["verify", "--seed", "11", "--scenarios", "2", "--method", "both",

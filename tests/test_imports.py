@@ -1,7 +1,8 @@
 """Which scipy modules each command loads, checked in a fresh interpreter.
 
-Only the exact-sum oracle needs scipy (its binomial table), so importing the
-package and running every other command must leave scipy unloaded.
+scipy is a test-only dependency: importing the package and running any
+command, the exact-sum and Monte Carlo oracles included, must leave it
+unloaded.
 """
 
 import json
@@ -45,7 +46,9 @@ def test_import_and_non_verify_commands_load_no_scipy():
     assert loaded == []
 
 
-def test_exact_verify_loads_scipy_stats():
-    codes, loaded = run_fresh(("verify", "--method", "exact", "--scenarios", "1"))
+def test_verify_with_both_oracles_loads_no_scipy():
+    codes, loaded = run_fresh(
+        ("verify", "--method", "both", "--scenarios", "1", "--samples", "20000")
+    )
     assert codes == [0]
-    assert "scipy.stats" in loaded
+    assert loaded == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from entswap.errors import (
     DomainError,
@@ -10,8 +11,10 @@ from entswap.errors import (
 from entswap.lo_bsm import fidelity_general
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import (
+    MAX_TOLERANCE,
     N_MAX_LIMIT,
     OracleConfig,
+    _arrival_table,
     exact_fidelity_lo,
     exact_fidelity_nlo,
     mc_fidelity_lo,
@@ -39,6 +42,21 @@ class TestConfig:
         assert OracleConfig(n_max=N_MAX_LIMIT).n_max == N_MAX_LIMIT
         with pytest.raises(DomainError, match="n_max"):
             OracleConfig(n_max=N_MAX_LIMIT + 1)
+
+
+class TestArrivalTable:
+    """The per-photon thinning table against scipy's binomial pmf."""
+
+    @pytest.mark.parametrize("n_max", [1, 200, N_MAX_LIMIT])
+    @pytest.mark.parametrize("eta", [0.0, 1e-5, 0.05, 0.5, 0.999, 1.0])
+    def test_matches_scipy_binomial(self, n_max, eta):
+        weights, pmf = _arrival_table(0.3, eta, n_max)
+        n = np.arange(n_max + 1)
+        reference = stats.binom.pmf(n[None, :], n[:, None], eta)
+        np.testing.assert_allclose(pmf, reference, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert not np.triu(pmf, k=1).any()
+        np.testing.assert_array_equal(weights, (1.0 - 0.3) * 0.3**n)
 
 
 class TestExactSumLo:
@@ -225,6 +243,17 @@ class TestVerificationReport:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError, match="method"):
             verification_report(random_scenarios(1, seed=0), EXACT, methods=("guess",))
+
+    def test_loose_tail_bound_is_an_error_row_not_a_pass(self):
+        cfg = OracleConfig(n_max=2)
+        report = verification_report(random_scenarios(20, seed=3), cfg, methods=("exact-sum",))
+        loose = [row for row in report["rows"] if "error" in row]
+        assert loose and report["compared"] > 0
+        assert all("n_max=2" in row["error"] and "tail bound" in row["error"] for row in loose)
+        assert all(row["pass"] is None for row in loose)
+        assert all(
+            row["tolerance"] <= MAX_TOLERANCE for row in report["rows"] if "error" not in row
+        )
 
     def test_undersampled_rows_reported_not_fatal(self):
         cfg = OracleConfig(n_max=200, samples=2_000, seed=0)
