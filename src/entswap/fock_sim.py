@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -119,64 +118,53 @@ def tri_mode_state(n_a: int, n_b: int, n_c: int, cutoff: int) -> StateVector:
     return StateVector(amps, basis)
 
 
-@lru_cache(maxsize=8)
-def _sfg_eigensystem(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the real symmetric generator a b c+ + a+ b+ c."""
-    dim = (cutoff + 1) ** 3
-    gen = np.zeros((dim, dim))
-    stride_a = (cutoff + 1) ** 2
-    stride_b = cutoff + 1
-    for na, nb, nc in product(range(cutoff + 1), repeat=3):
-        if na >= 1 and nb >= 1 and nc < cutoff:
-            src = na * stride_a + nb * stride_b + nc
-            dst = (na - 1) * stride_a + (nb - 1) * stride_b + (nc + 1)
-            coeff = (na * nb * (nc + 1)) ** 0.5
-            gen[dst, src] = coeff
-            gen[src, dst] = coeff
-    w, v = np.linalg.eigh(gen)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
-
-
-def _check_closure(state: StateVector, cutoff: int) -> None:
-    # The generator conserves n_a - n_b and n_a + n_c, so each basis ket only
-    # couples to a finite chain; the chain stays inside the truncation iff
-    # n_a + n_c and n_b + n_c do.
-    for label, amp in zip(state.basis, state.amplitudes):
-        if amp == 0.0:
-            continue
-        na, nb, nc = (int(x) for x in label.split(","))
-        if na + nc > cutoff or nb + nc > cutoff:
+def _occupied_chains(state: StateVector, cutoff: int) -> set[tuple[int, int]]:
+    """The conserved (n_a + n_c, n_b + n_c) of every occupied ket."""
+    side = cutoff + 1
+    chains = set()
+    for index in np.flatnonzero(state.amplitudes):
+        na, rest = divmod(int(index), side * side)
+        nb, nc = divmod(rest, side)
+        if max(na + nc, nb + nc) > cutoff:
             raise TruncationError(
-                f"ket {label} couples to occupations above the cutoff {cutoff}; "
-                "increase the cutoff"
+                f"ket {state.basis[index]} couples to occupations above the cutoff "
+                f"{cutoff}; increase the cutoff"
             )
+        chains.add((na + nc, nb + nc))
+    return chains
 
 
 def sfg_evolve(state: StateVector, gt: float, cutoff: int) -> StateVector:
     """Evolve a tri-mode state exactly under exp(-i gt (a b c+ + a+ b+ c)).
 
-    The generator block-diagonalizes over conserved (n_a - n_b, n_a + n_c),
-    so once the closure check passes the truncated evolution is exact; the
-    unitary is built from the eigendecomposition of the real symmetric
-    generator.
+    The generator conserves A = n_a + n_c and B = n_b + n_c, so it splits into
+    one real symmetric tridiagonal block per chain |A - j, B - j, j>,
+    j = 0..min(A, B), with off-diagonal sqrt((A - j)(B - j)(j + 1)).  Each
+    chain the state occupies is evolved through the eigendecomposition of its
+    own block; a chain reaching past the cutoff raises TruncationError, so
+    the truncated evolution is exact whenever it returns.
     """
-    if gt < 0.0:
-        raise DomainError(f"gt must be >= 0, got {gt}")
+    if not 0.0 <= gt < math.inf:
+        raise DomainError(f"gt must be finite and >= 0, got {gt}")
     basis = tri_mode_basis(cutoff)
     if state.basis != basis:
         raise InputError(
             f"state basis does not match the tri-mode basis for cutoff {cutoff}"
         )
-    _check_closure(state, cutoff)
+    chains = _occupied_chains(state, cutoff)
     if gt == 0.0:
         return state
-    w, v = _sfg_eigensystem(cutoff)
-    phases = np.exp(-1j * gt * w)
-    new_amps = v @ (phases * (v.T @ state.amplitudes))
+    side = cutoff + 1
+    new_amps = np.zeros(len(basis), dtype=complex)
+    for a_total, b_total in chains:
+        j = np.arange(min(a_total, b_total) + 1)
+        index = (a_total - j) * side * side + (b_total - j) * side + j
+        lower = j[:-1]
+        coupling = np.sqrt((a_total - lower) * (b_total - lower) * (lower + 1.0))
+        w, v = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+        new_amps[index] = v @ (np.exp(-1j * gt * w) * (v.T @ state.amplitudes[index]))
     before, after = state.norm(), float(np.linalg.norm(new_amps))
-    if abs(after - before) > 1e-9 * max(before, 1.0):
+    if not abs(after - before) <= 1e-9 * max(before, 1.0):
         raise EntswapError("unitarity lost during evolution; generator is inconsistent")
     return StateVector(new_amps, basis)
 

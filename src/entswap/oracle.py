@@ -102,12 +102,12 @@ def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstima
     ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
     w_a, pmf_a, w_b, pmf_b, numerator = _arrival_tables(scenario, cfg.n_max)
 
-    total_a = float(w_a @ pmf_a.sum(axis=1))
-    total_b = float(w_b @ pmf_b.sum(axis=1))
-    zero_a, one_a = float(w_a @ pmf_a[:, 0]), float(w_a @ pmf_a[:, 1])
-    zero_b, one_b = float(w_b @ pmf_b[:, 0]), float(w_b @ pmf_b[:, 1])
-
-    denominator = total_a * total_b - zero_a * zero_b - one_a * zero_b - zero_a * one_b
+    # Arrival marginals; the k + l >= 2 terms are summed directly, since
+    # subtracting the k + l < 2 ones from the total cancels.
+    arr_a, arr_b = w_a @ pmf_a, w_b @ pmf_b
+    denominator = float(
+        arr_a[2:].sum() * arr_b.sum() + arr_a[1] * arr_b[1:].sum() + arr_a[0] * arr_b[2:].sum()
+    )
     if denominator <= 0.0:
         raise UndefinedFidelityError("no herald events below the truncation")
     value = numerator / denominator

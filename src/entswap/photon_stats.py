@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 
-# Exact integer binomials below this order, log-gamma evaluation above.
-# Verification sums go out to n ~ 200 where the exact integers get large.
+# Exact integer binomials below this order, log-gamma evaluation above, where
+# math.comb costs big-integer work and float(C(n, n/2)) overflows from n = 1030.
 _EXACT_BINOM_MAX_N = 60
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from entswap.errors import DomainError, InputError, TruncationError
 from entswap.fock_sim import (
@@ -42,6 +43,33 @@ def chain_evolution_amplitude(occupations, gt, target):
     start[states.index(occupations)] = 1.0
     final = v @ (np.exp(-1j * gt * w) * (v.T @ start))
     return complex(final[states.index(target)])
+
+
+def dense_generator(cutoff):
+    """Independent reference: a b c+ + a+ b+ c as a matrix on the whole cube."""
+    basis = tri_mode_basis(cutoff)
+    index = {label: i for i, label in enumerate(basis)}
+    gen = np.zeros((len(basis), len(basis)))
+    for label, i in index.items():
+        na, nb, nc = (int(x) for x in label.split(","))
+        if na >= 1 and nb >= 1 and nc < cutoff:
+            j = index[f"{na - 1},{nb - 1},{nc + 1}"]
+            gen[i, j] = gen[j, i] = math.sqrt(na * nb * (nc + 1))
+    return gen
+
+
+def random_closed_state(rng, cutoff):
+    """Random normalized superposition of the kets whose chains fit the cutoff."""
+    basis = tri_mode_basis(cutoff)
+    closed = []
+    for i, label in enumerate(basis):
+        na, nb, nc = (int(x) for x in label.split(","))
+        if max(na + nc, nb + nc) <= cutoff:
+            closed.append(i)
+    amps = np.zeros(len(basis), dtype=complex)
+    values = rng.normal(size=len(closed)) + 1j * rng.normal(size=len(closed))
+    amps[closed] = values / np.linalg.norm(values)
+    return StateVector(amps, basis)
 
 
 class TestStateVector:
@@ -109,20 +137,24 @@ class TestSfgEvolve:
 
     def test_unitarity_on_random_superpositions(self):
         rng = np.random.default_rng(4)
-        basis = tri_mode_basis(3)
-        # support only kets whose chains stay inside the cutoff
-        safe = [
-            i
-            for i, label in enumerate(basis)
-            if sum(int(x) for x in label.split(",")[::2]) <= 3
-            and int(label.split(",")[1]) + int(label.split(",")[2]) <= 3
-        ]
         for gt in (1e-3, 0.1, 1.0):
-            amps = np.zeros(len(basis), dtype=complex)
-            values = rng.normal(size=len(safe)) + 1j * rng.normal(size=len(safe))
-            amps[safe] = values / np.linalg.norm(values)
-            state = StateVector(amps, basis)
+            state = random_closed_state(rng, 3)
             assert sfg_evolve(state, gt, 3).norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [3, 5])
+    def test_matches_dense_exponential(self, cutoff):
+        gen = dense_generator(cutoff)
+        rng = np.random.default_rng(cutoff)
+        for gt in (1e-3, 0.1, 1.0, 3.0):
+            state = random_closed_state(rng, cutoff)
+            reference = expm(-1j * gt * gen) @ state.amplitudes
+            evolved = sfg_evolve(state, gt, cutoff)
+            np.testing.assert_allclose(evolved.amplitudes, reference, rtol=0.0, atol=1e-13)
+
+    def test_amplitude_is_independent_of_cutoff(self):
+        # The chain |3-j, 2-j, j> is the same block at every cutoff that holds it.
+        amplitudes = [herald_amplitude(3, 2, 0.05, cutoff=c) for c in (4, 7, 12)]
+        assert amplitudes[0] == amplitudes[1] == amplitudes[2]
 
     def test_leading_order_amplitude_law(self):
         for gt in (1e-3, 1e-2, 5e-2):
@@ -133,14 +165,20 @@ class TestSfgEvolve:
                     bound = gt * gt * n_a * n_b
                     assert abs(amp - target) <= bound * abs(target)
 
-    def test_cutoff_leakage_detected(self):
+    @pytest.mark.parametrize("gt", [0.0, 0.1])
+    def test_cutoff_leakage_detected(self, gt):
         state = tri_mode_state(2, 2, 2, 3)  # chain reaches occupation 4
         with pytest.raises(TruncationError):
-            sfg_evolve(state, 0.1, 3)
+            sfg_evolve(state, gt, 3)
 
-    def test_negative_time_rejected(self):
+    @pytest.mark.parametrize("gt", [-0.1, math.nan, math.inf])
+    def test_negative_time_rejected(self, gt):
         with pytest.raises(DomainError):
-            sfg_evolve(tri_mode_state(1, 1, 0, 2), -0.1, 2)
+            sfg_evolve(tri_mode_state(1, 1, 0, 2), gt, 2)
+        with pytest.raises(DomainError):
+            herald_amplitude(1, 1, gt)
+        with pytest.raises(DomainError):
+            dfg_spurious_amplitude(gt)
 
     def test_wrong_basis_rejected(self):
         state = tri_mode_state(1, 1, 0, 2)

@@ -98,6 +98,13 @@ class TestExactSumLo:
             closed = fidelity_general(scen).fidelity
             assert abs(estimate.value - closed) <= max(estimate.tail_bound, 1e-10)
 
+    def test_herald_probability_does_not_cancel(self):
+        # Seed 18 holds a scenario whose herald probability is 3.6e-4; forming
+        # it as one minus the k + l < 2 terms lost 1.96e-13 there.
+        for scen in random_scenarios(25, seed=18):
+            estimate = exact_fidelity_lo(scen, EXACT)
+            assert abs(estimate.value - fidelity_general(scen).fidelity) <= 1e-14
+
 
 class TestExactSumNlo:
     def test_loss_independence(self):
