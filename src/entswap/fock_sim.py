@@ -9,9 +9,10 @@ Two state spaces live here:
   heralding measurement on photons 2 and 3 is applied as a projection,
   used to verify the swapped Bell states for one and two nonlinear elements.
 
-Basis labels are single whitespace-free tokens so states can be dumped as
-``label re im`` lines, byte-comparable across runs: tri-mode kets are
-``"na,nb,nc"`` in lexicographic order, four-photon kets are strings like
+A tri-mode state is a complex array of shape ``(cutoff+1,)*3`` indexed
+``state[n_a, n_b, n_c]``; it carries no labels.  Time-bin states carry basis
+labels, single whitespace-free tokens, so they can be dumped as ``label re im``
+lines, byte-comparable across runs: four-photon kets are strings like
 ``"eell"`` (photons 1..4, e before l), and the up-converted photon modes are
 ``e_S1, l_S1, e_S2, l_S2`` for the first and second nonlinear element.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -38,9 +40,10 @@ TIME_BIN_BASIS: tuple[str, ...] = tuple(
 SIGMA_MODES: tuple[str, ...] = ("e_S1", "l_S1", "e_S2", "l_S2")
 BELL_LABELS: tuple[str, ...] = ("phi+", "phi-", "psi+", "psi-")
 
-# Which up-converted mode the bins of photons 2 and 3 feed: the first element
-# interacts equal bins, the second interacts opposite bins.
-_SIGMA_OF_BINS = {"ee": "e_S1", "ll": "l_S1", "el": "e_S2", "le": "l_S2"}
+# The bins (e = 0, l = 1) of photons 2 and 3 that feed each up-converted mode,
+# in SIGMA_MODES order: the first element interacts equal bins, the second
+# interacts opposite bins.
+_BINS_OF_SIGMA = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def amplitude(self, label: str) -> complex:
-        try:
-            return complex(self.amplitudes[self.basis.index(label)])
-        except ValueError:
-            raise InputError(f"label {label!r} is not in this basis") from None
 
     def dump(self) -> str:
         """One line per ket, ``label re im``, in basis order."""
@@ -97,76 +94,67 @@ class BellOutcome:
     conditioned_state: StateVector | None
 
 
-def tri_mode_basis(cutoff: int) -> tuple[str, ...]:
-    """All occupation labels "na,nb,nc" with each mode in 0..cutoff, lexicographic."""
-    if cutoff < 0:
-        raise DomainError(f"cutoff must be >= 0, got {cutoff}")
-    return tuple(
-        f"{na},{nb},{nc}"
-        for na, nb, nc in product(range(cutoff + 1), repeat=3)
-    )
+def tri_mode_state(n_a: int, n_b: int, n_c: int, cutoff: int) -> np.ndarray:
+    """Fock basis state |n_a, n_b, n_c> as an array indexed [n_a, n_b, n_c]."""
+    occupations = (n_a, n_b, n_c)
+    if not all(isinstance(n, Integral) for n in (*occupations, cutoff)):
+        raise DomainError(
+            f"occupations and cutoff must be whole numbers, got {occupations} and {cutoff}"
+        )
+    if min(occupations) < 0 or max(occupations) > cutoff:
+        raise DomainError(f"occupations {occupations} outside 0..{cutoff}")
+    state = np.zeros((cutoff + 1,) * 3, dtype=complex)
+    state[occupations] = 1.0
+    return state
 
 
-def tri_mode_state(n_a: int, n_b: int, n_c: int, cutoff: int) -> StateVector:
-    """Fock basis state |n_a, n_b, n_c> in the truncated tri-mode space."""
-    basis = tri_mode_basis(cutoff)
-    label = f"{n_a},{n_b},{n_c}"
-    if min(n_a, n_b, n_c) < 0 or max(n_a, n_b, n_c) > cutoff:
-        raise DomainError(f"occupations {label} outside 0..{cutoff}")
-    amps = np.zeros(len(basis), dtype=complex)
-    amps[basis.index(label)] = 1.0
-    return StateVector(amps, basis)
-
-
-def _occupied_chains(state: StateVector, cutoff: int) -> set[tuple[int, int]]:
+def _occupied_chains(state: np.ndarray, cutoff: int) -> set[tuple[int, int]]:
     """The conserved (n_a + n_c, n_b + n_c) of every occupied ket."""
-    side = cutoff + 1
     chains = set()
-    for index in np.flatnonzero(state.amplitudes):
-        na, rest = divmod(int(index), side * side)
-        nb, nc = divmod(rest, side)
+    for na, nb, nc in np.argwhere(state).tolist():
         if max(na + nc, nb + nc) > cutoff:
             raise TruncationError(
-                f"ket {state.basis[index]} couples to occupations above the cutoff "
+                f"ket |{na},{nb},{nc}> couples to occupations above the cutoff "
                 f"{cutoff}; increase the cutoff"
             )
         chains.add((na + nc, nb + nc))
     return chains
 
 
-def sfg_evolve(state: StateVector, gt: float, cutoff: int) -> StateVector:
+def sfg_evolve(state: np.ndarray, gt: float, cutoff: int) -> np.ndarray:
     """Evolve a tri-mode state exactly under exp(-i gt (a b c+ + a+ b+ c)).
 
-    The generator conserves A = n_a + n_c and B = n_b + n_c, so it splits into
-    one real symmetric tridiagonal block per chain |A - j, B - j, j>,
-    j = 0..min(A, B), with off-diagonal sqrt((A - j)(B - j)(j + 1)).  Each
-    chain the state occupies is evolved through the eigendecomposition of its
-    own block; a chain reaching past the cutoff raises TruncationError, so
-    the truncated evolution is exact whenever it returns.
+    ``state`` is indexed [n_a, n_b, n_c] with each mode in 0..cutoff; the
+    evolved state is returned as a new array of the same shape.  The generator
+    conserves A = n_a + n_c and B = n_b + n_c, so it splits into one real
+    symmetric tridiagonal block per chain |A - j, B - j, j>, j = 0..min(A, B),
+    with off-diagonal sqrt((A - j)(B - j)(j + 1)).  Each chain the state
+    occupies is evolved through the eigendecomposition of its own block; a
+    chain reaching past the cutoff raises TruncationError, so the truncated
+    evolution is exact whenever it returns.
     """
     if not 0.0 <= gt < math.inf:
         raise DomainError(f"gt must be finite and >= 0, got {gt}")
-    basis = tri_mode_basis(cutoff)
-    if state.basis != basis:
+    state = np.array(state, dtype=complex)  # a copy, evolved in place
+    if state.shape != (cutoff + 1,) * 3:
         raise InputError(
-            f"state basis does not match the tri-mode basis for cutoff {cutoff}"
+            f"state of shape {state.shape} is not a tri-mode state for cutoff {cutoff}"
         )
     chains = _occupied_chains(state, cutoff)
     if gt == 0.0:
         return state
-    side = cutoff + 1
-    new_amps = np.zeros(len(basis), dtype=complex)
+    before = np.linalg.norm(state)
     for a_total, b_total in chains:
         j = np.arange(min(a_total, b_total) + 1)
-        index = (a_total - j) * side * side + (b_total - j) * side + j
+        chain = (a_total - j, b_total - j, j)
         lower = j[:-1]
         coupling = np.sqrt((a_total - lower) * (b_total - lower) * (lower + 1.0))
         w, v = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
-        new_amps[index] = v @ (np.exp(-1j * gt * w) * (v.T @ state.amplitudes[index]))
-    before, after = state.norm(), float(np.linalg.norm(new_amps))
+        state[chain] = v @ (np.exp(-1j * gt * w) * (v.T @ state[chain]))
+    after = np.linalg.norm(state)
     if not abs(after - before) <= 1e-9 * max(before, 1.0):
         raise EntswapError("unitarity lost during evolution; generator is inconsistent")
-    return StateVector(new_amps, basis)
+    return state
 
 
 def herald_amplitude(n_a: int, n_b: int, gt: float, cutoff: int | None = None) -> complex:
@@ -179,7 +167,7 @@ def herald_amplitude(n_a: int, n_b: int, gt: float, cutoff: int | None = None) -
     if cutoff is None:
         cutoff = max(n_a, n_b) + 1
     evolved = sfg_evolve(tri_mode_state(n_a, n_b, 0, cutoff), gt, cutoff)
-    return evolved.amplitude(f"{n_a - 1},{n_b - 1},1")
+    return complex(evolved[n_a - 1, n_b - 1, 1])
 
 
 def dfg_spurious_amplitude(gt: float) -> tuple[complex, complex]:
@@ -193,9 +181,9 @@ def dfg_spurious_amplitude(gt: float) -> tuple[complex, complex]:
     why this direction cannot herald faithfully.
     """
     cutoff = 2
-    dfg = sfg_evolve(tri_mode_state(1, 0, 1, cutoff), gt, cutoff).amplitude("2,1,0")
-    spdc = sfg_evolve(tri_mode_state(0, 0, 1, cutoff), gt, cutoff).amplitude("1,1,0")
-    return dfg, spdc
+    dfg = sfg_evolve(tri_mode_state(1, 0, 1, cutoff), gt, cutoff)[2, 1, 0]
+    spdc = sfg_evolve(tri_mode_state(0, 0, 1, cutoff), gt, cutoff)[1, 1, 0]
+    return complex(dfg), complex(spdc)
 
 
 def bell_state(label: str) -> StateVector:
@@ -232,21 +220,14 @@ def sfg_projection_vectors() -> dict[str, np.ndarray]:
     return vecs
 
 
-def _heralded_amplitudes(state: StateVector, elements: str) -> np.ndarray:
+def _heralded_amplitudes(state: StateVector) -> np.ndarray:
     """Map four-photon amplitudes to the (sigma mode, photon 1, photon 4) tensor.
 
-    Photons 2 and 3 are consumed by the nonlinear element(s); bin patterns a
-    single element cannot convert are dropped from the heralded subspace.
+    Photons 2 and 3 are consumed by the nonlinear element(s); each sigma mode
+    takes the amplitudes whose photon-2 and photon-3 bins feed it.
     """
-    keep = SIGMA_MODES[:2] if elements == "one" else SIGMA_MODES
-    herald = np.zeros((4, 2, 2), dtype=complex)
-    bin_index = {"e": 0, "l": 1}
-    for label, amp in zip(state.basis, state.amplitudes):
-        sigma = _SIGMA_OF_BINS[label[1:3]]
-        if sigma not in keep:
-            continue
-        herald[SIGMA_MODES.index(sigma), bin_index[label[0]], bin_index[label[3]]] += amp
-    return herald
+    bins = state.amplitudes.reshape(2, 2, 2, 2)
+    return np.stack([bins[:, b2, b3, :] for b2, b3 in _BINS_OF_SIGMA])
 
 
 def swap_condition_on_sfg(state: StateVector, elements: str = "one") -> list[BellOutcome]:
@@ -269,7 +250,7 @@ def swap_condition_on_sfg(state: StateVector, elements: str = "one") -> list[Bel
     if singular_values[1] > 1e-10:
         raise InputError("input is not a product of photon-(1,2) and photon-(3,4) states")
 
-    herald = _heralded_amplitudes(state, elements)
+    herald = _heralded_amplitudes(state)
     projectors = sfg_projection_vectors()
     wanted = ("S1+", "S1-") if elements == "one" else ("S1+", "S1-", "S2+", "S2-")
     outcomes = []
@@ -311,7 +292,7 @@ def run_fock_checks() -> list[dict]:
     for occupations in ((1, 1, 0), (2, 2, 0), (3, 1, 0), (2, 3, 1)):
         for gt in (1e-3, 1e-2, 5e-2, 0.5):
             state = tri_mode_state(*occupations, cutoff=6)
-            drift = max(drift, abs(sfg_evolve(state, gt, 6).norm() - 1.0))
+            drift = max(drift, abs(np.linalg.norm(sfg_evolve(state, gt, 6)) - 1.0))
     rows.append(_check_row("unitarity", "norm drift across evolutions", drift, 1e-12))
 
     # Leading-order herald amplitude -i sqrt(p n_a n_b), third-order remainder.

@@ -29,7 +29,7 @@ from .errors import (
     ModelValidityError,
     UndefinedFidelityError,
 )
-from .photon_stats import SwapScenario, check_probability
+from .photon_stats import SwapScenario, check_epsilon, check_probability, truncation_tail_bound
 
 RNG_DESCRIPTION = "numpy PCG64 seeded by SeedSequence([seed, shard_index])"
 
@@ -99,7 +99,6 @@ def _arrival_tables(scenario: SwapScenario, n_max: int):
 
 def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
     """Truncated-sum evaluation of P(1|1,1|1) / P(at least two arrivals)."""
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
     w_a, pmf_a, w_b, pmf_b, numerator = _arrival_tables(scenario, cfg.n_max)
 
     # Arrival marginals; the k + l >= 2 terms are summed directly, since
@@ -112,7 +111,7 @@ def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstima
         raise UndefinedFidelityError("no herald events below the truncation")
     value = numerator / denominator
 
-    missing = ea ** (cfg.n_max + 1) / (1.0 - ea) + eb ** (cfg.n_max + 1) / (1.0 - eb)
+    missing = truncation_tail_bound(scenario, cfg.n_max)
     return OracleEstimate(value=value, std_error=0.0, tail_bound=value * missing / denominator)
 
 
@@ -225,7 +224,18 @@ def random_scenarios(
     eps_range: tuple[float, float] = (0.01, 0.45),
     eta_range: tuple[float, float] = (0.05, 1.0),
 ) -> list[SwapScenario]:
-    """Reproducible random parameter grid for verification runs."""
+    """Reproducible random parameter grid for verification runs.
+
+    Each range is checked at its endpoints, so a bad range fails for every seed.
+    """
+    for name, (low, high), check in (
+        ("eps", eps_range, check_epsilon),
+        ("eta", eta_range, check_probability),
+    ):
+        check(low, f"{name}_min")
+        check(high, f"{name}_max")
+        if not low <= high:
+            raise DomainError(f"{name}_min must be <= {name}_max, got {low} > {high}")
     rng = np.random.default_rng(seed)
     scenarios = []
     for _ in range(count):

@@ -57,10 +57,11 @@ class CavityParams:
     omega_pb: float
 
     def __post_init__(self) -> None:
-        if self.g < 0.0:
+        # Each check states the condition that must hold, so NaN is rejected.
+        if not self.g >= 0.0:
             raise DomainError(f"g must be >= 0, got {self.g}")
         for name in ("omega_a", "omega_b", "omega_c", "kappa_a", "kappa_b", "kappa_c"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
         for ext, tot in (("kappa_ae", "kappa_a"), ("kappa_be", "kappa_b"), ("kappa_ce", "kappa_c")):
             ext_v, tot_v = getattr(self, ext), getattr(self, tot)
@@ -137,22 +138,22 @@ class WaveguideParams:
 
     def __post_init__(self) -> None:
         for name in ("eta_sfg_norm", "spectral_acceptance", "photon_frequency"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.length < 0.0:
+        if not self.length >= 0.0:
             raise DomainError(f"length must be >= 0, got {self.length}")
 
 
 def kappa_from_q(omega: float, q: float) -> float:
     """Linewidth kappa = omega / Q for a resonance at angular frequency omega."""
-    if q <= 0.0:
+    if not q > 0.0:
         raise DomainError(f"quality factor must be > 0, got {q}")
     return omega / q
 
 
 def omega_from_wavelength_nm(wavelength_nm: float) -> float:
     """Angular frequency 2 pi c / lambda for a vacuum wavelength in nm."""
-    if wavelength_nm <= 0.0:
+    if not wavelength_nm > 0.0:
         raise DomainError(f"wavelength must be > 0, got {wavelength_nm}")
     return 2.0 * math.pi * _C_LIGHT / (wavelength_nm * 1e-9)
 
@@ -177,7 +178,7 @@ def cavity_steady_state(cav: CavityParams, power_a: float, power_b: float) -> St
         a = i sqrt(kappa_ae/2) a_in / (i (omega_a - omega_pa) + kappa_a/2)
         c = -i g a b / (i (omega_c - omega_pa - omega_pb) + kappa_c/2)
     """
-    if power_a < 0.0 or power_b < 0.0:
+    if not (power_a >= 0.0 and power_b >= 0.0):
         raise DomainError("pump powers must be >= 0")
     a_in = (power_a / (_HBAR * cav.omega_a)) ** 0.5
     b_in = (power_b / (_HBAR * cav.omega_b)) ** 0.5
@@ -262,7 +263,7 @@ def p_sfg_from_eta(cav: CavityParams, eta_sfg: float) -> float:
     reproduces 4 g^2 / (kappa_a kappa_c) identically; a below-ideal measured
     efficiency scales p_sfg down linearly.
     """
-    if eta_sfg < 0.0:
+    if not eta_sfg >= 0.0:
         raise DomainError(f"eta_sfg must be >= 0, got {eta_sfg}")
     return (
         eta_sfg

@@ -299,6 +299,24 @@ class TestFockCheckCommand:
         rows[0]["value"] = 1.0  # corrupt one entry the way a regression would
         assert not all(r["value"] <= r["bound"] for r in rows)
 
+    def test_dump_matches_reference_file(self, capsys):
+        # The dump block is compared byte for byte; of the check rows only the
+        # name, bound and status, since the values come from LAPACK.
+        code, out, _ = run_cli(capsys, "fock-check", "--dump-states")
+        assert code == EXIT_OK
+        reference = (Path(__file__).parent / "data" / "fock_check_dump.txt").read_bytes().decode()
+
+        def split(text):
+            rows, dump = text[: text.index("# projector")], text[text.index("# projector") :]
+            fields = [line.split() for line in rows.splitlines()]
+            return [(" ".join(f[:-4]), f[-2], f[-1]) for f in fields], dump
+
+        rows, dump = split(out)
+        reference_rows, reference_dump = split(reference)
+        assert dump == reference_dump
+        assert len(rows) == 10
+        assert rows == reference_rows
+
     def test_state_dumps_are_byte_stable(self, capsys):
         _, first, _ = run_cli(capsys, "fock-check", "--dump-states")
         _, second, _ = run_cli(capsys, "fock-check", "--dump-states")
@@ -354,6 +372,14 @@ class TestRejectedInputs:
             pytest.param((*RATE, "--delta", "0"), None, "below 1/3", id="rate-delta-0"),
             pytest.param((*RATE, "--delta", "1e-17"), None, "below 1/3", id="rate-delta-1e-17"),
             pytest.param(("verify", "--seed", "-1"), None, "seed must be >= 0", id="verify-seed-neg"),
+            pytest.param(
+                ("verify",), "eps_min = 0.3\neps_max = 0.2\n", "eps_min must be <= eps_max",
+                id="verify-eps-range-reversed",
+            ),
+            pytest.param(
+                ("verify",), "eta_max = 1.02\n", "eta_max must be in [0, 1]",
+                id="verify-eta-max-1.02",
+            ),
             pytest.param(
                 ("verify", "--n-max", "100000"), None, "n_max must be in [1, 2000]",
                 id="verify-n-max-huge",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -377,3 +378,34 @@ class TestCavityValidation:
                 kappa_be=5e8,
                 kappa_ce=5e8,
             )
+
+
+WAVEGUIDE = WaveguideParams(5e3, 6e9, 1.0, C_LIGHT / 1550e-9)
+NAN_INPUTS = [
+    *(
+        pytest.param(
+            lambda name=f.name: dataclasses.replace(ingap_ring(), **{name: math.nan}),
+            id=f"cavity-{f.name}",
+        )
+        for f in dataclasses.fields(CavityParams)
+        if f.name not in ("omega_pa", "omega_pb")  # drive frequencies are not checked
+    ),
+    *(
+        pytest.param(
+            lambda name=f.name: dataclasses.replace(WAVEGUIDE, **{name: math.nan}),
+            id=f"waveguide-{f.name}",
+        )
+        for f in dataclasses.fields(WaveguideParams)
+    ),
+    pytest.param(lambda: kappa_from_q(1e15, math.nan), id="kappa-from-q"),
+    pytest.param(lambda: omega_from_wavelength_nm(math.nan), id="omega-from-wavelength"),
+    pytest.param(lambda: p_sfg_from_eta(ingap_ring(), math.nan), id="p-sfg-from-eta"),
+    pytest.param(lambda: cavity_steady_state(ingap_ring(), math.nan, 1e-3), id="power-a"),
+    pytest.param(lambda: cavity_steady_state(ingap_ring(), 1e-3, math.nan), id="power-b"),
+]
+
+
+@pytest.mark.parametrize("call", NAN_INPUTS)
+def test_nan_rejected(call):
+    with pytest.raises(DomainError):
+        call()
