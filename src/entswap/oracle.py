@@ -18,6 +18,7 @@ are bit-identical for any worker count and fully reproducible per seed.
 
 from __future__ import annotations
 
+import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +32,10 @@ from .errors import (
 )
 from .photon_stats import SwapScenario, check_epsilon, check_probability, truncation_tail_bound
 
-RNG_DESCRIPTION = "numpy PCG64 seeded by SeedSequence([seed, shard_index])"
+RNG_DESCRIPTION = (
+    "scenarios: Python random.Random(seed) (Mersenne Twister); "
+    "Monte Carlo: numpy PCG64 seeded by SeedSequence([seed, shard_index])"
+)
 
 # Largest truncation the exact sums accept: each (n_max+1)^2 float table is
 # then about 32 MB, where an unchecked --n-max 100000 would ask for 80 GB.
@@ -97,9 +101,9 @@ def _arrival_tables(scenario: SwapScenario, n_max: int):
     return w_a, pmf_a, w_b, pmf_b, faithful
 
 
-def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
-    """Truncated-sum evaluation of P(1|1,1|1) / P(at least two arrivals)."""
-    w_a, pmf_a, w_b, pmf_b, numerator = _arrival_tables(scenario, cfg.n_max)
+def _exact_lo(scenario: SwapScenario, tables, n_max: int) -> OracleEstimate:
+    """The lo reduction of one scenario's tables: P(1|1,1|1) / P(k + l >= 2)."""
+    w_a, pmf_a, w_b, pmf_b, numerator = tables
 
     # Arrival marginals; the k + l >= 2 terms are summed directly, since
     # subtracting the k + l < 2 ones from the total cancels.
@@ -111,8 +115,13 @@ def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstima
         raise UndefinedFidelityError("no herald events below the truncation")
     value = numerator / denominator
 
-    missing = truncation_tail_bound(scenario, cfg.n_max)
+    missing = truncation_tail_bound(scenario, n_max)
     return OracleEstimate(value=value, std_error=0.0, tail_bound=value * missing / denominator)
+
+
+def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
+    """Truncated-sum evaluation of P(1|1,1|1) / P(at least two arrivals)."""
+    return _exact_lo(scenario, _arrival_tables(scenario, cfg.n_max), cfg.n_max)
 
 
 def _mean_arrival_tail(eps: float, eta: float, n_max: int) -> float:
@@ -121,6 +130,26 @@ def _mean_arrival_tail(eps: float, eta: float, n_max: int) -> float:
         return 0.0
     tail_n = eps ** (n_max + 1) * ((n_max + 1) * (1.0 - eps) + eps) / (1.0 - eps) ** 2
     return eta * (1.0 - eps) * tail_n
+
+
+def _exact_nlo(scenario: SwapScenario, tables, n_max: int) -> OracleEstimate:
+    """The nlo reduction of one scenario's tables: P(1|1,1|1) / (E[k] E[l])."""
+    w_a, pmf_a, w_b, pmf_b, numerator = tables
+
+    k = np.arange(n_max + 1, dtype=float)
+    mean_a = float(w_a @ (pmf_a @ k))
+    mean_b = float(w_b @ (pmf_b @ k))
+    denominator = mean_a * mean_b
+    if denominator <= 0.0:
+        raise UndefinedFidelityError("no herald events below the truncation")
+    value = numerator / denominator
+
+    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
+    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
+    rel_a = _mean_arrival_tail(ea, ha, n_max) / mean_a
+    rel_b = _mean_arrival_tail(eb, hb, n_max) / mean_b
+    tail = value * (rel_a + rel_b + rel_a * rel_b)
+    return OracleEstimate(value=value, std_error=0.0, tail_bound=tail)
 
 
 def exact_fidelity_nlo(
@@ -133,22 +162,7 @@ def exact_fidelity_nlo(
     arithmetic.
     """
     check_probability(p_sfg, "p_sfg")
-    w_a, pmf_a, w_b, pmf_b, numerator = _arrival_tables(scenario, cfg.n_max)
-
-    k = np.arange(cfg.n_max + 1, dtype=float)
-    mean_a = float(w_a @ (pmf_a @ k))
-    mean_b = float(w_b @ (pmf_b @ k))
-    denominator = mean_a * mean_b
-    if denominator <= 0.0:
-        raise UndefinedFidelityError("no herald events below the truncation")
-    value = numerator / denominator
-
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
-    rel_a = _mean_arrival_tail(ea, ha, cfg.n_max) / mean_a
-    rel_b = _mean_arrival_tail(eb, hb, cfg.n_max) / mean_b
-    tail = value * (rel_a + rel_b + rel_a * rel_b)
-    return OracleEstimate(value=value, std_error=0.0, tail_bound=tail)
+    return _exact_nlo(scenario, _arrival_tables(scenario, cfg.n_max), cfg.n_max)
 
 
 def _shard_sizes(samples: int, shards: int) -> list[int]:
@@ -226,7 +240,12 @@ def random_scenarios(
 ) -> list[SwapScenario]:
     """Reproducible random parameter grid for verification runs.
 
-    Each range is checked at its endpoints, so a bad range fails for every seed.
+    Each value is ``low + (high - low) * rng.random()`` with
+    ``rng = random.Random(seed)``: it depends only on ``random()``, whose
+    stream Python fixes for an int seed, and drawing loads no numpy.random.
+    A seed that is not an int >= 0 is refused, because ``random.Random``
+    gives -3 the stream of 3 and also takes floats and strings.  Each range
+    is checked at its endpoints, so a bad range fails for every seed.
     """
     for name, (low, high), check in (
         ("eps", eps_range, check_epsilon),
@@ -236,12 +255,18 @@ def random_scenarios(
         check(high, f"{name}_max")
         if not low <= high:
             raise DomainError(f"{name}_min must be <= {name}_max, got {low} > {high}")
-    rng = np.random.default_rng(seed)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be an int >= 0, got {seed!r}")
+    rng = random.Random(seed)
+
+    def draw(low: float, high: float) -> float:
+        return low + (high - low) * rng.random()
+
     scenarios = []
     for _ in range(count):
-        ea, eb = rng.uniform(*eps_range, size=2)
-        ha, hb = rng.uniform(*eta_range, size=2)
-        scenarios.append(SwapScenario.from_values(float(ea), float(eb), float(ha), float(hb)))
+        ea, eb = draw(*eps_range), draw(*eps_range)
+        ha, hb = draw(*eta_range), draw(*eta_range)
+        scenarios.append(SwapScenario.from_values(ea, eb, ha, hb))
     return scenarios
 
 
@@ -333,25 +358,29 @@ def verification_report(
     if closed_form_nlo is None:
         closed_form_nlo = lambda s: nlo_bsm.fidelity_nlo(s.source_a, s.source_b)
     closed_forms = {"lo": closed_form_lo, "nlo": closed_form_nlo}
-    # Built per call, not at import: each name is looked up when called, so a
-    # module attribute replaced at run time (a tracing wrapper) is the one used.
+    # Each estimator takes the scenario and its arrival tables, so both exact
+    # rows reduce one build.  Built per call, not at import: each name is
+    # looked up when called, so a module attribute replaced at run time (a
+    # tracing wrapper) is the one used.
     estimators = {
-        ("lo", "exact-sum"): lambda s: exact_fidelity_lo(s, cfg),
-        ("lo", "monte-carlo"): lambda s: mc_fidelity_lo(s, cfg),
-        ("nlo", "exact-sum"): lambda s: exact_fidelity_nlo(s, p_sfg, cfg),
-        ("nlo", "monte-carlo"): lambda s: mc_fidelity_nlo(s, p_sfg, cfg),
+        ("lo", "exact-sum"): lambda s, tables: _exact_lo(s, tables, cfg.n_max),
+        ("lo", "monte-carlo"): lambda s, tables: mc_fidelity_lo(s, cfg),
+        ("nlo", "exact-sum"): lambda s, tables: _exact_nlo(s, tables, cfg.n_max),
+        ("nlo", "monte-carlo"): lambda s, tables: mc_fidelity_nlo(s, p_sfg, cfg),
     }
     for method in methods:
         if ("lo", method) not in estimators:
             raise DomainError(f"method must be 'exact-sum' or 'monte-carlo', got {method!r}")
+    check_probability(p_sfg, "p_sfg")
 
     rows = []
     for scenario in scenarios:
+        tables = _arrival_tables(scenario, cfg.n_max) if "exact-sum" in methods else None
         for model in ("lo", "nlo"):
             closed = closed_forms[model](scenario)
             for method in methods:
                 try:
-                    estimate = estimators[model, method](scenario)
+                    estimate = estimators[model, method](scenario, tables)
                     tolerance = _tolerance(method, estimate, cfg.n_max)
                 except (InsufficientStatisticsError, ModelValidityError) as exc:
                     rows.append(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, ModelValidityWarning
 
@@ -57,7 +57,12 @@ class CavityParams:
     omega_pb: float
 
     def __post_init__(self) -> None:
-        # Each check states the condition that must hold, so NaN is rejected.
+        # The drives may sit anywhere, even at negative detuned frequencies,
+        # so finiteness is their only check.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if not self.g >= 0.0:
             raise DomainError(f"g must be >= 0, got {self.g}")
         for name in ("omega_a", "omega_b", "omega_c", "kappa_a", "kappa_b", "kappa_c"):

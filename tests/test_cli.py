@@ -9,7 +9,22 @@ from entswap.fock_sim import run_fock_checks
 from entswap.sweep import SweepSpec, run_sweep
 from entswap.lo_bsm import fidelity_balanced_smalleta
 from entswap.nlo_bsm import fidelity_nlo
-from entswap.photon_stats import SourceParams
+from entswap.oracle import OracleConfig, verification_report
+from entswap.photon_stats import SourceParams, SwapScenario
+
+
+# Scenarios in which an nlo exact-sum row differs from the closed form by more
+# than its tail bound, at the keyed --n-max, by less than the rounding floor.
+ROUNDING_SCENARIOS = {
+    "10": [
+        (0.04768563354319472, 0.11419662290228387, 0.811210741946077, 0.6030539342611494),
+        (0.047353699752805935, 0.09515213584482633, 0.2531736411575398, 0.8657098355576092),
+    ],
+    "20": [
+        (0.02335224337148733, 0.32106464208847435, 0.4055316418045472, 0.13631007782904495),
+        (0.08932651797096187, 0.3386185696859287, 0.7646122474508136, 0.5886289807302667),
+    ],
+}
 
 
 def run_cli(capsys, *argv):
@@ -238,17 +253,23 @@ class TestVerifyCommand:
         assert payload["p_sfg"] == 0.02
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, config",
         [
-            pytest.param(("--scenarios", "0"), id="no-scenarios"),
+            pytest.param(("--scenarios", "0"), None, id="no-scenarios"),
             pytest.param(
                 ("--scenarios", "1", "--method", "mc", "--p-sfg", "0.3", "--samples", "10000"),
+                # At most about 1e-5 heralds per sample: 25 need far more than 10000.
+                "eps_min = 0.01\neps_max = 0.02\neta_min = 0.05\neta_max = 0.1\n",
                 id="all-undersampled",
             ),
-            pytest.param(("--scenarios", "1", "--n-max", "1"), id="tail-bound-too-loose"),
+            pytest.param(("--scenarios", "1", "--n-max", "1"), None, id="tail-bound-too-loose"),
         ],
     )
-    def test_run_without_comparison_fails(self, capsys, argv):
+    def test_run_without_comparison_fails(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "verify.cfg"
+            path.write_text(config)
+            argv = (*argv, "--config", str(path))
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == EXIT_VERIFY_FAIL
         payload = json.loads(out)
@@ -268,6 +289,14 @@ class TestVerifyCommand:
         assert payload["failures"] == 0
         assert payload["compared"] == 40
         assert code == EXIT_OK
+        # In these scenarios an nlo row exceeds its tail bound by rounding
+        # alone, so they fail unless the floor adds to the bound.
+        scenarios = [SwapScenario.from_values(*values) for values in ROUNDING_SCENARIOS[n_max]]
+        report = verification_report(scenarios, OracleConfig(n_max=int(n_max)),
+                                     methods=("exact-sum",))
+        assert report["failures"] == 0
+        assert report["compared"] == 2 * len(scenarios)
+        assert any(row["abs_diff"] > row["tail_bound"] for row in report["rows"])
 
     def test_bit_identical_across_runs_and_workers(self, capsys):
         args = ["verify", "--seed", "11", "--scenarios", "2", "--method", "both",

@@ -1,8 +1,9 @@
-"""Which scipy modules each command loads, checked in a fresh interpreter.
+"""Which optional modules each command loads, checked in a fresh interpreter.
 
 scipy is a test-only dependency: importing the package and running any
 command, the exact-sum and Monte Carlo oracles included, must leave it
-unloaded.
+unloaded.  numpy.random is loaded only by the Monte Carlo oracle, which
+samples; the exact-sum oracle and every other command draw nothing from it.
 """
 
 import json
@@ -20,23 +21,28 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(entswap.cli.main(argv))
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+print(json.dumps({
+    "codes": codes,
+    "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+    "numpy_random": "numpy.random" in sys.modules,
+}))
 """
 
 
 def run_fresh(*argvs):
-    """Run CLI commands in a new interpreter; return their exit codes and the scipy modules loaded."""
+    """Run CLI commands in a new interpreter; return their exit codes, the
+    scipy modules loaded and whether numpy.random was loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(argvs)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=120, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
-    return result["codes"], result["scipy"]
+    return result["codes"], result["scipy"], result["numpy_random"]
 
 
 def test_import_and_non_verify_commands_load_no_scipy():
-    codes, loaded = run_fresh(
+    codes, loaded, numpy_random = run_fresh(
         ("fidelity-sweep", "--preset", "fig2"),
         ("device", "--preset", "ingap-ring"),
         ("rate-compare", "--preset", "satellite"),
@@ -44,11 +50,27 @@ def test_import_and_non_verify_commands_load_no_scipy():
     )
     assert codes == [0, 0, 0, 0]
     assert loaded == []
+    assert numpy_random is False
 
 
 def test_verify_with_both_oracles_loads_no_scipy():
-    codes, loaded = run_fresh(
+    codes, loaded, _ = run_fresh(
         ("verify", "--method", "both", "--scenarios", "1", "--samples", "20000")
     )
     assert codes == [0]
     assert loaded == []
+
+
+def test_exact_verify_loads_no_numpy_random():
+    codes, loaded, numpy_random = run_fresh(("verify", "--method", "exact", "--scenarios", "2"))
+    assert codes == [0]
+    assert loaded == []
+    assert numpy_random is False
+
+
+def test_monte_carlo_verify_loads_numpy_random():
+    codes, _, numpy_random = run_fresh(
+        ("verify", "--method", "mc", "--scenarios", "1", "--samples", "20000")
+    )
+    assert codes == [0]
+    assert numpy_random is True

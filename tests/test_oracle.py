@@ -8,6 +8,7 @@ from entswap.errors import (
     ModelValidityError,
     UndefinedFidelityError,
 )
+from entswap import oracle
 from entswap.lo_bsm import fidelity_general
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import (
@@ -29,6 +30,13 @@ EXACT = OracleConfig(n_max=200)
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
     return SwapScenario.from_values(eps_a, eps_b, eta_a, eta_b)
+
+
+PINNED = [
+    scenario(0.2, 0.3, 0.5, 0.9),
+    scenario(0.45, 0.01, 1.0, 0.05),
+    scenario(0.1, 0.4, 0.3, 1.0),
+]
 
 
 class TestConfig:
@@ -99,11 +107,13 @@ class TestExactSumLo:
             assert abs(estimate.value - closed) <= max(estimate.tail_bound, 1e-10)
 
     def test_herald_probability_does_not_cancel(self):
-        # Seed 18 holds a scenario whose herald probability is 3.6e-4; forming
-        # it as one minus the k + l < 2 terms lost 1.96e-13 there.
-        for scen in random_scenarios(25, seed=18):
-            estimate = exact_fidelity_lo(scen, EXACT)
-            assert abs(estimate.value - fidelity_general(scen).fidelity) <= 1e-14
+        # This scenario's herald probability is 3.6e-4; forming it as one
+        # minus the k + l < 2 terms lost 1.96e-13 there.
+        scen = scenario(
+            0.03282832175749066, 0.019901002502309768, 0.1780542252370088, 0.7642943582249574
+        )
+        estimate = exact_fidelity_lo(scen, EXACT)
+        assert abs(estimate.value - fidelity_general(scen).fidelity) <= 1e-14
 
 
 class TestExactSumNlo:
@@ -217,6 +227,12 @@ class TestRandomScenarios:
         assert random_scenarios(5, 7) == random_scenarios(5, 7)
         assert random_scenarios(5, 7) != random_scenarios(5, 8)
 
+    @pytest.mark.parametrize("seed", [-3, 3.0, True])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # random.Random(-3) repeats random.Random(3), and it hashes floats.
+        with pytest.raises(DomainError, match="seed"):
+            random_scenarios(1, seed)
+
 
 class TestVerificationReport:
     def test_default_grid_passes(self):
@@ -240,6 +256,33 @@ class TestVerificationReport:
         )
         assert not report["pass"]
         assert report["failures"] >= 3
+
+    def test_exact_report_builds_each_side_once_per_scenario(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _arrival_table(*args)
+
+        monkeypatch.setattr(oracle, "_arrival_table", counting)
+        report = verification_report(PINNED, EXACT, methods=("exact-sum",))
+        assert report["checks"] == 2 * len(PINNED)
+        assert len(calls) == 2 * len(PINNED)
+
+    def test_exact_rows_equal_the_public_estimators(self):
+        report = verification_report(PINNED, EXACT, p_sfg=0.05, methods=("exact-sum",))
+        expected = [
+            estimate
+            for scen in PINNED
+            for estimate in (exact_fidelity_lo(scen, EXACT), exact_fidelity_nlo(scen, 0.05, EXACT))
+        ]
+        assert len(report["rows"]) == len(expected)
+        for row, estimate in zip(report["rows"], expected):
+            assert (row["value"], row["std_error"], row["tail_bound"]) == (
+                estimate.value,
+                estimate.std_error,
+                estimate.tail_bound,
+            )
 
     def test_no_comparison_does_not_pass(self):
         report = verification_report([], EXACT, methods=("exact-sum",))

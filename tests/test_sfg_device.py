@@ -388,7 +388,6 @@ NAN_INPUTS = [
             id=f"cavity-{f.name}",
         )
         for f in dataclasses.fields(CavityParams)
-        if f.name not in ("omega_pa", "omega_pb")  # drive frequencies are not checked
     ),
     *(
         pytest.param(
@@ -409,3 +408,10 @@ NAN_INPUTS = [
 def test_nan_rejected(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CavityParams)])
+def test_cavity_rejects_infinite_fields(name, value):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        dataclasses.replace(ingap_ring(), **{name: value})
