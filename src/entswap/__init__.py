@@ -23,11 +23,9 @@ from .photon_stats import (
     SourceParams,
     SwapScenario,
     epsilon_from_p,
-    joint_arrival_pmf,
     p_from_epsilon,
     p_one_arrival,
     p_zero_arrivals,
-    pair_number_pmf,
 )
 from .lo_bsm import (
     LoFidelityReport,
@@ -45,7 +43,6 @@ from .nlo_bsm import (
     fidelity_nlo,
     p_for_target_fidelity,
     p_total_sfg,
-    sfg_herald_pmf,
 )
 from .sfg_device import (
     CavityParams,

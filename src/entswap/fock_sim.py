@@ -186,17 +186,30 @@ def dfg_spurious_amplitude(gt: float) -> tuple[complex, complex]:
     return complex(dfg), complex(spdc)
 
 
-def bell_state(label: str) -> StateVector:
-    """Two-photon time-bin Bell state on the basis ('ee', 'el', 'le', 'll')."""
-    if label not in BELL_LABELS:
-        raise InputError(f"unknown Bell label {label!r}; expected one of {BELL_LABELS}")
+def _bell_vector(label: str) -> np.ndarray:
     amps = np.zeros(4, dtype=complex)
     sign = 1.0 if label.endswith("+") else -1.0
     if label.startswith("phi"):
         amps[0], amps[3] = _SQRT_HALF, sign * _SQRT_HALF
     else:
         amps[1], amps[2] = _SQRT_HALF, sign * _SQRT_HALF
-    return StateVector(amps, TWO_PHOTON_BASIS)
+    amps.flags.writeable = False
+    return amps
+
+
+# Built once: swap_condition_on_sfg compares every outcome with all four.
+_BELL_VECTORS = {label: _bell_vector(label) for label in BELL_LABELS}
+
+
+def _bell_amplitudes(label: str) -> np.ndarray:
+    if label not in BELL_LABELS:
+        raise InputError(f"unknown Bell label {label!r}; expected one of {BELL_LABELS}")
+    return _BELL_VECTORS[label]
+
+
+def bell_state(label: str) -> StateVector:
+    """Two-photon time-bin Bell state on the basis ('ee', 'el', 'le', 'll')."""
+    return StateVector(_bell_amplitudes(label).copy(), TWO_PHOTON_BASIS)
 
 
 def product_state(pair_12: StateVector, pair_34: StateVector) -> StateVector:
@@ -279,7 +292,7 @@ def bell_fidelity(state: StateVector, target: str) -> float:
     """Squared overlap of a two-photon state with a Bell state."""
     if state.basis != TWO_PHOTON_BASIS:
         raise InputError("state must live on the two-photon time-bin basis")
-    overlap = np.vdot(bell_state(target).amplitudes, state.amplitudes)
+    overlap = np.vdot(_bell_amplitudes(target), state.amplitudes)
     return float(abs(overlap) ** 2)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    ModelValidityError,
     ModelValidityWarning,
     UndefinedFidelityError,
 )
@@ -29,7 +28,6 @@ from .photon_stats import (
     SwapScenario,
     check_probability,
     epsilon_from_p,
-    joint_arrival_pmf,
 )
 
 # Above this single-photon conversion probability the weak-interaction
@@ -57,28 +55,6 @@ def _check_p_sfg(p_sfg: float) -> None:
             ModelValidityWarning,
             stacklevel=3,
         )
-
-
-def sfg_herald_pmf(
-    scenario: SwapScenario, p_sfg: float, k: int, n: int, l: int, m: int
-) -> float:
-    """Probability that the (k|n, l|m) arrival pattern occurs and heralds.
-
-    Equals joint_arrival_pmf(...) * k * l * p_sfg.  The herald weight
-    k*l*p_sfg is a probability, so values above 1 are a model violation.
-    """
-    _check_p_sfg(p_sfg)
-    weight = k * l * p_sfg
-    if weight > 1.0:
-        raise ModelValidityError(
-            f"herald weight k*l*p_sfg = {weight:g} exceeds 1; the weak-conversion "
-            "model does not cover this event"
-        )
-    if weight == 0.0:
-        # Still validate index ranges on the zero-weight path.
-        joint_arrival_pmf(scenario, k, n, l, m)
-        return 0.0
-    return joint_arrival_pmf(scenario, k, n, l, m) * weight
 
 
 def p_faithful_sfg(scenario: SwapScenario, p_sfg: float) -> float:

@@ -2,11 +2,11 @@
 
 Two routes, both deliberately avoiding the algebra used by the closed forms:
 
-* exact-sum: numerically accumulate the truncated four-index arrival sums,
-  with the per-photon arrival factors built by thinning one photon at a time
-  (the generative model the Monte Carlo route samples) rather than from this
-  package's binomial algebra, and report a geometric tail bound on the
-  truncation;
+* exact-sum: reduce each side's truncated arrival marginal, built by
+  thinning one photon at a time (the generative model the Monte Carlo route
+  samples) rather than from this package's binomial algebra, through one
+  herald matrix per measurement, ``faithful h[1,1] / (arr_a @ h @ arr_b)``,
+  and report a tail bound on the truncation;
 * monte-carlo: sample the generative model (geometric pair numbers, binomial
   thinning, herald acceptance) with a seeded counter-derived RNG and report
   a binomial standard error.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +58,10 @@ class OracleConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_max", "samples", "seed", "shards", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_max <= N_MAX_LIMIT:
             raise DomainError(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
         if self.samples < 1:
@@ -93,35 +98,53 @@ def _arrival_table(eps: float, eta: float, n_max: int) -> tuple[np.ndarray, np.n
     return weights, pmf
 
 
+def _arrival_marginal(eps: float, eta: float, n_max: int) -> tuple[np.ndarray, float]:
+    """One side's arrival marginal ``w @ pmf`` and its (1|1) weight ``w[1] pmf[1, 1]``.
+
+    The pmf table is freed on return, before the other side's is built.  Two
+    tables freed together leave a free block at the top of the heap that glibc
+    trims, and the next scenario then faults the pages in again.
+    """
+    w, pmf = _arrival_table(eps, eta, n_max)
+    return w @ pmf, w[1] * pmf[1, 1]
+
+
 def _arrival_tables(scenario: SwapScenario, n_max: int):
-    """Both sides' arrival tables and the faithful (1|1, 1|1) weight."""
-    w_a, pmf_a = _arrival_table(scenario.source_a.epsilon, scenario.channel_a.eta, n_max)
-    w_b, pmf_b = _arrival_table(scenario.source_b.epsilon, scenario.channel_b.eta, n_max)
-    faithful = w_a[1] * pmf_a[1, 1] * w_b[1] * pmf_b[1, 1]
-    return w_a, pmf_a, w_b, pmf_b, faithful
+    """Both sides' arrival marginals and the faithful (1|1, 1|1) weight."""
+    arr_a, one_a = _arrival_marginal(scenario.source_a.epsilon, scenario.channel_a.eta, n_max)
+    arr_b, one_b = _arrival_marginal(scenario.source_b.epsilon, scenario.channel_b.eta, n_max)
+    return arr_a, arr_b, one_a * one_b
 
 
-def _exact_lo(scenario: SwapScenario, tables, n_max: int) -> OracleEstimate:
-    """The lo reduction of one scenario's tables: P(1|1,1|1) / P(k + l >= 2)."""
-    w_a, pmf_a, w_b, pmf_b, numerator = tables
+def _lo_herald(n_max: int) -> np.ndarray:
+    """h[k, l] = [k + l >= 2]: the linear-optical herald needs two arrivals."""
+    k = np.arange(n_max + 1)
+    return (k[:, None] + k[None, :] >= 2).astype(float)
 
-    # Arrival marginals; the k + l >= 2 terms are summed directly, since
-    # subtracting the k + l < 2 ones from the total cancels.
-    arr_a, arr_b = w_a @ pmf_a, w_b @ pmf_b
-    denominator = float(
-        arr_a[2:].sum() * arr_b.sum() + arr_a[1] * arr_b[1:].sum() + arr_a[0] * arr_b[2:].sum()
-    )
+
+def _nlo_herald(n_max: int) -> np.ndarray:
+    """h[k, l] = k l: the weak up-conversion weight k l p_sfg without p_sfg,
+    which scales numerator and denominator alike."""
+    k = np.arange(n_max + 1, dtype=float)
+    return np.outer(k, k)
+
+
+def _exact(tables, h: np.ndarray, tail) -> OracleEstimate:
+    """faithful h[1, 1] / (arr_a @ h @ arr_b): the faithful herald weight over
+    the total, with ``tail(value, denominator)`` bounding the truncation."""
+    arr_a, arr_b, faithful = tables
+    denominator = float(arr_a @ h @ arr_b)
     if denominator <= 0.0:
         raise UndefinedFidelityError("no herald events below the truncation")
-    value = numerator / denominator
+    value = faithful * h[1, 1] / denominator
+    return OracleEstimate(value=value, std_error=0.0, tail_bound=tail(value, denominator))
 
+
+def _bounded_tail(scenario: SwapScenario, n_max: int):
+    """Tail of a herald matrix with 0 <= h <= 1: the herald mass left out is at
+    most the probability of more than n_max pairs on either side."""
     missing = truncation_tail_bound(scenario, n_max)
-    return OracleEstimate(value=value, std_error=0.0, tail_bound=value * missing / denominator)
-
-
-def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
-    """Truncated-sum evaluation of P(1|1,1|1) / P(at least two arrivals)."""
-    return _exact_lo(scenario, _arrival_tables(scenario, cfg.n_max), cfg.n_max)
+    return lambda value, denominator: value * missing / denominator
 
 
 def _mean_arrival_tail(eps: float, eta: float, n_max: int) -> float:
@@ -132,24 +155,25 @@ def _mean_arrival_tail(eps: float, eta: float, n_max: int) -> float:
     return eta * (1.0 - eps) * tail_n
 
 
-def _exact_nlo(scenario: SwapScenario, tables, n_max: int) -> OracleEstimate:
-    """The nlo reduction of one scenario's tables: P(1|1,1|1) / (E[k] E[l])."""
-    w_a, pmf_a, w_b, pmf_b, numerator = tables
+def _product_tail(scenario: SwapScenario, tables, n_max: int):
+    """Tail of h = k l, whose sum is the product of the mean arrivals: the
+    relative error of each truncated mean, compounded."""
 
-    k = np.arange(n_max + 1, dtype=float)
-    mean_a = float(w_a @ (pmf_a @ k))
-    mean_b = float(w_b @ (pmf_b @ k))
-    denominator = mean_a * mean_b
-    if denominator <= 0.0:
-        raise UndefinedFidelityError("no herald events below the truncation")
-    value = numerator / denominator
+    def tail(value: float, denominator: float) -> float:
+        k = np.arange(n_max + 1, dtype=float)
+        ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
+        ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
+        rel_a = _mean_arrival_tail(ea, ha, n_max) / float(tables[0] @ k)
+        rel_b = _mean_arrival_tail(eb, hb, n_max) / float(tables[1] @ k)
+        return value * (rel_a + rel_b + rel_a * rel_b)
 
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
-    rel_a = _mean_arrival_tail(ea, ha, n_max) / mean_a
-    rel_b = _mean_arrival_tail(eb, hb, n_max) / mean_b
-    tail = value * (rel_a + rel_b + rel_a * rel_b)
-    return OracleEstimate(value=value, std_error=0.0, tail_bound=tail)
+    return tail
+
+
+def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
+    """Truncated-sum evaluation of P(1|1,1|1) / P(at least two arrivals)."""
+    tables = _arrival_tables(scenario, cfg.n_max)
+    return _exact(tables, _lo_herald(cfg.n_max), _bounded_tail(scenario, cfg.n_max))
 
 
 def exact_fidelity_nlo(
@@ -162,7 +186,8 @@ def exact_fidelity_nlo(
     arithmetic.
     """
     check_probability(p_sfg, "p_sfg")
-    return _exact_nlo(scenario, _arrival_tables(scenario, cfg.n_max), cfg.n_max)
+    tables = _arrival_tables(scenario, cfg.n_max)
+    return _exact(tables, _nlo_herald(cfg.n_max), _product_tail(scenario, tables, cfg.n_max))
 
 
 def _shard_sizes(samples: int, shards: int) -> list[int]:
@@ -359,13 +384,19 @@ def verification_report(
         closed_form_nlo = lambda s: nlo_bsm.fidelity_nlo(s.source_a, s.source_b)
     closed_forms = {"lo": closed_form_lo, "nlo": closed_form_nlo}
     # Each estimator takes the scenario and its arrival tables, so both exact
-    # rows reduce one build.  Built per call, not at import: each name is
-    # looked up when called, so a module attribute replaced at run time (a
-    # tracing wrapper) is the one used.
+    # rows reduce one build, each through its own herald matrix.  Matrices and
+    # estimators are built per call, not at import: each name is looked up
+    # when called, so a module attribute replaced at run time (a tracing
+    # wrapper) is the one used.
+    h_lo = h_nlo = None
+    if "exact-sum" in methods:
+        h_lo, h_nlo = _lo_herald(cfg.n_max), _nlo_herald(cfg.n_max)
     estimators = {
-        ("lo", "exact-sum"): lambda s, tables: _exact_lo(s, tables, cfg.n_max),
+        ("lo", "exact-sum"): lambda s, tables: _exact(tables, h_lo, _bounded_tail(s, cfg.n_max)),
         ("lo", "monte-carlo"): lambda s, tables: mc_fidelity_lo(s, cfg),
-        ("nlo", "exact-sum"): lambda s, tables: _exact_nlo(s, tables, cfg.n_max),
+        ("nlo", "exact-sum"): lambda s, tables: _exact(
+            tables, h_nlo, _product_tail(s, tables, cfg.n_max)
+        ),
         ("nlo", "monte-carlo"): lambda s, tables: mc_fidelity_nlo(s, p_sfg, cfg),
     }
     for method in methods:

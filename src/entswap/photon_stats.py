@@ -3,9 +3,9 @@
 A source with conversion efficiency ``eps`` emits n photon pairs with
 probability (1-eps)*eps**n (a geometric distribution), and each photon sent
 into a channel with transmission ``eta`` survives independently, so the
-number of arrivals is a binomial thinning of the emission number.  The joint
-arrival probabilities defined here feed every fidelity formula in
-:mod:`entswap.lo_bsm` and :mod:`entswap.nlo_bsm`.
+number of arrivals is a binomial thinning of the emission number.  The
+source, channel and scenario parameters and the domain checks defined here
+feed every fidelity formula in :mod:`entswap.lo_bsm` and :mod:`entswap.nlo_bsm`.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-
-# Exact integer binomials below this order, log-gamma evaluation above, where
-# math.comb costs big-integer work and float(C(n, n/2)) overflows from n = 1030.
-_EXACT_BINOM_MAX_N = 60
-
 
 # The domain rules, one function each, for a float or an array of floats.
 # Each states the condition that must hold, so NaN, which fails every
@@ -127,47 +122,6 @@ def epsilon_from_p(p: float) -> float:
     """
     check_pair_probability(p, "pair probability")
     return 0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p)))
-
-
-def pair_number_pmf(source: SourceParams, n: int) -> float:
-    """Probability that the source emits exactly n photon pairs in one clock cycle."""
-    if n < 0:
-        raise DomainError(f"pair number must be >= 0, got {n}")
-    return (1.0 - source.epsilon) * source.epsilon**n
-
-
-def binomial_coefficient(n: int, k: int) -> float:
-    """C(n, k) as a float; exact integers for small n, log-gamma above."""
-    if k < 0 or k > n:
-        return 0.0
-    if n <= _EXACT_BINOM_MAX_N:
-        return float(math.comb(n, k))
-    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
-
-
-def binomial_thin_pmf(n: int, k: int, eta: float) -> float:
-    """Probability that k of n independent photons survive transmission eta."""
-    if k < 0 or k > n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    # 0**0 = 1 handles the lossless and fully opaque edge cases.
-    return binomial_coefficient(n, k) * eta**k * (1.0 - eta) ** (n - k)
-
-
-def joint_arrival_pmf(scenario: SwapScenario, k: int, n: int, l: int, m: int) -> float:
-    """Probability that source A emits n pairs of which k photons arrive, and
-    source B emits m pairs of which l photons arrive.
-
-    Factorizes as pair_number_pmf(A, n) * thin(n, k, eta_A) times the same for B;
-    summing over all (k, n, l, m) gives 1.
-    """
-    if not (0 <= k <= n) or not (0 <= l <= m):
-        raise DomainError(f"need 0 <= k <= n and 0 <= l <= m, got k={k}, n={n}, l={l}, m={m}")
-    return (
-        pair_number_pmf(scenario.source_a, n)
-        * binomial_thin_pmf(n, k, scenario.channel_a.eta)
-        * pair_number_pmf(scenario.source_b, m)
-        * binomial_thin_pmf(m, l, scenario.channel_b.eta)
-    )
 
 
 def _loss_denominator(eps: float, eta: float) -> float:

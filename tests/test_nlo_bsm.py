@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from entswap.errors import (
-    DomainError,
-    ModelValidityError,
-    ModelValidityWarning,
-    UndefinedFidelityError,
-)
+from entswap.errors import DomainError, ModelValidityWarning, UndefinedFidelityError
 from entswap.lo_bsm import fidelity_balanced_smalleta
 from entswap.nlo_bsm import (
     epsilon_pair_for_fidelity,
@@ -15,9 +10,9 @@ from entswap.nlo_bsm import (
     p_faithful_sfg,
     p_for_target_fidelity,
     p_total_sfg,
-    sfg_herald_pmf,
 )
-from entswap.photon_stats import SourceParams, SwapScenario, joint_arrival_pmf
+from entswap.oracle import _arrival_table, _arrival_tables, _nlo_herald
+from entswap.photon_stats import SourceParams, SwapScenario
 
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
@@ -25,36 +20,42 @@ def scenario(eps_a, eps_b, eta_a, eta_b):
 
 
 def summed_total_herald(scen, p_sfg, n_max=30):
-    """Independent oracle: sum arrival pmf times k*l*p_sfg term by term.
+    """Independent oracle: the exact-sum arrival marginals through the herald
+    matrix k*l, times p_sfg.
 
     The truncation tail is geometric (eps**31 ~ 1e-22 for eps <= 0.2), far
     below the comparison tolerance.
     """
-    total = 0.0
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            for m in range(n_max + 1):
-                for l in range(m + 1):
-                    total += joint_arrival_pmf(scen, k, n, l, m) * k * l * p_sfg
-    return total
+    arr_a, arr_b, _ = _arrival_tables(scen, n_max)
+    return float(arr_a @ _nlo_herald(n_max) @ arr_b) * p_sfg
+
+
+def herald_pmf(scen, p_sfg, k, n, l, m):
+    """Probability that the (k|n, l|m) arrival pattern occurs and heralds,
+    from the exact-sum oracle's per-side tables and herald matrix."""
+    n_max = max(n, m)
+    w_a, pmf_a = _arrival_table(scen.source_a.epsilon, scen.channel_a.eta, n_max)
+    w_b, pmf_b = _arrival_table(scen.source_b.epsilon, scen.channel_b.eta, n_max)
+    return w_a[n] * pmf_a[n, k] * w_b[m] * pmf_b[m, l] * _nlo_herald(n_max)[k, l] * p_sfg
 
 
 class TestHeraldPmf:
     def test_zero_without_both_photons(self):
         scen = scenario(0.2, 0.2, 0.8, 0.8)
-        assert sfg_herald_pmf(scen, 1e-3, 0, 2, 1, 1) == 0.0
-        assert sfg_herald_pmf(scen, 1e-3, 1, 1, 0, 3) == 0.0
+        assert herald_pmf(scen, 1e-3, 0, 2, 1, 1) == 0.0
+        assert herald_pmf(scen, 1e-3, 1, 1, 0, 3) == 0.0
 
     def test_faithful_event_value(self):
         scen = scenario(0.3, 0.2, 0.6, 0.4)
         expected = 0.7 * 0.8 * 0.3 * 0.2 * 0.6 * 0.4 * 1e-3
-        assert sfg_herald_pmf(scen, 1e-3, 1, 1, 1, 1) == pytest.approx(expected, rel=1e-13)
+        assert herald_pmf(scen, 1e-3, 1, 1, 1, 1) == pytest.approx(expected, rel=1e-13)
         assert p_faithful_sfg(scen, 1e-3) == pytest.approx(expected, rel=1e-13)
 
     def test_multiphoton_term_arithmetic(self):
+        # Sources 0.1/0.1, channels 0.5/0.5, pattern (2|2, 1|1), weight 2*1.
         scen = scenario(0.1, 0.1, 0.5, 0.5)
-        expected = joint_arrival_pmf(scen, 2, 2, 1, 1) * 2 * 1 * 1e-3
-        assert sfg_herald_pmf(scen, 1e-3, 2, 2, 1, 1) == pytest.approx(expected, rel=1e-13)
+        expected = (0.9 * 0.1**2) * (0.5 * 0.5) * (0.9 * 0.1) * 0.5 * 2 * 1 * 1e-3
+        assert herald_pmf(scen, 1e-3, 2, 2, 1, 1) == pytest.approx(expected, rel=1e-13)
 
     def test_multiphoton_term_monte_carlo(self):
         scen = scenario(0.1, 0.1, 0.5, 0.5)
@@ -67,19 +68,14 @@ class TestHeraldPmf:
         l = rng.binomial(m, 0.5)
         accept = rng.uniform(size=size) < np.minimum(k * l * p_sfg, 1.0)
         hits = int(np.sum(accept & (k == 2) & (n == 2) & (l == 1) & (m == 1)))
-        prob = sfg_herald_pmf(scen, p_sfg, 2, 2, 1, 1)
+        prob = herald_pmf(scen, p_sfg, 2, 2, 1, 1)
         sigma = (prob * (1 - prob) / size) ** 0.5
         assert hits / size == pytest.approx(prob, abs=5 * sigma)
-
-    def test_weight_above_one_rejected(self):
-        scen = scenario(0.3, 0.3, 0.9, 0.9)
-        with pytest.warns(ModelValidityWarning), pytest.raises(ModelValidityError):
-            sfg_herald_pmf(scen, 0.5, 2, 2, 2, 2)
 
     def test_large_p_sfg_warns(self):
         scen = scenario(0.2, 0.2, 0.5, 0.5)
         with pytest.warns(ModelValidityWarning):
-            sfg_herald_pmf(scen, 0.5, 1, 1, 1, 1)
+            p_total_sfg(scen, 0.5)
 
 
 class TestTotalHerald:

@@ -16,6 +16,8 @@ from entswap.oracle import (
     N_MAX_LIMIT,
     OracleConfig,
     _arrival_table,
+    _lo_herald,
+    _nlo_herald,
     exact_fidelity_lo,
     exact_fidelity_nlo,
     mc_fidelity_lo,
@@ -50,6 +52,16 @@ class TestConfig:
         assert OracleConfig(n_max=N_MAX_LIMIT).n_max == N_MAX_LIMIT
         with pytest.raises(DomainError, match="n_max"):
             OracleConfig(n_max=N_MAX_LIMIT + 1)
+        assert OracleConfig(n_max=np.int64(10)).n_max == 10
+
+    @pytest.mark.parametrize("method", ["exact-sum", "monte-carlo"])
+    @pytest.mark.parametrize("bad", [10.5, True])
+    @pytest.mark.parametrize("field", ["n_max", "samples", "seed", "shards", "workers"])
+    def test_counts_must_be_integers(self, field, bad, method):
+        # A fractional count used to fail deep inside with a TypeError, and
+        # seed=True ran as seed 1.
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            verification_report(PINNED[:1], OracleConfig(**{field: bad}), methods=(method,))
 
 
 class TestArrivalTable:
@@ -65,6 +77,47 @@ class TestArrivalTable:
         np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert not np.triu(pmf, k=1).any()
         np.testing.assert_array_equal(weights, (1.0 - 0.3) * 0.3**n)
+
+
+class _Draws:
+    """Stands in for a numpy Generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+class TestHeraldMatrices:
+    """The exact-sum herald matrices agree with the Monte Carlo accept rules."""
+
+    K, L = (grid.ravel() for grid in np.meshgrid(np.arange(13), np.arange(13), indexing="ij"))
+
+    @staticmethod
+    def accept_rule(monkeypatch, estimator, *args):
+        # Each mc_fidelity_* hands its accept rule to _mc_fidelity: capture it.
+        rules = []
+        monkeypatch.setattr(oracle, "_mc_fidelity", lambda s, cfg, accept: rules.append(accept))
+        estimator(PINNED[0], *args, OracleConfig(samples=1))
+        return rules[0]
+
+    def test_lo_herald_is_the_monte_carlo_rule(self, monkeypatch):
+        accept = self.accept_rule(monkeypatch, mc_fidelity_lo)
+        herald = _lo_herald(12).ravel()
+        np.testing.assert_array_equal(herald, (self.K + self.L) >= 2)
+        np.testing.assert_array_equal(herald, accept(None, self.K, self.L))
+
+    def test_nlo_herald_is_the_monte_carlo_weight(self, monkeypatch):
+        p_sfg = 0.005  # k l p_sfg <= 1 up to k = l = 12
+        weight = _nlo_herald(12).ravel() * p_sfg
+        np.testing.assert_array_equal(weight, self.K * self.L * p_sfg)
+        # The rule keeps a trial when its uniform draw is below the weight, so
+        # draws at the weight and one ulp below it pin the weight exactly.
+        accept = self.accept_rule(monkeypatch, mc_fidelity_nlo, p_sfg)
+        assert not accept(_Draws(weight), self.K, self.L).any()
+        assert accept(_Draws(np.nextafter(weight, -np.inf)), self.K, self.L).all()
 
 
 class TestExactSumLo:
@@ -268,6 +321,15 @@ class TestVerificationReport:
         report = verification_report(PINNED, EXACT, methods=("exact-sum",))
         assert report["checks"] == 2 * len(PINNED)
         assert len(calls) == 2 * len(PINNED)
+
+    def test_exact_report_builds_each_herald_matrix_once(self, monkeypatch):
+        calls = []
+        for name in ("_lo_herald", "_nlo_herald"):
+            build = getattr(oracle, name)
+            counting = lambda n_max, name=name, build=build: calls.append(name) or build(n_max)
+            monkeypatch.setattr(oracle, name, counting)
+        verification_report(PINNED, EXACT, methods=("exact-sum",))
+        assert sorted(calls) == ["_lo_herald", "_nlo_herald"]
 
     def test_exact_rows_equal_the_public_estimators(self):
         report = verification_report(PINNED, EXACT, p_sfg=0.05, methods=("exact-sum",))

@@ -9,23 +9,30 @@ from entswap.photon_stats import (
     ChannelParams,
     SourceParams,
     SwapScenario,
-    binomial_coefficient,
     check_clock,
     check_epsilon,
     check_pair_probability,
     check_probability,
     epsilon_from_p,
-    joint_arrival_pmf,
     p_from_epsilon,
     p_one_arrival,
     p_zero_arrivals,
-    pair_number_pmf,
     truncation_tail_bound,
 )
+from entswap.oracle import _arrival_table, _arrival_tables
 
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
     return SwapScenario.from_values(eps_a, eps_b, eta_a, eta_b)
+
+
+def joint_arrival_pmf(scen, k, n, l, m):
+    """P(k|n, l|m): source A emits n pairs of which k photons arrive, and B
+    emits m of which l arrive, from the exact-sum oracle's per-side tables."""
+    n_max = max(n, m)
+    w_a, pmf_a = _arrival_table(scen.source_a.epsilon, scen.channel_a.eta, n_max)
+    w_b, pmf_b = _arrival_table(scen.source_b.epsilon, scen.channel_b.eta, n_max)
+    return w_a[n] * pmf_a[n, k] * w_b[m] * pmf_b[m, l]
 
 
 def summed_zero_arrivals(scen, n_max=200):
@@ -90,25 +97,23 @@ class TestChannelParams:
 
 
 class TestPairNumberPmf:
+    """The emission weights (1-eps) eps^n of the exact-sum oracle's table."""
+
     def test_vacuum_only_source(self):
-        assert pair_number_pmf(SourceParams(0.0), 0) == 1.0
-        assert pair_number_pmf(SourceParams(0.0), 3) == 0.0
+        weights, _ = _arrival_table(0.0, 0.5, 3)
+        assert weights[0] == 1.0
+        assert weights[3] == 0.0
 
     def test_half_conversion_two_pairs(self):
-        assert pair_number_pmf(SourceParams(0.5), 2) == pytest.approx(0.125, abs=1e-15)
+        assert _arrival_table(0.5, 0.5, 2)[0][2] == pytest.approx(0.125, abs=1e-15)
 
     def test_single_pair_matches_p(self):
-        src = SourceParams(0.2764)
-        assert pair_number_pmf(src, 1) == pytest.approx(p_from_epsilon(0.2764), abs=1e-15)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(DomainError):
-            pair_number_pmf(SourceParams(0.1), -1)
+        weights, _ = _arrival_table(0.2764, 0.5, 1)
+        assert weights[1] == pytest.approx(p_from_epsilon(0.2764), abs=1e-15)
 
     def test_sums_to_one(self):
-        src = SourceParams(0.4)
-        total = sum(pair_number_pmf(src, n) for n in range(400))
-        assert total == pytest.approx(1.0, abs=1e-14)
+        weights, _ = _arrival_table(0.4, 0.5, 399)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestEpsilonPConversions:
@@ -176,6 +181,8 @@ class TestDomainChecksOnArrays:
 
 
 class TestJointArrivalPmf:
+    """P(k|n, l|m) as the product of the oracle's per-side table entries."""
+
     def test_vacuum_term(self):
         scen = scenario(0.3, 0.2, 0.6, 0.4)
         assert joint_arrival_pmf(scen, 0, 0, 0, 0) == pytest.approx(0.7 * 0.8, abs=1e-15)
@@ -184,6 +191,7 @@ class TestJointArrivalPmf:
         scen = scenario(0.3, 0.2, 1.0, 1.0)
         expected = 0.7 * 0.8 * 0.3 * 0.2
         assert joint_arrival_pmf(scen, 1, 1, 1, 1) == pytest.approx(expected, abs=1e-15)
+        assert _arrival_tables(scen, 1)[2] == pytest.approx(expected, abs=1e-15)
 
     def test_mixed_term_arithmetic(self):
         # Term-by-term: sources 0.1/0.1, channels 0.5/0.8, pattern (1|2, 0|1).
@@ -204,39 +212,22 @@ class TestJointArrivalPmf:
         sigma = math.sqrt(prob * (1 - prob) / size)
         assert hits / size == pytest.approx(prob, abs=5 * sigma)
 
-    def test_invalid_indices(self):
-        scen = scenario(0.1, 0.1, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            joint_arrival_pmf(scen, 2, 1, 0, 0)
-        with pytest.raises(DomainError):
-            joint_arrival_pmf(scen, 0, 0, 3, 2)
-
     def test_normalization_with_tail_bound(self):
         scen = scenario(0.35, 0.2, 0.6, 0.9)
         for n_max in (10, 20, 40):
-            total = sum(
-                joint_arrival_pmf(scen, k, n, l, m)
-                for n in range(n_max + 1)
-                for k in range(n + 1)
-                for m in range(n_max + 1)
-                for l in range(m + 1)
-            )
+            arr_a, arr_b, _ = _arrival_tables(scen, n_max)
+            total = arr_a.sum() * arr_b.sum()
             assert 1.0 - total <= truncation_tail_bound(scen, n_max) + 1e-13
             assert total <= 1.0 + 1e-12
 
     def test_marginal_recovers_emission_pmf(self):
         scen = scenario(0.3, 0.15, 0.45, 0.8)
-        m_max = 80
+        w_a, pmf_a = _arrival_table(scen.source_a.epsilon, scen.channel_a.eta, 20)
+        w_b, pmf_b = _arrival_table(scen.source_b.epsilon, scen.channel_b.eta, 80)
+        other_side = (w_b @ pmf_b).sum()
         for n in range(21):
-            marginal = sum(
-                joint_arrival_pmf(scen, k, n, l, m)
-                for k in range(n + 1)
-                for m in range(m_max + 1)
-                for l in range(m + 1)
-            )
-            assert marginal == pytest.approx(
-                pair_number_pmf(scen.source_a, n), abs=1e-12
-            )
+            marginal = w_a[n] * pmf_a[n].sum() * other_side
+            assert marginal == pytest.approx((1 - 0.3) * 0.3**n, abs=1e-12)
 
 
 class TestZeroAndOneArrival:
@@ -274,13 +265,18 @@ class TestZeroAndOneArrival:
 
 
 class TestBinomialCoefficient:
+    """C(n, k) = 2^n pmf[n, k] in the oracle's table at eta = 1/2."""
+
     def test_small_orders_exact(self):
-        assert binomial_coefficient(10, 3) == 120.0
-        assert binomial_coefficient(0, 0) == 1.0
-        assert binomial_coefficient(5, 6) == 0.0
+        # Halving is exact, so below 2^53 the table holds C(n, k) / 2^n exactly.
+        _, pmf = _arrival_table(0.1, 0.5, 10)
+        assert pmf[10, 3] * 2.0**10 == 120.0
+        assert pmf[0, 0] == 1.0
+        assert pmf[5, 6] == 0.0
 
     def test_large_orders_match_scipy(self):
+        _, pmf = _arrival_table(0.1, 0.5, 200)
         for n, k in ((80, 13), (150, 75), (200, 3)):
-            assert binomial_coefficient(n, k) == pytest.approx(
+            assert pmf[n, k] * 2.0**n == pytest.approx(
                 float(stats.binom(n, 0.5).pmf(k) * 2.0**n), rel=1e-10
             )
