@@ -19,8 +19,6 @@ from .errors import (
     UsageError,
 )
 from .photon_stats import (
-    ChannelParams,
-    SourceParams,
     SwapScenario,
     epsilon_from_p,
     p_from_epsilon,
@@ -55,7 +53,7 @@ from .sfg_device import (
     p_sfg_from_eta,
     p_sfg_waveguide,
 )
-from .rates import CrossoverResult, RateReport, crossover, rate_lo, rate_nlo
+from .rates import CrossoverResult, crossover, rate_lo, rate_nlo
 from .fock_sim import (
     BellOutcome,
     StateVector,

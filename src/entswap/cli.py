@@ -12,7 +12,8 @@ verify           oracle-vs-closed-form comparison, machine-readable JSON
 fock-check       exact small-Hilbert-space invariant suite
 
 Values come from an optional preset, then an optional config file, then flags
-(parsed as config lines), later sources overriding earlier ones.  Sweeps and
+(parsed as config lines), later sources overriding earlier ones; a key the
+command does not read is an error.  ``fock-check`` reads no values.  Sweeps and
 rate-compare read the link through ``config.resolve_link``: a source is eps_x
 or p_x, never both, and required unless swept; numbers are finite and counts
 whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3, clock = 1 GHz.  ``verify``
@@ -27,13 +28,18 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from itertools import chain
 
 from . import lo_bsm, nlo_bsm, oracle, rates, sfg_device
 from .config import (
+    CAVITY_KEYS,
+    LINK_KEYS,
+    WAVEGUIDE_KEYS,
     ConfigValue,
     build_cavity,
     build_waveguide,
+    check_known,
     get_dimensionless,
     merge,
     parse_config_file,
@@ -79,20 +85,32 @@ def _write_output(text: str, out: str) -> None:
             handle.write(text)
 
 
-def _collect_entries(args: argparse.Namespace, flag_entries: dict[str, ConfigValue]) -> dict:
+def _flag_entries(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, ConfigValue]:
+    """The flags given among ``keys``, each parsed as a config line so the same rules apply."""
+    given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return {k: parse_config_text(f"{k} = {v}", source="<flags>")[k] for k, v in given.items()}
+
+
+def _collect_entries(
+    args: argparse.Namespace, flag_keys: tuple[str, ...], known: tuple[str, ...]
+) -> dict:
+    """Preset, then config file, then the flags among ``flag_keys``; a key
+    outside ``known`` is refused."""
     entries: dict[str, ConfigValue] = {}
-    if getattr(args, "preset", None):
+    if args.preset:
         entries = merge(entries, get_preset(args.preset).params)
-    if getattr(args, "config", None):
+    if args.config:
         entries = merge(entries, parse_config_file(args.config))
-    return merge(entries, flag_entries)
+    entries = merge(entries, _flag_entries(args, flag_keys))
+    check_known(entries, known)
+    return entries
 
 
 # --- subcommand: fidelity-sweep ------------------------------------------------
 
 
 def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec.from_entries(_collect_entries(args, _flag_entries(args, SPEC_KEYS)))
+    spec = SweepSpec.from_entries(_collect_entries(args, SPEC_KEYS, (*SPEC_KEYS, *LINK_KEYS)))
     columns, rows = run_sweep(spec)
     if args.format == "csv":
         _write_output(_format_csv(columns, rows), args.out)
@@ -101,17 +119,11 @@ def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _flag_entries(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, ConfigValue]:
-    """The flags given among ``keys``, each parsed as a config line so the same rules apply."""
-    given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    return {k: parse_config_text(f"{k} = {v}", source="<flags>")[k] for k, v in given.items()}
-
-
 # --- subcommand: device ---------------------------------------------------------
 
 
 def cmd_device(args: argparse.Namespace) -> int:
-    entries = _collect_entries(args, {})
+    entries = _collect_entries(args, (), (*CAVITY_KEYS, *WAVEGUIDE_KEYS, "p_sfg"))
     report: dict = {"reference_demonstrated_p_sfg": DEMONSTRATED_RING_P_SFG}
     caught: list[str] = []
     with warnings.catch_warnings(record=True) as records:
@@ -155,10 +167,12 @@ def cmd_device(args: argparse.Namespace) -> int:
 
 
 def cmd_rate_compare(args: argparse.Namespace) -> int:
-    entries = _collect_entries(args, _flag_entries(args, ("p_sfg", "clock")))
+    entries = _collect_entries(args, ("p_sfg", "clock"), LINK_KEYS)
     link = resolve_link(entries)
-    rep = rates.rate_report(link.scenario(), link.p_sfg, link.clock)
-    verdict = rates.crossover(link.p_sfg, link.eta_a, link.eta_b)
+    scenario = link.scenario
+    rate_lo = rates.rate_lo(scenario, link.clock)
+    rate_nlo = rates.rate_nlo(scenario, link.p_sfg, link.clock)
+    verdict = rates.crossover(link.p_sfg, scenario.eta_a, scenario.eta_b)
 
     # Pair probabilities needed to reach the same target fidelity under each
     # scheme; the linear-optical curves only touch 1/3 at zero pumping, so the
@@ -182,16 +196,11 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
     ) ** 2
 
     report = {
-        "scenario": {
-            "eps_a": link.eps_a,
-            "eps_b": link.eps_b,
-            "eta_a": link.eta_a,
-            "eta_b": link.eta_b,
-        },
+        "scenario": asdict(scenario),
         "p_sfg": link.p_sfg,
         "clock": link.clock,
-        "rate_lo": rep.rate_lo,
-        "rate_nlo": rep.rate_nlo,
+        "rate_lo": rate_lo,
+        "rate_nlo": rate_nlo,
         "crossover_ratio": verdict.ratio,
         "nlo_wins": verdict.nlo_wins,
         "matched_fidelity": narrative,
@@ -200,8 +209,8 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
         _write_output(_format_json(report), args.out)
     else:
         lines = [
-            f"rate_lo  = {rep.rate_lo:.6e} /s (attenuated, p_a = eta_b p_b / eta_a)",
-            f"rate_nlo = {rep.rate_nlo:.6e} /s (p_sfg = {link.p_sfg:g})",
+            f"rate_lo  = {rate_lo:.6e} /s (attenuated, p_a = eta_b p_b / eta_a)",
+            f"rate_nlo = {rate_nlo:.6e} /s (p_sfg = {link.p_sfg:g})",
             f"rate_nlo / rate_lo = {verdict.ratio:.6e}"
             + ("  -> nonlinear scheme wins" if verdict.nlo_wins else "  -> linear scheme wins"),
             f"pair probability for fidelity {f_target:.4f}: nlo {narrative['p_nlo']:.4f}",
@@ -223,7 +232,7 @@ VERIFY_DEFAULTS = {"scenarios": 20, "p_sfg": 0.05, "eps_min": 0.01, "eps_max": 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    entries = _collect_entries(args, _flag_entries(args, ("scenarios", "p_sfg")))
+    entries = _collect_entries(args, ("scenarios", "p_sfg"), tuple(VERIFY_DEFAULTS))
     values = resolve(entries, VERIFY_DEFAULTS)
     cfg = oracle.OracleConfig(
         n_max=args.n_max,
@@ -278,12 +287,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: _Parser, default_format: str, formats: tuple[str, ...]) -> None:
-        p.add_argument("--config", default=None, help="key-value parameter file")
-        p.add_argument("--preset", default=None, choices=preset_names(), help="named parameter set")
         p.add_argument("--out", default="-", help="output path, or - for stdout")
         p.add_argument("--format", default=default_format, choices=formats)
 
+    def add_inputs(p: _Parser) -> None:
+        p.add_argument("--config", default=None, help="key-value parameter file")
+        p.add_argument("--preset", default=None, choices=preset_names(), help="named parameter set")
+
     sweep = sub.add_parser("fidelity-sweep", help="fidelity/rate columns over a grid")
+    add_inputs(sweep)
     add_common(sweep, "csv", ("csv", "json"))
     sweep.add_argument("--variable", default=None, help=f"one of {SWEEP_VARIABLES}")
     sweep.add_argument("--start", default=None)
@@ -294,10 +306,12 @@ def build_parser() -> _Parser:
     sweep.set_defaults(func=cmd_fidelity_sweep)
 
     device = sub.add_parser("device", help="conversion probability of a device")
+    add_inputs(device)
     add_common(device, "text", ("text", "json"))
     device.set_defaults(func=cmd_device)
 
     rate = sub.add_parser("rate-compare", help="scheme rates and crossover")
+    add_inputs(rate)
     add_common(rate, "text", ("text", "json"))
     rate.add_argument("--p-sfg", dest="p_sfg", default=None)
     rate.add_argument("--clock", default=None)
@@ -310,6 +324,7 @@ def build_parser() -> _Parser:
     rate.set_defaults(func=cmd_rate_compare)
 
     verify = sub.add_parser("verify", help="oracle vs closed forms")
+    add_inputs(verify)
     add_common(verify, "json", ("json",))
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--scenarios", default=None, help="default 20")

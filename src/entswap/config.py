@@ -97,8 +97,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, ConfigVa
 
 
 def parse_config_file(path: str) -> dict[str, ConfigValue]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    return parse_config_text(text, source=path)
 
 
 def merge(base: dict[str, ConfigValue], overrides: dict[str, ConfigValue]) -> dict[str, ConfigValue]:
@@ -190,25 +194,35 @@ def resolve(entries: dict[str, ConfigValue], defaults: dict[str, float]) -> dict
 
 
 LINK_DEFAULTS = {"eta_a": 1.0, "eta_b": 1.0, "p_sfg": 1e-3, "clock": 1e9}
+# The keys resolve_link, build_cavity and build_waveguide read.
+LINK_KEYS = ("eps_a", "eps_b", "p_a", "p_b", *LINK_DEFAULTS)
+CAVITY_KEYS = ("g", "g_shg", *(f"{k}_{m}" for k in ("lambda", "freq", "q", "qe") for m in "abc"))
+WAVEGUIDE_KEYS = ("eta_sfg", "eta_shg", "accept", "length", "lambda")
+
+
+def check_known(entries: dict[str, ConfigValue], known: tuple[str, ...]) -> None:
+    """Refuse every key a command does not read, so that a misspelt key fails
+    instead of leaving its default in place."""
+    unknown = sorted(set(entries).difference(known))
+    if unknown:
+        plural = "s" if len(unknown) > 1 else ""
+        raise ConfigError(
+            f"unknown key{plural} {', '.join(map(repr, unknown))}; "
+            f"this command reads {', '.join(sorted(known))}"
+        )
 
 
 @dataclass(frozen=True)
 class Link:
-    """Resolved link parameters; p_sfg and the clock, which no scenario holds, are checked here."""
+    """The resolved link: its scenario, plus p_sfg and the clock, which no scenario holds."""
 
-    eps_a: float
-    eps_b: float
-    eta_a: float
-    eta_b: float
+    scenario: SwapScenario
     p_sfg: float
     clock: float
 
     def __post_init__(self) -> None:
         check_probability(self.p_sfg, "p_sfg")
         check_clock(self.clock)
-
-    def scenario(self) -> SwapScenario:
-        return SwapScenario.from_values(self.eps_a, self.eps_b, self.eta_a, self.eta_b)
 
 
 def _either(entries: dict[str, ConfigValue], first: str, second: str, what: str) -> str:
@@ -232,12 +246,14 @@ def resolve_link(entries: dict[str, ConfigValue], swept: dict[str, float] | None
     swept = swept or {}
     values = {f"eps_{s}": _source_epsilon(entries, s) for s in "ab" if f"eps_{s}" not in swept}
     values.update(resolve(entries, {k: v for k, v in LINK_DEFAULTS.items() if k not in swept}))
-    return Link(**values, **swept)
+    values.update(swept)
+    p_sfg, clock = values.pop("p_sfg"), values.pop("clock")
+    return Link(SwapScenario(**values), p_sfg, clock)
 
 
 def build_scenario(entries: dict[str, ConfigValue]) -> SwapScenario:
     """Scenario from keys eps_a/p_a, eps_b/p_b, eta_a, eta_b (etas default to 1)."""
-    return resolve_link(entries).scenario()
+    return resolve_link(entries).scenario
 
 
 def _mode_omega(entries: dict[str, ConfigValue], mode: str) -> float:

@@ -67,8 +67,7 @@ def fidelity_leading_order_lossy(p_a: float, p_b: float, eta: float) -> float:
 
 
 def _herald_terms(scenario: SwapScenario) -> tuple[float, float, float, float, float]:
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
+    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
     ua, ub = 1.0 - ea, 1.0 - eb
     a, b = ea * ha, eb * hb
     da, db = ua + a, ub + b  # = 1 - eps*(1 - eta)

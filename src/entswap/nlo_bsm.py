@@ -23,12 +23,7 @@ from .errors import (
     ModelValidityWarning,
     UndefinedFidelityError,
 )
-from .photon_stats import (
-    SourceParams,
-    SwapScenario,
-    check_probability,
-    epsilon_from_p,
-)
+from .photon_stats import SwapScenario, check_probability, epsilon_from_p
 
 # Above this single-photon conversion probability the weak-interaction
 # expansion behind the herald weights starts to be questionable unless the
@@ -59,8 +54,7 @@ def _check_p_sfg(p_sfg: float) -> None:
 
 def p_faithful_sfg(scenario: SwapScenario, p_sfg: float) -> float:
     """Herald probability of the faithful event (single pair each, both arrive)."""
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
+    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
     return (1.0 - ea) * (1.0 - eb) * ea * eb * ha * hb * p_sfg
 
 
@@ -70,14 +64,13 @@ def p_total_sfg(scenario: SwapScenario, p_sfg: float) -> float:
         p_sfg * eta_A * eta_B * eps_A/(1-eps_A) * eps_B/(1-eps_B)
     """
     _check_p_sfg(p_sfg)
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
+    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
     return p_sfg * ha * hb * (ea / (1.0 - ea)) * (eb / (1.0 - eb))
 
 
-def fidelity_nlo(source_a: SourceParams, source_b: SourceParams) -> float:
+def fidelity_nlo(scenario: SwapScenario) -> float:
     """Channel-independent heralded fidelity (1 - eps_A)^2 (1 - eps_B)^2."""
-    ea, eb = source_a.epsilon, source_b.epsilon
+    ea, eb = scenario.eps_a, scenario.eps_b
     if np.any((ea == 0.0) | (eb == 0.0)):
         raise UndefinedFidelityError(
             "a source with eps = 0 never heralds, so the fidelity is undefined"
@@ -96,7 +89,7 @@ def fidelity_report(scenario: SwapScenario, p_sfg: float) -> NloFidelityReport:
     if p_herald <= 0.0:
         raise UndefinedFidelityError("total herald probability is zero")
     return NloFidelityReport(
-        fidelity=fidelity_nlo(scenario.source_a, scenario.source_b),
+        fidelity=fidelity_nlo(scenario),
         p_faithful=p_faithful_sfg(scenario, p_sfg),
         p_herald=p_herald,
         p_sfg=p_sfg,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral
 
 import numpy as np
@@ -111,8 +111,8 @@ def _arrival_marginal(eps: float, eta: float, n_max: int) -> tuple[np.ndarray, f
 
 def _arrival_tables(scenario: SwapScenario, n_max: int):
     """Both sides' arrival marginals and the faithful (1|1, 1|1) weight."""
-    arr_a, one_a = _arrival_marginal(scenario.source_a.epsilon, scenario.channel_a.eta, n_max)
-    arr_b, one_b = _arrival_marginal(scenario.source_b.epsilon, scenario.channel_b.eta, n_max)
+    arr_a, one_a = _arrival_marginal(scenario.eps_a, scenario.eta_a, n_max)
+    arr_b, one_b = _arrival_marginal(scenario.eps_b, scenario.eta_b, n_max)
     return arr_a, arr_b, one_a * one_b
 
 
@@ -161,10 +161,8 @@ def _product_tail(scenario: SwapScenario, tables, n_max: int):
 
     def tail(value: float, denominator: float) -> float:
         k = np.arange(n_max + 1, dtype=float)
-        ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
-        ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
-        rel_a = _mean_arrival_tail(ea, ha, n_max) / float(tables[0] @ k)
-        rel_b = _mean_arrival_tail(eb, hb, n_max) / float(tables[1] @ k)
+        rel_a = _mean_arrival_tail(scenario.eps_a, scenario.eta_a, n_max) / float(tables[0] @ k)
+        rel_b = _mean_arrival_tail(scenario.eps_b, scenario.eta_b, n_max) / float(tables[1] @ k)
         return value * (rel_a + rel_b + rel_a * rel_b)
 
     return tail
@@ -199,10 +197,10 @@ def _sample_arrivals(
     rng: np.random.Generator, scenario: SwapScenario, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # geometric(p) has support {1, 2, ...}; shifting gives P(n) = (1-eps) eps^n.
-    n = rng.geometric(1.0 - scenario.source_a.epsilon, size) - 1
-    m = rng.geometric(1.0 - scenario.source_b.epsilon, size) - 1
-    k = rng.binomial(n, scenario.channel_a.eta)
-    l = rng.binomial(m, scenario.channel_b.eta)
+    n = rng.geometric(1.0 - scenario.eps_a, size) - 1
+    m = rng.geometric(1.0 - scenario.eps_b, size) - 1
+    k = rng.binomial(n, scenario.eta_a)
+    l = rng.binomial(m, scenario.eta_b)
     return n, m, k, l
 
 
@@ -308,15 +306,6 @@ MIN_HERALDS = 25
 MAX_TOLERANCE = MC_SIGMA_TOLERANCE * (0.25 / MIN_HERALDS) ** 0.5
 
 
-def _scenario_fields(scenario: SwapScenario) -> dict:
-    return {
-        "eps_a": scenario.source_a.epsilon,
-        "eps_b": scenario.source_b.epsilon,
-        "eta_a": scenario.channel_a.eta,
-        "eta_b": scenario.channel_b.eta,
-    }
-
-
 def _tolerance(method: str, estimate: OracleEstimate, n_max: int) -> float:
     """Allowed |oracle - closed form|, or InsufficientStatisticsError when the
     estimate is too coarse for a comparison to mean anything."""
@@ -346,7 +335,7 @@ def _comparison_row(
 ) -> dict:
     abs_diff = abs(estimate.value - closed_form)
     return {
-        "scenario": _scenario_fields(scenario),
+        "scenario": asdict(scenario),
         "model": model,
         "method": method,
         "value": estimate.value,
@@ -381,7 +370,7 @@ def verification_report(
     if closed_form_lo is None:
         closed_form_lo = lambda s: lo_bsm.fidelity_general(s).fidelity
     if closed_form_nlo is None:
-        closed_form_nlo = lambda s: nlo_bsm.fidelity_nlo(s.source_a, s.source_b)
+        closed_form_nlo = nlo_bsm.fidelity_nlo
     closed_forms = {"lo": closed_form_lo, "nlo": closed_form_nlo}
     # Each estimator takes the scenario and its arrival tables, so both exact
     # rows reduce one build, each through its own herald matrix.  Matrices and
@@ -416,7 +405,7 @@ def verification_report(
                 except (InsufficientStatisticsError, ModelValidityError) as exc:
                     rows.append(
                         {
-                            "scenario": _scenario_fields(scenario),
+                            "scenario": asdict(scenario),
                             "model": model,
                             "method": method,
                             "error": str(exc),

@@ -4,8 +4,8 @@ A source with conversion efficiency ``eps`` emits n photon pairs with
 probability (1-eps)*eps**n (a geometric distribution), and each photon sent
 into a channel with transmission ``eta`` survives independently, so the
 number of arrivals is a binomial thinning of the emission number.  The
-source, channel and scenario parameters and the domain checks defined here
-feed every fidelity formula in :mod:`entswap.lo_bsm` and :mod:`entswap.nlo_bsm`.
+scenario type and the domain checks defined here feed every fidelity formula
+in :mod:`entswap.lo_bsm` and :mod:`entswap.nlo_bsm`.
 """
 
 from __future__ import annotations
@@ -49,63 +49,34 @@ def check_clock(clock) -> None:
 
 
 @dataclass(frozen=True)
-class SourceParams:
-    """Pair source described by its conversion efficiency ``epsilon`` in [0, 1).
-
-    The single-pair emission probability is ``p = (1 - epsilon) * epsilon``,
-    which never exceeds 1/4.
-    """
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        check_epsilon(self.epsilon, "epsilon")
-
-    @property
-    def p(self) -> float:
-        """Single-pair emission probability (1 - epsilon) * epsilon."""
-        return p_from_epsilon(self.epsilon)
-
-    @classmethod
-    def from_p(cls, p: float) -> "SourceParams":
-        """Build a source from its single-pair probability p <= 1/4."""
-        return cls(epsilon_from_p(p))
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Channel with single-photon transmission probability ``eta`` in [0, 1]."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        check_probability(self.eta, "eta")
-
-
-@dataclass(frozen=True)
 class SwapScenario:
     """Two sources feeding one joint measurement through two lossy channels.
 
-    Fields may hold numpy arrays, so that one scenario stands for a sweep grid.
+    ``eps_a``, ``eps_b`` are the conversion efficiencies in [0, 1), whose
+    single-pair probability (1 - eps) eps never exceeds 1/4; ``eta_a``,
+    ``eta_b`` the single-photon transmissions in [0, 1].  Fields may hold
+    numpy arrays, so that one scenario stands for a sweep grid.
     """
 
-    source_a: SourceParams
-    source_b: SourceParams
-    channel_a: ChannelParams
-    channel_b: ChannelParams
+    eps_a: float
+    eps_b: float
+    eta_a: float
+    eta_b: float
+
+    def __post_init__(self) -> None:
+        check_epsilon(self.eps_a, "eps_a")
+        check_epsilon(self.eps_b, "eps_b")
+        check_probability(self.eta_a, "eta_a")
+        check_probability(self.eta_b, "eta_b")
 
     @classmethod
     def from_values(cls, eps_a: float, eps_b: float, eta_a: float, eta_b: float) -> "SwapScenario":
-        return cls(
-            SourceParams(eps_a),
-            SourceParams(eps_b),
-            ChannelParams(eta_a),
-            ChannelParams(eta_b),
-        )
+        """The scenario of four positional values, in the constructor's order."""
+        return cls(eps_a, eps_b, eta_a, eta_b)
 
     def swapped(self) -> "SwapScenario":
         """The same scenario with the A and B sides exchanged."""
-        return SwapScenario(self.source_b, self.source_a, self.channel_b, self.channel_a)
+        return SwapScenario(self.eps_b, self.eps_a, self.eta_b, self.eta_a)
 
 
 def p_from_epsilon(eps: float) -> float:
@@ -136,8 +107,7 @@ def p_zero_arrivals(scenario: SwapScenario) -> float:
     Closed form of sum_{n,m} P(0|n, 0|m):
     (1-eps_A)(1-eps_B) / [(1 - eps_A(1-eta_A)) (1 - eps_B(1-eta_B))].
     """
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
+    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
     return (1.0 - ea) * (1.0 - eb) / (_loss_denominator(ea, ha) * _loss_denominator(eb, hb))
 
 
@@ -152,8 +122,7 @@ def p_one_arrival(scenario: SwapScenario) -> float:
 
     with D_X = 1 - eps_X (1 - eta_X).
     """
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
+    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
     da = _loss_denominator(ea, ha)
     db = _loss_denominator(eb, hb)
     pref = (1.0 - ea) * (1.0 - eb)
@@ -165,5 +134,5 @@ def truncation_tail_bound(scenario: SwapScenario, n_max: int) -> float:
 
     Geometric tails: eps**(N+1) / (1 - eps) per source, summed.
     """
-    ea, eb = scenario.source_a.epsilon, scenario.source_b.epsilon
+    ea, eb = scenario.eps_a, scenario.eps_b
     return ea ** (n_max + 1) / (1.0 - ea) + eb ** (n_max + 1) / (1.0 - eb)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .photon_stats import SwapScenario, check_clock, check_probability
+from .photon_stats import SwapScenario, check_clock, check_probability, p_from_epsilon
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,6 @@ class CrossoverResult:
     ratio: float
 
 
-@dataclass(frozen=True)
-class RateReport:
-    rate_lo: float
-    rate_nlo: float
-    clock_rate: float
-    crossover_ratio: float
-
-
 def rate_lo(scenario: SwapScenario, clock: float, attenuated: bool = True) -> float:
     """Linear-optical swapping rate eta_A eta_B p_A p_B R_c.
 
@@ -41,22 +33,22 @@ def rate_lo(scenario: SwapScenario, clock: float, attenuated: bool = True) -> fl
     otherwise the scenario's own p_A is used.
     """
     check_clock(clock)
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
-    p_b = scenario.source_b.p
+    ha, hb = scenario.eta_a, scenario.eta_b
+    p_b = p_from_epsilon(scenario.eps_b)
     if attenuated:
         if np.any(ha <= 0.0):
             raise DomainError("the attenuation convention needs eta_a > 0")
         flux_b = hb * p_b
         return flux_b * flux_b * clock
-    return ha * hb * scenario.source_a.p * p_b * clock
+    return ha * hb * p_from_epsilon(scenario.eps_a) * p_b * clock
 
 
 def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
     """SFG-heralded swapping rate p_sfg eta_A eta_B p_A p_B R_c (no attenuation)."""
     check_clock(clock)
     check_probability(p_sfg, "p_sfg")
-    ha, hb = scenario.channel_a.eta, scenario.channel_b.eta
-    return p_sfg * ha * hb * scenario.source_a.p * scenario.source_b.p * clock
+    p_a, p_b = p_from_epsilon(scenario.eps_a), p_from_epsilon(scenario.eps_b)
+    return p_sfg * scenario.eta_a * scenario.eta_b * p_a * p_b * clock
 
 
 def crossover(p_sfg: float, eta_a: float, eta_b: float) -> CrossoverResult:
@@ -74,11 +66,3 @@ def crossover(p_sfg: float, eta_a: float, eta_b: float) -> CrossoverResult:
     ratio = p_sfg * eta_a / eta_b
     return CrossoverResult(nlo_wins=ratio > 1.0, ratio=ratio)
 
-
-def rate_report(scenario: SwapScenario, p_sfg: float, clock: float) -> RateReport:
-    return RateReport(
-        rate_lo=rate_lo(scenario, clock),
-        rate_nlo=rate_nlo(scenario, p_sfg, clock),
-        clock_rate=clock,
-        crossover_ratio=crossover(p_sfg, scenario.channel_a.eta, scenario.channel_b.eta).ratio,
-    )

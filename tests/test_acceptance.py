@@ -31,7 +31,7 @@ from entswap.oracle import (
     mc_fidelity_lo,
     random_scenarios,
 )
-from entswap.photon_stats import SourceParams, SwapScenario, epsilon_from_p
+from entswap.photon_stats import SwapScenario, epsilon_from_p
 from entswap.presets import get_preset
 from entswap.rates import crossover, rate_lo, rate_nlo
 from entswap.sfg_device import eta_sfg_cavity, p_sfg_cavity, p_sfg_from_eta, p_sfg_waveguide
@@ -109,16 +109,13 @@ def test_02_oracle_equivalence():
 
 def test_03_heralded_fidelity_is_loss_independent():
     def body():
-        sources = (SourceParams(0.22), SourceParams(0.31))
-        expected = fidelity_nlo(*sources)
+        expected = fidelity_nlo(SwapScenario(0.22, 0.31, 1.0, 1.0))
         cfg = OracleConfig(n_max=200)
         rng = np.random.default_rng(3003)
         values = []
         for _ in range(100):
             ha, hb = rng.uniform(0.01, 1.0, 2)
-            scen = SwapScenario(
-                sources[0], sources[1], *_channels(float(ha), float(hb))
-            )
+            scen = SwapScenario(0.22, 0.31, float(ha), float(hb))
             values.append(exact_fidelity_nlo(scen, 1e-3, cfg).value)
         assert max(values) - min(values) <= ENDPOINT_TOL
         assert all(abs(v - expected) <= ENDPOINT_TOL for v in values)
@@ -126,10 +123,10 @@ def test_03_heralded_fidelity_is_loss_independent():
     criterion(3, "up-conversion-heralded fidelity ignores channel losses", body)
 
 
-def _channels(eta_a, eta_b):
-    from entswap.photon_stats import ChannelParams
-
-    return ChannelParams(eta_a), ChannelParams(eta_b)
+def _equal_sources(p):
+    """Two sources at pair probability p behind lossless channels."""
+    eps = epsilon_from_p(p)
+    return SwapScenario(eps, eps, 1.0, 1.0)
 
 
 def _fig2_rows():
@@ -157,8 +154,7 @@ def test_04a_sweep_preset_reproduces_the_curves():
 
         # Weak-pumping limits of the analytic curves.
         tiny = 1e-13
-        src = SourceParams.from_p(tiny)
-        assert abs(fidelity_nlo(src, src) - 1.0) <= ENDPOINT_TOL
+        assert abs(fidelity_nlo(_equal_sources(tiny)) - 1.0) <= ENDPOINT_TOL
         from entswap.lo_bsm import fidelity_balanced_smalleta, fidelity_unbalanced_limit
 
         assert abs(fidelity_balanced_smalleta(tiny) - ONE_THIRD) <= ENDPOINT_TOL
@@ -174,8 +170,7 @@ def test_04a_sweep_preset_reproduces_the_curves():
 
         # Each row matches its analytic value.
         for row in rows:
-            src = SourceParams.from_p(row[0])
-            assert row[1] == pytest.approx(fidelity_nlo(src, src), rel=1e-12)
+            assert row[1] == pytest.approx(fidelity_nlo(_equal_sources(row[0])), rel=1e-12)
             assert row[2] == pytest.approx(fidelity_balanced_smalleta(row[0]), rel=1e-12)
             assert row[3] == pytest.approx(fidelity_unbalanced_limit(row[0]), rel=1e-12)
 
@@ -198,8 +193,7 @@ def test_04b_heralded_curve_strictly_above_both_lossy_curves():
         # The crossing, pinned through the library's inverses and curves.
         assert abs(p_for_target_fidelity(1.0 / 9.0) - p_cross) <= ENDPOINT_TOL
         assert abs(p_for_unbalanced_limit(1.0 / 9.0) - p_cross) <= ENDPOINT_TOL
-        src = SourceParams.from_p(p_cross)
-        assert abs(fidelity_nlo(src, src) - 1.0 / 9.0) <= ENDPOINT_TOL
+        assert abs(fidelity_nlo(_equal_sources(p_cross)) - 1.0 / 9.0) <= ENDPOINT_TOL
         assert abs(fidelity_unbalanced_limit(p_cross) - 1.0 / 9.0) <= ENDPOINT_TOL
 
         _, rows = _fig2_rows()

@@ -10,7 +10,7 @@ from entswap.sweep import SweepSpec, run_sweep
 from entswap.lo_bsm import fidelity_balanced_smalleta
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import OracleConfig, verification_report
-from entswap.photon_stats import SourceParams, SwapScenario
+from entswap.photon_stats import SwapScenario, epsilon_from_p
 
 
 # Scenarios in which an nlo exact-sum row differs from the closed form by more
@@ -69,14 +69,14 @@ class TestRunSweep:
         assert columns == ["p", "f_nlo", "f_lo_balanced_smalleta"]
         for row in rows:
             p = row[0]
-            src = SourceParams.from_p(p)
-            assert row[1] == pytest.approx(fidelity_nlo(src, src), rel=1e-12)
+            eps = epsilon_from_p(p)
+            expected = fidelity_nlo(SwapScenario(eps, eps, 1.0, 1.0))
+            assert row[1] == pytest.approx(expected, rel=1e-12)
             assert row[2] == pytest.approx(fidelity_balanced_smalleta(p), rel=1e-12)
 
     def test_eta_sweep_holds_sources_fixed(self):
         from entswap.config import parse_config_text
         from entswap.lo_bsm import fidelity_general
-        from entswap.photon_stats import SwapScenario, epsilon_from_p
 
         fixed = parse_config_text("p_a = 0.04\np_b = 0.04\neta_b = 0.5")
         spec = SweepSpec("eta_a", 0.1, 1.0, 10, "linear", fixed, ("f_lo_general",))
@@ -140,6 +140,16 @@ class TestFidelitySweepCommand:
         assert code == EXIT_USAGE
         assert "start < stop" in err
 
+    @pytest.mark.parametrize("variable", ["p", "epsilon", "eta_b"])
+    def test_preset_key_of_the_swept_variable_is_not_refused(self, capsys, variable):
+        # The satellite preset gives p_a, p_b and eta_b, which the swept grid replaces.
+        code, out, _ = run_cli(
+            capsys, "fidelity-sweep", "--preset", "satellite", "--variable", variable,
+            "--start", "0.01", "--stop", "0.2", "--points", "3",
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 4
+
     def test_missing_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "fidelity-sweep")
         assert code == EXIT_USAGE
@@ -184,6 +194,19 @@ class TestDeviceCommand:
         assert code == EXIT_USAGE
         assert "lambda_a" in err
 
+    def test_every_key_the_builders_read_is_accepted(self, tmp_path, capsys):
+        # The alternative keys (g_shg, freq_x, qe_x, eta_shg) next to a quoted p_sfg.
+        cfg = tmp_path / "device.cfg"
+        cfg.write_text(
+            "g_shg = 10 MHz\nfreq_a = 193 THz\nfreq_b = 193 THz\nfreq_c = 386 THz\n"
+            "q_a = 4e5\nq_b = 4e5\nq_c = 1e5\nqe_a = 8e5\nqe_b = 8e5\nqe_c = 2e5\n"
+            "eta_shg = 1000 %/W/cm^2\naccept = 6 GHz*cm\nlength = 1 cm\nlambda = 1550 nm\n"
+            "p_sfg = 1e-4\n"
+        )
+        code, out, err = run_cli(capsys, "device", "--config", str(cfg), "--format", "json")
+        assert code == EXIT_OK, err
+        assert {"cavity", "waveguide"} <= set(json.loads(out))
+
     def test_needs_some_parameters(self, capsys):
         code, _, err = run_cli(capsys, "device")
         assert code == EXIT_USAGE
@@ -200,6 +223,13 @@ class TestRateCompareCommand:
         assert payload["nlo_wins"] is True
         assert payload["rate_nlo"] / payload["rate_lo"] == pytest.approx(100.0, rel=1e-12)
         assert payload["matched_fidelity"]["p_nlo"] == pytest.approx(0.1825, abs=5e-4)
+
+    @pytest.mark.parametrize("fmt, reference", [("text", "txt"), ("json", "json")])
+    def test_satellite_matches_reference_file(self, capsys, fmt, reference):
+        code, out, _ = run_cli(capsys, "rate-compare", "--preset", "satellite", "--format", fmt)
+        assert code == EXIT_OK
+        path = Path(__file__).parent / "data" / f"rate_compare_satellite.{reference}"
+        assert out.encode() == path.read_bytes()
 
     def test_p_sfg_flag_overrides_preset(self, capsys):
         code, out, _ = run_cli(
@@ -417,6 +447,40 @@ class TestRejectedInputs:
                 ("verify", "--seed", "-1", "--method", "mc"), None, "seed must be >= 0",
                 id="verify-seed-neg-mc",
             ),
+            pytest.param(
+                ("rate-compare", "--preset", "satellite"), "eta_bb = 0.001\n",
+                "unknown key 'eta_bb'", id="rate-unknown-key",
+            ),
+            pytest.param(
+                SWEEP_ETA_B, "p_a = 0.01\np_b = 0.01\netaa = 0.5\n", "unknown key 'etaa'",
+                id="sweep-unknown-key",
+            ),
+            pytest.param(
+                ("verify",), "samples = 10\nn_max = 5\n", "unknown keys 'n_max', 'samples'",
+                id="verify-unknown-keys",
+            ),
+            pytest.param(
+                ("verify", "--preset", "satellite"), None, "unknown keys 'clock', 'eta_a'",
+                id="verify-link-preset",
+            ),
+            pytest.param(("device",), "p_sfg = 1e-3\nq_d = 5\n", "unknown key 'q_d'",
+                         id="device-unknown-key"),
+            pytest.param(
+                ("device", "--preset", "satellite"), None, "unknown keys 'clock', 'eta_a'",
+                id="device-link-preset",
+            ),
+            pytest.param(
+                (*SWEEP_P, "--points", "1e13"), None, "need points <= 100000, got 10000000000000",
+                id="points-1e13",
+            ),
+            pytest.param(
+                (*SWEEP_P, "--points", "100001"), None, "need points <= 100000, got 100001",
+                id="points-above-limit",
+            ),
+            pytest.param(("fock-check",), "p_sfg = 1e-3\n", "unrecognized arguments: --config",
+                         id="fock-check-config"),
+            pytest.param(("fock-check", "--preset", "satellite"), None,
+                         "unrecognized arguments: --preset", id="fock-check-preset"),
         ],
     )
     def test_usage_error_without_output(self, tmp_path, capsys, argv, config, message):
@@ -429,6 +493,13 @@ class TestRejectedInputs:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_file(self, tmp_path, capsys, name):
+        code, out, err = run_cli(capsys, "rate-compare", "--config", str(tmp_path / name))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot read config file")
 
 
 class TestOutputFile:

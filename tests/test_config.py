@@ -105,15 +105,15 @@ class TestConversions:
 class TestScenarioBuilder:
     def test_from_epsilons(self):
         scen = build_scenario(parse_config_text("eps_a = 0.2\neps_b = 0.1\neta_a = 0.5"))
-        assert scen.source_a.epsilon == 0.2
-        assert scen.source_b.epsilon == 0.1
-        assert scen.channel_a.eta == 0.5
-        assert scen.channel_b.eta == 1.0
+        assert scen.eps_a == 0.2
+        assert scen.eps_b == 0.1
+        assert scen.eta_a == 0.5
+        assert scen.eta_b == 1.0
 
     def test_from_pair_probabilities(self):
         scen = build_scenario(parse_config_text("p_a = 0.09\np_b = 0.25"))
-        assert scen.source_a.epsilon == pytest.approx(0.1, abs=1e-12)
-        assert scen.source_b.epsilon == pytest.approx(0.5, abs=1e-12)
+        assert scen.eps_a == pytest.approx(0.1, abs=1e-12)
+        assert scen.eps_b == pytest.approx(0.5, abs=1e-12)
 
     def test_conflicting_source_keys(self):
         with pytest.raises(ConfigError, match="eps_a"):

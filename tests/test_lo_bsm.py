@@ -19,7 +19,13 @@ from entswap.lo_bsm import (
     p_herald_lo,
 )
 from entswap.oracle import OracleConfig, exact_fidelity_lo
-from entswap.photon_stats import SwapScenario, epsilon_from_p, p_one_arrival, p_zero_arrivals
+from entswap.photon_stats import (
+    SwapScenario,
+    epsilon_from_p,
+    p_from_epsilon,
+    p_one_arrival,
+    p_zero_arrivals,
+)
 
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
@@ -282,7 +288,7 @@ class TestLeadingOrderConsistency:
         for scale in (1e-3, 1e-4, 1e-5):
             eps_a, eps_b = 2.0 * scale, 1.0 * scale
             scen = scenario(eps_a, eps_b, eta, 1.0)
-            p_a, p_b = scen.source_a.p, scen.source_b.p
+            p_a, p_b = p_from_epsilon(scen.eps_a), p_from_epsilon(scen.eps_b)
             general = fidelity_general(scen).fidelity
             leading = fidelity_leading_order_lossy(p_b, p_a, eta)
             assert general == pytest.approx(leading, rel=30 * scale)

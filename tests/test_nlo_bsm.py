@@ -12,11 +12,17 @@ from entswap.nlo_bsm import (
     p_total_sfg,
 )
 from entswap.oracle import _arrival_table, _arrival_tables, _nlo_herald
-from entswap.photon_stats import SourceParams, SwapScenario
+from entswap.photon_stats import SwapScenario, epsilon_from_p
 
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
     return SwapScenario.from_values(eps_a, eps_b, eta_a, eta_b)
+
+
+def equal_sources(p):
+    """Two sources at pair probability p behind lossless channels."""
+    eps = epsilon_from_p(p)
+    return SwapScenario(eps, eps, 1.0, 1.0)
 
 
 def summed_total_herald(scen, p_sfg, n_max=30):
@@ -34,8 +40,8 @@ def herald_pmf(scen, p_sfg, k, n, l, m):
     """Probability that the (k|n, l|m) arrival pattern occurs and heralds,
     from the exact-sum oracle's per-side tables and herald matrix."""
     n_max = max(n, m)
-    w_a, pmf_a = _arrival_table(scen.source_a.epsilon, scen.channel_a.eta, n_max)
-    w_b, pmf_b = _arrival_table(scen.source_b.epsilon, scen.channel_b.eta, n_max)
+    w_a, pmf_a = _arrival_table(scen.eps_a, scen.eta_a, n_max)
+    w_b, pmf_b = _arrival_table(scen.eps_b, scen.eta_b, n_max)
     return w_a[n] * pmf_a[n, k] * w_b[m] * pmf_b[m, l] * _nlo_herald(n_max)[k, l] * p_sfg
 
 
@@ -104,31 +110,29 @@ class TestTotalHerald:
 
 class TestFidelity:
     def test_weak_pumping_limit(self):
-        value = fidelity_nlo(SourceParams(1e-8), SourceParams(1e-8))
+        value = fidelity_nlo(scenario(1e-8, 1e-8, 1.0, 1.0))
         assert value == pytest.approx(1.0, abs=5e-8)
 
     def test_equal_sources_at_p02(self):
-        src = SourceParams.from_p(0.2)
+        scen = equal_sources(0.2)
         q = (1 + (1 - 0.8) ** 0.5) / 2
-        assert fidelity_nlo(src, src) == pytest.approx(q**4, rel=1e-12)
-        assert fidelity_nlo(src, src) == pytest.approx(0.2742, abs=5e-5)
+        assert fidelity_nlo(scen) == pytest.approx(q**4, rel=1e-12)
+        assert fidelity_nlo(scen) == pytest.approx(0.2742, abs=5e-5)
 
     def test_one_third_crossing(self):
         p = p_for_target_fidelity(1.0 / 3.0)
-        src = SourceParams.from_p(p)
-        assert fidelity_nlo(src, src) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert fidelity_nlo(equal_sources(p)) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_silent_source_is_undefined(self):
         with pytest.raises(UndefinedFidelityError):
-            fidelity_nlo(SourceParams(0.0), SourceParams(0.2))
+            fidelity_nlo(scenario(0.0, 0.2, 1.0, 1.0))
 
     def test_loss_independent_by_construction(self):
-        src_a, src_b = SourceParams(0.25), SourceParams(0.15)
         rng = np.random.default_rng(13)
         reference = None
         for _ in range(50):
             ha, hb = rng.uniform(0.01, 1.0, 2)
-            scen = SwapScenario(src_a, src_b, *_channels(float(ha), float(hb)))
+            scen = scenario(0.25, 0.15, float(ha), float(hb))
             report = fidelity_report(scen, 1e-3)
             assert report.fidelity == pytest.approx(
                 report.p_faithful / report.p_herald, rel=1e-12
@@ -139,16 +143,9 @@ class TestFidelity:
 
     def test_always_thrice_the_balanced_strong_loss_curve(self):
         for p in np.linspace(0.001, 0.25, 40):
-            src = SourceParams.from_p(float(p))
-            assert fidelity_nlo(src, src) == pytest.approx(
+            assert fidelity_nlo(equal_sources(float(p))) == pytest.approx(
                 3.0 * fidelity_balanced_smalleta(float(p)), rel=1e-12
             )
-
-
-def _channels(eta_a, eta_b):
-    from entswap.photon_stats import ChannelParams
-
-    return ChannelParams(eta_a), ChannelParams(eta_b)
 
 
 class TestTargetInversion:
@@ -181,9 +178,7 @@ class TestReport:
         report = fidelity_report(scen, 1e-3)
         assert report.p_sfg == 1e-3
         assert report.p_faithful <= report.p_herald
-        assert report.fidelity == pytest.approx(
-            fidelity_nlo(scen.source_a, scen.source_b), rel=1e-15
-        )
+        assert report.fidelity == pytest.approx(fidelity_nlo(scen), rel=1e-15)
 
     def test_zero_herald_is_undefined(self):
         with pytest.raises(UndefinedFidelityError):

@@ -25,7 +25,7 @@ from entswap.oracle import (
     random_scenarios,
     verification_report,
 )
-from entswap.photon_stats import SourceParams, SwapScenario
+from entswap.photon_stats import SwapScenario
 
 EXACT = OracleConfig(n_max=200)
 
@@ -179,9 +179,7 @@ class TestExactSumNlo:
             scen = scenario(0.2764, 0.2764, float(ha), float(hb))
             values.append(exact_fidelity_nlo(scen, 1e-3, EXACT).value)
         assert max(values) - min(values) <= 1e-12
-        assert values[0] == pytest.approx(
-            fidelity_nlo(src.source_a, src.source_b), abs=1e-12
-        )
+        assert values[0] == pytest.approx(fidelity_nlo(src), abs=1e-12)
         assert values[0] == pytest.approx(0.2742, abs=5e-5)
 
     def test_device_probability_cancels_exactly(self):
@@ -241,14 +239,14 @@ class TestMonteCarloNlo:
         scen = scenario(0.2, 0.2, 0.9, 0.1)
         cfg = OracleConfig(samples=2_000_000, seed=77)
         estimate = mc_fidelity_nlo(scen, 1e-2, cfg)
-        closed = fidelity_nlo(scen.source_a, scen.source_b)
+        closed = fidelity_nlo(scen)
         assert estimate.std_error > 0.0
         assert abs(estimate.value - closed) <= 5 * estimate.std_error
 
     def test_agreement_across_channel_pairs(self):
         # The sampled estimate must track the same loss-free value whatever
         # the channels are doing.
-        closed = fidelity_nlo(SourceParams(0.25), SourceParams(0.25))
+        closed = fidelity_nlo(scenario(0.25, 0.25, 1.0, 1.0))
         for seed, (ha, hb) in enumerate(((1.0, 1.0), (0.9, 0.2), (0.3, 0.6))):
             scen = scenario(0.25, 0.25, ha, hb)
             cfg = OracleConfig(samples=2_000_000, seed=500 + seed)

@@ -6,8 +6,6 @@ from scipy import stats
 
 from entswap.errors import DomainError
 from entswap.photon_stats import (
-    ChannelParams,
-    SourceParams,
     SwapScenario,
     check_clock,
     check_epsilon,
@@ -30,15 +28,14 @@ def joint_arrival_pmf(scen, k, n, l, m):
     """P(k|n, l|m): source A emits n pairs of which k photons arrive, and B
     emits m of which l arrive, from the exact-sum oracle's per-side tables."""
     n_max = max(n, m)
-    w_a, pmf_a = _arrival_table(scen.source_a.epsilon, scen.channel_a.eta, n_max)
-    w_b, pmf_b = _arrival_table(scen.source_b.epsilon, scen.channel_b.eta, n_max)
+    w_a, pmf_a = _arrival_table(scen.eps_a, scen.eta_a, n_max)
+    w_b, pmf_b = _arrival_table(scen.eps_b, scen.eta_b, n_max)
     return w_a[n] * pmf_a[n, k] * w_b[m] * pmf_b[m, l]
 
 
 def summed_zero_arrivals(scen, n_max=200):
     """Independent oracle: accumulate P(0|n, 0|m) term by term."""
-    ea, eb = scen.source_a.epsilon, scen.source_b.epsilon
-    ha, hb = scen.channel_a.eta, scen.channel_b.eta
+    ea, eb, ha, hb = scen.eps_a, scen.eps_b, scen.eta_a, scen.eta_b
     total = 0.0
     for n in range(n_max + 1):
         for m in range(n_max + 1):
@@ -50,8 +47,7 @@ def summed_zero_arrivals(scen, n_max=200):
 
 def summed_one_arrival(scen, n_max=200):
     """Independent oracle: accumulate the two exactly-one-arrival branches."""
-    ea, eb = scen.source_a.epsilon, scen.source_b.epsilon
-    ha, hb = scen.channel_a.eta, scen.channel_b.eta
+    ea, eb, ha, hb = scen.eps_a, scen.eps_b, scen.eta_a, scen.eta_b
     total = 0.0
     for n in range(1, n_max + 1):
         for m in range(n_max + 1):
@@ -68,32 +64,20 @@ def summed_one_arrival(scen, n_max=200):
     return total
 
 
-class TestSourceParams:
+class TestSwapScenario:
     def test_epsilon_bounds(self):
-        SourceParams(0.0)
-        SourceParams(0.999)
-        with pytest.raises(DomainError):
-            SourceParams(1.0)
-        with pytest.raises(DomainError):
-            SourceParams(-0.1)
+        SwapScenario(0.0, 0.999, 0.5, 0.5)
+        with pytest.raises(DomainError, match=r"^eps_a must be in \[0, 1\), got 1.0$"):
+            SwapScenario(1.0, 0.1, 0.5, 0.5)
+        with pytest.raises(DomainError, match=r"^eps_b must be in \[0, 1\), got -0.1$"):
+            SwapScenario(0.1, -0.1, 0.5, 0.5)
 
-    def test_pair_probability_view(self):
-        assert SourceParams(0.5).p == 0.25
-        assert SourceParams(0.1).p == pytest.approx(0.09, abs=1e-15)
-
-    def test_from_p_round_trip(self):
-        src = SourceParams.from_p(0.2)
-        assert src.p == pytest.approx(0.2, abs=1e-12)
-
-
-class TestChannelParams:
     def test_eta_bounds(self):
-        ChannelParams(0.0)
-        ChannelParams(1.0)
-        with pytest.raises(DomainError):
-            ChannelParams(1.5)
-        with pytest.raises(DomainError):
-            ChannelParams(-0.2)
+        SwapScenario(0.1, 0.1, 0.0, 1.0)
+        with pytest.raises(DomainError, match=r"^eta_a must be in \[0, 1\], got 1.5$"):
+            SwapScenario(0.1, 0.1, 1.5, 0.5)
+        with pytest.raises(DomainError, match=r"^eta_b must be in \[0, 1\], got -0.2$"):
+            SwapScenario(0.1, 0.1, 0.5, -0.2)
 
 
 class TestPairNumberPmf:
@@ -222,8 +206,8 @@ class TestJointArrivalPmf:
 
     def test_marginal_recovers_emission_pmf(self):
         scen = scenario(0.3, 0.15, 0.45, 0.8)
-        w_a, pmf_a = _arrival_table(scen.source_a.epsilon, scen.channel_a.eta, 20)
-        w_b, pmf_b = _arrival_table(scen.source_b.epsilon, scen.channel_b.eta, 80)
+        w_a, pmf_a = _arrival_table(scen.eps_a, scen.eta_a, 20)
+        w_b, pmf_b = _arrival_table(scen.eps_b, scen.eta_b, 80)
         other_side = (w_b @ pmf_b).sum()
         for n in range(21):
             marginal = w_a[n] * pmf_a[n].sum() * other_side

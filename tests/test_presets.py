@@ -59,8 +59,8 @@ class TestSatellitePreset:
     def test_strong_asymmetry(self):
         params = get_preset("satellite").params
         scen = build_scenario(params)
-        assert scen.channel_a.eta == 1.0
-        assert scen.channel_b.eta == 1e-5
+        assert scen.eta_a == 1.0
+        assert scen.eta_b == 1e-5
         assert get_dimensionless(params, "p_sfg") == 1e-3
 
     def test_evaluates_without_warnings(self):

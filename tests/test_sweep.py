@@ -11,7 +11,7 @@ from entswap.lo_bsm import (
     fidelity_unbalanced_limit,
 )
 from entswap.nlo_bsm import fidelity_nlo
-from entswap.photon_stats import epsilon_from_p
+from entswap.photon_stats import epsilon_from_p, p_from_epsilon
 from entswap.rates import rate_lo, rate_nlo
 from entswap.sweep import SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec, run_sweep
 
@@ -36,12 +36,12 @@ def _scalar_point(variable, x):
         link = resolve_link(FIXED, {"eps_a": eps, "eps_b": eps})
     else:
         link = resolve_link(FIXED, {variable: x})
-    s = link.scenario()
+    s = link.scenario
     return {
         "f_lo_general": fidelity_general(s).fidelity,
-        "f_lo_balanced_smalleta": fidelity_balanced_smalleta(s.source_b.p),
-        "f_lo_unbalanced": fidelity_unbalanced_limit(s.source_b.p),
-        "f_nlo": fidelity_nlo(s.source_a, s.source_b),
+        "f_lo_balanced_smalleta": fidelity_balanced_smalleta(p_from_epsilon(s.eps_b)),
+        "f_lo_unbalanced": fidelity_unbalanced_limit(p_from_epsilon(s.eps_b)),
+        "f_nlo": fidelity_nlo(s),
         "r_lo": rate_lo(s, link.clock),
         "r_nlo": rate_nlo(s, link.p_sfg, link.clock),
         "lo_bound": ONE_THIRD,
@@ -64,5 +64,5 @@ def test_grid_equals_scalar_calls_bit_for_bit(variable):
 def test_swept_value_outside_domain_names_first_failing_point():
     # Grid 0.25, 0.5, ..., 1.5: 1.25 is the first transmission above 1.
     spec = SweepSpec("eta_b", 0.25, 1.5, 6, "linear", FIXED, ("f_lo_general",))
-    with pytest.raises(DomainError, match=r"^eta must be in \[0, 1\], got 1.25$"):
+    with pytest.raises(DomainError, match=r"^eta_b must be in \[0, 1\], got 1.25$"):
         run_sweep(spec)
