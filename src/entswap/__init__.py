@@ -56,7 +56,6 @@ from .sfg_device import (
 from .rates import CrossoverResult, crossover, rate_lo, rate_nlo
 from .fock_sim import (
     BellOutcome,
-    StateVector,
     bell_fidelity,
     bell_state,
     dfg_spurious_amplitude,

@@ -139,7 +139,7 @@ def cmd_device(args: argparse.Namespace) -> int:
         if "eta_sfg" in entries or "eta_shg" in entries:
             waveguide = build_waveguide(entries)
             report["waveguide"] = {"p_sfg": sfg_device.p_sfg_waveguide(waveguide)}
-        if "p_sfg" in entries and "cavity" not in report and "waveguide" not in report:
+        if "p_sfg" in entries:
             p_sfg = get_dimensionless(entries, "p_sfg")
             check_probability(p_sfg, "p_sfg")
             report["quoted"] = {"p_sfg": p_sfg}

@@ -9,12 +9,13 @@ Two state spaces live here:
   heralding measurement on photons 2 and 3 is applied as a projection,
   used to verify the swapped Bell states for one and two nonlinear elements.
 
-A tri-mode state is a complex array of shape ``(cutoff+1,)*3`` indexed
-``state[n_a, n_b, n_c]``; it carries no labels.  Time-bin states carry basis
-labels, single whitespace-free tokens, so they can be dumped as ``label re im``
-lines, byte-comparable across runs: four-photon kets are strings like
-``"eell"`` (photons 1..4, e before l), and the up-converted photon modes are
-``e_S1, l_S1, e_S2, l_S2`` for the first and second nonlinear element.
+Every state is a plain complex array.  A tri-mode state has shape
+``(cutoff+1,)*3`` and is indexed ``state[n_a, n_b, n_c]``.  An n-photon
+time-bin state has shape ``(2,)*n`` and is indexed by each photon's bin
+(e = 0, l = 1); ``dump_state`` names each ket from its bins (``"eell"`` for
+photons 1..4) in byte-comparable ``label re im`` lines.  The up-converted
+photon modes are ``e_S1, l_S1, e_S2, l_S2`` for the first and second
+nonlinear element.
 
 ``run_fock_checks`` is the invariant suite over both spaces (the
 ``fock-check`` subcommand), one pass/fail row per check.
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from numbers import Integral
 
 import numpy as np
@@ -33,10 +33,6 @@ from .errors import DomainError, EntswapError, InputError, TruncationError
 
 _SQRT_HALF = 2.0**-0.5
 
-TWO_PHOTON_BASIS: tuple[str, ...] = ("ee", "el", "le", "ll")
-TIME_BIN_BASIS: tuple[str, ...] = tuple(
-    "".join(bins) for bins in product("el", repeat=4)
-)
 SIGMA_MODES: tuple[str, ...] = ("e_S1", "l_S1", "e_S2", "l_S2")
 BELL_LABELS: tuple[str, ...] = ("phi+", "phi-", "psi+", "psi-")
 
@@ -47,51 +43,20 @@ _BINS_OF_SIGMA = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes over an ordered, uniquely labeled basis."""
-
-    amplitudes: np.ndarray
-    basis: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or len(amps) != len(self.basis):
-            raise InputError(
-                f"amplitude vector of length {amps.shape} does not match basis of "
-                f"size {len(self.basis)}"
-            )
-        if len(set(self.basis)) != len(self.basis):
-            raise InputError("basis labels must be unique")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def dump(self) -> str:
-        """One line per ket, ``label re im``, in basis order."""
-        lines = [
-            f"{label} {amp.real:.17e} {amp.imag:.17e}"
-            for label, amp in zip(self.basis, self.amplitudes)
-        ]
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
 class BellOutcome:
     """One resolvable herald outcome of the swapping measurement.
 
     ``label`` names the Bell state of photons 1 and 4 the conditioned state
     matches best, ``projector`` the measured superposition of up-converted
     modes, ``probability`` the unconditional outcome probability, and
-    ``conditioned_state`` the renormalized two-photon state (None when the
-    outcome has zero probability).
+    ``conditioned_state`` the renormalized two-photon state as a (2, 2) array.
+    An outcome of zero probability has no label and no state (both None).
     """
 
-    label: str
+    label: str | None
     projector: str
     probability: float
-    conditioned_state: StateVector | None
+    conditioned_state: np.ndarray | None
 
 
 def tri_mode_state(n_a: int, n_b: int, n_c: int, cutoff: int) -> np.ndarray:
@@ -106,6 +71,43 @@ def tri_mode_state(n_a: int, n_b: int, n_c: int, cutoff: int) -> np.ndarray:
     state = np.zeros((cutoff + 1,) * 3, dtype=complex)
     state[occupations] = 1.0
     return state
+
+
+def _check_gt(gt: float) -> None:
+    if not 0.0 <= gt < math.inf:
+        raise DomainError(f"gt must be finite and >= 0, got {gt}")
+
+
+def _chain_propagator(a_total: int, b_total: int, gt: float):
+    """The chain kets (A - j, B - j, j), j = 0..min(A, B), as an index tuple, the
+    eigenvectors ``v`` of its block and the phases exp(-i gt w), so that the
+    propagator on the chain is v diag(phases) v^T.
+
+    The generator a b c+ + a+ b+ c conserves A = n_a + n_c and B = n_b + n_c; on
+    one chain it is the real symmetric tridiagonal block with off-diagonal
+    sqrt((A - j)(B - j)(j + 1)).
+    """
+    j = np.arange(min(a_total, b_total) + 1)
+    lower = j[:-1]
+    coupling = np.sqrt((a_total - lower) * (b_total - lower) * (lower + 1.0))
+    w, v = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+    return (a_total - j, b_total - j, j), v, np.exp(-1j * gt * w)
+
+
+def _chain_amplitude(start: tuple, target: tuple, gt: float) -> complex:
+    """<target| exp(-i gt (a b c+ + a+ b+ c)) |start> for two kets (n_a, n_b, n_c)
+    of one chain, from that chain's block alone.
+
+    The start ket is evolved along the whole chain with sfg_evolve's arithmetic,
+    so the two agree bit for bit; at gt = 0 the amplitude is exactly 1 or 0, as
+    sfg_evolve returns its input then.
+    """
+    _check_gt(gt)
+    if gt == 0.0:
+        return complex(start == target)
+    n_a, n_b, n_c = start
+    _, v, phases = _chain_propagator(n_a + n_c, n_b + n_c, gt)
+    return complex((v @ (phases * v[n_c]))[target[2]])
 
 
 def _occupied_chains(state: np.ndarray, cutoff: int) -> set[tuple[int, int]]:
@@ -125,16 +127,12 @@ def sfg_evolve(state: np.ndarray, gt: float, cutoff: int) -> np.ndarray:
     """Evolve a tri-mode state exactly under exp(-i gt (a b c+ + a+ b+ c)).
 
     ``state`` is indexed [n_a, n_b, n_c] with each mode in 0..cutoff; the
-    evolved state is returned as a new array of the same shape.  The generator
-    conserves A = n_a + n_c and B = n_b + n_c, so it splits into one real
-    symmetric tridiagonal block per chain |A - j, B - j, j>, j = 0..min(A, B),
-    with off-diagonal sqrt((A - j)(B - j)(j + 1)).  Each chain the state
-    occupies is evolved through the eigendecomposition of its own block; a
-    chain reaching past the cutoff raises TruncationError, so the truncated
-    evolution is exact whenever it returns.
+    evolved state is returned as a new array of the same shape.  Each chain
+    the state occupies is evolved through its own block's propagator
+    (``_chain_propagator``); a chain reaching past the cutoff raises
+    TruncationError, so the truncated evolution is exact whenever it returns.
     """
-    if not 0.0 <= gt < math.inf:
-        raise DomainError(f"gt must be finite and >= 0, got {gt}")
+    _check_gt(gt)
     state = np.array(state, dtype=complex)  # a copy, evolved in place
     if state.shape != (cutoff + 1,) * 3:
         raise InputError(
@@ -145,29 +143,22 @@ def sfg_evolve(state: np.ndarray, gt: float, cutoff: int) -> np.ndarray:
         return state
     before = np.linalg.norm(state)
     for a_total, b_total in chains:
-        j = np.arange(min(a_total, b_total) + 1)
-        chain = (a_total - j, b_total - j, j)
-        lower = j[:-1]
-        coupling = np.sqrt((a_total - lower) * (b_total - lower) * (lower + 1.0))
-        w, v = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
-        state[chain] = v @ (np.exp(-1j * gt * w) * (v.T @ state[chain]))
+        chain, v, phases = _chain_propagator(a_total, b_total, gt)
+        state[chain] = v @ (phases * (v.T @ state[chain]))
     after = np.linalg.norm(state)
     if not abs(after - before) <= 1e-9 * max(before, 1.0):
         raise EntswapError("unitarity lost during evolution; generator is inconsistent")
     return state
 
 
-def herald_amplitude(n_a: int, n_b: int, gt: float, cutoff: int | None = None) -> complex:
+def herald_amplitude(n_a: int, n_b: int, gt: float) -> complex:
     """Amplitude on |n_a-1, n_b-1, 1> after evolving |n_a, n_b, 0>.
 
     To leading order this is -i sqrt(p_sfg n_a n_b) with p_sfg = (gt)^2.
     """
-    if n_a < 1 or n_b < 1:
-        raise DomainError("need at least one photon in each input mode")
-    if cutoff is None:
-        cutoff = max(n_a, n_b) + 1
-    evolved = sfg_evolve(tri_mode_state(n_a, n_b, 0, cutoff), gt, cutoff)
-    return complex(evolved[n_a - 1, n_b - 1, 1])
+    if not all(isinstance(n, Integral) and n >= 1 for n in (n_a, n_b)):
+        raise DomainError(f"input occupations must be whole numbers >= 1, got {(n_a, n_b)}")
+    return _chain_amplitude((n_a, n_b, 0), (n_a - 1, n_b - 1, 1), gt)
 
 
 def dfg_spurious_amplitude(gt: float) -> tuple[complex, complex]:
@@ -180,19 +171,15 @@ def dfg_spurious_amplitude(gt: float) -> tuple[complex, complex]:
     herald with no input photon at all.  Both are first order in gt, which is
     why this direction cannot herald faithfully.
     """
-    cutoff = 2
-    dfg = sfg_evolve(tri_mode_state(1, 0, 1, cutoff), gt, cutoff)[2, 1, 0]
-    spdc = sfg_evolve(tri_mode_state(0, 0, 1, cutoff), gt, cutoff)[1, 1, 0]
-    return complex(dfg), complex(spdc)
+    return _chain_amplitude((1, 0, 1), (2, 1, 0), gt), _chain_amplitude((0, 0, 1), (1, 1, 0), gt)
 
 
 def _bell_vector(label: str) -> np.ndarray:
-    amps = np.zeros(4, dtype=complex)
+    # phi pairs equal bins, psi opposite ones; the sign is on photon 1's late bin.
+    amps = np.zeros((2, 2), dtype=complex)
+    flip = int(label.startswith("psi"))
     sign = 1.0 if label.endswith("+") else -1.0
-    if label.startswith("phi"):
-        amps[0], amps[3] = _SQRT_HALF, sign * _SQRT_HALF
-    else:
-        amps[1], amps[2] = _SQRT_HALF, sign * _SQRT_HALF
+    amps[0, flip], amps[1, 1 - flip] = _SQRT_HALF, sign * _SQRT_HALF
     amps.flags.writeable = False
     return amps
 
@@ -207,18 +194,32 @@ def _bell_amplitudes(label: str) -> np.ndarray:
     return _BELL_VECTORS[label]
 
 
-def bell_state(label: str) -> StateVector:
-    """Two-photon time-bin Bell state on the basis ('ee', 'el', 'le', 'll')."""
-    return StateVector(_bell_amplitudes(label).copy(), TWO_PHOTON_BASIS)
+def _time_bin_array(state: np.ndarray, photons: int, what: str) -> np.ndarray:
+    """``state`` as an array, which must have one axis of length 2 per photon."""
+    state = np.asarray(state)
+    if state.shape != (2,) * photons:
+        raise InputError(f"{what} must have shape {(2,) * photons}, got {state.shape}")
+    return state
 
 
-def product_state(pair_12: StateVector, pair_34: StateVector) -> StateVector:
-    """Four-photon state from two independent photon pairs."""
-    for pair in (pair_12, pair_34):
-        if pair.basis != TWO_PHOTON_BASIS:
-            raise InputError("pair states must live on the two-photon time-bin basis")
-    amps = np.kron(pair_12.amplitudes, pair_34.amplitudes)
-    return StateVector(amps, TIME_BIN_BASIS)
+def bell_state(label: str) -> np.ndarray:
+    """Two-photon time-bin Bell state as a writable (2, 2) array."""
+    return _bell_amplitudes(label).copy()
+
+
+def product_state(pair_12: np.ndarray, pair_34: np.ndarray) -> np.ndarray:
+    """Four-photon state from two independent photon pairs, indexed [b1, b2, b3, b4]."""
+    return np.multiply.outer(
+        _time_bin_array(pair_12, 2, "pair_12"), _time_bin_array(pair_34, 2, "pair_34")
+    )
+
+
+def dump_state(state: np.ndarray) -> str:
+    """One line per ket, ``label re im``, the label naming each photon's bin."""
+    return "\n".join(
+        f"{''.join('el'[b] for b in bins)} {amp.real:.17e} {amp.imag:.17e}"
+        for bins, amp in np.ndenumerate(_time_bin_array(state, np.ndim(state), "state"))
+    )
 
 
 def sfg_projection_vectors() -> dict[str, np.ndarray]:
@@ -233,17 +234,7 @@ def sfg_projection_vectors() -> dict[str, np.ndarray]:
     return vecs
 
 
-def _heralded_amplitudes(state: StateVector) -> np.ndarray:
-    """Map four-photon amplitudes to the (sigma mode, photon 1, photon 4) tensor.
-
-    Photons 2 and 3 are consumed by the nonlinear element(s); each sigma mode
-    takes the amplitudes whose photon-2 and photon-3 bins feed it.
-    """
-    bins = state.amplitudes.reshape(2, 2, 2, 2)
-    return np.stack([bins[:, b2, b3, :] for b2, b3 in _BINS_OF_SIGMA])
-
-
-def swap_condition_on_sfg(state: StateVector, elements: str = "one") -> list[BellOutcome]:
+def swap_condition_on_sfg(state: np.ndarray, elements: str = "one") -> list[BellOutcome]:
     """Herald outcomes of the swapping measurement on photons 2 and 3.
 
     ``elements`` selects one nonlinear element (equal-bin interaction only,
@@ -254,45 +245,33 @@ def swap_condition_on_sfg(state: StateVector, elements: str = "one") -> list[Bel
     """
     if elements not in ("one", "two"):
         raise InputError(f"elements must be 'one' or 'two', got {elements!r}")
-    if state.basis != TIME_BIN_BASIS:
-        raise InputError("input must live on the four-photon time-bin basis")
-    if abs(state.norm() - 1.0) > 1e-9:
+    state = _time_bin_array(state, 4, "input")
+    if not abs(np.linalg.norm(state) - 1.0) <= 1e-9:
         raise InputError("input state must be normalized")
-    pair_matrix = state.amplitudes.reshape(4, 4)
-    singular_values = np.linalg.svd(pair_matrix, compute_uv=False)
+    singular_values = np.linalg.svd(state.reshape(4, 4), compute_uv=False)
     if singular_values[1] > 1e-10:
         raise InputError("input is not a product of photon-(1,2) and photon-(3,4) states")
 
-    herald = _heralded_amplitudes(state)
+    # The (sigma mode, photon 1, photon 4) tensor: photons 2 and 3 are consumed by
+    # the nonlinear element(s), and each sigma mode takes the bins that feed it.
+    herald = np.stack([state[:, b2, b3, :] for b2, b3 in _BINS_OF_SIGMA])
     projectors = sfg_projection_vectors()
     wanted = ("S1+", "S1-") if elements == "one" else ("S1+", "S1-", "S2+", "S2-")
     outcomes = []
     for name in wanted:
-        vec = projectors[name]
-        component = np.tensordot(vec.conj(), herald, axes=(0, 0)).reshape(4)
+        component = np.tensordot(projectors[name].conj(), herald, axes=(0, 0))
         probability = float(np.vdot(component, component).real)
+        conditioned = label = None
         if probability > 0.0:
-            conditioned = StateVector(component / probability**0.5, TWO_PHOTON_BASIS)
+            conditioned = component / probability**0.5
             label = max(BELL_LABELS, key=lambda b: bell_fidelity(conditioned, b))
-        else:
-            conditioned = None
-            label = "phi+" if name.endswith("+") else "phi-"
-        outcomes.append(
-            BellOutcome(
-                label=label,
-                projector=name,
-                probability=probability,
-                conditioned_state=conditioned,
-            )
-        )
+        outcomes.append(BellOutcome(label, name, probability, conditioned))
     return outcomes
 
 
-def bell_fidelity(state: StateVector, target: str) -> float:
-    """Squared overlap of a two-photon state with a Bell state."""
-    if state.basis != TWO_PHOTON_BASIS:
-        raise InputError("state must live on the two-photon time-bin basis")
-    overlap = np.vdot(_bell_amplitudes(target), state.amplitudes)
+def bell_fidelity(state: np.ndarray, target: str) -> float:
+    """Squared overlap of a two-photon (2, 2) state with a Bell state."""
+    overlap = np.vdot(_bell_amplitudes(target), _time_bin_array(state, 2, "state"))
     return float(abs(overlap) ** 2)
 
 
@@ -313,7 +292,7 @@ def run_fock_checks() -> list[dict]:
         worst = 0.0
         for n_a in (1, 2, 3):
             for n_b in (1, 2, 3):
-                amp = herald_amplitude(n_a, n_b, gt, cutoff=7)
+                amp = herald_amplitude(n_a, n_b, gt)
                 target = -1j * gt * math.sqrt(n_a * n_b)
                 rel = abs(amp - target) / abs(target)
                 worst = max(worst, rel / (gt * gt * n_a * n_b))
@@ -374,5 +353,5 @@ def dump_reference_states() -> str:
     blocks = []
     for outcome in swap_condition_on_sfg(state, elements="two"):
         blocks.append(f"# projector {outcome.projector} -> {outcome.label}")
-        blocks.append(outcome.conditioned_state.dump())
+        blocks.append(dump_state(outcome.conditioned_state))
     return "\n".join(blocks) + "\n"

@@ -68,12 +68,18 @@ def p_total_sfg(scenario: SwapScenario, p_sfg: float) -> float:
     return p_sfg * ha * hb * (ea / (1.0 - ea)) * (eb / (1.0 - eb))
 
 
+def check_p_sfg_heralds(p_sfg) -> None:
+    """Refuse p_sfg = 0, at any grid point: nothing up-converts, so nothing heralds."""
+    if np.any(p_sfg == 0.0):
+        raise UndefinedFidelityError("p_sfg = 0 never heralds, so the fidelity is undefined")
+
+
 def fidelity_nlo(scenario: SwapScenario) -> float:
     """Channel-independent heralded fidelity (1 - eps_A)^2 (1 - eps_B)^2."""
     ea, eb = scenario.eps_a, scenario.eps_b
-    if np.any((ea == 0.0) | (eb == 0.0)):
+    if np.any((ea == 0.0) | (eb == 0.0) | (scenario.eta_a == 0.0) | (scenario.eta_b == 0.0)):
         raise UndefinedFidelityError(
-            "a source with eps = 0 never heralds, so the fidelity is undefined"
+            "eps = 0 or eta = 0 never heralds, so the fidelity is undefined"
         )
     ua, ub = 1.0 - ea, 1.0 - eb
     return (ua * ua) * (ub * ub)
@@ -85,13 +91,11 @@ def fidelity_report(scenario: SwapScenario, p_sfg: float) -> NloFidelityReport:
     The fidelity field is computed from the source efficiencies alone; the
     faithful/total herald probabilities it equals are reported alongside.
     """
-    p_herald = p_total_sfg(scenario, p_sfg)
-    if p_herald <= 0.0:
-        raise UndefinedFidelityError("total herald probability is zero")
+    check_p_sfg_heralds(p_sfg)
     return NloFidelityReport(
         fidelity=fidelity_nlo(scenario),
         p_faithful=p_faithful_sfg(scenario, p_sfg),
-        p_herald=p_herald,
+        p_herald=p_total_sfg(scenario, p_sfg),
         p_sfg=p_sfg,
     )
 

@@ -41,6 +41,12 @@ RNG_DESCRIPTION = (
 # Largest truncation the exact sums accept: each (n_max+1)^2 float table is
 # then about 32 MB, where an unchecked --n-max 100000 would ask for 80 GB.
 N_MAX_LIMIT = 2000
+# Most samples a Monte Carlo shard draws at once: at the limit an estimate peaks
+# at about 83 MB resident (131 MB with two workers), 29 MB of it the import.
+SHARD_SAMPLES_LIMIT = 1_000_000
+# Most shards, each a generator and a pool task: at the limit, one sample per
+# shard, an estimate peaks at about 35 MB resident (38 MB with two workers).
+SHARDS_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -64,12 +70,15 @@ class OracleConfig:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_max <= N_MAX_LIMIT:
             raise DomainError(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= self.shards <= SHARDS_LIMIT:
+            raise DomainError(f"shards must be in [1, {SHARDS_LIMIT}], got {self.shards}")
+        limit = SHARD_SAMPLES_LIMIT * self.shards
+        if not 1 <= self.samples <= limit:
+            raise DomainError(f"samples must be in [1, {limit}], got {self.samples}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.shards < 1 or self.workers < 1:
-            raise DomainError("shards and workers must be >= 1")
+        if self.workers < 1:
+            raise DomainError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -392,6 +401,7 @@ def verification_report(
         if ("lo", method) not in estimators:
             raise DomainError(f"method must be 'exact-sum' or 'monte-carlo', got {method!r}")
     check_probability(p_sfg, "p_sfg")
+    nlo_bsm.check_p_sfg_heralds(p_sfg)
 
     rows = []
     for scenario in scenarios:

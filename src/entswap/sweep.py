@@ -22,6 +22,12 @@ SWEEP_VARIABLES = ("p", "epsilon", "eta_a", "eta_b", "p_sfg")
 SPEC_KEYS = ("variable", "start", "stop", "points", "scale", "outputs")
 DEFAULT_OUTPUTS = ("f_nlo", "f_lo_balanced_smalleta", "f_lo_unbalanced", "lo_bound")
 
+
+def _f_nlo(link):
+    nlo_bsm.check_p_sfg_heralds(link.p_sfg)
+    return nlo_bsm.fidelity_nlo(link.scenario)
+
+
 # Each output column from the grid's link.
 COLUMNS = {
     "f_lo_general": lambda link: lo_bsm.fidelity_general(link.scenario).fidelity,
@@ -31,7 +37,7 @@ COLUMNS = {
     "f_lo_unbalanced": lambda link: lo_bsm.fidelity_unbalanced_limit(
         p_from_epsilon(link.scenario.eps_b)
     ),
-    "f_nlo": lambda link: nlo_bsm.fidelity_nlo(link.scenario),
+    "f_nlo": _f_nlo,
     "r_lo": lambda link: rates.rate_lo(link.scenario, link.clock),
     "r_nlo": lambda link: rates.rate_nlo(link.scenario, link.p_sfg, link.clock),
     "lo_bound": lambda link: lo_bsm.ONE_THIRD,

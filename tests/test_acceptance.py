@@ -282,7 +282,7 @@ def test_07_exact_simulator_invariants():
         for gt in (1e-3, 1e-2, 5e-2):
             for n_a in (1, 2, 3):
                 for n_b in (1, 2, 3):
-                    amp = herald_amplitude(n_a, n_b, gt, cutoff=7)
+                    amp = herald_amplitude(n_a, n_b, gt)
                     target = -1j * gt * math.sqrt(n_a * n_b)
                     assert abs(amp - target) <= (gt * gt * n_a * n_b) * abs(target)
 

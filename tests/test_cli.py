@@ -187,6 +187,17 @@ class TestDeviceCommand:
         assert code == EXIT_OK
         assert json.loads(out)["quoted"]["p_sfg"] == 1e-4
 
+    def test_quoted_p_sfg_beside_a_cavity_is_reported(self, tmp_path, capsys):
+        quoted = tmp_path / "quoted.cfg"
+        argv = ("device", "--preset", "ingap-ring", "--config", str(quoted))
+        quoted.write_text("p_sfg = 0.5\n")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert "cavity.p_sfg = 8.554054e-04" in out and "quoted.p_sfg = 5.000000e-01" in out
+        quoted.write_text("p_sfg = 2\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "") and "p_sfg must be in [0, 1]" in err
+
     def test_config_file_with_bad_unit_names_key(self, tmp_path, capsys):
         bad = tmp_path / "device.cfg"
         bad.write_text("g = 20 MHz\nlambda_a = 1550 W\nlambda_b = 1550 nm\nq_a = 1e5\nq_b = 1e5\nq_c = 1e5\n")
@@ -398,6 +409,9 @@ SWEEP_P_SFG = (
     "--stop", "5", "--points", "3", "--outputs", "f_nlo",
 )
 RATE = ("rate-compare", "--preset", "satellite", "--format", "json")
+EPS_ONLY = "eps_a = 0.1\neps_b = 0.1\n"
+
+SWEEP_FROM_0 = ("fidelity-sweep", "--start", "0", "--stop", "1", "--points", "3")
 EPS_AND_P = "eps_a = 0.1\np_a = 0.01\np_b = 0.01\n"
 P_NAN = "p_a = nan\np_b = 0.01\n"
 RING_NAN_G = (
@@ -431,6 +445,16 @@ class TestRejectedInputs:
             pytest.param((*RATE, "--delta", "0"), None, "below 1/3", id="rate-delta-0"),
             pytest.param((*RATE, "--delta", "1e-17"), None, "below 1/3", id="rate-delta-1e-17"),
             pytest.param(("verify", "--seed", "-1"), None, "seed must be >= 0", id="verify-seed-neg"),
+            pytest.param(("verify", "--method", "exact", "--p-sfg", "0"), None,
+                         "p_sfg = 0 never heralds", id="verify-p-sfg-0"),
+            pytest.param(("verify", "--shards", "1025"), None, "shards must be in [1, 1024]",
+                         id="verify-shards-above-limit"),
+            pytest.param(("verify", "--samples", "64000000001"), None, "samples must be in",
+                         id="verify-samples-above-limit"),
+            pytest.param((*SWEEP_FROM_0, "--variable", "eta_b"), EPS_ONLY, "eta = 0 never heralds",
+                         id="sweep-eta-b-0-f-nlo"),
+            pytest.param((*SWEEP_FROM_0, "--variable", "p_sfg"), EPS_ONLY, "p_sfg = 0 never heralds",
+                         id="sweep-p-sfg-0-f-nlo"),
             pytest.param(
                 ("verify",), "eps_min = 0.3\neps_max = 0.2\n", "eps_min must be <= eps_max",
                 id="verify-eps-range-reversed",

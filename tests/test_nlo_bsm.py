@@ -127,6 +127,15 @@ class TestFidelity:
         with pytest.raises(UndefinedFidelityError):
             fidelity_nlo(scenario(0.0, 0.2, 1.0, 1.0))
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_dark_channel_is_undefined(self, side):
+        eta = {"eta_a": 1.0, "eta_b": 1.0, f"eta_{side}": 0.0}
+        with pytest.raises(UndefinedFidelityError, match="eta = 0 never heralds"):
+            fidelity_nlo(scenario(0.1, 0.1, **eta))
+        eta[f"eta_{side}"] = np.array([0.5, 0.0])
+        with pytest.raises(UndefinedFidelityError, match="eta = 0 never heralds"):
+            fidelity_nlo(scenario(0.1, 0.1, **eta))
+
     def test_loss_independent_by_construction(self):
         rng = np.random.default_rng(13)
         reference = None

@@ -14,6 +14,8 @@ from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import (
     MAX_TOLERANCE,
     N_MAX_LIMIT,
+    SHARD_SAMPLES_LIMIT,
+    SHARDS_LIMIT,
     OracleConfig,
     _arrival_table,
     _lo_herald,
@@ -53,6 +55,23 @@ class TestConfig:
         with pytest.raises(DomainError, match="n_max"):
             OracleConfig(n_max=N_MAX_LIMIT + 1)
         assert OracleConfig(n_max=np.int64(10)).n_max == 10
+
+    def test_monte_carlo_work_is_capped(self):
+        # Only values above the limits are built, and a config allocates nothing.
+        with pytest.raises(DomainError, match=r"shards must be in \[1, 1024\]"):
+            OracleConfig(shards=SHARDS_LIMIT + 1)
+        with pytest.raises(DomainError, match="samples must be in"):
+            OracleConfig(samples=64 * SHARD_SAMPLES_LIMIT + 1)
+        with pytest.raises(DomainError, match="samples must be in"):
+            OracleConfig(samples=2 * SHARD_SAMPLES_LIMIT + 1, shards=2)
+        with pytest.raises(DomainError, match="samples must be in"):
+            OracleConfig(samples=10**18, shards=SHARDS_LIMIT)
+
+    def test_p_sfg_zero_is_refused(self):
+        # Nothing up-converts, so a passing nlo row would claim a fidelity that
+        # no herald defines.
+        with pytest.raises(UndefinedFidelityError, match="p_sfg = 0 never heralds"):
+            verification_report(PINNED, EXACT, p_sfg=0.0, methods=("exact-sum",))
 
     @pytest.mark.parametrize("method", ["exact-sum", "monte-carlo"])
     @pytest.mark.parametrize("bad", [10.5, True])

@@ -3,7 +3,7 @@
 import pytest
 
 from entswap.config import parse_config_text, resolve_link
-from entswap.errors import DomainError
+from entswap.errors import DomainError, UndefinedFidelityError
 from entswap.lo_bsm import (
     ONE_THIRD,
     fidelity_balanced_smalleta,
@@ -65,4 +65,12 @@ def test_swept_value_outside_domain_names_first_failing_point():
     # Grid 0.25, 0.5, ..., 1.5: 1.25 is the first transmission above 1.
     spec = SweepSpec("eta_b", 0.25, 1.5, 6, "linear", FIXED, ("f_lo_general",))
     with pytest.raises(DomainError, match=r"^eta_b must be in \[0, 1\], got 1.25$"):
+        run_sweep(spec)
+
+
+def test_only_f_nlo_refuses_p_sfg_zero():
+    spec = SweepSpec("p_sfg", 0.0, 1.0, 3, "linear", FIXED, ("r_nlo",))
+    assert run_sweep(spec)[1][0] == [0.0, 0.0]
+    spec = SweepSpec("p_sfg", 0.0, 1.0, 3, "linear", FIXED, ("r_nlo", "f_nlo"))
+    with pytest.raises(UndefinedFidelityError, match="p_sfg = 0 never heralds"):
         run_sweep(spec)
