@@ -11,15 +11,17 @@ rate-compare     swapping rates of the two schemes plus the crossover verdict
 verify           oracle-vs-closed-form comparison, machine-readable JSON
 fock-check       exact small-Hilbert-space invariant suite
 
-Values come from an optional preset, then an optional config file, then flags
-(parsed as config lines), later sources overriding earlier ones; a key the
-command does not read is an error.  ``fock-check`` reads no values.  Sweeps and
-rate-compare read the link through ``config.resolve_link``: a source is eps_x
-or p_x, never both, and required unless swept; numbers are finite and counts
-whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3, clock = 1 GHz.  ``verify``
-reads no link and defaults to 20 scenarios at p_sfg = 0.05.  Exit codes:
-0 success, 1 usage error, 2 verification failure (or nothing compared),
-3 model-validity error.
+Every value comes from an optional preset, then an optional config file, then
+flags, later sources overriding earlier ones; a key the command does not read
+is an error.  Each value flag is a config key spelt ``--key`` (``_`` as ``-``:
+``--p-sfg``, ``--n-max``) and is parsed as the line ``key = value``, so the
+same rules and units apply to all three sources.  ``fock-check`` reads no
+values.  Sweeps and rate-compare read the link through ``config.resolve_link``:
+a source is eps_x or p_x, never both, and required unless swept; numbers are
+finite and counts whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3,
+clock = 1 GHz, and rate-compare's delta = 0.01.  ``verify`` reads no link; its
+keys and defaults are ``VERIFY_DEFAULTS``.  Exit codes: 0 success, 1 usage
+error, 2 verification failure (or nothing compared), 3 model-validity error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import chain
 
 from . import lo_bsm, nlo_bsm, oracle, rates, sfg_device
@@ -52,7 +54,7 @@ from .errors import ConfigError, DomainError, InputError, ModelValidityError, Us
 from .fock_sim import dump_reference_states, run_fock_checks, sfg_evolve  # noqa: F401
 from .photon_stats import check_probability
 from .presets import DEMONSTRATED_RING_P_SFG, get_preset, preset_names
-from .sweep import SPEC_KEYS, SWEEP_VARIABLES, SweepSpec, run_sweep
+from .sweep import SPEC_KEYS, SweepSpec, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,24 +87,19 @@ def _write_output(text: str, out: str) -> None:
             handle.write(text)
 
 
-def _flag_entries(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, ConfigValue]:
-    """The flags given among ``keys``, each parsed as a config line so the same rules apply."""
-    given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    return {k: parse_config_text(f"{k} = {v}", source="<flags>")[k] for k, v in given.items()}
-
-
-def _collect_entries(
-    args: argparse.Namespace, flag_keys: tuple[str, ...], known: tuple[str, ...]
-) -> dict:
-    """Preset, then config file, then the flags among ``flag_keys``; a key
-    outside ``known`` is refused."""
+def _collect_entries(args: argparse.Namespace) -> dict:
+    """Preset, then config file, then flags, each flag parsed as a config line
+    so the same rules apply; a key outside the command's ``known_keys`` is refused."""
     entries: dict[str, ConfigValue] = {}
     if args.preset:
         entries = merge(entries, get_preset(args.preset).params)
     if args.config:
         entries = merge(entries, parse_config_file(args.config))
-    entries = merge(entries, _flag_entries(args, flag_keys))
-    check_known(entries, known)
+    for key in args.known_keys:
+        value = getattr(args, key, None)  # keys without a flag have no attribute
+        if value is not None:
+            entries[key] = parse_config_text(f"{key} = {value}", source="<flags>")[key]
+    check_known(entries, args.known_keys)
     return entries
 
 
@@ -110,7 +107,7 @@ def _collect_entries(
 
 
 def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec.from_entries(_collect_entries(args, SPEC_KEYS, (*SPEC_KEYS, *LINK_KEYS)))
+    spec = SweepSpec.from_entries(_collect_entries(args))
     columns, rows = run_sweep(spec)
     if args.format == "csv":
         _write_output(_format_csv(columns, rows), args.out)
@@ -123,7 +120,7 @@ def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_device(args: argparse.Namespace) -> int:
-    entries = _collect_entries(args, (), (*CAVITY_KEYS, *WAVEGUIDE_KEYS, "p_sfg"))
+    entries = _collect_entries(args)
     report: dict = {"reference_demonstrated_p_sfg": DEMONSTRATED_RING_P_SFG}
     caught: list[str] = []
     with warnings.catch_warnings(record=True) as records:
@@ -166,8 +163,11 @@ def cmd_device(args: argparse.Namespace) -> int:
 # --- subcommand: rate-compare ----------------------------------------------------
 
 
+RATE_DEFAULTS = {"delta": 0.01}
+
+
 def cmd_rate_compare(args: argparse.Namespace) -> int:
-    entries = _collect_entries(args, ("p_sfg", "clock"), LINK_KEYS)
+    entries = _collect_entries(args)
     link = resolve_link(entries)
     scenario = link.scenario
     rate_lo = rates.rate_lo(scenario, link.clock)
@@ -178,7 +178,7 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
     # scheme; the linear-optical curves only touch 1/3 at zero pumping, so the
     # comparison backs off the target by delta.
     f_target = 1.0 / 3.0
-    delta = args.delta
+    delta = resolve(entries, RATE_DEFAULTS)["delta"]
     narrative = {
         "f_target_nlo": f_target,
         "p_nlo": nlo_bsm.p_for_target_fidelity(f_target),
@@ -189,7 +189,7 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
     # A target of 1/3, or one that rounds to it, inverts to p = 0; the balanced
     # curve's q = (3f)^(1/4) rounds to 1 before the unbalanced curve's does.
     if not narrative["p_lo_balanced"] > 0.0:
-        raise UsageError(f"--delta must move the target fidelity below 1/3, got {delta!r}")
+        raise UsageError(f"delta must move the target fidelity below 1/3, got {delta!r}")
     narrative["pair_prob_ratio_balanced"] = (narrative["p_nlo"] / narrative["p_lo_balanced"]) ** 2
     narrative["pair_prob_ratio_unbalanced"] = (
         narrative["p_nlo"] / narrative["p_lo_unbalanced"]
@@ -227,23 +227,19 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
 # --- subcommand: verify -----------------------------------------------------------
 
 
-VERIFY_DEFAULTS = {"scenarios": 20, "p_sfg": 0.05, "eps_min": 0.01, "eps_max": 0.45,
+VERIFY_DEFAULTS = {"seed": 0, "scenarios": 20, "samples": 200_000, "n_max": 200, "shards": 64,
+                   "workers": 1, "p_sfg": 0.05, "eps_min": 0.01, "eps_max": 0.45,
                    "eta_min": 0.05, "eta_max": 1.0}
+# The scenario ranges come from presets and config files only.
+VERIFY_FLAGS = ("seed", "scenarios", "samples", "n_max", "shards", "workers", "p_sfg")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    entries = _collect_entries(args, ("scenarios", "p_sfg"), tuple(VERIFY_DEFAULTS))
-    values = resolve(entries, VERIFY_DEFAULTS)
-    cfg = oracle.OracleConfig(
-        n_max=args.n_max,
-        samples=args.samples,
-        seed=args.seed,
-        shards=args.shards,
-        workers=args.workers,
-    )
+    values = resolve(_collect_entries(args), VERIFY_DEFAULTS)
+    cfg = oracle.OracleConfig(**{f.name: values[f.name] for f in fields(oracle.OracleConfig)})
     scenarios = oracle.random_scenarios(
         values["scenarios"],
-        args.seed,
+        cfg.seed,
         eps_range=(values["eps_min"], values["eps_max"]),
         eta_range=(values["eta_min"], values["eta_max"]),
     )
@@ -290,49 +286,33 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default="-", help="output path, or - for stdout")
         p.add_argument("--format", default=default_format, choices=formats)
 
-    def add_inputs(p: _Parser) -> None:
+    def add_inputs(p: _Parser, known_keys: tuple[str, ...], flags: tuple[str, ...]) -> None:
+        """--config, --preset and one --key flag per key of ``flags`` (``_``
+        spelt ``-``), all read by ``_collect_entries`` as config lines."""
         p.add_argument("--config", default=None, help="key-value parameter file")
         p.add_argument("--preset", default=None, choices=preset_names(), help="named parameter set")
+        for key in flags:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+        p.set_defaults(known_keys=known_keys)
 
     sweep = sub.add_parser("fidelity-sweep", help="fidelity/rate columns over a grid")
-    add_inputs(sweep)
+    add_inputs(sweep, (*SPEC_KEYS, *LINK_KEYS), SPEC_KEYS)
     add_common(sweep, "csv", ("csv", "json"))
-    sweep.add_argument("--variable", default=None, help=f"one of {SWEEP_VARIABLES}")
-    sweep.add_argument("--start", default=None)
-    sweep.add_argument("--stop", default=None)
-    sweep.add_argument("--points", default=None)
-    sweep.add_argument("--scale", default=None, help="linear or log")
-    sweep.add_argument("--outputs", default=None, help="comma-separated column names")
     sweep.set_defaults(func=cmd_fidelity_sweep)
 
     device = sub.add_parser("device", help="conversion probability of a device")
-    add_inputs(device)
+    add_inputs(device, (*CAVITY_KEYS, *WAVEGUIDE_KEYS, "p_sfg"), ())
     add_common(device, "text", ("text", "json"))
     device.set_defaults(func=cmd_device)
 
     rate = sub.add_parser("rate-compare", help="scheme rates and crossover")
-    add_inputs(rate)
+    add_inputs(rate, (*LINK_KEYS, *RATE_DEFAULTS), ("p_sfg", "clock", *RATE_DEFAULTS))
     add_common(rate, "text", ("text", "json"))
-    rate.add_argument("--p-sfg", dest="p_sfg", default=None)
-    rate.add_argument("--clock", default=None)
-    rate.add_argument(
-        "--delta",
-        type=float,
-        default=0.01,
-        help="back-off below 1/3 used to invert the linear-optical curves",
-    )
     rate.set_defaults(func=cmd_rate_compare)
 
     verify = sub.add_parser("verify", help="oracle vs closed forms")
-    add_inputs(verify)
+    add_inputs(verify, tuple(VERIFY_DEFAULTS), VERIFY_FLAGS)
     add_common(verify, "json", ("json",))
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--scenarios", default=None, help="default 20")
-    verify.add_argument("--samples", type=int, default=200_000)
-    verify.add_argument("--n-max", dest="n_max", type=int, default=200)
-    verify.add_argument("--shards", type=int, default=64)
-    verify.add_argument("--workers", type=int, default=1)
-    verify.add_argument("--p-sfg", dest="p_sfg", default=None, help="default 0.05")
     verify.add_argument("--method", default="exact", choices=("exact", "mc", "both"))
     verify.set_defaults(func=cmd_verify)
 

@@ -153,10 +153,14 @@ def get_frequency_hz(entries: dict[str, ConfigValue], key: str) -> float:
 
 
 def get_count(entries: dict[str, ConfigValue], key: str) -> int:
-    """A whole number >= 0, such as a grid size or a scenario count."""
+    """A whole number >= 0, such as a grid size, a scenario count or a seed."""
     value = get_dimensionless(entries, key)
     if not (value >= 0.0 and value.is_integer()):
         raise ConfigError(f"key {key!r} must be a whole number >= 0, got {value!r}")
+    # Whole numbers from 2**53 on are not all floats: a seed of 2**53 + 1
+    # would parse as 2**53 and silently select another stream.
+    if value >= 2.0**53:
+        raise ConfigError(f"key {key!r} must be below 2**53 to be read exactly, got {value!r}")
     return int(value)
 
 
@@ -183,12 +187,17 @@ def get_string(entries: dict[str, ConfigValue], key: str) -> str:
     return value
 
 
+def _reader(key: str, default: float):
+    if key == "clock":
+        return get_frequency_hz
+    return get_count if isinstance(default, int) else get_dimensionless
+
+
 def resolve(entries: dict[str, ConfigValue], defaults: dict[str, float]) -> dict[str, float]:
     """Every key of ``defaults``, read from ``entries`` where given: the clock
-    as a frequency, the scenario count as a whole number, the rest dimensionless."""
-    readers = {"clock": get_frequency_hz, "scenarios": get_count}
+    as a frequency, a key with an int default as a count, the rest dimensionless."""
     return {
-        key: readers.get(key, get_dimensionless)(entries, key) if key in entries else default
+        key: _reader(key, default)(entries, key) if key in entries else default
         for key, default in defaults.items()
     }
 
@@ -249,11 +258,6 @@ def resolve_link(entries: dict[str, ConfigValue], swept: dict[str, float] | None
     values.update(swept)
     p_sfg, clock = values.pop("p_sfg"), values.pop("clock")
     return Link(SwapScenario(**values), p_sfg, clock)
-
-
-def build_scenario(entries: dict[str, ConfigValue]) -> SwapScenario:
-    """Scenario from keys eps_a/p_a, eps_b/p_b, eta_a, eta_b (etas default to 1)."""
-    return resolve_link(entries).scenario
 
 
 def _mode_omega(entries: dict[str, ConfigValue], mode: str) -> float:

@@ -46,11 +46,13 @@ _BINS_OF_SIGMA = ((0, 0), (1, 1), (0, 1), (1, 0))
 class BellOutcome:
     """One resolvable herald outcome of the swapping measurement.
 
-    ``label`` names the Bell state of photons 1 and 4 the conditioned state
-    matches best, ``projector`` the measured superposition of up-converted
-    modes, ``probability`` the unconditional outcome probability, and
-    ``conditioned_state`` the renormalized two-photon state as a (2, 2) array.
-    An outcome of zero probability has no label and no state (both None).
+    ``label`` names the Bell state of photons 1 and 4 with which the
+    conditioned state has strictly the greatest fidelity, or is None on a tie
+    (``|e l>`` is as close to psi+ as to psi-); ``projector`` is the measured
+    superposition of up-converted modes, ``probability`` the unconditional
+    outcome probability, and ``conditioned_state`` the renormalized two-photon
+    state as a (2, 2) array.  An outcome of zero probability has no label and
+    no state (both None).
     """
 
     label: str | None
@@ -264,7 +266,9 @@ def swap_condition_on_sfg(state: np.ndarray, elements: str = "one") -> list[Bell
         conditioned = label = None
         if probability > 0.0:
             conditioned = component / probability**0.5
-            label = max(BELL_LABELS, key=lambda b: bell_fidelity(conditioned, b))
+            fidelity = {b: bell_fidelity(conditioned, b) for b in BELL_LABELS}
+            best, runner_up = sorted(fidelity.values(), reverse=True)[:2]
+            label = max(fidelity, key=fidelity.get) if best > runner_up else None
         outcomes.append(BellOutcome(label, name, probability, conditioned))
     return outcomes
 

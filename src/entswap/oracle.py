@@ -19,7 +19,6 @@ are bit-identical for any worker count and fully reproducible per seed.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from numbers import Integral
 
@@ -47,6 +46,10 @@ SHARD_SAMPLES_LIMIT = 1_000_000
 # Most shards, each a generator and a pool task: at the limit, one sample per
 # shard, an estimate peaks at about 35 MB resident (38 MB with two workers).
 SHARDS_LIMIT = 1024
+# Most worker threads: each holds one shard's arrays, about 53 MB at
+# SHARD_SAMPLES_LIMIT, so 32 workers peak near 1.7 GB where 1024 would ask
+# for 54 GB; the pool also starts no more threads than there are shards.
+WORKERS_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ class OracleConfig:
             raise DomainError(f"samples must be in [1, {limit}], got {self.samples}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise DomainError("workers must be >= 1")
+        if not 1 <= self.workers <= WORKERS_LIMIT:
+            raise DomainError(f"workers must be in [1, {WORKERS_LIMIT}], got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,8 @@ def _run_shards(cfg: OracleConfig, shard_fn) -> list[tuple[int, int]]:
     sizes = _shard_sizes(cfg.samples, cfg.shards)
     if cfg.workers == 1:
         return [shard_fn(idx, size) for idx, size in enumerate(sizes)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(shard_fn, range(cfg.shards), sizes))
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from entswap.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from entswap.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, _collect_entries, build_parser, main
 from entswap.errors import UsageError
 from entswap.fock_sim import run_fock_checks
 from entswap.sweep import SweepSpec, run_sweep
@@ -271,6 +271,18 @@ class TestRateCompareCommand:
         assert payload["crossover_ratio"] == pytest.approx(0.1, rel=1e-12)
         assert payload["nlo_wins"] is False
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_delta_from_config_or_flag(self, tmp_path, capsys, fmt):
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text("delta = 0.02\n")
+        args = ("rate-compare", "--preset", "satellite", "--format", fmt)
+        code, from_flag, _ = run_cli(capsys, *args, "--delta", "0.02")
+        assert code == EXIT_OK
+        assert run_cli(capsys, *args, "--config", str(cfg)) == (EXIT_OK, from_flag, "")
+        assert "0.3133" in from_flag  # 1/3 - 0.02
+        _, default, _ = run_cli(capsys, *args)
+        assert default != from_flag
+
 
 class TestVerifyCommand:
     def test_passes_and_echoes_seed(self, capsys):
@@ -338,6 +350,24 @@ class TestVerifyCommand:
         assert report["failures"] == 0
         assert report["compared"] == 2 * len(scenarios)
         assert any(row["abs_diff"] > row["tail_bound"] for row in report["rows"])
+
+    def test_values_from_flags_config_or_both(self, tmp_path, capsys):
+        values = {"n_max": "50", "samples": "20000", "seed": "3", "shards": "8", "workers": "2"}
+        cfg = tmp_path / "verify.cfg"
+
+        def report(config, *flag_keys):
+            cfg.write_text(config)
+            flags = [arg for k in flag_keys for arg in (f"--{k.replace('_', '-')}", values[k])]
+            code, out, _ = run_cli(capsys, "verify", "--method", "both", "--config", str(cfg), *flags)
+            assert code == EXIT_OK
+            return out
+
+        from_flags = report("", *values)
+        assert json.loads(from_flags)["compared"] > 0
+        assert report("".join(f"{k} = {v}\n" for k, v in values.items())) == from_flags
+        # Half from the file, half from flags; then file values the flags override.
+        assert report("n_max = 50\nshards = 8\n", "samples", "seed", "workers") == from_flags
+        assert report("n_max = 60\nsamples = 30000\nseed = 4\n", *values) == from_flags
 
     def test_bit_identical_across_runs_and_workers(self, capsys):
         args = ["verify", "--seed", "11", "--scenarios", "2", "--method", "both",
@@ -444,7 +474,12 @@ class TestRejectedInputs:
             pytest.param((*RATE, "--delta", "1"), None, "reachable range", id="rate-delta-1"),
             pytest.param((*RATE, "--delta", "0"), None, "below 1/3", id="rate-delta-0"),
             pytest.param((*RATE, "--delta", "1e-17"), None, "below 1/3", id="rate-delta-1e-17"),
-            pytest.param(("verify", "--seed", "-1"), None, "seed must be >= 0", id="verify-seed-neg"),
+            pytest.param(("verify", "--seed", "-1"), None, "key 'seed' must be a whole number >= 0",
+                         id="verify-seed-neg"),
+            pytest.param(("verify", "--seed", "9007199254740993"), None,
+                         "key 'seed' must be below 2**53", id="verify-seed-above-2-53"),
+            pytest.param(("verify",), "workers = 33\n", "workers must be in [1, 32]",
+                         id="verify-workers-above-limit"),
             pytest.param(("verify", "--method", "exact", "--p-sfg", "0"), None,
                          "p_sfg = 0 never heralds", id="verify-p-sfg-0"),
             pytest.param(("verify", "--shards", "1025"), None, "shards must be in [1, 1024]",
@@ -468,8 +503,8 @@ class TestRejectedInputs:
                 id="verify-n-max-huge",
             ),
             pytest.param(
-                ("verify", "--seed", "-1", "--method", "mc"), None, "seed must be >= 0",
-                id="verify-seed-neg-mc",
+                ("verify", "--seed", "-1", "--method", "mc"), None,
+                "key 'seed' must be a whole number >= 0", id="verify-seed-neg-mc",
             ),
             pytest.param(
                 ("rate-compare", "--preset", "satellite"), "eta_bb = 0.001\n",
@@ -480,7 +515,7 @@ class TestRejectedInputs:
                 id="sweep-unknown-key",
             ),
             pytest.param(
-                ("verify",), "samples = 10\nn_max = 5\n", "unknown keys 'n_max', 'samples'",
+                ("verify",), "sample = 10\nn_max = 5\n", "unknown key 'sample'",
                 id="verify-unknown-keys",
             ),
             pytest.param(
@@ -524,6 +559,45 @@ class TestRejectedInputs:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: cannot read config file")
+
+
+# Options that select an output or a source, not a parameter value.
+NON_VALUE_OPTIONS = {"-h", "--out", "--format", "--config", "--preset", "--method", "--dump-states"}
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    return action.choices
+
+
+class TestFlags:
+    def test_every_value_flag_is_a_config_key(self, tmp_path):
+        # A flag with a typed default would bypass the config resolver; every
+        # value flag defaults to None and names a key its command's config accepts.
+        for command, parser in _subparsers().items():
+            for action in parser._actions:
+                if NON_VALUE_OPTIONS.intersection(action.option_strings):
+                    continue
+                assert action.default is None, (command, action.option_strings)
+                cfg = tmp_path / f"{command}-{action.dest}.cfg"
+                cfg.write_text(f"{action.dest} = 1\n")
+                _collect_entries(parser.parse_args(["--config", str(cfg)]))
+
+    def test_flag_spellings(self):
+        spellings = {
+            command: sorted(s for a in parser._actions for s in a.option_strings)
+            for command, parser in _subparsers().items()
+        }
+        inputs = ["--config", "--format", "--out", "--preset"]
+        assert spellings == {
+            "fidelity-sweep": sorted([*inputs, "-h", "--help", "--variable", "--start", "--stop",
+                                      "--points", "--scale", "--outputs"]),
+            "device": sorted([*inputs, "-h", "--help"]),
+            "rate-compare": sorted([*inputs, "-h", "--help", "--p-sfg", "--clock", "--delta"]),
+            "verify": sorted([*inputs, "-h", "--help", "--seed", "--scenarios", "--samples",
+                              "--n-max", "--shards", "--workers", "--p-sfg", "--method"]),
+            "fock-check": sorted(["--format", "--out", "-h", "--help", "--dump-states"]),
+        }
 
 
 class TestOutputFile:

@@ -5,9 +5,9 @@ import pytest
 from entswap.config import (
     Quantity,
     build_cavity,
-    build_scenario,
     build_waveguide,
     get_acceptance_hz_cm,
+    get_count,
     get_dimensionless,
     get_frequency_hz,
     get_length_cm,
@@ -16,6 +16,8 @@ from entswap.config import (
     get_wavelength_nm,
     merge,
     parse_config_text,
+    resolve,
+    resolve_link,
 )
 from entswap.errors import ConfigError
 
@@ -102,26 +104,49 @@ class TestConversions:
             get_string(entries, "n")
 
 
+class TestCounts:
+    def test_whole_numbers_below_2_53_are_exact(self):
+        assert get_count(parse_config_text("seed = 9007199254740991"), "seed") == 2**53 - 1
+        assert get_count(parse_config_text("samples = 2e5"), "samples") == 200_000
+
+    @pytest.mark.parametrize("text", ["9007199254740992", "9007199254740993", "1e300"])
+    def test_counts_from_2_53_are_refused(self, text):
+        # 9007199254740993 parses as 2**53: as a seed it would select another stream.
+        with pytest.raises(ConfigError, match="key 'seed' must be below 2\\*\\*53"):
+            get_count(parse_config_text(f"seed = {text}"), "seed")
+
+    def test_resolve_reads_by_default(self):
+        entries = parse_config_text("clock = 2 MHz\nseed = 7\ndelta = 2 %")
+        defaults = {"clock": 1e9, "seed": 0, "delta": 0.01, "p_sfg": 0.05}
+        values = resolve(entries, defaults)
+        assert values == {"clock": 2e6, "seed": 7, "delta": 0.02, "p_sfg": 0.05}
+        assert type(values["seed"]) is int
+        with pytest.raises(ConfigError, match="key 'seed' must be a whole number"):
+            resolve(parse_config_text("seed = 2.5"), defaults)
+        with pytest.raises(ConfigError, match="key 'delta' must be dimensionless"):
+            resolve(parse_config_text("delta = 1 GHz"), defaults)
+
+
 class TestScenarioBuilder:
     def test_from_epsilons(self):
-        scen = build_scenario(parse_config_text("eps_a = 0.2\neps_b = 0.1\neta_a = 0.5"))
+        scen = resolve_link(parse_config_text("eps_a = 0.2\neps_b = 0.1\neta_a = 0.5")).scenario
         assert scen.eps_a == 0.2
         assert scen.eps_b == 0.1
         assert scen.eta_a == 0.5
         assert scen.eta_b == 1.0
 
     def test_from_pair_probabilities(self):
-        scen = build_scenario(parse_config_text("p_a = 0.09\np_b = 0.25"))
+        scen = resolve_link(parse_config_text("p_a = 0.09\np_b = 0.25")).scenario
         assert scen.eps_a == pytest.approx(0.1, abs=1e-12)
         assert scen.eps_b == pytest.approx(0.5, abs=1e-12)
 
     def test_conflicting_source_keys(self):
         with pytest.raises(ConfigError, match="eps_a"):
-            build_scenario(parse_config_text("eps_a = 0.2\np_a = 0.1\neps_b = 0.1"))
+            resolve_link(parse_config_text("eps_a = 0.2\np_a = 0.1\neps_b = 0.1"))
 
     def test_missing_source(self):
         with pytest.raises(ConfigError, match="eps_b"):
-            build_scenario(parse_config_text("eps_a = 0.2"))
+            resolve_link(parse_config_text("eps_a = 0.2"))
 
 
 class TestCavityBuilder:

@@ -331,7 +331,18 @@ class TestSwapMeasurement:
         for outcome in outcomes[:2]:
             assert outcome.label is None and outcome.conditioned_state is None
         for outcome in outcomes[2:]:
-            assert outcome.label is not None and outcome.conditioned_state.shape == (2, 2)
+            assert outcome.conditioned_state.shape == (2, 2)
+
+    def test_tied_outcomes_have_no_label(self):
+        # Each S2 outcome leaves |e_1 l_4>, as close to psi+ as to psi-: no Bell
+        # state is the best match, so none is named, and the state is kept.
+        early, late = np.zeros((2, 2)), np.zeros((2, 2))
+        early[0, 0] = late[1, 1] = 1.0
+        for outcome in swap_condition_on_sfg(product_state(early, late), elements="two")[2:]:
+            assert outcome.label is None
+            fidelities = [bell_fidelity(outcome.conditioned_state, b) for b in BELL_LABELS]
+            assert fidelities == pytest.approx([0.0, 0.0, 0.5, 0.5])
+            assert abs(outcome.conditioned_state[0, 1]) == pytest.approx(1.0)
 
     def test_non_product_input_rejected(self):
         # A four-photon GHZ-style state does not factor over the (1,2)|(3,4) cut.

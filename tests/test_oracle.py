@@ -16,6 +16,7 @@ from entswap.oracle import (
     N_MAX_LIMIT,
     SHARD_SAMPLES_LIMIT,
     SHARDS_LIMIT,
+    WORKERS_LIMIT,
     OracleConfig,
     _arrival_table,
     _lo_herald,
@@ -66,6 +67,14 @@ class TestConfig:
             OracleConfig(samples=2 * SHARD_SAMPLES_LIMIT + 1, shards=2)
         with pytest.raises(DomainError, match="samples must be in"):
             OracleConfig(samples=10**18, shards=SHARDS_LIMIT)
+
+    def test_workers_are_capped(self):
+        # Refused at construction, so no thread is started.
+        assert OracleConfig(workers=WORKERS_LIMIT).workers == WORKERS_LIMIT
+        with pytest.raises(DomainError, match=r"workers must be in \[1, 32\], got 33"):
+            OracleConfig(workers=WORKERS_LIMIT + 1)
+        with pytest.raises(DomainError, match=r"workers must be in \[1, 32\], got 0"):
+            OracleConfig(workers=0)
 
     def test_p_sfg_zero_is_refused(self):
         # Nothing up-converts, so a passing nlo row would claim a fidelity that

@@ -1,6 +1,6 @@
 import pytest
 
-from entswap.config import build_cavity, build_scenario, build_waveguide, get_dimensionless, parse_config_text
+from entswap.config import build_cavity, build_waveguide, get_dimensionless, parse_config_text, resolve_link
 from entswap.errors import ConfigError
 from entswap.presets import DEMONSTRATED_RING_P_SFG, get_preset, list_presets, preset_names
 from entswap.sfg_device import p_sfg_cavity, p_sfg_waveguide
@@ -58,7 +58,7 @@ class TestDevicePresets:
 class TestSatellitePreset:
     def test_strong_asymmetry(self):
         params = get_preset("satellite").params
-        scen = build_scenario(params)
+        scen = resolve_link(params).scenario
         assert scen.eta_a == 1.0
         assert scen.eta_b == 1e-5
         assert get_dimensionless(params, "p_sfg") == 1e-3
@@ -69,7 +69,7 @@ class TestSatellitePreset:
         from entswap.nlo_bsm import fidelity_report
 
         params = get_preset("satellite").params
-        scen = build_scenario(params)
+        scen = resolve_link(params).scenario
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fidelity_report(scen, get_dimensionless(params, "p_sfg"))
