@@ -89,7 +89,8 @@ def _write_output(text: str, out: str) -> None:
 
 def _collect_entries(args: argparse.Namespace) -> dict:
     """Preset, then config file, then flags, each flag parsed as a config line
-    so the same rules apply; a key outside the command's ``known_keys`` is refused."""
+    so the same rules apply; a key outside the command's ``known_keys`` is refused,
+    and so is a flag value with a comment or a line break, which carries config syntax."""
     entries: dict[str, ConfigValue] = {}
     if args.preset:
         entries = merge(entries, get_preset(args.preset).params)
@@ -98,6 +99,8 @@ def _collect_entries(args: argparse.Namespace) -> dict:
     for key in args.known_keys:
         value = getattr(args, key, None)  # keys without a flag have no attribute
         if value is not None:
+            if "#" in value or len(value.splitlines()) > 1:
+                raise UsageError(f"--{key.replace('_', '-')} must hold one value, got {value!r}")
             entries[key] = parse_config_text(f"{key} = {value}", source="<flags>")[key]
     check_known(entries, args.known_keys)
     return entries

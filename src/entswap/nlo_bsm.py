@@ -8,7 +8,8 @@ linear-optical measurement: the heralded fidelity
 
     (1 - eps_A)^2 (1 - eps_B)^2
 
-depends only on the source efficiencies, not on the channel losses.
+depends only on the source efficiencies and, under weak conversion (to first
+order in p_sfg), not on the channel losses.
 """
 
 from __future__ import annotations

@@ -4,12 +4,14 @@ Two routes, both deliberately avoiding the algebra used by the closed forms:
 
 * exact-sum: reduce each side's truncated arrival marginal, built by
   thinning one photon at a time (the generative model the Monte Carlo route
-  samples) rather than from this package's binomial algebra, through one
-  herald matrix per measurement, ``faithful h[1,1] / (arr_a @ h @ arr_b)``,
-  and report a tail bound on the truncation;
+  samples) rather than from this package's binomial algebra, through the
+  herald on the index grid, ``faithful h[1,1] / (arr_a @ h @ arr_b)``, and
+  report a tail bound on the truncation;
 * monte-carlo: sample the generative model (geometric pair numbers, binomial
-  thinning, herald acceptance) with a seeded counter-derived RNG and report
-  a binomial standard error.
+  thinning) with a seeded counter-derived RNG, accept each trial with
+  probability h(k, l), and report a binomial standard error.
+
+Each measurement's herald h(k, l) is one vectorised function read by both.
 
 Monte Carlo work is split into a fixed number of logical shards, each seeded
 from (seed, shard_index); thread workers only schedule shards, so estimates
@@ -40,6 +42,9 @@ RNG_DESCRIPTION = (
 # Largest truncation the exact sums accept: each (n_max+1)^2 float table is
 # then about 32 MB, where an unchecked --n-max 100000 would ask for 80 GB.
 N_MAX_LIMIT = 2000
+# Most scenarios one verification draws: at the limit verify --method exact
+# --n-max 10 peaks at about 105 MB resident, where 2**53 - 1 would ask for TBs.
+SCENARIOS_LIMIT = 10_000
 # Most samples a Monte Carlo shard draws at once: at the limit an estimate peaks
 # at about 83 MB resident (131 MB with two workers), 29 MB of it the import.
 SHARD_SAMPLES_LIMIT = 1_000_000
@@ -128,17 +133,21 @@ def _arrival_tables(scenario: SwapScenario, n_max: int):
     return arr_a, arr_b, one_a * one_b
 
 
-def _lo_herald(n_max: int) -> np.ndarray:
-    """h[k, l] = [k + l >= 2]: the linear-optical herald needs two arrivals."""
+def _lo_herald(k, l):
+    """The linear-optical herald: any two arrivals fire it."""
+    return k + l >= 2
+
+
+def _nlo_herald(p_sfg: float):
+    """The weak up-conversion herald: k and l arrivals fire it with probability k l p_sfg."""
+    check_probability(p_sfg, "p_sfg")
+    return lambda k, l: k * l * p_sfg
+
+
+def _grid(herald, n_max: int) -> np.ndarray:
+    """h[k, l] = herald(k, l) on the truncated index grid, as floats."""
     k = np.arange(n_max + 1)
-    return (k[:, None] + k[None, :] >= 2).astype(float)
-
-
-def _nlo_herald(n_max: int) -> np.ndarray:
-    """h[k, l] = k l: the weak up-conversion weight k l p_sfg without p_sfg,
-    which scales numerator and denominator alike."""
-    k = np.arange(n_max + 1, dtype=float)
-    return np.outer(k, k)
+    return herald(k[:, None], k[None, :]).astype(float, copy=False)
 
 
 def _exact(tables, h: np.ndarray, tail) -> OracleEstimate:
@@ -152,9 +161,9 @@ def _exact(tables, h: np.ndarray, tail) -> OracleEstimate:
     return OracleEstimate(value=value, std_error=0.0, tail_bound=tail(value, denominator))
 
 
-def _bounded_tail(scenario: SwapScenario, n_max: int):
-    """Tail of a herald matrix with 0 <= h <= 1: the herald mass left out is at
-    most the probability of more than n_max pairs on either side."""
+def _bounded_tail(scenario: SwapScenario, tables, n_max: int):
+    """Tail of a herald with 0 <= h <= 1: the herald mass left out is at most
+    the probability of more than n_max pairs on either side."""
     missing = truncation_tail_bound(scenario, n_max)
     return lambda value, denominator: value * missing / denominator
 
@@ -168,8 +177,8 @@ def _mean_arrival_tail(eps: float, eta: float, n_max: int) -> float:
 
 
 def _product_tail(scenario: SwapScenario, tables, n_max: int):
-    """Tail of h = k l, whose sum is the product of the mean arrivals: the
-    relative error of each truncated mean, compounded."""
+    """Tail of a herald proportional to k l, whose sum is the product of the
+    mean arrivals: the relative error of each truncated mean, compounded."""
 
     def tail(value: float, denominator: float) -> float:
         k = np.arange(n_max + 1, dtype=float)
@@ -183,21 +192,18 @@ def _product_tail(scenario: SwapScenario, tables, n_max: int):
 def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
     """Truncated-sum evaluation of P(1|1,1|1) / P(at least two arrivals)."""
     tables = _arrival_tables(scenario, cfg.n_max)
-    return _exact(tables, _lo_herald(cfg.n_max), _bounded_tail(scenario, cfg.n_max))
+    return _exact(tables, _grid(_lo_herald, cfg.n_max), _bounded_tail(scenario, tables, cfg.n_max))
 
 
 def exact_fidelity_nlo(
     scenario: SwapScenario, p_sfg: float, cfg: OracleConfig
 ) -> OracleEstimate:
-    """Truncated-sum evaluation of the up-conversion-heralded fidelity.
-
-    The device probability multiplies the faithful and total herald weights
-    alike, so it cancels from the ratio; it is validated but never enters the
-    arithmetic.
-    """
-    check_probability(p_sfg, "p_sfg")
+    """Truncated-sum evaluation of the up-conversion-heralded fidelity.  p_sfg
+    scales the faithful and total herald weights alike, so it moves the value
+    only by rounding; at p_sfg = 0 nothing heralds."""
+    herald = _nlo_herald(p_sfg)
     tables = _arrival_tables(scenario, cfg.n_max)
-    return _exact(tables, _nlo_herald(cfg.n_max), _product_tail(scenario, tables, cfg.n_max))
+    return _exact(tables, _grid(herald, cfg.n_max), _product_tail(scenario, tables, cfg.n_max))
 
 
 def _shard_sizes(samples: int, shards: int) -> list[int]:
@@ -226,16 +232,24 @@ def _run_shards(cfg: OracleConfig, shard_fn) -> list[tuple[int, int]]:
         return list(pool.map(shard_fn, range(cfg.shards), sizes))
 
 
-def _mc_fidelity(scenario: SwapScenario, cfg: OracleConfig, accept) -> OracleEstimate:
-    """Sampled fidelity: ``accept(rng, k, l)`` marks the heralded trials, and
-    the faithful ones are those with the (1|1, 1|1) pattern."""
+def _mc_fidelity(scenario: SwapScenario, cfg: OracleConfig, herald) -> OracleEstimate:
+    """Sampled fidelity: a trial heralds with probability ``herald(k, l)``, and
+    the faithful ones are those with the (1|1, 1|1) pattern.  A bool herald is
+    the accept mask itself and draws no uniform."""
 
     def shard(idx: int, size: int) -> tuple[int, int]:
         rng = np.random.default_rng([cfg.seed, idx])
         n, m, k, l = _sample_arrivals(rng, scenario, size)
-        herald = accept(rng, k, l)
-        faithful = herald & (n == 1) & (m == 1) & (k == 1) & (l == 1)
-        return int(herald.sum()), int(faithful.sum())
+        accept = herald(k, l)
+        if accept.dtype != bool:
+            if np.any(accept > 1.0):
+                raise ModelValidityError(
+                    "a sampled event has herald weight k*l*p_sfg > 1; reduce p_sfg "
+                    "or the source efficiencies"
+                )
+            accept = rng.uniform(size=k.size) < accept
+        faithful = accept & (n == 1) & (m == 1) & (k == 1) & (l == 1)
+        return int(accept.sum()), int(faithful.sum())
 
     counts = _run_shards(cfg, shard)
     heralds = sum(h for h, _ in counts)
@@ -248,25 +262,14 @@ def _mc_fidelity(scenario: SwapScenario, cfg: OracleConfig, accept) -> OracleEst
 
 def mc_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
     """Sampled fidelity: heralds are trials with >= 2 arrivals."""
-    return _mc_fidelity(scenario, cfg, lambda rng, k, l: (k + l) >= 2)
+    return _mc_fidelity(scenario, cfg, _lo_herald)
 
 
 def mc_fidelity_nlo(
     scenario: SwapScenario, p_sfg: float, cfg: OracleConfig
 ) -> OracleEstimate:
     """Sampled fidelity with acceptance probability k*l*p_sfg per trial."""
-    check_probability(p_sfg, "p_sfg")
-
-    def accept(rng: np.random.Generator, k: np.ndarray, l: np.ndarray) -> np.ndarray:
-        weight = k * l * p_sfg
-        if np.any(weight > 1.0):
-            raise ModelValidityError(
-                "a sampled event has herald weight k*l*p_sfg > 1; reduce p_sfg "
-                "or the source efficiencies"
-            )
-        return rng.uniform(size=k.size) < weight
-
-    return _mc_fidelity(scenario, cfg, accept)
+    return _mc_fidelity(scenario, cfg, _nlo_herald(p_sfg))
 
 
 def random_scenarios(
@@ -294,6 +297,8 @@ def random_scenarios(
             raise DomainError(f"{name}_min must be <= {name}_max, got {low} > {high}")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise DomainError(f"seed must be an int >= 0, got {seed!r}")
+    if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= SCENARIOS_LIMIT:
+        raise DomainError(f"scenarios must be an int in [0, {SCENARIOS_LIMIT}], got {count!r}")
     rng = random.Random(seed)
 
     def draw(low: float, high: float) -> float:
@@ -339,19 +344,9 @@ def _tolerance(method: str, estimate: OracleEstimate, n_max: int) -> float:
     return MC_SIGMA_TOLERANCE * estimate.std_error
 
 
-def _comparison_row(
-    scenario: SwapScenario,
-    model: str,
-    method: str,
-    estimate: OracleEstimate,
-    closed_form: float,
-    tolerance: float,
-) -> dict:
+def _comparison(estimate: OracleEstimate, closed_form: float, tolerance: float) -> dict:
     abs_diff = abs(estimate.value - closed_form)
     return {
-        "scenario": asdict(scenario),
-        "model": model,
-        "method": method,
         "value": estimate.value,
         "std_error": estimate.std_error,
         "tail_bound": estimate.tail_bound,
@@ -385,50 +380,43 @@ def verification_report(
         closed_form_lo = lambda s: lo_bsm.fidelity_general(s).fidelity
     if closed_form_nlo is None:
         closed_form_nlo = nlo_bsm.fidelity_nlo
-    closed_forms = {"lo": closed_form_lo, "nlo": closed_form_nlo}
-    # Each estimator takes the scenario and its arrival tables, so both exact
-    # rows reduce one build, each through its own herald matrix.  Matrices and
-    # estimators are built per call, not at import: each name is looked up
-    # when called, so a module attribute replaced at run time (a tracing
-    # wrapper) is the one used.
-    h_lo = h_nlo = None
-    if "exact-sum" in methods:
-        h_lo, h_nlo = _lo_herald(cfg.n_max), _nlo_herald(cfg.n_max)
-    estimators = {
-        ("lo", "exact-sum"): lambda s, tables: _exact(tables, h_lo, _bounded_tail(s, cfg.n_max)),
-        ("lo", "monte-carlo"): lambda s, tables: mc_fidelity_lo(s, cfg),
-        ("nlo", "exact-sum"): lambda s, tables: _exact(
-            tables, h_nlo, _product_tail(s, tables, cfg.n_max)
-        ),
-        ("nlo", "monte-carlo"): lambda s, tables: mc_fidelity_nlo(s, p_sfg, cfg),
-    }
     for method in methods:
-        if ("lo", method) not in estimators:
+        if method not in ("exact-sum", "monte-carlo"):
             raise DomainError(f"method must be 'exact-sum' or 'monte-carlo', got {method!r}")
-    check_probability(p_sfg, "p_sfg")
+    # model: (closed form, herald, its tail rule, Monte Carlo estimator).  The
+    # estimators are looked up when called, not bound here, so a module
+    # attribute replaced at run time (a tracing wrapper) is the one used.
+    models = {
+        "lo": (closed_form_lo, _lo_herald, _bounded_tail, lambda s: mc_fidelity_lo(s, cfg)),
+        "nlo": (
+            closed_form_nlo,
+            _nlo_herald(p_sfg),
+            _product_tail,
+            lambda s: mc_fidelity_nlo(s, p_sfg, cfg),
+        ),
+    }
     nlo_bsm.check_p_sfg_heralds(p_sfg)
+    # One grid per herald per report; both exact rows of a scenario reduce one table build.
+    exact = "exact-sum" in methods
+    grids = {m: _grid(h, cfg.n_max) for m, (_, h, _, _) in models.items()} if exact else {}
 
     rows = []
     for scenario in scenarios:
-        tables = _arrival_tables(scenario, cfg.n_max) if "exact-sum" in methods else None
-        for model in ("lo", "nlo"):
-            closed = closed_forms[model](scenario)
+        tables = _arrival_tables(scenario, cfg.n_max) if exact else None
+        for model, (closed_form, _, tail, mc) in models.items():
+            closed = closed_form(scenario)
             for method in methods:
+                row = {"scenario": asdict(scenario), "model": model, "method": method}
                 try:
-                    estimate = estimators[model, method](scenario, tables)
+                    if method == "exact-sum":
+                        estimate = _exact(tables, grids[model], tail(scenario, tables, cfg.n_max))
+                    else:
+                        estimate = mc(scenario)
                     tolerance = _tolerance(method, estimate, cfg.n_max)
                 except (InsufficientStatisticsError, ModelValidityError) as exc:
-                    rows.append(
-                        {
-                            "scenario": asdict(scenario),
-                            "model": model,
-                            "method": method,
-                            "error": str(exc),
-                            "pass": None,
-                        }
-                    )
+                    rows.append({**row, "error": str(exc), "pass": None})
                     continue
-                rows.append(_comparison_row(scenario, model, method, estimate, closed, tolerance))
+                rows.append({**row, **_comparison(estimate, closed, tolerance)})
 
     failures = sum(1 for row in rows if row["pass"] is False)
     compared = sum(1 for row in rows if row["pass"] is not None)

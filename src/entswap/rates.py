@@ -25,22 +25,15 @@ class CrossoverResult:
     ratio: float
 
 
-def rate_lo(scenario: SwapScenario, clock: float, attenuated: bool = True) -> float:
-    """Linear-optical swapping rate eta_A eta_B p_A p_B R_c.
-
-    With ``attenuated`` (the default) the A-side pair probability is replaced
-    by the optimal-fidelity value eta_B p_B / eta_A, giving eta_B^2 p_B^2 R_c;
-    otherwise the scenario's own p_A is used.
-    """
+def rate_lo(scenario: SwapScenario, clock: float) -> float:
+    """Linear-optical swapping rate eta_A eta_B p_A p_B R_c, with the A-side
+    pair probability replaced by the optimal-fidelity value eta_B p_B / eta_A,
+    giving eta_B^2 p_B^2 R_c."""
     check_clock(clock)
-    ha, hb = scenario.eta_a, scenario.eta_b
-    p_b = p_from_epsilon(scenario.eps_b)
-    if attenuated:
-        if np.any(ha <= 0.0):
-            raise DomainError("the attenuation convention needs eta_a > 0")
-        flux_b = hb * p_b
-        return flux_b * flux_b * clock
-    return ha * hb * p_from_epsilon(scenario.eps_a) * p_b * clock
+    if np.any(scenario.eta_a <= 0.0):
+        raise DomainError("the attenuation convention needs eta_a > 0")
+    flux_b = scenario.eta_b * p_from_epsilon(scenario.eps_b)
+    return flux_b * flux_b * clock
 
 
 def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:

@@ -11,7 +11,7 @@ from entswap.nlo_bsm import (
     p_for_target_fidelity,
     p_total_sfg,
 )
-from entswap.oracle import _arrival_table, _arrival_tables, _nlo_herald
+from entswap.oracle import _arrival_table, _arrival_tables, _grid, _nlo_herald
 from entswap.photon_stats import SwapScenario, epsilon_from_p
 
 
@@ -27,22 +27,22 @@ def equal_sources(p):
 
 def summed_total_herald(scen, p_sfg, n_max=30):
     """Independent oracle: the exact-sum arrival marginals through the herald
-    matrix k*l, times p_sfg.
+    k*l*p_sfg on the index grid.
 
     The truncation tail is geometric (eps**31 ~ 1e-22 for eps <= 0.2), far
     below the comparison tolerance.
     """
     arr_a, arr_b, _ = _arrival_tables(scen, n_max)
-    return float(arr_a @ _nlo_herald(n_max) @ arr_b) * p_sfg
+    return float(arr_a @ _grid(_nlo_herald(p_sfg), n_max) @ arr_b)
 
 
 def herald_pmf(scen, p_sfg, k, n, l, m):
     """Probability that the (k|n, l|m) arrival pattern occurs and heralds,
-    from the exact-sum oracle's per-side tables and herald matrix."""
+    from the exact-sum oracle's per-side tables and herald grid."""
     n_max = max(n, m)
     w_a, pmf_a = _arrival_table(scen.eps_a, scen.eta_a, n_max)
     w_b, pmf_b = _arrival_table(scen.eps_b, scen.eta_b, n_max)
-    return w_a[n] * pmf_a[n, k] * w_b[m] * pmf_b[m, l] * _nlo_herald(n_max)[k, l] * p_sfg
+    return w_a[n] * pmf_a[n, k] * w_b[m] * pmf_b[m, l] * _grid(_nlo_herald(p_sfg), n_max)[k, l]
 
 
 class TestHeraldPmf:

@@ -14,11 +14,13 @@ from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import (
     MAX_TOLERANCE,
     N_MAX_LIMIT,
+    SCENARIOS_LIMIT,
     SHARD_SAMPLES_LIMIT,
     SHARDS_LIMIT,
     WORKERS_LIMIT,
     OracleConfig,
     _arrival_table,
+    _grid,
     _lo_herald,
     _nlo_herald,
     exact_fidelity_lo,
@@ -119,33 +121,49 @@ class _Draws:
 
 
 class TestHeraldMatrices:
-    """The exact-sum herald matrices agree with the Monte Carlo accept rules."""
+    """The exact-sum grid of each herald is the rule Monte Carlo samples."""
 
     K, L = (grid.ravel() for grid in np.meshgrid(np.arange(13), np.arange(13), indexing="ij"))
 
     @staticmethod
-    def accept_rule(monkeypatch, estimator, *args):
-        # Each mc_fidelity_* hands its accept rule to _mc_fidelity: capture it.
-        rules = []
-        monkeypatch.setattr(oracle, "_mc_fidelity", lambda s, cfg, accept: rules.append(accept))
-        estimator(PINNED[0], *args, OracleConfig(samples=1))
-        return rules[0]
+    def sampled_herald(monkeypatch, estimator, *args):
+        # Each mc_fidelity_* hands its herald to _mc_fidelity: capture it.
+        heralds = []
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_mc_fidelity", lambda s, cfg, herald: heralds.append(herald))
+            estimator(PINNED[0], *args, OracleConfig(samples=1))
+        return heralds[0]
+
+    @classmethod
+    def sampled_heralds(cls, monkeypatch, estimator, *args, draws=None):
+        """Heralds the Monte Carlo shard counts when its trials are the grid
+        (n, m, k, l) = (K, L, K, L) and its uniform draws are ``draws``."""
+        grid = (cls.K, cls.L, cls.K, cls.L)
+        monkeypatch.setattr(oracle, "_sample_arrivals", lambda rng, s, size: grid)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(draws))
+        return estimator(PINNED[0], *args, OracleConfig(samples=1, shards=1)).heralds
 
     def test_lo_herald_is_the_monte_carlo_rule(self, monkeypatch):
-        accept = self.accept_rule(monkeypatch, mc_fidelity_lo)
-        herald = _lo_herald(12).ravel()
-        np.testing.assert_array_equal(herald, (self.K + self.L) >= 2)
-        np.testing.assert_array_equal(herald, accept(None, self.K, self.L))
+        grid = _grid(_lo_herald, 12).ravel()
+        np.testing.assert_array_equal(grid, (self.K + self.L) >= 2)
+        herald = self.sampled_herald(monkeypatch, mc_fidelity_lo)
+        np.testing.assert_array_equal(grid, herald(self.K, self.L))
+        # A 0/1 herald is the accept mask itself: the shard draws no uniform
+        # (a draw here would fail on the missing values).
+        assert self.sampled_heralds(monkeypatch, mc_fidelity_lo) == grid.sum()
 
     def test_nlo_herald_is_the_monte_carlo_weight(self, monkeypatch):
         p_sfg = 0.005  # k l p_sfg <= 1 up to k = l = 12
-        weight = _nlo_herald(12).ravel() * p_sfg
+        weight = _grid(_nlo_herald(p_sfg), 12).ravel()
         np.testing.assert_array_equal(weight, self.K * self.L * p_sfg)
-        # The rule keeps a trial when its uniform draw is below the weight, so
+        herald = self.sampled_herald(monkeypatch, mc_fidelity_nlo, p_sfg)
+        np.testing.assert_array_equal(weight, herald(self.K, self.L))
+        # The shard keeps a trial when its uniform draw is below the weight, so
         # draws at the weight and one ulp below it pin the weight exactly.
-        accept = self.accept_rule(monkeypatch, mc_fidelity_nlo, p_sfg)
-        assert not accept(_Draws(weight), self.K, self.L).any()
-        assert accept(_Draws(np.nextafter(weight, -np.inf)), self.K, self.L).all()
+        with pytest.raises(InsufficientStatisticsError, match="no herald events"):
+            self.sampled_heralds(monkeypatch, mc_fidelity_nlo, p_sfg, draws=weight)
+        below = np.nextafter(weight, -np.inf)
+        assert self.sampled_heralds(monkeypatch, mc_fidelity_nlo, p_sfg, draws=below) == weight.size
 
 
 class TestExactSumLo:
@@ -210,11 +228,21 @@ class TestExactSumNlo:
         assert values[0] == pytest.approx(fidelity_nlo(src), abs=1e-12)
         assert values[0] == pytest.approx(0.2742, abs=5e-5)
 
-    def test_device_probability_cancels_exactly(self):
+    def test_device_probability_cancels_to_rounding(self):
+        # p_sfg scales the faithful and total weights alike; it enters the
+        # herald grid, so it may move the value by ulps, far below the 1e-10 floor.
         scen = scenario(0.3, 0.1, 0.6, 0.2)
         lo = exact_fidelity_nlo(scen, 1e-6, EXACT)
         hi = exact_fidelity_nlo(scen, 0.1, EXACT)
-        assert lo.value == hi.value
+        assert hi.value == pytest.approx(lo.value, rel=1e-12, abs=0.0)
+
+    def test_zero_device_probability_is_undefined(self):
+        # Nothing up-converts, so nothing heralds, as the sampled route finds too.
+        scen = scenario(0.2, 0.3, 0.5, 0.5)
+        with pytest.raises(UndefinedFidelityError, match="no herald events"):
+            exact_fidelity_nlo(scen, 0.0, OracleConfig())
+        with pytest.raises(InsufficientStatisticsError, match="no herald events"):
+            mc_fidelity_nlo(scen, 0.0, OracleConfig(samples=1000))
 
     def test_silent_source_is_undefined(self):
         with pytest.raises(UndefinedFidelityError):
@@ -312,6 +340,13 @@ class TestRandomScenarios:
         with pytest.raises(DomainError, match="seed"):
             random_scenarios(1, seed)
 
+    @pytest.mark.parametrize("count", [SCENARIOS_LIMIT + 1, -1, 2.0, True])
+    def test_count_is_capped(self, monkeypatch, count):
+        # Refused before any draw: an unchecked count near 2**53 asks for TBs.
+        monkeypatch.setattr(oracle.random, "Random", None)
+        with pytest.raises(DomainError, match=r"scenarios must be an int in \[0, 10000\]"):
+            random_scenarios(count, 0)
+
 
 class TestVerificationReport:
     def test_default_grid_passes(self):
@@ -349,13 +384,27 @@ class TestVerificationReport:
         assert len(calls) == 2 * len(PINNED)
 
     def test_exact_report_builds_each_herald_matrix_once(self, monkeypatch):
-        calls = []
-        for name in ("_lo_herald", "_nlo_herald"):
-            build = getattr(oracle, name)
-            counting = lambda n_max, name=name, build=build: calls.append(name) or build(n_max)
-            monkeypatch.setattr(oracle, name, counting)
+        heralds = []
+        grid = oracle._grid
+        monkeypatch.setattr(oracle, "_grid", lambda h, n_max: heralds.append(h) or grid(h, n_max))
         verification_report(PINNED, EXACT, methods=("exact-sum",))
-        assert sorted(calls) == ["_lo_herald", "_nlo_herald"]
+        assert len(heralds) == 2
+        assert heralds[0] is _lo_herald and heralds[1] is not _lo_herald
+
+    def test_monte_carlo_rows_call_the_public_estimators(self, monkeypatch):
+        # perfbench/tracer.py counts oracle.mc.* by wrapping these two names
+        # and reading their OracleConfig, so each row must go through them.
+        calls = []
+        for name in ("mc_fidelity_lo", "mc_fidelity_nlo"):
+            estimator = getattr(oracle, name)
+            counting = lambda *a, name=name, f=estimator: calls.append((name, a[-1])) or f(*a)
+            monkeypatch.setattr(oracle, name, counting)
+        cfg = OracleConfig(samples=2_000)
+        verification_report(PINNED, cfg, methods=("monte-carlo",))
+        assert sorted(name for name, _ in calls) == sorted(
+            ["mc_fidelity_lo", "mc_fidelity_nlo"] * len(PINNED)
+        )
+        assert all(arg is cfg for _, arg in calls)
 
     def test_exact_rows_equal_the_public_estimators(self):
         report = verification_report(PINNED, EXACT, p_sfg=0.05, methods=("exact-sum",))

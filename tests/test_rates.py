@@ -24,18 +24,18 @@ class TestRateLo:
         scen = scenario_from_p(0.01, 0.01, 0.5, 0.5)
         assert rate_lo(scen, 0.0) == 0.0
 
-    def test_unattenuated_variant(self):
-        scen = scenario_from_p(0.02, 0.01, 0.6, 0.3)
+    def test_explicit_product_at_the_attenuated_p_a(self):
+        # p_a = eta_b p_b / eta_a already, so the attenuation changes nothing.
+        scen = scenario_from_p(0.005, 0.01, 0.6, 0.3)
         expected = 0.6 * 0.3 * p_from_epsilon(scen.eps_a) * p_from_epsilon(scen.eps_b) * 1e9
-        assert rate_lo(scen, 1e9, attenuated=False) == pytest.approx(expected, rel=1e-12)
+        assert rate_lo(scen, 1e9) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRateNlo:
     def test_unit_conversion_probability(self):
         scen = scenario_from_p(0.01, 0.01, 0.6, 0.3)
-        assert rate_nlo(scen, 1.0, 1e9) == pytest.approx(
-            rate_lo(scen, 1e9, attenuated=False), rel=1e-12
-        )
+        expected = 0.6 * 0.3 * p_from_epsilon(scen.eps_a) * p_from_epsilon(scen.eps_b) * 1e9
+        assert rate_nlo(scen, 1.0, 1e9) == pytest.approx(expected, rel=1e-12)
 
     def test_asymmetric_value(self):
         scen = scenario_from_p(0.01, 0.01, 1.0, 1e-3)
