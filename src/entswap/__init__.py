@@ -22,22 +22,16 @@ from .photon_stats import (
     SwapScenario,
     epsilon_from_p,
     p_from_epsilon,
-    p_one_arrival,
-    p_zero_arrivals,
 )
 from .lo_bsm import (
     LoFidelityReport,
-    fidelity_balanced,
     fidelity_balanced_smalleta,
     fidelity_general,
-    fidelity_leading_order,
-    fidelity_leading_order_lossy,
     fidelity_unbalanced_limit,
     fidelity_upper_bound,
     optimal_epsilon_a,
 )
 from .nlo_bsm import (
-    NloFidelityReport,
     fidelity_nlo,
     p_for_target_fidelity,
     p_total_sfg,

@@ -140,6 +140,8 @@ def sfg_evolve(state: np.ndarray, gt: float, cutoff: int) -> np.ndarray:
         raise InputError(
             f"state of shape {state.shape} is not a tri-mode state for cutoff {cutoff}"
         )
+    if not np.isfinite(state).all():
+        raise InputError("tri-mode state must have finite amplitudes")
     chains = _occupied_chains(state, cutoff)
     if gt == 0.0:
         return state
@@ -197,10 +199,13 @@ def _bell_amplitudes(label: str) -> np.ndarray:
 
 
 def _time_bin_array(state: np.ndarray, photons: int, what: str) -> np.ndarray:
-    """``state`` as an array, which must have one axis of length 2 per photon."""
+    """``state`` as an array, which must have one axis of length 2 per photon
+    and finite amplitudes."""
     state = np.asarray(state)
     if state.shape != (2,) * photons:
         raise InputError(f"{what} must have shape {(2,) * photons}, got {state.shape}")
+    if not np.isfinite(state).all():
+        raise InputError(f"{what} must have finite amplitudes")
     return state
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedFidelityError
-from .photon_stats import SwapScenario, check_epsilon, check_pair_probability, check_probability
+from .photon_stats import SwapScenario, check_pair_probability, check_probability
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -34,38 +34,6 @@ class LoFidelityReport:
     bound: float
 
 
-def fidelity_leading_order(p_a: float, p_b: float) -> float:
-    """Lossless two-photon-level fidelity p_A p_B / (p_A p_B + p_A^2 + p_B^2).
-
-    Bounded by 1/3, saturated at p_A = p_B.
-    """
-    check_pair_probability(p_a, "p_a")
-    check_pair_probability(p_b, "p_b")
-    denom = p_a * p_b + p_a * p_a + p_b * p_b
-    if denom == 0.0:
-        raise UndefinedFidelityError("both pair probabilities are zero; no herald events exist")
-    return p_a * p_b / denom
-
-
-def fidelity_leading_order_lossy(p_a: float, p_b: float, eta: float) -> float:
-    """Two-photon-level fidelity with loss eta on the channel from source B:
-
-        eta p_A p_B / (eta p_A p_B + p_A^2 + eta^2 p_B^2)
-
-    Maximized at p_A = eta * p_B where it reaches 1/3; at p_A = p_B it
-    degrades to roughly eta.
-    """
-    check_pair_probability(p_a, "p_a")
-    check_pair_probability(p_b, "p_b")
-    check_probability(eta, "eta")
-    if eta == 0.0:
-        raise UndefinedFidelityError("eta = 0 leaves no faithful herald events")
-    denom = eta * p_a * p_b + p_a * p_a + eta * eta * p_b * p_b
-    if denom == 0.0:
-        raise UndefinedFidelityError("both pair probabilities are zero; no herald events exist")
-    return eta * p_a * p_b / denom
-
-
 def _herald_terms(scenario: SwapScenario) -> tuple[float, float, float, float, float]:
     ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
     ua, ub = 1.0 - ea, 1.0 - eb
@@ -83,12 +51,6 @@ def _herald_polynomial(ua: float, ub: float, a: float, b: float) -> float:
     y = b * ua
     ab = a * b
     return (x * x + y * y) + x * y + ab * ((2.0 * x + 2.0 * y) + ab)
-
-
-def p_herald_lo(scenario: SwapScenario) -> float:
-    """Probability that at least two photons arrive, i.e. 1 - P0 - P1."""
-    ua, ub, a, b, dd = _herald_terms(scenario)
-    return _herald_polynomial(ua, ub, a, b) / (dd * dd)
 
 
 def fidelity_upper_bound(scenario: SwapScenario) -> float:
@@ -119,20 +81,6 @@ def fidelity_general(scenario: SwapScenario) -> LoFidelityReport:
         p_herald=poly / (dd * dd),
         bound=ONE_THIRD * dd * dd,
     )
-
-
-def fidelity_balanced(eps: float, eta: float) -> float:
-    """Fidelity for equal sources and equal channel losses:
-
-        (1-eps)^2 (1-eps+eps*eta)^3 / (3(1-eps) + eps*eta)
-    """
-    check_epsilon(eps, "eps")
-    check_probability(eta, "eta")
-    if eps == 0.0:
-        raise UndefinedFidelityError("eps = 0 produces no herald events")
-    u = 1.0 - eps
-    d = u + eps * eta
-    return u * u * d**3 / (3.0 * u + eps * eta)
 
 
 def fidelity_balanced_smalleta(p: float) -> float:

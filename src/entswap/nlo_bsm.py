@@ -15,7 +15,6 @@ order in p_sfg), not on the channel losses.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +23,12 @@ from .errors import (
     ModelValidityWarning,
     UndefinedFidelityError,
 )
-from .photon_stats import SwapScenario, check_probability, epsilon_from_p
+from .photon_stats import SwapScenario, check_probability
 
 # Above this single-photon conversion probability the weak-interaction
 # expansion behind the herald weights starts to be questionable unless the
 # channels are very lossy; warn but keep computing.
 WEAK_SFG_WARN_THRESHOLD = 0.1
-
-
-@dataclass(frozen=True)
-class NloFidelityReport:
-    """Fidelity with the herald probabilities for one scenario and device."""
-
-    fidelity: float
-    p_faithful: float
-    p_herald: float
-    p_sfg: float
 
 
 def _check_p_sfg(p_sfg: float) -> None:
@@ -86,21 +75,6 @@ def fidelity_nlo(scenario: SwapScenario) -> float:
     return (ua * ua) * (ub * ub)
 
 
-def fidelity_report(scenario: SwapScenario, p_sfg: float) -> NloFidelityReport:
-    """Full herald bookkeeping for one scenario and device efficiency.
-
-    The fidelity field is computed from the source efficiencies alone; the
-    faithful/total herald probabilities it equals are reported alongside.
-    """
-    check_p_sfg_heralds(p_sfg)
-    return NloFidelityReport(
-        fidelity=fidelity_nlo(scenario),
-        p_faithful=p_faithful_sfg(scenario, p_sfg),
-        p_herald=p_total_sfg(scenario, p_sfg),
-        p_sfg=p_sfg,
-    )
-
-
 def p_for_target_fidelity(f_target: float) -> float:
     """Pair probability at which two equal sources reach a target fidelity.
 
@@ -116,9 +90,3 @@ def p_for_target_fidelity(f_target: float) -> float:
             "p <= 1/4 domain"
         )
     return eps * (1.0 - eps)
-
-
-def epsilon_pair_for_fidelity(f_target: float) -> float:
-    """Conversion efficiency (equal sources) reaching a target fidelity."""
-    p = p_for_target_fidelity(f_target)
-    return epsilon_from_p(p)

@@ -360,8 +360,8 @@ def _comparison(estimate: OracleEstimate, closed_form: float, tolerance: float) 
 def verification_report(
     scenarios: list[SwapScenario],
     cfg: OracleConfig,
-    p_sfg: float = 1e-3,
-    methods: tuple[str, ...] = ("exact-sum", "monte-carlo"),
+    p_sfg: float,
+    methods: tuple[str, ...],
     closed_form_lo=None,
     closed_form_nlo=None,
 ) -> dict:

@@ -74,10 +74,6 @@ class SwapScenario:
         """The scenario of four positional values, in the constructor's order."""
         return cls(eps_a, eps_b, eta_a, eta_b)
 
-    def swapped(self) -> "SwapScenario":
-        """The same scenario with the A and B sides exchanged."""
-        return SwapScenario(self.eps_b, self.eps_a, self.eta_b, self.eta_a)
-
 
 def p_from_epsilon(eps: float) -> float:
     """Single-pair probability (1 - eps) * eps for conversion efficiency eps."""
@@ -93,40 +89,6 @@ def epsilon_from_p(p: float) -> float:
     """
     check_pair_probability(p, "pair probability")
     return 0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p)))
-
-
-def _loss_denominator(eps: float, eta: float) -> float:
-    # 1 - eps*(1 - eta), the geometric-series denominator produced by summing
-    # the no-arrival (or one-arrival) branch over all emission numbers.
-    return 1.0 - eps * (1.0 - eta)
-
-
-def p_zero_arrivals(scenario: SwapScenario) -> float:
-    """Probability that no photon at all reaches the measurement.
-
-    Closed form of sum_{n,m} P(0|n, 0|m):
-    (1-eps_A)(1-eps_B) / [(1 - eps_A(1-eta_A)) (1 - eps_B(1-eta_B))].
-    """
-    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
-    return (1.0 - ea) * (1.0 - eb) / (_loss_denominator(ea, ha) * _loss_denominator(eb, hb))
-
-
-def p_one_arrival(scenario: SwapScenario) -> float:
-    """Probability that exactly one photon reaches the measurement.
-
-    Sum of the two single-arrival branches, each a differentiated geometric
-    series:
-
-        (1-eps_A)(1-eps_B) * [ eps_A eta_A / D_A^2 / D_B
-                             + eps_B eta_B / D_A / D_B^2 ]
-
-    with D_X = 1 - eps_X (1 - eta_X).
-    """
-    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
-    da = _loss_denominator(ea, ha)
-    db = _loss_denominator(eb, hb)
-    pref = (1.0 - ea) * (1.0 - eb)
-    return pref * (ea * ha / (da * da * db) + eb * hb / (da * db * db))
 
 
 def truncation_tail_bound(scenario: SwapScenario, n_max: int) -> float:

@@ -16,16 +16,12 @@ from .errors import ConfigError
 class Preset:
     name: str
     params: dict[str, ConfigValue]
-    note: str
-
-    @property
-    def text(self) -> str:
-        return _PRESET_TEXTS[self.name]
 
 
 _PRESET_TEXTS: dict[str, str] = {
     "fig2": """
 # Fidelity-vs-pair-probability sweep, both sources driven equally.
+# Default sweep grid: 200 log-spaced pair probabilities from 1e-3 to 1/4.
 variable = p
 start = 1e-3
 stop = 0.25
@@ -35,6 +31,8 @@ outputs = f_nlo,f_lo_balanced_smalleta,f_lo_unbalanced,lo_bound
 """,
     "ingap-ring": """
 # InGaP microring design point: 5 um radius, telecom inputs, visible output.
+# Design-point estimate, order 1e-3 conversion probability; the coupling
+# rate is the SFG value (twice the second-harmonic rate).
 g = 20 MHz
 lambda_a = 1550 nm
 lambda_b = 1550 nm
@@ -45,6 +43,8 @@ q_c = 1e5
 """,
     "ingap-wg": """
 # Phase-matched InGaP nanophotonic waveguide, 1 cm long.
+# Full-bandwidth waveguide estimate, order 3e-5; efficiency quoted as
+# 4x the measured second-harmonic efficiency.
 eta_sfg = 500000 %/W/cm^2
 accept = 6 GHz*cm
 length = 1 cm
@@ -52,10 +52,15 @@ lambda = 1550 nm
 """,
     "lnoi-ring": """
 # Periodically-poled thin-film lithium niobate microring.
+# Order-of-magnitude only: the conversion probability is quoted directly
+# because the coupling rate and quality factors come from external device
+# characterization not reproduced here.
 p_sfg = 1e-4
 """,
     "satellite": """
 # Strongly asymmetric link: one channel near-lossless, the other ~50 dB down.
+# Ground-to-satellite style asymmetry where the nonlinear scheme out-rates
+# the attenuated linear-optical one by p_sfg * eta_a / eta_b = 100.
 eta_a = 1
 eta_b = 1e-5
 p_a = 0.01
@@ -63,27 +68,6 @@ p_b = 0.01
 p_sfg = 1e-3
 clock = 1 GHz
 """,
-}
-
-_PRESET_NOTES: dict[str, str] = {
-    "fig2": "default sweep grid: 200 log-spaced pair probabilities from 1e-3 to 1/4",
-    "ingap-ring": (
-        "design-point estimate, order 1e-3 conversion probability; the coupling "
-        "rate is the SFG value (twice the second-harmonic rate)"
-    ),
-    "ingap-wg": (
-        "full-bandwidth waveguide estimate, order 3e-5; efficiency quoted as "
-        "4x the measured second-harmonic efficiency"
-    ),
-    "lnoi-ring": (
-        "order-of-magnitude only: the conversion probability is quoted directly "
-        "because the coupling rate and quality factors come from external device "
-        "characterization not reproduced here"
-    ),
-    "satellite": (
-        "ground-to-satellite style asymmetry where the nonlinear scheme out-rates "
-        "the attenuated linear-optical one by p_sfg * eta_a / eta_b = 100"
-    ),
 }
 
 # Measured single-photon conversion probability demonstrated on a 10 um InGaP
@@ -101,9 +85,5 @@ def get_preset(name: str) -> Preset:
     return Preset(
         name=name,
         params=parse_config_text(_PRESET_TEXTS[name], source=f"<preset:{name}>"),
-        note=_PRESET_NOTES[name],
     )
 
-
-def list_presets() -> list[Preset]:
-    return [get_preset(name) for name in preset_names()]

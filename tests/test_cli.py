@@ -346,7 +346,7 @@ class TestVerifyCommand:
         # alone, so they fail unless the floor adds to the bound.
         scenarios = [SwapScenario.from_values(*values) for values in ROUNDING_SCENARIOS[n_max]]
         report = verification_report(scenarios, OracleConfig(n_max=int(n_max)),
-                                     methods=("exact-sum",))
+                                     p_sfg=1e-3, methods=("exact-sum",))
         assert report["failures"] == 0
         assert report["compared"] == 2 * len(scenarios)
         assert any(row["abs_diff"] > row["tail_bound"] for row in report["rows"])

@@ -359,5 +359,30 @@ class TestSwapMeasurement:
         with pytest.raises(InputError):
             swap_condition_on_sfg(four, elements="three")
         four[0, 0, 0, 0] = math.nan
-        with pytest.raises(InputError, match="normalized"):
+        with pytest.raises(InputError, match="finite"):
             swap_condition_on_sfg(four, elements="two")
+
+
+def _with_amplitude(state, value):
+    state = np.array(state, dtype=complex)
+    state.flat[0] = value
+    return state
+
+
+class TestNonFiniteAmplitudes:
+    # errors.py promises no NaN out of the package, so a NaN or infinite
+    # amplitude is refused where each state space is read.
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: bell_fidelity(_with_amplitude(bell_state("phi+"), v), "phi+"),
+            lambda v: product_state(bell_state("phi+"), _with_amplitude(bell_state("psi-"), v)),
+            lambda v: dump_state(_with_amplitude(np.zeros((2, 2, 2)), v)),
+            lambda v: sfg_evolve(_with_amplitude(tri_mode_state(1, 1, 0, 2), v), 0.1, 2),
+        ],
+        ids=["bell_fidelity", "product_state", "dump_state", "sfg_evolve"],
+    )
+    def test_rejected(self, call, value):
+        with pytest.raises(InputError, match="finite amplitudes"):
+            call(value)

@@ -6,77 +6,57 @@ import pytest
 from entswap.errors import DomainError, UndefinedFidelityError
 from entswap.lo_bsm import (
     ONE_THIRD,
-    fidelity_balanced,
     fidelity_balanced_smalleta,
     fidelity_general,
-    fidelity_leading_order,
-    fidelity_leading_order_lossy,
     fidelity_unbalanced_limit,
     fidelity_upper_bound,
     optimal_epsilon_a,
     p_for_balanced_smalleta,
     p_for_unbalanced_limit,
-    p_herald_lo,
 )
 from entswap.oracle import OracleConfig, exact_fidelity_lo
-from entswap.photon_stats import (
-    SwapScenario,
-    epsilon_from_p,
-    p_from_epsilon,
-    p_one_arrival,
-    p_zero_arrivals,
-)
+from entswap.photon_stats import SwapScenario, epsilon_from_p, p_from_epsilon
 
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
     return SwapScenario.from_values(eps_a, eps_b, eta_a, eta_b)
 
 
-class TestLeadingOrder:
-    @pytest.mark.parametrize("p", [1e-4, 0.01, 0.1, 0.25])
-    def test_equal_sources_saturate_the_bound(self, p):
-        assert fidelity_leading_order(p, p) == pytest.approx(ONE_THIRD, rel=1e-14)
-
-    def test_doubled_source(self):
-        assert fidelity_leading_order(0.05, 0.10) == pytest.approx(2.0 / 7.0, rel=1e-14)
-
-    def test_extreme_imbalance(self):
-        p = 0.01
-        value = fidelity_leading_order(p, p * 1e-6)
-        expected = 1e-6 / (1e-6 + 1.0 + 1e-12)
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert value == pytest.approx(1e-6, rel=1e-5)
-
-    def test_both_zero_is_undefined(self):
-        with pytest.raises(UndefinedFidelityError):
-            fidelity_leading_order(0.0, 0.0)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            fidelity_leading_order(0.3, 0.1)
+def summed_zero_arrivals(scen, n_max):
+    """Independent oracle: accumulate P(0|n, 0|m) term by term."""
+    ea, eb, ha, hb = scen.eps_a, scen.eps_b, scen.eta_a, scen.eta_b
+    total = 0.0
+    for n in range(n_max + 1):
+        for m in range(n_max + 1):
+            total += (
+                (1 - ea) * ea**n * (1 - ha) ** n * (1 - eb) * eb**m * (1 - hb) ** m
+            )
+    return total
 
 
-class TestLeadingOrderLossy:
-    @pytest.mark.parametrize("eta,p", [(0.5, 0.02), (0.1, 0.2), (0.9, 0.01)])
-    def test_attenuated_source_saturates(self, eta, p):
-        assert fidelity_leading_order_lossy(eta * p, p, eta) == pytest.approx(
-            ONE_THIRD, rel=1e-13
-        )
+def summed_one_arrival(scen, n_max):
+    """Independent oracle: accumulate the two exactly-one-arrival branches."""
+    ea, eb, ha, hb = scen.eps_a, scen.eps_b, scen.eta_a, scen.eta_b
+    total = 0.0
+    for n in range(1, n_max + 1):
+        for m in range(n_max + 1):
+            total += (
+                (1 - ea) * ea**n * n * ha * (1 - ha) ** (n - 1)
+                * (1 - eb) * eb**m * (1 - hb) ** m
+            )
+    for n in range(n_max + 1):
+        for m in range(1, n_max + 1):
+            total += (
+                (1 - ea) * ea**n * (1 - ha) ** n
+                * (1 - eb) * eb**m * m * hb * (1 - hb) ** (m - 1)
+            )
+    return total
 
-    def test_equal_driving_degrades_to_eta(self):
-        eta = 1e-3
-        value = fidelity_leading_order_lossy(0.01, 0.01, eta)
-        assert value == pytest.approx(eta, rel=2 * eta + 1e-6)
 
-    def test_balance_point_value(self):
-        # p_a = eta * p_b exactly, so the three denominator terms are equal.
-        assert fidelity_leading_order_lossy(0.01, 0.02, 0.5) == pytest.approx(
-            ONE_THIRD, rel=1e-13
-        )
-
-    def test_zero_eta_is_undefined(self):
-        with pytest.raises(UndefinedFidelityError):
-            fidelity_leading_order_lossy(0.01, 0.01, 0.0)
+def summed_herald(scen, n_max=60):
+    """1 - P0 - P1 from the term-by-term sums; the tails beyond n_max = 60
+    are below 0.5**61 for eps <= 0.5."""
+    return 1.0 - summed_zero_arrivals(scen, n_max) - summed_one_arrival(scen, n_max)
 
 
 class TestFidelityGeneral:
@@ -111,8 +91,7 @@ class TestFidelityGeneral:
         assert report.p_faithful <= report.p_herald
         assert report.fidelity == pytest.approx(report.p_faithful / report.p_herald, rel=1e-12)
         assert report.fidelity <= report.bound <= ONE_THIRD + 1e-12
-        herald_direct = 1.0 - p_zero_arrivals(scen) - p_one_arrival(scen)
-        assert report.p_herald == pytest.approx(herald_direct, rel=1e-12)
+        assert report.p_herald == pytest.approx(summed_herald(scen), rel=1e-12)
 
     def test_no_heralds_is_undefined(self):
         with pytest.raises(UndefinedFidelityError):
@@ -137,7 +116,7 @@ class TestFidelityGeneral:
                 direct = fidelity_general(scen)
             except UndefinedFidelityError:
                 continue
-            mirrored = fidelity_general(scen.swapped())
+            mirrored = fidelity_general(scenario(float(eb), float(ea), float(hb), float(ha)))
             assert direct.fidelity == mirrored.fidelity
             assert direct.p_herald == mirrored.p_herald
 
@@ -173,24 +152,13 @@ class TestUpperBound:
 
 
 class TestBalanced:
-    def test_lossless_reduction(self):
-        for eps in (0.1, 0.25, 0.4):
-            assert fidelity_balanced(eps, 1.0) == pytest.approx(
-                (1 - eps) ** 2 / (3 - 2 * eps), rel=1e-14
-            )
-
-    def test_opaque_channel_limit(self):
-        assert fidelity_balanced(0.1, 0.0) == pytest.approx((0.9**4) / 3.0, rel=1e-14)
-        assert fidelity_balanced(0.1, 0.0) == pytest.approx(0.2187, abs=1e-10)
-
     def test_consistent_with_general(self):
-        assert fidelity_balanced(0.2, 0.5) == pytest.approx(
-            fidelity_general(scenario(0.2, 0.2, 0.5, 0.5)).fidelity, rel=1e-12
+        # Equal sources and channels: (1-eps)^2 (1-eps+eps eta)^3 / (3(1-eps) + eps eta).
+        eps, eta = 0.2, 0.5
+        u, d = 1.0 - eps, 1.0 - eps + eps * eta
+        assert fidelity_general(scenario(eps, eps, eta, eta)).fidelity == pytest.approx(
+            u * u * d**3 / (3.0 * u + eps * eta), rel=1e-12
         )
-
-    def test_zero_pumping_is_undefined(self):
-        with pytest.raises(UndefinedFidelityError):
-            fidelity_balanced(0.0, 0.5)
 
 
 class TestStrongLossCurves:
@@ -205,9 +173,8 @@ class TestStrongLossCurves:
     def test_balanced_smalleta_is_the_strong_loss_limit(self):
         p = 0.05
         eps = epsilon_from_p(p)
-        assert fidelity_balanced(eps, 1e-6) == pytest.approx(
-            fidelity_balanced_smalleta(p), rel=1e-5
-        )
+        value = fidelity_general(SwapScenario(eps, eps, 1e-6, 1e-6)).fidelity
+        assert value == pytest.approx(fidelity_balanced_smalleta(p), rel=1e-5)
 
     def test_unbalanced_endpoints(self):
         assert fidelity_unbalanced_limit(0.0) == pytest.approx(ONE_THIRD, rel=1e-15)
@@ -267,7 +234,6 @@ class TestNanRejected:
         [
             pytest.param(lambda: fidelity_balanced_smalleta(math.nan), id="balanced-smalleta"),
             pytest.param(lambda: fidelity_unbalanced_limit(math.nan), id="unbalanced-limit"),
-            pytest.param(lambda: fidelity_leading_order(math.nan, 0.01), id="leading-order"),
             pytest.param(lambda: optimal_epsilon_a(0.1, math.nan, 0.5), id="optimal-eta-a-nan"),
             pytest.param(lambda: optimal_epsilon_a(0.1, 0.5, math.nan), id="optimal-eta-b-nan"),
             pytest.param(lambda: optimal_epsilon_a(0.1, 5.0, 0.5), id="optimal-eta-a-above-1"),
@@ -290,7 +256,8 @@ class TestLeadingOrderConsistency:
             scen = scenario(eps_a, eps_b, eta, 1.0)
             p_a, p_b = p_from_epsilon(scen.eps_a), p_from_epsilon(scen.eps_b)
             general = fidelity_general(scen).fidelity
-            leading = fidelity_leading_order_lossy(p_b, p_a, eta)
+            # Two-photon level with loss eta on the side of source A.
+            leading = eta * p_a * p_b / (eta * p_a * p_b + p_b * p_b + eta * eta * p_a * p_a)
             assert general == pytest.approx(leading, rel=30 * scale)
 
 
@@ -301,8 +268,7 @@ class TestHeraldProbability:
             ea, eb = rng.uniform(0.05, 0.5, 2)
             ha, hb = rng.uniform(0.1, 1.0, 2)
             scen = scenario(float(ea), float(eb), float(ha), float(hb))
-            complement = 1.0 - p_zero_arrivals(scen) - p_one_arrival(scen)
-            assert p_herald_lo(scen) == pytest.approx(complement, rel=1e-10)
+            assert fidelity_general(scen).p_herald == pytest.approx(summed_herald(scen), rel=1e-10)
 
 
 class TestTargetInversion:

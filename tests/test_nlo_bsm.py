@@ -4,9 +4,7 @@ import pytest
 from entswap.errors import DomainError, ModelValidityWarning, UndefinedFidelityError
 from entswap.lo_bsm import fidelity_balanced_smalleta
 from entswap.nlo_bsm import (
-    epsilon_pair_for_fidelity,
     fidelity_nlo,
-    fidelity_report,
     p_faithful_sfg,
     p_for_target_fidelity,
     p_total_sfg,
@@ -142,13 +140,13 @@ class TestFidelity:
         for _ in range(50):
             ha, hb = rng.uniform(0.01, 1.0, 2)
             scen = scenario(0.25, 0.15, float(ha), float(hb))
-            report = fidelity_report(scen, 1e-3)
-            assert report.fidelity == pytest.approx(
-                report.p_faithful / report.p_herald, rel=1e-12
+            fidelity = fidelity_nlo(scen)
+            assert fidelity == pytest.approx(
+                p_faithful_sfg(scen, 1e-3) / p_total_sfg(scen, 1e-3), rel=1e-12
             )
             if reference is None:
-                reference = report.fidelity
-            assert report.fidelity == reference
+                reference = fidelity
+            assert fidelity == reference
 
     def test_always_thrice_the_balanced_strong_loss_curve(self):
         for p in np.linspace(0.001, 0.25, 40):
@@ -164,12 +162,12 @@ class TestTargetInversion:
     def test_one_third_target(self):
         p = p_for_target_fidelity(1.0 / 3.0)
         assert 0.180 <= p <= 0.185
-        eps = epsilon_pair_for_fidelity(1.0 / 3.0)
+        eps = epsilon_from_p(p)
         assert (1 - eps) ** 4 == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_constructed_inverse(self):
         assert p_for_target_fidelity(0.9**4) == pytest.approx(0.09, abs=1e-12)
-        assert epsilon_pair_for_fidelity(0.9**4) == pytest.approx(0.1, abs=1e-12)
+        assert epsilon_from_p(p_for_target_fidelity(0.9**4)) == pytest.approx(0.1, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.1])
     def test_out_of_range_rejected(self, bad):
@@ -179,16 +177,3 @@ class TestTargetInversion:
     def test_too_small_target_rejected(self):
         with pytest.raises(DomainError):
             p_for_target_fidelity(1.0 / 17.0)
-
-
-class TestReport:
-    def test_report_fields(self):
-        scen = scenario(0.2, 0.3, 0.6, 0.1)
-        report = fidelity_report(scen, 1e-3)
-        assert report.p_sfg == 1e-3
-        assert report.p_faithful <= report.p_herald
-        assert report.fidelity == pytest.approx(fidelity_nlo(scen), rel=1e-15)
-
-    def test_zero_herald_is_undefined(self):
-        with pytest.raises(UndefinedFidelityError):
-            fidelity_report(scenario(0.0, 0.3, 0.6, 0.1), 1e-3)

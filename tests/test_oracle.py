@@ -91,7 +91,9 @@ class TestConfig:
         # A fractional count used to fail deep inside with a TypeError, and
         # seed=True ran as seed 1.
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
-            verification_report(PINNED[:1], OracleConfig(**{field: bad}), methods=(method,))
+            verification_report(
+                PINNED[:1], OracleConfig(**{field: bad}), p_sfg=1e-3, methods=(method,)
+            )
 
 
 class TestArrivalTable:
@@ -365,6 +367,7 @@ class TestVerificationReport:
         report = verification_report(
             random_scenarios(3, seed=0),
             cfg,
+            p_sfg=1e-3,
             methods=("exact-sum",),
             closed_form_lo=lambda s: fidelity_general(s).fidelity + 1e-6,
         )
@@ -379,7 +382,7 @@ class TestVerificationReport:
             return _arrival_table(*args)
 
         monkeypatch.setattr(oracle, "_arrival_table", counting)
-        report = verification_report(PINNED, EXACT, methods=("exact-sum",))
+        report = verification_report(PINNED, EXACT, p_sfg=1e-3, methods=("exact-sum",))
         assert report["checks"] == 2 * len(PINNED)
         assert len(calls) == 2 * len(PINNED)
 
@@ -387,7 +390,7 @@ class TestVerificationReport:
         heralds = []
         grid = oracle._grid
         monkeypatch.setattr(oracle, "_grid", lambda h, n_max: heralds.append(h) or grid(h, n_max))
-        verification_report(PINNED, EXACT, methods=("exact-sum",))
+        verification_report(PINNED, EXACT, p_sfg=1e-3, methods=("exact-sum",))
         assert len(heralds) == 2
         assert heralds[0] is _lo_herald and heralds[1] is not _lo_herald
 
@@ -400,7 +403,7 @@ class TestVerificationReport:
             counting = lambda *a, name=name, f=estimator: calls.append((name, a[-1])) or f(*a)
             monkeypatch.setattr(oracle, name, counting)
         cfg = OracleConfig(samples=2_000)
-        verification_report(PINNED, cfg, methods=("monte-carlo",))
+        verification_report(PINNED, cfg, p_sfg=1e-3, methods=("monte-carlo",))
         assert sorted(name for name, _ in calls) == sorted(
             ["mc_fidelity_lo", "mc_fidelity_nlo"] * len(PINNED)
         )
@@ -422,18 +425,22 @@ class TestVerificationReport:
             )
 
     def test_no_comparison_does_not_pass(self):
-        report = verification_report([], EXACT, methods=("exact-sum",))
+        report = verification_report([], EXACT, p_sfg=1e-3, methods=("exact-sum",))
         assert report["compared"] == 0
         assert report["failures"] == 0
         assert report["pass"] is False
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError, match="method"):
-            verification_report(random_scenarios(1, seed=0), EXACT, methods=("guess",))
+            verification_report(
+                random_scenarios(1, seed=0), EXACT, p_sfg=1e-3, methods=("guess",)
+            )
 
     def test_loose_tail_bound_is_an_error_row_not_a_pass(self):
         cfg = OracleConfig(n_max=2)
-        report = verification_report(random_scenarios(20, seed=3), cfg, methods=("exact-sum",))
+        report = verification_report(
+            random_scenarios(20, seed=3), cfg, p_sfg=1e-3, methods=("exact-sum",)
+        )
         loose = [row for row in report["rows"] if "error" in row]
         assert loose and report["compared"] > 0
         assert all("n_max=2" in row["error"] and "tail bound" in row["error"] for row in loose)

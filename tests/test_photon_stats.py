@@ -13,8 +13,6 @@ from entswap.photon_stats import (
     check_probability,
     epsilon_from_p,
     p_from_epsilon,
-    p_one_arrival,
-    p_zero_arrivals,
     truncation_tail_bound,
 )
 from entswap.oracle import _arrival_table, _arrival_tables
@@ -31,37 +29,6 @@ def joint_arrival_pmf(scen, k, n, l, m):
     w_a, pmf_a = _arrival_table(scen.eps_a, scen.eta_a, n_max)
     w_b, pmf_b = _arrival_table(scen.eps_b, scen.eta_b, n_max)
     return w_a[n] * pmf_a[n, k] * w_b[m] * pmf_b[m, l]
-
-
-def summed_zero_arrivals(scen, n_max=200):
-    """Independent oracle: accumulate P(0|n, 0|m) term by term."""
-    ea, eb, ha, hb = scen.eps_a, scen.eps_b, scen.eta_a, scen.eta_b
-    total = 0.0
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            total += (
-                (1 - ea) * ea**n * (1 - ha) ** n * (1 - eb) * eb**m * (1 - hb) ** m
-            )
-    return total
-
-
-def summed_one_arrival(scen, n_max=200):
-    """Independent oracle: accumulate the two exactly-one-arrival branches."""
-    ea, eb, ha, hb = scen.eps_a, scen.eps_b, scen.eta_a, scen.eta_b
-    total = 0.0
-    for n in range(1, n_max + 1):
-        for m in range(n_max + 1):
-            total += (
-                (1 - ea) * ea**n * n * ha * (1 - ha) ** (n - 1)
-                * (1 - eb) * eb**m * (1 - hb) ** m
-            )
-    for n in range(n_max + 1):
-        for m in range(1, n_max + 1):
-            total += (
-                (1 - ea) * ea**n * (1 - ha) ** n
-                * (1 - eb) * eb**m * m * hb * (1 - hb) ** (m - 1)
-            )
-    return total
 
 
 class TestSwapScenario:
@@ -212,40 +179,6 @@ class TestJointArrivalPmf:
         for n in range(21):
             marginal = w_a[n] * pmf_a[n].sum() * other_side
             assert marginal == pytest.approx((1 - 0.3) * 0.3**n, abs=1e-12)
-
-
-class TestZeroAndOneArrival:
-    def test_lossless_limits(self):
-        scen = scenario(0.3, 0.2, 1.0, 1.0)
-        assert p_zero_arrivals(scen) == pytest.approx(0.7 * 0.8, abs=1e-15)
-
-    def test_silent_sources(self):
-        scen = scenario(0.0, 0.0, 0.5, 0.5)
-        assert p_zero_arrivals(scen) == 1.0
-        assert p_one_arrival(scen) == 0.0
-
-    def test_closed_forms_match_summation(self):
-        scen = scenario(0.2, 0.2, 0.5, 0.5)
-        assert p_zero_arrivals(scen) == pytest.approx(summed_zero_arrivals(scen), abs=1e-12)
-        assert p_one_arrival(scen) == pytest.approx(summed_one_arrival(scen), abs=1e-12)
-
-    def test_single_lossless_source(self):
-        # Source B off, channel A transparent: exactly one arrival means
-        # exactly one emitted pair, probability (1 - eps) * eps.
-        scen = scenario(0.3, 0.0, 1.0, 0.7)
-        assert p_one_arrival(scen) == pytest.approx(0.7 * 0.3, abs=1e-15)
-        assert p_one_arrival(scen) == pytest.approx(summed_one_arrival(scen), abs=1e-13)
-
-    def test_random_grid_against_summation(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            ea, eb = rng.uniform(0.01, 0.45, 2)
-            ha, hb = rng.uniform(0.05, 1.0, 2)
-            scen = scenario(float(ea), float(eb), float(ha), float(hb))
-            bound = truncation_tail_bound(scen, 60) + 1e-12
-            assert abs(p_zero_arrivals(scen) - summed_zero_arrivals(scen, 60)) <= bound
-            assert abs(p_one_arrival(scen) - summed_one_arrival(scen, 60)) <= bound
-            assert p_zero_arrivals(scen) + p_one_arrival(scen) <= 1.0 + 1e-12
 
 
 class TestBinomialCoefficient:
