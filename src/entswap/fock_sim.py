@@ -135,13 +135,13 @@ def sfg_evolve(state: np.ndarray, gt: float, cutoff: int) -> np.ndarray:
     TruncationError, so the truncated evolution is exact whenever it returns.
     """
     _check_gt(gt)
-    state = np.array(state, dtype=complex)  # a copy, evolved in place
+    state = np.asarray(state)
     if state.shape != (cutoff + 1,) * 3:
         raise InputError(
             f"state of shape {state.shape} is not a tri-mode state for cutoff {cutoff}"
         )
-    if not np.isfinite(state).all():
-        raise InputError("tri-mode state must have finite amplitudes")
+    _check_amplitudes(state, "tri-mode state")
+    state = state.astype(complex)  # a copy, evolved in place
     chains = _occupied_chains(state, cutoff)
     if gt == 0.0:
         return state
@@ -198,14 +198,21 @@ def _bell_amplitudes(label: str) -> np.ndarray:
     return _BELL_VECTORS[label]
 
 
+def _check_amplitudes(state: np.ndarray, what: str) -> None:
+    """Refuse amplitudes that are not finite numbers (strings, None, NaN, inf)."""
+    if state.dtype.kind not in "biufc":
+        raise InputError(f"{what} must have numeric amplitudes, got dtype {state.dtype}")
+    if not np.isfinite(state).all():
+        raise InputError(f"{what} must have finite amplitudes")
+
+
 def _time_bin_array(state: np.ndarray, photons: int, what: str) -> np.ndarray:
     """``state`` as an array, which must have one axis of length 2 per photon
-    and finite amplitudes."""
+    and finite numeric amplitudes."""
     state = np.asarray(state)
     if state.shape != (2,) * photons:
         raise InputError(f"{what} must have shape {(2,) * photons}, got {state.shape}")
-    if not np.isfinite(state).all():
-        raise InputError(f"{what} must have finite amplitudes")
+    _check_amplitudes(state, what)
     return state
 
 

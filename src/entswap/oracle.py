@@ -5,8 +5,9 @@ Two routes, both deliberately avoiding the algebra used by the closed forms:
 * exact-sum: reduce each side's truncated arrival marginal, built by
   thinning one photon at a time (the generative model the Monte Carlo route
   samples) rather than from this package's binomial algebra, through the
-  herald on the index grid, ``faithful h[1,1] / (arr_a @ h @ arr_b)``, and
-  report a tail bound on the truncation;
+  herald on the index grid, ``faithful h[1,1] / (arr_a @ h @ arr_b)``, at
+  the first truncation of 32, 64, 128, ... (capped at n_max) whose tail
+  bound is negligible, and report that truncation and its tail bound;
 * monte-carlo: sample the generative model (geometric pair numbers, binomial
   thinning) with a seeded counter-derived RNG, accept each trial with
   probability h(k, l), and report a binomial standard error.
@@ -39,9 +40,21 @@ RNG_DESCRIPTION = (
     "Monte Carlo: numpy PCG64 seeded by SeedSequence([seed, shard_index])"
 )
 
-# Largest truncation the exact sums accept: each (n_max+1)^2 float table is
-# then about 32 MB, where an unchecked --n-max 100000 would ask for 80 GB.
+# Largest cap on the exact sums' truncation.  A row stops growing its
+# truncation once its tail bound is at most TAIL_TARGET (N = 32 or 64 on
+# verify's default ranges), so only a row that never gets there (eps near 1,
+# or eta near 0) builds (n_max+1)^2 float tables: about 32 MB each at the
+# limit, where an unchecked --n-max 100000 would ask for 80 GB.
 N_MAX_LIMIT = 2000
+# Added to the exact-sum tail bound: double-precision accumulation noise.
+EXACT_ABS_TOLERANCE = 1e-10
+# The exact sums try truncations FIRST_TRUNCATION, twice that, ... up to n_max,
+# and stop at the first whose tail bound is at most TAIL_TARGET: the row's own
+# bound, which widens its tolerance by at most 0.1 %.  A rule on the pair
+# tail alone (truncation_tail_bound <= 1e-17) stops at N = 50 for eps = 0.45,
+# eta = 1e-6, where the row's tail bound is still 1.1e-7.
+FIRST_TRUNCATION = 32
+TAIL_TARGET = 1e-3 * EXACT_ABS_TOLERANCE
 # Most scenarios one verification draws: at the limit verify --method exact
 # --n-max 10 peaks at about 105 MB resident, where 2**53 - 1 would ask for TBs.
 SCENARIOS_LIMIT = 10_000
@@ -95,6 +108,7 @@ class OracleEstimate:
     std_error: float
     tail_bound: float
     heralds: int | None = None  # Monte Carlo only
+    truncation: int | None = None  # exact sums only
 
 
 def _arrival_table(eps: float, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,22 +164,12 @@ def _grid(herald, n_max: int) -> np.ndarray:
     return herald(k[:, None], k[None, :]).astype(float, copy=False)
 
 
-def _exact(tables, h: np.ndarray, tail) -> OracleEstimate:
-    """faithful h[1, 1] / (arr_a @ h @ arr_b): the faithful herald weight over
-    the total, with ``tail(value, denominator)`` bounding the truncation."""
-    arr_a, arr_b, faithful = tables
-    denominator = float(arr_a @ h @ arr_b)
-    if denominator <= 0.0:
-        raise UndefinedFidelityError("no herald events below the truncation")
-    value = faithful * h[1, 1] / denominator
-    return OracleEstimate(value=value, std_error=0.0, tail_bound=tail(value, denominator))
-
-
-def _bounded_tail(scenario: SwapScenario, tables, n_max: int):
+def _bounded_tail(
+    scenario: SwapScenario, tables, n: int, value: float, denominator: float
+) -> float:
     """Tail of a herald with 0 <= h <= 1: the herald mass left out is at most
-    the probability of more than n_max pairs on either side."""
-    missing = truncation_tail_bound(scenario, n_max)
-    return lambda value, denominator: value * missing / denominator
+    the probability of more than n pairs on either side."""
+    return value * truncation_tail_bound(scenario, n) / denominator
 
 
 def _mean_arrival_tail(eps: float, eta: float, n_max: int) -> float:
@@ -176,23 +180,46 @@ def _mean_arrival_tail(eps: float, eta: float, n_max: int) -> float:
     return eta * (1.0 - eps) * tail_n
 
 
-def _product_tail(scenario: SwapScenario, tables, n_max: int):
+def _product_tail(
+    scenario: SwapScenario, tables, n: int, value: float, denominator: float
+) -> float:
     """Tail of a herald proportional to k l, whose sum is the product of the
     mean arrivals: the relative error of each truncated mean, compounded."""
+    k = np.arange(n + 1, dtype=float)
+    rel_a = _mean_arrival_tail(scenario.eps_a, scenario.eta_a, n) / float(tables[0] @ k)
+    rel_b = _mean_arrival_tail(scenario.eps_b, scenario.eta_b, n) / float(tables[1] @ k)
+    return value * (rel_a + rel_b + rel_a * rel_b)
 
-    def tail(value: float, denominator: float) -> float:
-        k = np.arange(n_max + 1, dtype=float)
-        rel_a = _mean_arrival_tail(scenario.eps_a, scenario.eta_a, n_max) / float(tables[0] @ k)
-        rel_b = _mean_arrival_tail(scenario.eps_b, scenario.eta_b, n_max) / float(tables[1] @ k)
-        return value * (rel_a + rel_b + rel_a * rel_b)
 
-    return tail
+def _exact(scenario: SwapScenario, herald, tail, n: int) -> OracleEstimate:
+    """faithful h[1, 1] / (arr_a @ h @ arr_b) at truncation n: the faithful
+    herald weight over the total, with ``tail`` bounding the truncation."""
+    tables = _arrival_tables(scenario, n)
+    arr_a, arr_b, faithful = tables
+    h = _grid(herald, n)
+    denominator = float(arr_a @ h @ arr_b)
+    if denominator <= 0.0:
+        raise UndefinedFidelityError("no herald events below the truncation")
+    value = faithful * h[1, 1] / denominator
+    tail_bound = tail(scenario, tables, n, value, denominator)
+    return OracleEstimate(value=value, std_error=0.0, tail_bound=tail_bound, truncation=n)
+
+
+def _exact_fidelity(scenario: SwapScenario, cfg: OracleConfig, herald, tail) -> OracleEstimate:
+    """The exact sum at the first truncation of FIRST_TRUNCATION, twice that,
+    ... whose tail bound is at most TAIL_TARGET, or at cfg.n_max.  Each
+    truncation builds its own tables, so nothing is sized by the cap alone."""
+    n = min(FIRST_TRUNCATION, cfg.n_max)
+    while True:
+        estimate = _exact(scenario, herald, tail, n)
+        if estimate.tail_bound <= TAIL_TARGET or n == cfg.n_max:
+            return estimate
+        n = min(2 * n, cfg.n_max)
 
 
 def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
     """Truncated-sum evaluation of P(1|1,1|1) / P(at least two arrivals)."""
-    tables = _arrival_tables(scenario, cfg.n_max)
-    return _exact(tables, _grid(_lo_herald, cfg.n_max), _bounded_tail(scenario, tables, cfg.n_max))
+    return _exact_fidelity(scenario, cfg, _lo_herald, _bounded_tail)
 
 
 def exact_fidelity_nlo(
@@ -201,9 +228,7 @@ def exact_fidelity_nlo(
     """Truncated-sum evaluation of the up-conversion-heralded fidelity.  p_sfg
     scales the faithful and total herald weights alike, so it moves the value
     only by rounding; at p_sfg = 0 nothing heralds."""
-    herald = _nlo_herald(p_sfg)
-    tables = _arrival_tables(scenario, cfg.n_max)
-    return _exact(tables, _grid(herald, cfg.n_max), _product_tail(scenario, tables, cfg.n_max))
+    return _exact_fidelity(scenario, cfg, _nlo_herald(p_sfg), _product_tail)
 
 
 def _shard_sizes(samples: int, shards: int) -> list[int]:
@@ -312,8 +337,6 @@ def random_scenarios(
     return scenarios
 
 
-# Added to the exact-sum tail bound: double-precision accumulation noise.
-EXACT_ABS_TOLERANCE = 1e-10
 MC_SIGMA_TOLERANCE = 5.0
 # Below this many heralds a 5-sigma band is meaningless (the binomial error
 # estimate itself is unreliable), so the row is reported as under-sampled.
@@ -325,14 +348,15 @@ MIN_HERALDS = 25
 MAX_TOLERANCE = MC_SIGMA_TOLERANCE * (0.25 / MIN_HERALDS) ** 0.5
 
 
-def _tolerance(method: str, estimate: OracleEstimate, n_max: int) -> float:
+def _tolerance(method: str, estimate: OracleEstimate) -> float:
     """Allowed |oracle - closed form|, or InsufficientStatisticsError when the
     estimate is too coarse for a comparison to mean anything."""
     if method == "exact-sum":
         tolerance = estimate.tail_bound + EXACT_ABS_TOLERANCE
         if tolerance > MAX_TOLERANCE:
+            # Only a row that reached the cap is this loose, so its truncation is n_max.
             raise InsufficientStatisticsError(
-                f"tail bound {estimate.tail_bound:.3g} at n_max={n_max} exceeds "
+                f"tail bound {estimate.tail_bound:.3g} at n_max={estimate.truncation} exceeds "
                 f"{MAX_TOLERANCE:g}; increase n_max for a meaningful comparison"
             )
         return tolerance
@@ -346,7 +370,7 @@ def _tolerance(method: str, estimate: OracleEstimate, n_max: int) -> float:
 
 def _comparison(estimate: OracleEstimate, closed_form: float, tolerance: float) -> dict:
     abs_diff = abs(estimate.value - closed_form)
-    return {
+    row = {
         "value": estimate.value,
         "std_error": estimate.std_error,
         "tail_bound": estimate.tail_bound,
@@ -355,6 +379,9 @@ def _comparison(estimate: OracleEstimate, closed_form: float, tolerance: float) 
         "tolerance": tolerance,
         "pass": bool(abs_diff <= tolerance),
     }
+    if estimate.truncation is not None:
+        row["truncation"] = estimate.truncation
+    return row
 
 
 def verification_report(
@@ -383,36 +410,37 @@ def verification_report(
     for method in methods:
         if method not in ("exact-sum", "monte-carlo"):
             raise DomainError(f"method must be 'exact-sum' or 'monte-carlo', got {method!r}")
-    # model: (closed form, herald, its tail rule, Monte Carlo estimator).  The
-    # estimators are looked up when called, not bound here, so a module
-    # attribute replaced at run time (a tracing wrapper) is the one used.
+    # model: (closed form, {method: estimator}).  The estimators are looked
+    # up when called, not bound here, so a module attribute replaced at run
+    # time (a tracing wrapper) is the one used.
     models = {
-        "lo": (closed_form_lo, _lo_herald, _bounded_tail, lambda s: mc_fidelity_lo(s, cfg)),
+        "lo": (
+            closed_form_lo,
+            {
+                "exact-sum": lambda s: exact_fidelity_lo(s, cfg),
+                "monte-carlo": lambda s: mc_fidelity_lo(s, cfg),
+            },
+        ),
         "nlo": (
             closed_form_nlo,
-            _nlo_herald(p_sfg),
-            _product_tail,
-            lambda s: mc_fidelity_nlo(s, p_sfg, cfg),
+            {
+                "exact-sum": lambda s: exact_fidelity_nlo(s, p_sfg, cfg),
+                "monte-carlo": lambda s: mc_fidelity_nlo(s, p_sfg, cfg),
+            },
         ),
     }
+    check_probability(p_sfg, "p_sfg")
     nlo_bsm.check_p_sfg_heralds(p_sfg)
-    # One grid per herald per report; both exact rows of a scenario reduce one table build.
-    exact = "exact-sum" in methods
-    grids = {m: _grid(h, cfg.n_max) for m, (_, h, _, _) in models.items()} if exact else {}
 
     rows = []
     for scenario in scenarios:
-        tables = _arrival_tables(scenario, cfg.n_max) if exact else None
-        for model, (closed_form, _, tail, mc) in models.items():
+        for model, (closed_form, estimators) in models.items():
             closed = closed_form(scenario)
             for method in methods:
                 row = {"scenario": asdict(scenario), "model": model, "method": method}
                 try:
-                    if method == "exact-sum":
-                        estimate = _exact(tables, grids[model], tail(scenario, tables, cfg.n_max))
-                    else:
-                        estimate = mc(scenario)
-                    tolerance = _tolerance(method, estimate, cfg.n_max)
+                    estimate = estimators[method](scenario)
+                    tolerance = _tolerance(method, estimate)
                 except (InsufficientStatisticsError, ModelValidityError) as exc:
                     rows.append({**row, "error": str(exc), "pass": None})
                     continue

@@ -386,3 +386,35 @@ class TestNonFiniteAmplitudes:
     def test_rejected(self, call, value):
         with pytest.raises(InputError, match="finite amplitudes"):
             call(value)
+
+
+class TestNonNumericAmplitudes:
+    # A state of strings or None reaches no numpy arithmetic: it is refused
+    # with the package's InputError, not a TypeError or ValueError from numpy.
+    @pytest.mark.parametrize(
+        "make",
+        [lambda shape: np.full(shape, "x"), lambda shape: np.full(shape, None)],
+        ids=["str", "none"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda make: bell_fidelity(make((2, 2)), "phi+"),
+            lambda make: product_state(bell_state("phi+"), make((2, 2))),
+            lambda make: dump_state(make((2, 2, 2))),
+            lambda make: sfg_evolve(make((3, 3, 3)), 0.1, 2),
+        ],
+        ids=["bell_fidelity", "product_state", "dump_state", "sfg_evolve"],
+    )
+    def test_rejected(self, call, make):
+        with pytest.raises(InputError, match="numeric amplitudes"):
+            call(make)
+
+    def test_nested_list_with_none_rejected(self):
+        with pytest.raises(InputError, match="numeric amplitudes"):
+            bell_fidelity([[None, 1], [0, 0]], "phi+")
+
+    def test_real_and_integer_states_still_read(self):
+        assert bell_fidelity([[1, 0], [0, 0]], "phi+") == pytest.approx(0.5)
+        evolved = sfg_evolve(tri_mode_state(1, 1, 0, 2).real, 0.1, 2)
+        np.testing.assert_array_equal(evolved, sfg_evolve(tri_mode_state(1, 1, 0, 2), 0.1, 2))

@@ -12,17 +12,22 @@ from entswap import oracle
 from entswap.lo_bsm import fidelity_general
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import (
+    EXACT_ABS_TOLERANCE,
     MAX_TOLERANCE,
     N_MAX_LIMIT,
     SCENARIOS_LIMIT,
     SHARD_SAMPLES_LIMIT,
     SHARDS_LIMIT,
+    TAIL_TARGET,
     WORKERS_LIMIT,
     OracleConfig,
     _arrival_table,
+    _bounded_tail,
+    _exact,
     _grid,
     _lo_herald,
     _nlo_herald,
+    _product_tail,
     exact_fidelity_lo,
     exact_fidelity_nlo,
     mc_fidelity_lo,
@@ -174,7 +179,8 @@ class TestExactSumLo:
         estimate = exact_fidelity_lo(scen, EXACT)
         assert abs(estimate.value - fidelity_general(scen).fidelity) <= 1e-10
         assert estimate.std_error == 0.0
-        assert estimate.tail_bound < 1e-30
+        assert estimate.tail_bound <= TAIL_TARGET
+        assert estimate.truncation == 32
 
     def test_single_active_source_heralds_false_events(self):
         # Double pairs from one source still count as heralds, so the ratio is
@@ -374,26 +380,6 @@ class TestVerificationReport:
         assert not report["pass"]
         assert report["failures"] >= 3
 
-    def test_exact_report_builds_each_side_once_per_scenario(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _arrival_table(*args)
-
-        monkeypatch.setattr(oracle, "_arrival_table", counting)
-        report = verification_report(PINNED, EXACT, p_sfg=1e-3, methods=("exact-sum",))
-        assert report["checks"] == 2 * len(PINNED)
-        assert len(calls) == 2 * len(PINNED)
-
-    def test_exact_report_builds_each_herald_matrix_once(self, monkeypatch):
-        heralds = []
-        grid = oracle._grid
-        monkeypatch.setattr(oracle, "_grid", lambda h, n_max: heralds.append(h) or grid(h, n_max))
-        verification_report(PINNED, EXACT, p_sfg=1e-3, methods=("exact-sum",))
-        assert len(heralds) == 2
-        assert heralds[0] is _lo_herald and heralds[1] is not _lo_herald
-
     def test_monte_carlo_rows_call_the_public_estimators(self, monkeypatch):
         # perfbench/tracer.py counts oracle.mc.* by wrapping these two names
         # and reading their OracleConfig, so each row must go through them.
@@ -409,6 +395,55 @@ class TestVerificationReport:
         )
         assert all(arg is cfg for _, arg in calls)
 
+    def test_exact_rows_call_the_public_estimators(self, monkeypatch):
+        # perfbench/tracer.py counts oracle.exact.* by wrapping these two
+        # names, so each row must go through them.
+        calls = []
+        for name in ("exact_fidelity_lo", "exact_fidelity_nlo"):
+            estimator = getattr(oracle, name)
+            counting = lambda *a, name=name, f=estimator: calls.append((name, a[-1])) or f(*a)
+            monkeypatch.setattr(oracle, name, counting)
+        verification_report(PINNED, EXACT, p_sfg=1e-3, methods=("exact-sum",))
+        assert sorted(name for name, _ in calls) == sorted(
+            ["exact_fidelity_lo", "exact_fidelity_nlo"] * len(PINNED)
+        )
+        assert all(arg is EXACT for _, arg in calls)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 31, 32])
+    def test_small_cap_is_one_truncation(self, n_max):
+        # At n_max <= 32 the first truncation is the cap, so each estimate is
+        # the single sum at n_max, bit for bit.
+        cfg = OracleConfig(n_max=n_max)
+        for scen in PINNED + random_scenarios(10, seed=5):
+            assert exact_fidelity_lo(scen, cfg) == _exact(scen, _lo_herald, _bounded_tail, n_max)
+            assert exact_fidelity_nlo(scen, 0.05, cfg) == _exact(
+                scen, _nlo_herald(0.05), _product_tail, n_max
+            )
+
+    @pytest.mark.parametrize("n_max", [40, 100, 200, N_MAX_LIMIT])
+    def test_each_row_stops_at_its_own_tail_bound(self, n_max):
+        # eta = 1e-6 makes the herald probability ~1e-12, so the relative tail
+        # needs N = 128 at eps = 0.45 where a lossless row stops at 32.
+        scenarios = PINNED + [
+            scenario(0.45, 0.45, 1e-6, 1e-6),
+            scenario(0.45, 0.01, 1e-6, 1.0),
+            scenario(0.3, 0.2, 1e-6, 0.5),
+        ]
+        cfg = OracleConfig(n_max=n_max, samples=1_000)
+        methods = ("exact-sum", "monte-carlo")
+        rows = verification_report(scenarios, cfg, p_sfg=0.05, methods=methods)["rows"]
+        exact = [row for row in rows if row["method"] == "exact-sum"]
+        assert len(exact) == 2 * len(scenarios)
+        assert all("truncation" not in row for row in rows if row["method"] != "exact-sum")
+        for row in exact:
+            assert 1 <= row["truncation"] <= n_max
+            assert row["pass"] is True
+            if row["truncation"] != n_max:
+                assert row["tail_bound"] <= 1e-3 * EXACT_ABS_TOLERANCE
+                assert row["tolerance"] <= (1 + 1e-3) * EXACT_ABS_TOLERANCE
+        truncations = {row["truncation"] for row in exact}
+        assert min(truncations) == min(32, n_max) and len(truncations) > 1
+
     def test_exact_rows_equal_the_public_estimators(self):
         report = verification_report(PINNED, EXACT, p_sfg=0.05, methods=("exact-sum",))
         expected = [
@@ -418,10 +453,11 @@ class TestVerificationReport:
         ]
         assert len(report["rows"]) == len(expected)
         for row, estimate in zip(report["rows"], expected):
-            assert (row["value"], row["std_error"], row["tail_bound"]) == (
+            assert (row["value"], row["std_error"], row["tail_bound"], row["truncation"]) == (
                 estimate.value,
                 estimate.std_error,
                 estimate.tail_bound,
+                estimate.truncation,
             )
 
     def test_no_comparison_does_not_pass(self):
