@@ -230,11 +230,11 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
 # --- subcommand: verify -----------------------------------------------------------
 
 
-VERIFY_DEFAULTS = {"seed": 0, "scenarios": 20, "samples": 200_000, "n_max": 200, "shards": 64,
-                   "workers": 1, "p_sfg": 0.05, "eps_min": 0.01, "eps_max": 0.45,
-                   "eta_min": 0.05, "eta_max": 1.0}
+VERIFY_DEFAULTS = {"seed": 0, "scenarios": 20, "samples": 200_000, "n_max": 200, "workers": 1,
+                   "p_sfg": 0.05, "eps_min": 0.01, "eps_max": 0.45, "eta_min": 0.05,
+                   "eta_max": 1.0}
 # The scenario ranges come from presets and config files only.
-VERIFY_FLAGS = ("seed", "scenarios", "samples", "n_max", "shards", "workers", "p_sfg")
+VERIFY_FLAGS = ("seed", "scenarios", "samples", "n_max", "workers", "p_sfg")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -260,6 +260,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fock_check(args: argparse.Namespace) -> int:
+    if args.dump_states and args.format == "json":
+        raise UsageError("--dump-states appends text dumps; it needs --format text")
     rows = run_fock_checks()
     if args.format == "json":
         _write_output(_format_json({"rows": rows, "pass": all(r["pass"] for r in rows)}), args.out)

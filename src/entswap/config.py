@@ -308,8 +308,6 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
         kappa_ae=kappas["ae"],
         kappa_be=kappas["be"],
         kappa_ce=kappas["ce"],
-        omega_pa=omega_a,
-        omega_pb=omega_b,
     )
 
 

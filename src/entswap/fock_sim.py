@@ -135,7 +135,7 @@ def sfg_evolve(state: np.ndarray, gt: float, cutoff: int) -> np.ndarray:
     TruncationError, so the truncated evolution is exact whenever it returns.
     """
     _check_gt(gt)
-    state = np.asarray(state)
+    state = _as_array(state, "tri-mode state")
     if state.shape != (cutoff + 1,) * 3:
         raise InputError(
             f"state of shape {state.shape} is not a tri-mode state for cutoff {cutoff}"
@@ -198,6 +198,14 @@ def _bell_amplitudes(label: str) -> np.ndarray:
     return _BELL_VECTORS[label]
 
 
+def _as_array(state, what: str) -> np.ndarray:
+    """``np.asarray(state)``, refusing a ragged nested sequence with InputError."""
+    try:
+        return np.asarray(state)
+    except ValueError as exc:
+        raise InputError(f"{what} must be a rectangular array of amplitudes") from exc
+
+
 def _check_amplitudes(state: np.ndarray, what: str) -> None:
     """Refuse amplitudes that are not finite numbers (strings, None, NaN, inf)."""
     if state.dtype.kind not in "biufc":
@@ -209,7 +217,7 @@ def _check_amplitudes(state: np.ndarray, what: str) -> None:
 def _time_bin_array(state: np.ndarray, photons: int, what: str) -> np.ndarray:
     """``state`` as an array, which must have one axis of length 2 per photon
     and finite numeric amplitudes."""
-    state = np.asarray(state)
+    state = _as_array(state, what)
     if state.shape != (2,) * photons:
         raise InputError(f"{what} must have shape {(2,) * photons}, got {state.shape}")
     _check_amplitudes(state, what)
@@ -230,9 +238,10 @@ def product_state(pair_12: np.ndarray, pair_34: np.ndarray) -> np.ndarray:
 
 def dump_state(state: np.ndarray) -> str:
     """One line per ket, ``label re im``, the label naming each photon's bin."""
+    state = _as_array(state, "state")
     return "\n".join(
         f"{''.join('el'[b] for b in bins)} {amp.real:.17e} {amp.imag:.17e}"
-        for bins, amp in np.ndenumerate(_time_bin_array(state, np.ndim(state), "state"))
+        for bins, amp in np.ndenumerate(_time_bin_array(state, state.ndim, "state"))
     )
 
 

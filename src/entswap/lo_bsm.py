@@ -23,15 +23,14 @@ ONE_THIRD = 1.0 / 3.0
 class LoFidelityReport:
     """Fidelity of one scenario together with the probabilities behind it.
 
-    ``p_faithful`` is the both-single-pair, both-arrive probability,
-    ``p_herald`` the probability of any >= 2-photon arrival event, and
-    ``bound`` the loss-dependent fidelity ceiling (at most 1/3).
+    ``p_faithful`` is the both-single-pair, both-arrive probability and
+    ``p_herald`` the probability of any >= 2-photon arrival event; the
+    loss-dependent ceiling on ``fidelity`` is ``fidelity_upper_bound``.
     """
 
     fidelity: float
     p_faithful: float
     p_herald: float
-    bound: float
 
 
 def _herald_terms(scenario: SwapScenario) -> tuple[float, float, float, float, float]:
@@ -79,7 +78,6 @@ def fidelity_general(scenario: SwapScenario) -> LoFidelityReport:
         fidelity=fidelity,
         p_faithful=p_faithful,
         p_herald=poly / (dd * dd),
-        bound=ONE_THIRD * dd * dd,
     )
 
 

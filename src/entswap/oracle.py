@@ -14,9 +14,9 @@ Two routes, both deliberately avoiding the algebra used by the closed forms:
 
 Each measurement's herald h(k, l) is one vectorised function read by both.
 
-Monte Carlo work is split into a fixed number of logical shards, each seeded
-from (seed, shard_index); thread workers only schedule shards, so estimates
-are bit-identical for any worker count and fully reproducible per seed.
+Monte Carlo work is split into logical shards, as many as ``samples`` sets,
+each seeded from (seed, shard_index); thread workers only schedule shards, so
+estimates are bit-identical for any worker count and fully reproducible per seed.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ SCENARIOS_LIMIT = 10_000
 # Most samples a Monte Carlo shard draws at once: at the limit an estimate peaks
 # at about 83 MB resident (131 MB with two workers), 29 MB of it the import.
 SHARD_SAMPLES_LIMIT = 1_000_000
-# Most shards, each a generator and a pool task: at the limit, one sample per
-# shard, an estimate peaks at about 35 MB resident (38 MB with two workers).
-SHARDS_LIMIT = 1024
+# Fewest Monte Carlo shards; a larger estimate takes as many as it needs.
+SHARDS = 64
+# Most samples one estimate draws: 1024 full shards, each a generator and a pool task.
+SAMPLES_LIMIT = 1024 * SHARD_SAMPLES_LIMIT
 # Most worker threads: each holds one shard's arrays, about 53 MB at
 # SHARD_SAMPLES_LIMIT, so 32 workers peak near 1.7 GB where 1024 would ask
 # for 54 GB; the pool also starts no more threads than there are shards.
@@ -74,32 +75,33 @@ WORKERS_LIMIT = 32
 class OracleConfig:
     """Verification settings.
 
-    ``shards`` fixes the logical partition of Monte Carlo samples (results do
-    not depend on ``workers``, which only sets thread concurrency).
+    ``shards`` (derived from ``samples``) fixes the logical partition of Monte
+    Carlo samples; ``workers`` only sets thread concurrency, not results.
     """
 
     n_max: int = 200
     samples: int = 1_000_000
     seed: int = 0
-    shards: int = 64
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_max", "samples", "seed", "shards", "workers"):
+        for name in ("n_max", "samples", "seed", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_max <= N_MAX_LIMIT:
             raise DomainError(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
-        if not 1 <= self.shards <= SHARDS_LIMIT:
-            raise DomainError(f"shards must be in [1, {SHARDS_LIMIT}], got {self.shards}")
-        limit = SHARD_SAMPLES_LIMIT * self.shards
-        if not 1 <= self.samples <= limit:
-            raise DomainError(f"samples must be in [1, {limit}], got {self.samples}")
+        if not 1 <= self.samples <= SAMPLES_LIMIT:
+            raise DomainError(f"samples must be in [1, {SAMPLES_LIMIT}], got {self.samples}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.workers <= WORKERS_LIMIT:
             raise DomainError(f"workers must be in [1, {WORKERS_LIMIT}], got {self.workers}")
+
+    @property
+    def shards(self) -> int:
+        """SHARDS, or the fewest shards of at most SHARD_SAMPLES_LIMIT samples."""
+        return max(SHARDS, -(-self.samples // SHARD_SAMPLES_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -389,40 +391,32 @@ def verification_report(
     cfg: OracleConfig,
     p_sfg: float,
     methods: tuple[str, ...],
-    closed_form_lo=None,
-    closed_form_nlo=None,
 ) -> dict:
     """Compare oracle estimates against the closed forms on a scenario grid.
 
-    The closed forms are injectable so the comparison harness itself can be
-    exercised against deliberately corrupted values.  Rows where a Monte
-    Carlo run sampled fewer than ``MIN_HERALDS`` heralds, an exact sum's
-    tolerance exceeds ``MAX_TOLERANCE``, or the run left the model, are
-    reported with an ``error`` field and excluded from the pass/fail count; a
-    report that compared no row does not pass.
+    Rows where a Monte Carlo run sampled fewer than ``MIN_HERALDS`` heralds,
+    an exact sum's tolerance exceeds ``MAX_TOLERANCE``, or the run left the
+    model, are reported with an ``error`` field and excluded from the
+    pass/fail count; a report that compared no row does not pass.
     """
     from . import lo_bsm, nlo_bsm
 
-    if closed_form_lo is None:
-        closed_form_lo = lambda s: lo_bsm.fidelity_general(s).fidelity
-    if closed_form_nlo is None:
-        closed_form_nlo = nlo_bsm.fidelity_nlo
     for method in methods:
         if method not in ("exact-sum", "monte-carlo"):
             raise DomainError(f"method must be 'exact-sum' or 'monte-carlo', got {method!r}")
-    # model: (closed form, {method: estimator}).  The estimators are looked
-    # up when called, not bound here, so a module attribute replaced at run
-    # time (a tracing wrapper) is the one used.
+    # model: (closed form, {method: estimator}).  Both are looked up when
+    # called, not bound here, so a module attribute replaced at run time (a
+    # tracing wrapper, a corrupted closed form) is the one used.
     models = {
         "lo": (
-            closed_form_lo,
+            lambda s: lo_bsm.fidelity_general(s).fidelity,
             {
                 "exact-sum": lambda s: exact_fidelity_lo(s, cfg),
                 "monte-carlo": lambda s: mc_fidelity_lo(s, cfg),
             },
         ),
         "nlo": (
-            closed_form_nlo,
+            lambda s: nlo_bsm.fidelity_nlo(s),
             {
                 "exact-sum": lambda s: exact_fidelity_nlo(s, p_sfg, cfg),
                 "monte-carlo": lambda s: mc_fidelity_nlo(s, p_sfg, cfg),

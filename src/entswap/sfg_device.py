@@ -39,8 +39,8 @@ class CavityParams:
     """Triply-resonant cavity in angular-frequency units (rad/s throughout).
 
     kappa_x is the total linewidth of mode x and kappa_xe its external
-    (coupling) part; omega_pa and omega_pb are the drive frequencies used in
-    classical characterization, equal to the mode frequencies on resonance.
+    (coupling) part.  Classical characterization drives modes a and b on
+    resonance, so omega_c - omega_a - omega_b is the only detuning.
     """
 
     g: float
@@ -53,12 +53,8 @@ class CavityParams:
     kappa_ae: float
     kappa_be: float
     kappa_ce: float
-    omega_pa: float
-    omega_pb: float
 
     def __post_init__(self) -> None:
-        # The drives may sit anywhere, even at negative detuned frequencies,
-        # so finiteness is their only check.
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
@@ -72,35 +68,6 @@ class CavityParams:
             ext_v, tot_v = getattr(self, ext), getattr(self, tot)
             if not 0.0 < ext_v <= tot_v:
                 raise DomainError(f"need 0 < {ext} <= {tot}, got {ext_v} vs {tot_v}")
-
-    @classmethod
-    def on_resonance(
-        cls,
-        g: float,
-        omega_a: float,
-        omega_b: float,
-        kappa_a: float,
-        kappa_b: float,
-        kappa_c: float,
-        kappa_ae: float,
-        kappa_be: float,
-        kappa_ce: float,
-    ) -> "CavityParams":
-        """Frequency-matched cavity (omega_c = omega_a + omega_b) driven on resonance."""
-        return cls(
-            g=g,
-            omega_a=omega_a,
-            omega_b=omega_b,
-            omega_c=omega_a + omega_b,
-            kappa_a=kappa_a,
-            kappa_b=kappa_b,
-            kappa_c=kappa_c,
-            kappa_ae=kappa_ae,
-            kappa_be=kappa_be,
-            kappa_ce=kappa_ce,
-            omega_pa=omega_a,
-            omega_pb=omega_b,
-        )
 
 
 @dataclass(frozen=True)
@@ -174,27 +141,23 @@ def sfg_efficiency_from_shg(eta_shg: float) -> float:
 
 
 def cavity_steady_state(cav: CavityParams, power_a: float, power_b: float) -> SteadyState:
-    """Solve the driven coupled-mode equations to leading order in g/kappa.
+    """Solve the coupled-mode equations, driven on resonance, to leading order in g/kappa.
 
     The input fluxes are a_in = sqrt(P_a / (hbar omega_a)) etc.; each input
     mode fills its Lorentzian independently and the sum-frequency amplitude
     follows from the product:
 
-        a = i sqrt(kappa_ae/2) a_in / (i (omega_a - omega_pa) + kappa_a/2)
-        c = -i g a b / (i (omega_c - omega_pa - omega_pb) + kappa_c/2)
+        a = i sqrt(kappa_ae/2) a_in / (kappa_a/2)
+        c = -i g a b / (i (omega_c - omega_a - omega_b) + kappa_c/2)
     """
     if not (power_a >= 0.0 and power_b >= 0.0):
         raise DomainError("pump powers must be >= 0")
     a_in = (power_a / (_HBAR * cav.omega_a)) ** 0.5
     b_in = (power_b / (_HBAR * cav.omega_b)) ** 0.5
-    amp_a = 1j * (cav.kappa_ae / 2.0) ** 0.5 * a_in / (
-        1j * (cav.omega_a - cav.omega_pa) + cav.kappa_a / 2.0
-    )
-    amp_b = 1j * (cav.kappa_be / 2.0) ** 0.5 * b_in / (
-        1j * (cav.omega_b - cav.omega_pb) + cav.kappa_b / 2.0
-    )
+    amp_a = 1j * (cav.kappa_ae / 2.0) ** 0.5 * a_in / (cav.kappa_a / 2.0)
+    amp_b = 1j * (cav.kappa_be / 2.0) ** 0.5 * b_in / (cav.kappa_b / 2.0)
     amp_c = -1j * cav.g * amp_a * amp_b / (
-        1j * (cav.omega_c - cav.omega_pa - cav.omega_pb) + cav.kappa_c / 2.0
+        1j * (cav.omega_c - cav.omega_a - cav.omega_b) + cav.kappa_c / 2.0
     )
     return SteadyState(amp_a=amp_a, amp_b=amp_b, amp_c=amp_c, a_in=a_in, b_in=b_in)
 
@@ -205,28 +168,22 @@ def sfg_output_power(cav: CavityParams, power_a: float, power_b: float) -> float
     return (cav.kappa_ce / 2.0) * _HBAR * cav.omega_c * state.n_c
 
 
-def _lorentzian(detuning: float, kappa: float) -> float:
-    return detuning * detuning + (kappa / 2.0) ** 2
-
-
 def eta_sfg_cavity(cav: CavityParams) -> float:
-    """Classical conversion efficiency eta_sfg (per W), including detunings:
+    """Classical conversion efficiency eta_sfg (per W), driven on resonance:
 
-        g^2 * (kappa_ae/2) / ((omega_a - omega_pa)^2 + (kappa_a/2)^2)
-            * (kappa_be/2) / ((omega_b - omega_pb)^2 + (kappa_b/2)^2)
-            * (kappa_ce/2) / ((omega_c - omega_pa - omega_pb)^2 + (kappa_c/2)^2)
+        g^2 * (kappa_ae/2) / (kappa_a/2)^2
+            * (kappa_be/2) / (kappa_b/2)^2
+            * (kappa_ce/2) / ((omega_c - omega_a - omega_b)^2 + (kappa_c/2)^2)
             * hbar omega_c / (hbar omega_a hbar omega_b)
 
-    Detuning any denominator far off resonance drives the efficiency to zero.
+    A sum-frequency mismatch far beyond kappa_c drives the efficiency to zero.
     """
-    la = _lorentzian(cav.omega_a - cav.omega_pa, cav.kappa_a)
-    lb = _lorentzian(cav.omega_b - cav.omega_pb, cav.kappa_b)
-    lc = _lorentzian(cav.omega_c - cav.omega_pa - cav.omega_pb, cav.kappa_c)
+    mismatch = cav.omega_c - cav.omega_a - cav.omega_b
     return (
         cav.g**2
-        * (cav.kappa_ae / 2.0) / la
-        * (cav.kappa_be / 2.0) / lb
-        * (cav.kappa_ce / 2.0) / lc
+        * (cav.kappa_ae / 2.0) / (cav.kappa_a / 2.0) ** 2
+        * (cav.kappa_be / 2.0) / (cav.kappa_b / 2.0) ** 2
+        * (cav.kappa_ce / 2.0) / (mismatch * mismatch + (cav.kappa_c / 2.0) ** 2)
         * (_HBAR * cav.omega_c) / ((_HBAR * cav.omega_a) * (_HBAR * cav.omega_b))
     )
 

@@ -242,10 +242,11 @@ def _random_resonant_cavity(rng):
     kappa_a = rng.uniform(1e8, 1e11)
     kappa_b = kappa_a * rng.uniform(0.7, 1.4)
     kappa_c = rng.uniform(1e8, 1e11)
-    return CavityParams.on_resonance(
+    return CavityParams(
         g=rng.uniform(1e5, 1e9),
         omega_a=omega_a,
         omega_b=omega_b,
+        omega_c=omega_a + omega_b,
         kappa_a=kappa_a,
         kappa_b=kappa_b,
         kappa_c=kappa_c,

@@ -352,7 +352,7 @@ class TestVerifyCommand:
         assert any(row["abs_diff"] > row["tail_bound"] for row in report["rows"])
 
     def test_values_from_flags_config_or_both(self, tmp_path, capsys):
-        values = {"n_max": "50", "samples": "20000", "seed": "3", "shards": "8", "workers": "2"}
+        values = {"n_max": "50", "samples": "20000", "seed": "3", "workers": "2"}
         cfg = tmp_path / "verify.cfg"
 
         def report(config, *flag_keys):
@@ -366,7 +366,7 @@ class TestVerifyCommand:
         assert json.loads(from_flags)["compared"] > 0
         assert report("".join(f"{k} = {v}\n" for k, v in values.items())) == from_flags
         # Half from the file, half from flags; then file values the flags override.
-        assert report("n_max = 50\nshards = 8\n", "samples", "seed", "workers") == from_flags
+        assert report("n_max = 50\nsamples = 20000\n", "seed", "workers") == from_flags
         assert report("n_max = 60\nsamples = 30000\nseed = 4\n", *values) == from_flags
 
     def test_bit_identical_across_runs_and_workers(self, capsys):
@@ -482,8 +482,13 @@ class TestRejectedInputs:
                          id="verify-workers-above-limit"),
             pytest.param(("verify", "--method", "exact", "--p-sfg", "0"), None,
                          "p_sfg = 0 never heralds", id="verify-p-sfg-0"),
-            pytest.param(("verify", "--shards", "1025"), None, "shards must be in [1, 1024]",
+            # The shard count follows from samples: no flag or key sets it.
+            pytest.param(("verify", "--shards", "1025"), None, "unrecognized arguments: --shards",
                          id="verify-shards-above-limit"),
+            pytest.param(("verify", "--shards", "64"), None, "unrecognized arguments: --shards",
+                         id="verify-shards-flag"),
+            pytest.param(("verify",), "shards = 64\n", "unknown key 'shards'",
+                         id="verify-shards-key"),
             pytest.param(("verify", "--samples", "64000000001"), None, "samples must be in",
                          id="verify-samples-above-limit"),
             pytest.param(("verify", "--scenarios", "10001"), None,
@@ -549,6 +554,8 @@ class TestRejectedInputs:
                          id="fock-check-config"),
             pytest.param(("fock-check", "--preset", "satellite"), None,
                          "unrecognized arguments: --preset", id="fock-check-preset"),
+            pytest.param(("fock-check", "--format", "json", "--dump-states"), None,
+                         "--dump-states appends text dumps", id="fock-check-json-dump-states"),
         ],
     )
     def test_usage_error_without_output(self, tmp_path, capsys, argv, config, message):
@@ -604,7 +611,7 @@ class TestFlags:
             "device": sorted([*inputs, "-h", "--help"]),
             "rate-compare": sorted([*inputs, "-h", "--help", "--p-sfg", "--clock", "--delta"]),
             "verify": sorted([*inputs, "-h", "--help", "--seed", "--scenarios", "--samples",
-                              "--n-max", "--shards", "--workers", "--p-sfg", "--method"]),
+                              "--n-max", "--workers", "--p-sfg", "--method"]),
             "fock-check": sorted(["--format", "--out", "-h", "--help", "--dump-states"]),
         }
 

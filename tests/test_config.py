@@ -166,7 +166,6 @@ class TestCavityBuilder:
         assert cav.omega_a == pytest.approx(2 * math.pi * 193.414e12, rel=1e-4)
         assert cav.kappa_a == pytest.approx(cav.omega_a / 4e5)
         assert cav.kappa_ae == pytest.approx(cav.kappa_a / 2)
-        assert cav.omega_pa == cav.omega_a
 
     def test_sum_frequency_defaults_to_matching(self):
         text = "\n".join(

@@ -418,3 +418,21 @@ class TestNonNumericAmplitudes:
         assert bell_fidelity([[1, 0], [0, 0]], "phi+") == pytest.approx(0.5)
         evolved = sfg_evolve(tri_mode_state(1, 1, 0, 2).real, 0.1, 2)
         np.testing.assert_array_equal(evolved, sfg_evolve(tri_mode_state(1, 1, 0, 2), 0.1, 2))
+
+
+class TestRaggedStates:
+    # A nested list whose rows differ in length is no array: numpy's own
+    # ValueError ("inhomogeneous shape") is refused as the package's InputError.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bell_fidelity([[1], [1, 2]], "phi+"),
+            lambda: product_state(bell_state("phi+"), [[1], [1, 2]]),
+            lambda: dump_state([[1], [1, 2]]),
+            lambda: sfg_evolve([[[1]], [[1, 2]], [[0]]], 0.1, 2),
+        ],
+        ids=["bell_fidelity", "product_state", "dump_state", "sfg_evolve"],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(InputError, match="rectangular array"):
+            call()

@@ -90,7 +90,7 @@ class TestFidelityGeneral:
         report = fidelity_general(scen)
         assert report.p_faithful <= report.p_herald
         assert report.fidelity == pytest.approx(report.p_faithful / report.p_herald, rel=1e-12)
-        assert report.fidelity <= report.bound <= ONE_THIRD + 1e-12
+        assert report.fidelity <= fidelity_upper_bound(scen) <= ONE_THIRD + 1e-12
         assert report.p_herald == pytest.approx(summed_herald(scen), rel=1e-12)
 
     def test_no_heralds_is_undefined(self):
@@ -140,15 +140,15 @@ class TestUpperBound:
                 report = fidelity_general(scen)
             except UndefinedFidelityError:
                 continue
-            assert report.fidelity <= report.bound + 1e-12
-            assert report.bound <= ONE_THIRD + 1e-12
+            assert report.fidelity <= fidelity_upper_bound(scen) + 1e-12
+            assert fidelity_upper_bound(scen) <= ONE_THIRD + 1e-12
 
     def test_near_saturation_at_the_balance_point(self):
         eps_b, eta_a, eta_b = 1e-4, 2e-3, 1e-3
         eps_a = optimal_epsilon_a(eps_b, eta_a, eta_b)
         scen = scenario(eps_a, eps_b, eta_a, eta_b)
         report = fidelity_general(scen)
-        assert report.fidelity == pytest.approx(report.bound, rel=1e-6)
+        assert report.fidelity == pytest.approx(fidelity_upper_bound(scen), rel=1e-6)
 
 
 class TestBalanced:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,16 +10,16 @@ from entswap.errors import (
     ModelValidityError,
     UndefinedFidelityError,
 )
-from entswap import oracle
+from entswap import lo_bsm, oracle
 from entswap.lo_bsm import fidelity_general
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import (
     EXACT_ABS_TOLERANCE,
     MAX_TOLERANCE,
     N_MAX_LIMIT,
+    SAMPLES_LIMIT,
     SCENARIOS_LIMIT,
     SHARD_SAMPLES_LIMIT,
-    SHARDS_LIMIT,
     TAIL_TARGET,
     WORKERS_LIMIT,
     OracleConfig,
@@ -65,15 +67,27 @@ class TestConfig:
         assert OracleConfig(n_max=np.int64(10)).n_max == 10
 
     def test_monte_carlo_work_is_capped(self):
-        # Only values above the limits are built, and a config allocates nothing.
-        with pytest.raises(DomainError, match=r"shards must be in \[1, 1024\]"):
-            OracleConfig(shards=SHARDS_LIMIT + 1)
+        # Only values above the limit are built, and a config allocates nothing.
+        assert SAMPLES_LIMIT == 1024 * SHARD_SAMPLES_LIMIT
+        with pytest.raises(DomainError, match=r"samples must be in \[1, 1024000000\]"):
+            OracleConfig(samples=SAMPLES_LIMIT + 1)
         with pytest.raises(DomainError, match="samples must be in"):
-            OracleConfig(samples=64 * SHARD_SAMPLES_LIMIT + 1)
-        with pytest.raises(DomainError, match="samples must be in"):
-            OracleConfig(samples=2 * SHARD_SAMPLES_LIMIT + 1, shards=2)
-        with pytest.raises(DomainError, match="samples must be in"):
-            OracleConfig(samples=10**18, shards=SHARDS_LIMIT)
+            OracleConfig(samples=10**18)
+
+    @pytest.mark.parametrize(
+        "samples, shards",
+        [
+            (1, 64),
+            (200_000, 64),
+            (64 * SHARD_SAMPLES_LIMIT, 64),
+            (64 * SHARD_SAMPLES_LIMIT + 1, 65),
+            (SAMPLES_LIMIT, 1024),
+        ],
+    )
+    def test_shard_count_follows_samples(self, samples, shards):
+        # 64 shards unless more are needed to keep each within its limit.
+        assert OracleConfig(samples=samples).shards == shards
+        assert max(oracle._shard_sizes(samples, shards)) <= SHARD_SAMPLES_LIMIT
 
     def test_workers_are_capped(self):
         # Refused at construction, so no thread is started.
@@ -91,7 +105,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("method", ["exact-sum", "monte-carlo"])
     @pytest.mark.parametrize("bad", [10.5, True])
-    @pytest.mark.parametrize("field", ["n_max", "samples", "seed", "shards", "workers"])
+    @pytest.mark.parametrize("field", ["n_max", "samples", "seed", "workers"])
     def test_counts_must_be_integers(self, field, bad, method):
         # A fractional count used to fail deep inside with a TypeError, and
         # seed=True ran as seed 1.
@@ -148,7 +162,8 @@ class TestHeraldMatrices:
         grid = (cls.K, cls.L, cls.K, cls.L)
         monkeypatch.setattr(oracle, "_sample_arrivals", lambda rng, s, size: grid)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(draws))
-        return estimator(PINNED[0], *args, OracleConfig(samples=1, shards=1)).heralds
+        monkeypatch.setattr(oracle, "SHARDS", 1)
+        return estimator(PINNED[0], *args, OracleConfig(samples=1)).heralds
 
     def test_lo_herald_is_the_monte_carlo_rule(self, monkeypatch):
         grid = _grid(_lo_herald, 12).ravel()
@@ -368,14 +383,15 @@ class TestVerificationReport:
         assert "PCG64" in report["rng"]
         assert all(row["pass"] for row in report["rows"])
 
-    def test_corrupted_closed_form_is_detected(self):
+    def test_corrupted_closed_form_is_detected(self, monkeypatch):
+        def corrupted(s):
+            true = fidelity_general(s)
+            return replace(true, fidelity=true.fidelity + 1e-6)
+
+        monkeypatch.setattr(lo_bsm, "fidelity_general", corrupted)
         cfg = OracleConfig(n_max=200, samples=100_000, seed=0)
         report = verification_report(
-            random_scenarios(3, seed=0),
-            cfg,
-            p_sfg=1e-3,
-            methods=("exact-sum",),
-            closed_form_lo=lambda s: fidelity_general(s).fidelity + 1e-6,
+            random_scenarios(3, seed=0), cfg, p_sfg=1e-3, methods=("exact-sum",)
         )
         assert not report["pass"]
         assert report["failures"] >= 3

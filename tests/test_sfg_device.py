@@ -37,10 +37,11 @@ def test_si_constants_equal_scipy_exactly():
 def ingap_ring():
     omega_a = omega_from_wavelength_nm(1550.0)
     omega_b = omega_from_wavelength_nm(1550.0)
-    return CavityParams.on_resonance(
+    return CavityParams(
         g=TWO_PI * 20e6,
         omega_a=omega_a,
         omega_b=omega_b,
+        omega_c=omega_a + omega_b,
         kappa_a=kappa_from_q(omega_a, 4e5),
         kappa_b=kappa_from_q(omega_b, 4e5),
         kappa_c=kappa_from_q(omega_a + omega_b, 1e5),
@@ -56,10 +57,11 @@ def random_resonant_cavity(rng):
     kappa_a = rng.uniform(1e8, 1e11)
     kappa_b = kappa_a * rng.uniform(0.7, 1.4)
     kappa_c = rng.uniform(1e8, 1e11)
-    return CavityParams.on_resonance(
+    return CavityParams(
         g=rng.uniform(1e5, 1e9),
         omega_a=omega_a,
         omega_b=omega_b,
+        omega_c=omega_a + omega_b,
         kappa_a=kappa_a,
         kappa_b=kappa_b,
         kappa_c=kappa_c,
@@ -104,25 +106,15 @@ class TestSteadyState:
         assert state.n_a == pytest.approx(expected, rel=1e-12)
 
     def test_half_linewidth_detuning_halves_the_population(self):
+        # A sum-frequency mode half a linewidth off omega_a + omega_b holds
+        # half the photons; the input modes do not see it.
         base = ingap_ring()
-        detuned = CavityParams(
-            g=base.g,
-            omega_a=base.omega_a,
-            omega_b=base.omega_b,
-            omega_c=base.omega_c,
-            kappa_a=base.kappa_a,
-            kappa_b=base.kappa_b,
-            kappa_c=base.kappa_c,
-            kappa_ae=base.kappa_ae,
-            kappa_be=base.kappa_be,
-            kappa_ce=base.kappa_ce,
-            omega_pa=base.omega_a - base.kappa_a / 2,
-            omega_pb=base.omega_b,
-        )
+        detuned = dataclasses.replace(base, omega_c=base.omega_c - base.kappa_c / 2)
         on = cavity_steady_state(base, 1e-3, 1e-3)
         off = cavity_steady_state(detuned, 1e-3, 1e-3)
-        # The pump frequency only stores the detuning to ~ulp(omega) absolute.
-        assert off.n_a == pytest.approx(on.n_a / 2, rel=1e-9)
+        assert off.n_a == on.n_a
+        # omega_c only stores the detuning to ~ulp(omega_c) absolute.
+        assert off.n_c == pytest.approx(on.n_c / 2, rel=1e-9)
 
     def test_solution_satisfies_the_mode_equations(self):
         rng = np.random.default_rng(8)
@@ -130,11 +122,11 @@ class TestSteadyState:
             cav = random_resonant_cavity(rng)
             state = cavity_steady_state(cav, 2e-3, 5e-4)
             residual_a = (
-                -(1j * (cav.omega_a - cav.omega_pa) + cav.kappa_a / 2) * state.amp_a
+                -(cav.kappa_a / 2) * state.amp_a
                 + 1j * math.sqrt(cav.kappa_ae / 2) * state.a_in
             )
             residual_c = (
-                -(1j * (cav.omega_c - cav.omega_pa - cav.omega_pb) + cav.kappa_c / 2)
+                -(1j * (cav.omega_c - cav.omega_a - cav.omega_b) + cav.kappa_c / 2)
                 * state.amp_c
                 - 1j * cav.g * state.amp_a * state.amp_b
             )
@@ -158,20 +150,7 @@ class TestEfficiency:
     def test_far_detuning_kills_the_efficiency(self):
         base = ingap_ring()
         on_value = eta_sfg_cavity(base)
-        detuned = CavityParams(
-            g=base.g,
-            omega_a=base.omega_a,
-            omega_b=base.omega_b,
-            omega_c=base.omega_c,
-            kappa_a=base.kappa_a,
-            kappa_b=base.kappa_b,
-            kappa_c=base.kappa_c,
-            kappa_ae=base.kappa_ae,
-            kappa_be=base.kappa_be,
-            kappa_ce=base.kappa_ce,
-            omega_pa=base.omega_a - 1e6 * base.kappa_a,
-            omega_pb=base.omega_b,
-        )
+        detuned = dataclasses.replace(base, omega_c=base.omega_c + 1e6 * base.kappa_c)
         assert eta_sfg_cavity(detuned) < 1e-11 * on_value
 
     def test_on_resonance_product_form(self):
@@ -201,20 +180,7 @@ class TestConversionProbability:
 
     def test_zero_coupling(self):
         cav = ingap_ring()
-        quiet = CavityParams(
-            g=0.0,
-            omega_a=cav.omega_a,
-            omega_b=cav.omega_b,
-            omega_c=cav.omega_c,
-            kappa_a=cav.kappa_a,
-            kappa_b=cav.kappa_b,
-            kappa_c=cav.kappa_c,
-            kappa_ae=cav.kappa_ae,
-            kappa_be=cav.kappa_be,
-            kappa_ce=cav.kappa_ce,
-            omega_pa=cav.omega_pa,
-            omega_pb=cav.omega_pb,
-        )
+        quiet = dataclasses.replace(cav, g=0.0)
         assert p_sfg_cavity(quiet) == 0.0
 
     def test_composition_identity(self):
@@ -226,10 +192,11 @@ class TestConversionProbability:
 
     def test_overcoupled_composition_unchanged(self):
         omega = omega_from_wavelength_nm(1550.0)
-        cav = CavityParams.on_resonance(
+        cav = CavityParams(
             g=TWO_PI * 20e6,
             omega_a=omega,
             omega_b=omega,
+            omega_c=2 * omega,
             kappa_a=kappa_from_q(omega, 4e5),
             kappa_b=kappa_from_q(omega, 4e5),
             kappa_c=kappa_from_q(2 * omega, 1e5),
@@ -250,10 +217,11 @@ class TestConversionProbability:
 
     def test_linewidth_disparity_warns(self):
         omega = omega_from_wavelength_nm(1550.0)
-        cav = CavityParams.on_resonance(
+        cav = CavityParams(
             g=TWO_PI * 20e6,
             omega_a=omega,
             omega_b=omega,
+            omega_c=2 * omega,
             kappa_a=kappa_from_q(omega, 4e5),
             kappa_b=kappa_from_q(omega, 4e4),
             kappa_c=kappa_from_q(2 * omega, 1e5),
@@ -266,10 +234,11 @@ class TestConversionProbability:
 
     def test_unphysical_probability_warns(self):
         omega = omega_from_wavelength_nm(1550.0)
-        cav = CavityParams.on_resonance(
+        cav = CavityParams(
             g=1e12,
             omega_a=omega,
             omega_b=omega,
+            omega_c=2 * omega,
             kappa_a=1e9,
             kappa_b=1e9,
             kappa_c=1e9,
@@ -352,10 +321,11 @@ class TestCavityValidation:
     def test_external_rate_cannot_exceed_total(self):
         omega = omega_from_wavelength_nm(1550.0)
         with pytest.raises(DomainError):
-            CavityParams.on_resonance(
+            CavityParams(
                 g=1e6,
                 omega_a=omega,
                 omega_b=omega,
+                omega_c=2 * omega,
                 kappa_a=1e9,
                 kappa_b=1e9,
                 kappa_c=1e9,
@@ -367,10 +337,11 @@ class TestCavityValidation:
     def test_negative_coupling_rejected(self):
         omega = omega_from_wavelength_nm(1550.0)
         with pytest.raises(DomainError):
-            CavityParams.on_resonance(
+            CavityParams(
                 g=-1.0,
                 omega_a=omega,
                 omega_b=omega,
+                omega_c=2 * omega,
                 kappa_a=1e9,
                 kappa_b=1e9,
                 kappa_c=1e9,
