@@ -43,7 +43,6 @@ from .config import (
     build_waveguide,
     check_known,
     get_dimensionless,
-    merge,
     parse_config_file,
     parse_config_text,
     resolve,
@@ -83,8 +82,11 @@ def _write_output(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def _collect_entries(args: argparse.Namespace) -> dict:
@@ -93,9 +95,9 @@ def _collect_entries(args: argparse.Namespace) -> dict:
     and so is a flag value with a comment or a line break, which carries config syntax."""
     entries: dict[str, ConfigValue] = {}
     if args.preset:
-        entries = merge(entries, get_preset(args.preset).params)
+        entries.update(get_preset(args.preset))
     if args.config:
-        entries = merge(entries, parse_config_file(args.config))
+        entries.update(parse_config_file(args.config))
     for key in args.known_keys:
         value = getattr(args, key, None)  # keys without a flag have no attribute
         if value is not None:

@@ -105,13 +105,6 @@ def parse_config_file(path: str) -> dict[str, ConfigValue]:
     return parse_config_text(text, source=path)
 
 
-def merge(base: dict[str, ConfigValue], overrides: dict[str, ConfigValue]) -> dict[str, ConfigValue]:
-    """Config precedence: entries in ``overrides`` replace entries in ``base``."""
-    merged = dict(base)
-    merged.update(overrides)
-    return merged
-
-
 def _entry(entries: dict[str, ConfigValue], key: str) -> ConfigValue:
     if key not in entries:
         raise ConfigError(f"missing key {key!r}")

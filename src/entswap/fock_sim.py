@@ -7,7 +7,8 @@ Two state spaces live here:
   leading-order herald amplitude and the down-conversion counterexample;
 * a four-photon time-bin space (photons 1..4, bins e/l) in which the
   heralding measurement on photons 2 and 3 is applied as a projection,
-  used to verify the swapped Bell states for one and two nonlinear elements.
+  used to verify the swapped Bell states: one nonlinear element resolves two
+  of the four outcomes, two elements resolve all four.
 
 Every state is a plain complex array.  A tri-mode state has shape
 ``(cutoff+1,)*3`` and is indexed ``state[n_a, n_b, n_c]``.  An n-photon
@@ -257,17 +258,15 @@ def sfg_projection_vectors() -> dict[str, np.ndarray]:
     return vecs
 
 
-def swap_condition_on_sfg(state: np.ndarray, elements: str = "one") -> list[BellOutcome]:
+def swap_condition_on_sfg(state: np.ndarray) -> list[BellOutcome]:
     """Herald outcomes of the swapping measurement on photons 2 and 3.
 
-    ``elements`` selects one nonlinear element (equal-bin interaction only,
-    two resolvable outcomes) or two (all four Bell states resolvable).  The
-    input must be a normalized product of a photon-(1,2) pair state and a
-    photon-(3,4) pair state; outcome probabilities sum to the weight of the
-    heralded subspace.
+    The four outcomes S1+, S1-, S2+, S2- in that order: one nonlinear element
+    (equal-bin interaction only) resolves the first two, two elements resolve
+    all four Bell states.  The input must be a normalized product of a
+    photon-(1,2) pair state and a photon-(3,4) pair state; outcome
+    probabilities sum to the weight of the heralded subspace.
     """
-    if elements not in ("one", "two"):
-        raise InputError(f"elements must be 'one' or 'two', got {elements!r}")
     state = _time_bin_array(state, 4, "input")
     if not abs(np.linalg.norm(state) - 1.0) <= 1e-9:
         raise InputError("input state must be normalized")
@@ -278,11 +277,9 @@ def swap_condition_on_sfg(state: np.ndarray, elements: str = "one") -> list[Bell
     # The (sigma mode, photon 1, photon 4) tensor: photons 2 and 3 are consumed by
     # the nonlinear element(s), and each sigma mode takes the bins that feed it.
     herald = np.stack([state[:, b2, b3, :] for b2, b3 in _BINS_OF_SIGMA])
-    projectors = sfg_projection_vectors()
-    wanted = ("S1+", "S1-") if elements == "one" else ("S1+", "S1-", "S2+", "S2-")
     outcomes = []
-    for name in wanted:
-        component = np.tensordot(projectors[name].conj(), herald, axes=(0, 0))
+    for name, projector in sfg_projection_vectors().items():
+        component = np.tensordot(projector.conj(), herald, axes=(0, 0))
         probability = float(np.vdot(component, component).real)
         conditioned = label = None
         if probability > 0.0:
@@ -340,7 +337,7 @@ def run_fock_checks() -> list[dict]:
 
     # Complete measurement resolves all four Bell states with unit fidelity.
     state = product_state(bell_state("phi+"), bell_state("phi+"))
-    outcomes = swap_condition_on_sfg(state, elements="two")
+    outcomes = swap_condition_on_sfg(state)
     fid_error = 0.0
     weight_error = 0.0
     seen = []
@@ -376,7 +373,7 @@ def dump_reference_states() -> str:
     """Byte-stable dumps of the conditioned states of the complete measurement."""
     state = product_state(bell_state("phi+"), bell_state("phi+"))
     blocks = []
-    for outcome in swap_condition_on_sfg(state, elements="two"):
+    for outcome in swap_condition_on_sfg(state):
         blocks.append(f"# projector {outcome.projector} -> {outcome.label}")
         blocks.append(dump_state(outcome.conditioned_state))
     return "\n".join(blocks) + "\n"

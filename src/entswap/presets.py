@@ -6,16 +6,8 @@ parser on access, so presets and user files can never drift apart in syntax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import ConfigValue, parse_config_text
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    params: dict[str, ConfigValue]
 
 
 _PRESET_TEXTS: dict[str, str] = {
@@ -79,11 +71,9 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESET_TEXTS))
 
 
-def get_preset(name: str) -> Preset:
+def get_preset(name: str) -> dict[str, ConfigValue]:
+    """The preset's entries, parsed as a config file would be."""
     if name not in _PRESET_TEXTS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    return Preset(
-        name=name,
-        params=parse_config_text(_PRESET_TEXTS[name], source=f"<preset:{name}>"),
-    )
+    return parse_config_text(_PRESET_TEXTS[name], source=f"<preset:{name}>")
 

@@ -132,7 +132,7 @@ def _equal_sources(p):
 def _fig2_rows():
     from entswap.sweep import SweepSpec, run_sweep
 
-    params = get_preset("fig2").params
+    params = get_preset("fig2")
     spec = SweepSpec(
         variable="p",
         start=1e-3,
@@ -258,11 +258,11 @@ def _random_resonant_cavity(rng):
 
 def test_06_device_conversion_probabilities():
     def body():
-        ring = build_cavity(get_preset("ingap-ring").params)
+        ring = build_cavity(get_preset("ingap-ring"))
         ring_p = p_sfg_cavity(ring)
         assert 5e-4 <= ring_p <= 2e-3
 
-        waveguide = build_waveguide(get_preset("ingap-wg").params)
+        waveguide = build_waveguide(get_preset("ingap-wg"))
         wg_p = p_sfg_waveguide(waveguide)
         assert 1.5e-5 <= wg_p <= 4e-5
 
@@ -288,7 +288,7 @@ def test_07_exact_simulator_invariants():
                     assert abs(amp - target) <= (gt * gt * n_a * n_b) * abs(target)
 
         state = product_state(bell_state("phi+"), bell_state("phi+"))
-        outcomes = swap_condition_on_sfg(state, elements="two")
+        outcomes = swap_condition_on_sfg(state)
         assert sorted(o.label for o in outcomes) == sorted(BELL_LABELS)
         for outcome in outcomes:
             fid = bell_fidelity(outcome.conditioned_state, outcome.label)

@@ -271,6 +271,17 @@ class TestRateCompareCommand:
         assert payload["crossover_ratio"] == pytest.approx(0.1, rel=1e-12)
         assert payload["nlo_wins"] is False
 
+    def test_config_overrides_preset_and_flag_overrides_both(self, tmp_path, capsys):
+        cfg = tmp_path / "eta_b.cfg"
+        cfg.write_text("eta_b = 1e-4\n")
+        args = ("rate-compare", "--preset", "satellite", "--format", "json")
+        ratios = []
+        for extra in ((), ("--config", str(cfg)), ("--config", str(cfg), "--p-sfg", "1e-2")):
+            code, out, _ = run_cli(capsys, *args, *extra)
+            assert code == EXIT_OK
+            ratios.append(json.loads(out)["crossover_ratio"])
+        assert ratios == pytest.approx([100.0, 10.0, 100.0], rel=1e-12)
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_delta_from_config_or_flag(self, tmp_path, capsys, fmt):
         cfg = tmp_path / "delta.cfg"
@@ -556,6 +567,10 @@ class TestRejectedInputs:
                          "unrecognized arguments: --preset", id="fock-check-preset"),
             pytest.param(("fock-check", "--format", "json", "--dump-states"), None,
                          "--dump-states appends text dumps", id="fock-check-json-dump-states"),
+            pytest.param(("fock-check", "--out", "/nonexistent/dir/x.txt"), None,
+                         "cannot write output file", id="out-in-missing-directory"),
+            pytest.param(("device", "--preset", "ingap-ring", "--out", "."), None,
+                         "cannot write output file", id="out-is-a-directory"),
         ],
     )
     def test_usage_error_without_output(self, tmp_path, capsys, argv, config, message):

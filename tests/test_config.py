@@ -14,7 +14,6 @@ from entswap.config import (
     get_sfg_efficiency,
     get_string,
     get_wavelength_nm,
-    merge,
     parse_config_text,
     resolve,
     resolve_link,
@@ -53,14 +52,6 @@ class TestParsing:
     def test_empty_value_rejected(self):
         with pytest.raises(ConfigError, match="q_a"):
             parse_config_text("q_a = ")
-
-    def test_merge_precedence(self):
-        base = parse_config_text("a = 1\nb = 2")
-        override = parse_config_text("b = 3\nc = 4")
-        merged = merge(base, override)
-        assert merged["a"] == Quantity(1.0, None)
-        assert merged["b"] == Quantity(3.0, None)
-        assert merged["c"] == Quantity(4.0, None)
 
 
 class TestConversions:

@@ -267,7 +267,7 @@ class TestBellStates:
 class TestSwapMeasurement:
     def test_single_element_resolves_two_outcomes(self):
         state = product_state(bell_state("phi+"), bell_state("phi+"))
-        outcomes = swap_condition_on_sfg(state, elements="one")
+        outcomes = swap_condition_on_sfg(state)[:2]
         assert [o.projector for o in outcomes] == ["S1+", "S1-"]
         assert [o.label for o in outcomes] == ["phi+", "phi-"]
         for outcome in outcomes:
@@ -281,7 +281,7 @@ class TestSwapMeasurement:
 
     def test_two_elements_resolve_all_four(self):
         state = product_state(bell_state("phi+"), bell_state("phi+"))
-        outcomes = swap_condition_on_sfg(state, elements="two")
+        outcomes = swap_condition_on_sfg(state)
         assert [o.label for o in outcomes] == ["phi+", "phi-", "psi+", "psi-"]
         for outcome in outcomes:
             assert outcome.probability == pytest.approx(0.25, abs=1e-12)
@@ -292,7 +292,7 @@ class TestSwapMeasurement:
 
     def test_other_bell_inputs_permute_the_labels(self):
         state = product_state(bell_state("psi+"), bell_state("phi+"))
-        outcomes = swap_condition_on_sfg(state, elements="two")
+        outcomes = swap_condition_on_sfg(state)
         mapping = {o.projector: o.label for o in outcomes}
         assert mapping == {"S1+": "psi+", "S1-": "psi-", "S2+": "phi+", "S2-": "phi-"}
         for outcome in outcomes:
@@ -304,7 +304,7 @@ class TestSwapMeasurement:
         for first in BELL_LABELS:
             for second in BELL_LABELS:
                 state = product_state(bell_state(first), bell_state(second))
-                outcomes = swap_condition_on_sfg(state, elements="two")
+                outcomes = swap_condition_on_sfg(state)
                 assert sorted(o.label for o in outcomes) == sorted(BELL_LABELS)
                 for outcome in outcomes:
                     assert bell_fidelity(
@@ -325,7 +325,7 @@ class TestSwapMeasurement:
     def test_zero_probability_outcomes_have_no_label(self):
         early, late = np.zeros((2, 2)), np.zeros((2, 2))
         early[0, 0] = late[1, 1] = 1.0
-        outcomes = swap_condition_on_sfg(product_state(early, late), elements="two")
+        outcomes = swap_condition_on_sfg(product_state(early, late))
         # Photons 2 and 3 in bins e and l feed only the second element.
         assert [o.probability for o in outcomes] == pytest.approx([0.0, 0.0, 0.5, 0.5])
         for outcome in outcomes[:2]:
@@ -338,7 +338,7 @@ class TestSwapMeasurement:
         # state is the best match, so none is named, and the state is kept.
         early, late = np.zeros((2, 2)), np.zeros((2, 2))
         early[0, 0] = late[1, 1] = 1.0
-        for outcome in swap_condition_on_sfg(product_state(early, late), elements="two")[2:]:
+        for outcome in swap_condition_on_sfg(product_state(early, late))[2:]:
             assert outcome.label is None
             fidelities = [bell_fidelity(outcome.conditioned_state, b) for b in BELL_LABELS]
             assert fidelities == pytest.approx([0.0, 0.0, 0.5, 0.5])
@@ -349,18 +349,16 @@ class TestSwapMeasurement:
         state = np.zeros((2, 2, 2, 2), dtype=complex)
         state[0, 0, 0, 0] = state[1, 1, 1, 1] = 1 / math.sqrt(2)
         with pytest.raises(InputError):
-            swap_condition_on_sfg(state, elements="two")
+            swap_condition_on_sfg(state)
 
     def test_malformed_inputs_rejected(self):
         state = bell_state("phi+")
         with pytest.raises(InputError):
-            swap_condition_on_sfg(state, elements="one")
+            swap_condition_on_sfg(state)
         four = product_state(bell_state("phi+"), bell_state("phi+"))
-        with pytest.raises(InputError):
-            swap_condition_on_sfg(four, elements="three")
         four[0, 0, 0, 0] = math.nan
         with pytest.raises(InputError, match="finite"):
-            swap_condition_on_sfg(four, elements="two")
+            swap_condition_on_sfg(four)
 
 
 def _with_amplitude(state, value):

@@ -4,6 +4,8 @@ scipy is a test-only dependency: importing the package and running any
 command, the exact-sum and Monte Carlo oracles included, must leave it
 unloaded.  numpy.random is loaded only by the Monte Carlo oracle, which
 samples; the exact-sum oracle and every other command draw nothing from it.
+The package itself exports only ``__version__``, so importing it loads no
+submodule and no numpy, and a submodule loads only what it imports.
 """
 
 import json
@@ -74,3 +76,25 @@ def test_monte_carlo_verify_loads_numpy_random():
     )
     assert codes == [0]
     assert numpy_random is True
+
+
+def loaded_after(statement):
+    """The modules a new interpreter holds after running ``statement``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    loaded = loaded_after("import entswap")
+    assert [m for m in loaded if m.startswith("entswap.")] == []
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+
+def test_photon_stats_loads_neither_oracle():
+    loaded = loaded_after("import entswap.photon_stats")
+    assert "entswap.oracle" not in loaded
+    assert "entswap.fock_sim" not in loaded

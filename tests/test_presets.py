@@ -19,7 +19,7 @@ class TestCatalog:
 
 class TestSweepPreset:
     def test_grid_definition(self):
-        params = get_preset("fig2").params
+        params = get_preset("fig2")
         assert get_dimensionless(params, "start") == pytest.approx(1e-3)
         assert get_dimensionless(params, "stop") == pytest.approx(0.25)
         assert get_dimensionless(params, "points") == 200
@@ -29,15 +29,15 @@ class TestSweepPreset:
 
 class TestDevicePresets:
     def test_microring_design_point(self):
-        cav = build_cavity(get_preset("ingap-ring").params)
+        cav = build_cavity(get_preset("ingap-ring"))
         assert p_sfg_cavity(cav) == pytest.approx(8.554e-4, rel=1e-3)
 
     def test_waveguide_design_point(self):
-        wg = build_waveguide(get_preset("ingap-wg").params)
+        wg = build_waveguide(get_preset("ingap-wg"))
         assert p_sfg_waveguide(wg) == pytest.approx(2.4157e-5, rel=1e-3)
 
     def test_lnoi_order_of_magnitude_only(self):
-        params = get_preset("lnoi-ring").params
+        params = get_preset("lnoi-ring")
         assert get_dimensionless(params, "p_sfg") == pytest.approx(1e-4)
         assert "g" not in params and "q_a" not in params
 
@@ -47,7 +47,7 @@ class TestDevicePresets:
 
 class TestSatellitePreset:
     def test_strong_asymmetry(self):
-        params = get_preset("satellite").params
+        params = get_preset("satellite")
         scen = resolve_link(params).scenario
         assert scen.eta_a == 1.0
         assert scen.eta_b == 1e-5
@@ -58,7 +58,7 @@ class TestSatellitePreset:
 
         from entswap.nlo_bsm import fidelity_nlo, p_total_sfg
 
-        params = get_preset("satellite").params
+        params = get_preset("satellite")
         scen = resolve_link(params).scenario
         with warnings.catch_warnings():
             warnings.simplefilter("error")
