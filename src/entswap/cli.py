@@ -42,9 +42,9 @@ from .config import (
     build_cavity,
     build_waveguide,
     check_known,
-    get_dimensionless,
     parse_config_file,
     parse_config_text,
+    read,
     resolve,
     resolve_link,
 )
@@ -130,7 +130,7 @@ def cmd_device(args: argparse.Namespace) -> int:
     caught: list[str] = []
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
-        if "g" in entries or "g_shg" in entries:
+        if any(key in entries for key in CAVITY_KEYS):
             cavity = build_cavity(entries)
             eta = sfg_device.eta_sfg_cavity(cavity)
             report["cavity"] = {
@@ -138,11 +138,11 @@ def cmd_device(args: argparse.Namespace) -> int:
                 "eta_sfg_per_w": eta,
                 "p_sfg_from_eta": sfg_device.p_sfg_from_eta(cavity, eta),
             }
-        if "eta_sfg" in entries or "eta_shg" in entries:
+        if any(key in entries for key in WAVEGUIDE_KEYS):
             waveguide = build_waveguide(entries)
             report["waveguide"] = {"p_sfg": sfg_device.p_sfg_waveguide(waveguide)}
         if "p_sfg" in entries:
-            p_sfg = get_dimensionless(entries, "p_sfg")
+            p_sfg = read(entries, "p_sfg")
             check_probability(p_sfg, "p_sfg")
             report["quoted"] = {"p_sfg": p_sfg}
         caught = [str(record.message) for record in records]

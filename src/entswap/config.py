@@ -16,11 +16,14 @@ Lab-facing parameters are written the way they are quoted on hardware:
 Numeric values carry at most one unit token and must be finite: ``nan`` and
 ``inf`` are rejected here, for flags, files and presets alike.  Anything
 that does not parse as a number is kept as a raw string (sweep variables,
-output lists).  All conversions happen here, at the boundary: frequencies become Hz (and are
-multiplied by 2*pi only where a device model needs angular units), lengths
-become the unit each consumer expects, and the percent sign in the
+output lists).  Every key is read by ``read``, in the unit its kind in
+``KEY_KINDS`` declares; a key not listed there is dimensionless.  All
+conversions happen there, at the boundary: frequencies become Hz (and are
+multiplied by 2*pi only where a device model needs angular units),
+wavelengths nm and lengths cm, and the percent sign in the
 normalized-efficiency unit becomes a factor of 1/100, which is the single
-most dangerous conversion in the whole parameter set.
+most dangerous conversion in the whole parameter set.  A converted value
+that overflows a float is refused.
 """
 
 from __future__ import annotations
@@ -105,49 +108,59 @@ def parse_config_file(path: str) -> dict[str, ConfigValue]:
     return parse_config_text(text, source=path)
 
 
-def _entry(entries: dict[str, ConfigValue], key: str) -> ConfigValue:
+# Each key's kind; a key not listed is dimensionless (a bare number or a %).
+KEY_KINDS = {
+    **dict.fromkeys(("clock", "g", "g_shg", "freq_a", "freq_b", "freq_c"), "frequency"),
+    **dict.fromkeys(("lambda", "lambda_a", "lambda_b", "lambda_c"), "wavelength"),
+    "length": "length",
+    "accept": "acceptance",
+    **dict.fromkeys(("eta_sfg", "eta_shg"), "efficiency"),
+    **dict.fromkeys(("points", "seed", "scenarios", "samples", "n_max", "workers"), "count"),
+    **dict.fromkeys(("variable", "scale", "outputs"), "word"),
+}
+# The unit table of each kind that has one, and the kind's name in messages.
+_UNITS = {
+    "frequency": (_FREQUENCY_HZ, "frequency"),
+    "wavelength": (_LENGTH_CM, "length"),
+    "length": (_LENGTH_CM, "length"),
+    "acceptance": (_ACCEPTANCE_HZ_CM, "bandwidth-length"),
+    "efficiency": (_SFG_EFFICIENCY, "normalized-efficiency"),
+}
+
+
+def read(entries: dict[str, ConfigValue], key: str) -> float | str:
+    """``key``'s entry in the unit of its kind in ``KEY_KINDS``: a frequency in Hz
+    (a bare number is Hz), a wavelength in nm, a length in cm, an acceptance in
+    Hz*cm, an efficiency in 1/(W cm^2), a count as an int, a word as a string."""
     if key not in entries:
         raise ConfigError(f"missing key {key!r}")
-    return entries[key]
-
-
-def _quantity(entries: dict[str, ConfigValue], key: str) -> Quantity:
-    value = _entry(entries, key)
-    if not isinstance(value, Quantity):
-        raise ConfigError(f"key {key!r} must be numeric, got {value!r}")
-    return value
-
-
-def _converted(entries: dict[str, ConfigValue], key: str, table: dict[str, float], what: str) -> float:
-    q = _quantity(entries, key)
-    if q.unit is None:
-        raise ConfigError(f"key {key!r} needs a {what} unit ({', '.join(table)})")
-    if q.unit not in table:
-        raise ConfigError(f"key {key!r} has unsupported {what} unit {q.unit!r}")
-    return q.value * table[q.unit]
-
-
-def get_dimensionless(entries: dict[str, ConfigValue], key: str) -> float:
-    q = _quantity(entries, key)
-    if q.unit == "%":
-        return q.value * 1e-2
-    if q.unit is not None:
-        raise ConfigError(f"key {key!r} must be dimensionless, got unit {q.unit!r}")
-    return q.value
-
-
-def get_frequency_hz(entries: dict[str, ConfigValue], key: str) -> float:
-    q = _quantity(entries, key)
-    if q.unit is None:
-        return q.value  # bare numbers are Hz
-    if q.unit not in _FREQUENCY_HZ:
-        raise ConfigError(f"key {key!r} has unsupported frequency unit {q.unit!r}")
-    return q.value * _FREQUENCY_HZ[q.unit]
-
-
-def get_count(entries: dict[str, ConfigValue], key: str) -> int:
-    """A whole number >= 0, such as a grid size, a scenario count or a seed."""
-    value = get_dimensionless(entries, key)
+    q, kind = entries[key], KEY_KINDS.get(key, "dimensionless")
+    if kind == "word":
+        if isinstance(q, Quantity):
+            raise ConfigError(f"key {key!r} must be a word, got a number")
+        return q
+    if not isinstance(q, Quantity):
+        raise ConfigError(f"key {key!r} must be numeric, got {q!r}")
+    if kind in ("dimensionless", "count"):
+        if q.unit not in (None, "%"):
+            raise ConfigError(f"key {key!r} must be dimensionless, got unit {q.unit!r}")
+        value = q.value * 1e-2 if q.unit == "%" else q.value
+    elif kind == "frequency" and q.unit is None:
+        value = q.value  # bare numbers are Hz
+    else:
+        table, what = _UNITS[kind]
+        if q.unit is None:
+            raise ConfigError(f"key {key!r} needs a {what} unit ({', '.join(table)})")
+        if q.unit not in table:
+            raise ConfigError(f"key {key!r} has unsupported {what} unit {q.unit!r}")
+        value = q.value * table[q.unit]
+        if kind == "wavelength":
+            value = value / _LENGTH_CM["nm"]
+    # The parser checks the magnitude only; a unit factor can still overflow it.
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} overflows a float once converted, got {q.value!r} {q.unit}")
+    if kind != "count":
+        return value
     if not (value >= 0.0 and value.is_integer()):
         raise ConfigError(f"key {key!r} must be a whole number >= 0, got {value!r}")
     # Whole numbers from 2**53 on are not all floats: a seed of 2**53 + 1
@@ -157,42 +170,10 @@ def get_count(entries: dict[str, ConfigValue], key: str) -> int:
     return int(value)
 
 
-def get_length_cm(entries: dict[str, ConfigValue], key: str) -> float:
-    return _converted(entries, key, _LENGTH_CM, "length")
-
-
-def get_wavelength_nm(entries: dict[str, ConfigValue], key: str) -> float:
-    return _converted(entries, key, _LENGTH_CM, "length") / _LENGTH_CM["nm"]
-
-
-def get_acceptance_hz_cm(entries: dict[str, ConfigValue], key: str) -> float:
-    return _converted(entries, key, _ACCEPTANCE_HZ_CM, "bandwidth-length")
-
-
-def get_sfg_efficiency(entries: dict[str, ConfigValue], key: str) -> float:
-    return _converted(entries, key, _SFG_EFFICIENCY, "normalized-efficiency")
-
-
-def get_string(entries: dict[str, ConfigValue], key: str) -> str:
-    value = _entry(entries, key)
-    if isinstance(value, Quantity):
-        raise ConfigError(f"key {key!r} must be a word, got a number")
-    return value
-
-
-def _reader(key: str, default: float):
-    if key == "clock":
-        return get_frequency_hz
-    return get_count if isinstance(default, int) else get_dimensionless
-
-
 def resolve(entries: dict[str, ConfigValue], defaults: dict[str, float]) -> dict[str, float]:
-    """Every key of ``defaults``, read from ``entries`` where given: the clock
-    as a frequency, a key with an int default as a count, the rest dimensionless."""
-    return {
-        key: _reader(key, default)(entries, key) if key in entries else default
-        for key, default in defaults.items()
-    }
+    """Every key of ``defaults``, read from ``entries`` where given."""
+    return {key: read(entries, key) if key in entries else default
+            for key, default in defaults.items()}
 
 
 LINK_DEFAULTS = {"eta_a": 1.0, "eta_b": 1.0, "p_sfg": 1e-3, "clock": 1e9}
@@ -238,7 +219,7 @@ def _either(entries: dict[str, ConfigValue], first: str, second: str, what: str)
 
 def _source_epsilon(entries: dict[str, ConfigValue], side: str) -> float:
     key = _either(entries, f"eps_{side}", f"p_{side}", "source parameter")
-    value = get_dimensionless(entries, key)
+    value = read(entries, key)
     return value if key.startswith("eps") else epsilon_from_p(value)
 
 
@@ -256,8 +237,8 @@ def resolve_link(entries: dict[str, ConfigValue], swept: dict[str, float] | None
 def _mode_omega(entries: dict[str, ConfigValue], mode: str) -> float:
     key = _either(entries, f"lambda_{mode}", f"freq_{mode}", "mode frequency")
     if key.startswith("lambda"):
-        return omega_from_wavelength_nm(get_wavelength_nm(entries, key))
-    return 2.0 * math.pi * get_frequency_hz(entries, key)
+        return omega_from_wavelength_nm(read(entries, key))
+    return 2.0 * math.pi * read(entries, key)
 
 
 def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
@@ -270,7 +251,7 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
     drives are on resonance.
     """
     key = _either(entries, "g", "g_shg", "coupling rate")
-    g = 2.0 * math.pi * get_frequency_hz(entries, key)
+    g = 2.0 * math.pi * read(entries, key)
     if key == "g_shg":
         g = sfg_coupling_from_shg(g)
 
@@ -283,10 +264,10 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
 
     kappas = {}
     for mode, omega in (("a", omega_a), ("b", omega_b), ("c", omega_c)):
-        kappas[mode] = kappa_from_q(omega, get_dimensionless(entries, f"q_{mode}"))
+        kappas[mode] = kappa_from_q(omega, read(entries, f"q_{mode}"))
         qe_key = f"qe_{mode}"
         if qe_key in entries:
-            kappas[mode + "e"] = kappa_from_q(omega, get_dimensionless(entries, qe_key))
+            kappas[mode + "e"] = kappa_from_q(omega, read(entries, qe_key))
         else:
             kappas[mode + "e"] = kappas[mode] / 2.0
 
@@ -307,14 +288,14 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
 def build_waveguide(entries: dict[str, ConfigValue]) -> WaveguideParams:
     """Waveguide from keys eta_sfg (or eta_shg), accept, length, lambda."""
     key = _either(entries, "eta_sfg", "eta_shg", "normalized efficiency")
-    eta = get_sfg_efficiency(entries, key)
+    eta = read(entries, key)
     if key == "eta_shg":
         eta = sfg_efficiency_from_shg(eta)
-    wavelength_nm = get_wavelength_nm(entries, "lambda")
+    wavelength_nm = read(entries, "lambda")
     photon_frequency = omega_from_wavelength_nm(wavelength_nm) / (2.0 * math.pi)
     return WaveguideParams(
         eta_sfg_norm=eta,
-        spectral_acceptance=get_acceptance_hz_cm(entries, "accept"),
-        length=get_length_cm(entries, "length"),
+        spectral_acceptance=read(entries, "accept"),
+        length=read(entries, "length"),
         photon_frequency=photon_frequency,
     )

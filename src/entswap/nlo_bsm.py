@@ -2,14 +2,16 @@
 
 Each pair of photons (one per side) that reaches the nonlinear element
 up-converts with probability p_sfg, so an arrival pattern of k and l photons
-heralds with weight k*l*p_sfg.  Multiphoton emissions on a single side never
-herald on their own, which is what removes the 1/3 ceiling of the
-linear-optical measurement: the heralded fidelity
+heralds with weight k*l*p_sfg: this weak-conversion herald is the model to
+first order in p_sfg.  Multiphoton emissions on a single side never herald on
+their own, which is what removes the 1/3 ceiling of the linear-optical
+measurement: the heralded fidelity this herald gives,
 
     (1 - eps_A)^2 (1 - eps_B)^2
 
-depends only on the source efficiencies and, under weak conversion (to first
-order in p_sfg), not on the channel losses.
+depends only on the source efficiencies.  It is independent of the channel
+losses only at zeroth order in p_sfg: the fidelity's own first-order term
+depends on them.
 """
 
 from __future__ import annotations

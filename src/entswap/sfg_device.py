@@ -116,6 +116,13 @@ class WaveguideParams:
             raise DomainError(f"length must be >= 0, got {self.length}")
 
 
+def _finite(value: float, name: str) -> float:
+    """``value``, refused when the device parameters overflow a float."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} = {value}: the device parameters overflow a float")
+    return value
+
+
 def kappa_from_q(omega: float, q: float) -> float:
     """Linewidth kappa = omega / Q for a resonance at angular frequency omega."""
     if not q > 0.0:
@@ -179,13 +186,15 @@ def eta_sfg_cavity(cav: CavityParams) -> float:
     A sum-frequency mismatch far beyond kappa_c drives the efficiency to zero.
     """
     mismatch = cav.omega_c - cav.omega_a - cav.omega_b
-    return (
-        cav.g**2
-        * (cav.kappa_ae / 2.0) / (cav.kappa_a / 2.0) ** 2
-        * (cav.kappa_be / 2.0) / (cav.kappa_b / 2.0) ** 2
-        * (cav.kappa_ce / 2.0) / (mismatch * mismatch + (cav.kappa_c / 2.0) ** 2)
+    half_a, half_b, half_c = cav.kappa_a / 2.0, cav.kappa_b / 2.0, cav.kappa_c / 2.0
+    eta = (
+        cav.g * cav.g
+        * (cav.kappa_ae / 2.0) / (half_a * half_a)
+        * (cav.kappa_be / 2.0) / (half_b * half_b)
+        * (cav.kappa_ce / 2.0) / (mismatch * mismatch + half_c * half_c)
         * (_HBAR * cav.omega_c) / ((_HBAR * cav.omega_a) * (_HBAR * cav.omega_b))
     )
+    return _finite(eta, "eta_sfg")
 
 
 def p_sfg_cavity(cav: CavityParams) -> float:
@@ -202,7 +211,7 @@ def p_sfg_cavity(cav: CavityParams) -> float:
             ModelValidityWarning,
             stacklevel=2,
         )
-    p = 4.0 * cav.g**2 / (cav.kappa_a * cav.kappa_c)
+    p = _finite(4.0 * cav.g * cav.g / (cav.kappa_a * cav.kappa_c), "p_sfg")
     if p > 1.0:
         warnings.warn(
             f"p_sfg = {p:g} exceeds 1; coupling too strong for the perturbative "
@@ -227,13 +236,15 @@ def p_sfg_from_eta(cav: CavityParams, eta_sfg: float) -> float:
     """
     if not eta_sfg >= 0.0:
         raise DomainError(f"eta_sfg must be >= 0, got {eta_sfg}")
-    return (
+    half_a, half_b = cav.kappa_a / 2.0, cav.kappa_b / 2.0
+    p = (
         eta_sfg
-        * (cav.kappa_a / 2.0) ** 2 / (cav.kappa_ae / 2.0)
-        * (cav.kappa_b / 2.0) ** 2 / (cav.kappa_be / 2.0)
+        * (half_a * half_a) / (cav.kappa_ae / 2.0)
+        * (half_b * half_b) / (cav.kappa_be / 2.0)
         * cav.kappa_c / (cav.kappa_a * cav.kappa_ce / 2.0)
         * (_HBAR * cav.omega_a) * (_HBAR * cav.omega_b) / (_HBAR * cav.omega_c)
     )
+    return _finite(p, "p_sfg")
 
 
 def p_sfg_waveguide(wg: WaveguideParams) -> float:
@@ -245,7 +256,7 @@ def p_sfg_waveguide(wg: WaveguideParams) -> float:
     with eta_sfg in 1/(W cm^2), the acceptance in Hz*cm and L in cm, so the
     result is dimensionless.
     """
-    return (
+    p = (
         2.0
         * math.pi
         * wg.eta_sfg_norm
@@ -254,3 +265,4 @@ def p_sfg_waveguide(wg: WaveguideParams) -> float:
         * wg.spectral_acceptance
         * wg.length
     )
+    return _finite(p, "p_sfg")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lo_bsm, nlo_bsm, rates
-from .config import ConfigValue, get_count, get_dimensionless, get_string, resolve_link
+from .config import ConfigValue, read, resolve_link
 from .errors import UsageError
 from .photon_stats import epsilon_from_p, p_from_epsilon
 
@@ -85,14 +85,13 @@ class SweepSpec:
     @classmethod
     def from_entries(cls, entries: dict[str, ConfigValue]) -> "SweepSpec":
         """The spec keys of merged config entries; every other entry is fixed context."""
-        given = "outputs" in entries
-        outputs = get_string(entries, "outputs") if given else ",".join(DEFAULT_OUTPUTS)
+        outputs = read(entries, "outputs") if "outputs" in entries else ",".join(DEFAULT_OUTPUTS)
         return cls(
-            variable=get_string(entries, "variable"),
-            start=get_dimensionless(entries, "start"),
-            stop=get_dimensionless(entries, "stop"),
-            points=get_count(entries, "points"),
-            scale=get_string(entries, "scale") if "scale" in entries else "linear",
+            variable=read(entries, "variable"),
+            start=read(entries, "start"),
+            stop=read(entries, "stop"),
+            points=read(entries, "points"),
+            scale=read(entries, "scale") if "scale" in entries else "linear",
             fixed={key: value for key, value in entries.items() if key not in SPEC_KEYS},
             outputs=tuple(part.strip() for part in outputs.split(",") if part.strip()),
         )

@@ -459,6 +459,11 @@ RING_NAN_G = (
     "g = nan MHz\nlambda_a = 1550 nm\nlambda_b = 1550 nm\nq_a = 4e5\nq_b = 4e5\nq_c = 1e5\n"
 )
 WG_INF_ETA = "eta_sfg = inf %/W/cm^2\naccept = 6 GHz*cm\nlength = 1 cm\nlambda = 1550 nm\n"
+# Finite magnitudes whose converted value or device result overflows a float.
+WG_LONG = "eta_sfg = 500000 %/W/cm^2\naccept = 6 GHz*cm\nlength = 1e308 m\nlambda = 1550 nm\n"
+WG_HUGE_ETA = "eta_sfg = 1e200 /W/cm^2\naccept = 1e200 Hz*cm\nlength = 1 cm\nlambda = 1550 nm\n"
+RING = ("device", "--preset", "ingap-ring")
+DEVICE_OVERFLOW = "the device parameters overflow a float"
 
 
 class TestRejectedInputs:
@@ -482,6 +487,19 @@ class TestRejectedInputs:
             pytest.param(("device",), RING_NAN_G, "'g' must be finite", id="device-g-nan"),
             pytest.param(("device",), WG_INF_ETA, "'eta_sfg' must be finite", id="device-eta-inf"),
             pytest.param(("device",), "p_sfg = 5", "p_sfg must be in [0, 1]", id="device-p-sfg-5"),
+            pytest.param(("device",), WG_LONG, "key 'length' overflows a float",
+                         id="device-length-overflow"),
+            pytest.param(("device",), WG_HUGE_ETA, f"p_sfg = inf: {DEVICE_OVERFLOW}",
+                         id="device-wg-p-sfg-overflow"),
+            pytest.param(RING, "g = 1e160 THz\n", f"eta_sfg = inf: {DEVICE_OVERFLOW}",
+                         id="device-ring-g-overflow"),
+            pytest.param(RING, "q_b = 1e-145\n", f"p_sfg = nan: {DEVICE_OVERFLOW}",
+                         id="device-ring-q-b-overflow"),
+            # Any key of a section builds it, so the builder names what is missing.
+            pytest.param(RING, "length = 2 cm\n", "missing normalized efficiency 'eta_sfg'",
+                         id="device-ring-with-waveguide-key"),
+            pytest.param(("device",), "q_a = 4e5\nlambda_a = 1550 nm\n",
+                         "missing coupling rate 'g' or 'g_shg'", id="device-partial-cavity"),
             pytest.param((*RATE, "--delta", "1"), None, "reachable range", id="rate-delta-1"),
             pytest.param((*RATE, "--delta", "0"), None, "below 1/3", id="rate-delta-0"),
             pytest.param((*RATE, "--delta", "1e-17"), None, "below 1/3", id="rate-delta-1e-17"),
@@ -582,6 +600,7 @@ class TestRejectedInputs:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1, err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])

@@ -2,23 +2,22 @@ import math
 
 import pytest
 
+from entswap.cli import RATE_DEFAULTS, VERIFY_DEFAULTS
 from entswap.config import (
+    CAVITY_KEYS,
+    KEY_KINDS,
+    LINK_KEYS,
+    WAVEGUIDE_KEYS,
     Quantity,
     build_cavity,
     build_waveguide,
-    get_acceptance_hz_cm,
-    get_count,
-    get_dimensionless,
-    get_frequency_hz,
-    get_length_cm,
-    get_sfg_efficiency,
-    get_string,
-    get_wavelength_nm,
     parse_config_text,
+    read,
     resolve,
     resolve_link,
 )
 from entswap.errors import ConfigError
+from entswap.sweep import SPEC_KEYS
 
 
 class TestParsing:
@@ -56,55 +55,73 @@ class TestParsing:
 
 class TestConversions:
     def test_frequency_scaling(self):
-        entries = parse_config_text("a = 5 GHz\nb = 2 THz\nc = 7")
-        assert get_frequency_hz(entries, "a") == 5e9
-        assert get_frequency_hz(entries, "b") == 2e12
-        assert get_frequency_hz(entries, "c") == 7.0
+        entries = parse_config_text("freq_a = 5 GHz\nfreq_b = 2 THz\nfreq_c = 7")
+        assert read(entries, "freq_a") == 5e9
+        assert read(entries, "freq_b") == 2e12
+        assert read(entries, "freq_c") == 7.0
 
     def test_bad_frequency_unit_names_the_key(self):
         entries = parse_config_text("clock = 3 nm")
         with pytest.raises(ConfigError, match="clock"):
-            get_frequency_hz(entries, "clock")
+            read(entries, "clock")
 
     def test_lengths(self):
-        entries = parse_config_text("l1 = 1 cm\nl2 = 10 mm\nl3 = 1550 nm")
-        assert get_length_cm(entries, "l1") == 1.0
-        assert get_length_cm(entries, "l2") == pytest.approx(1.0)
-        assert get_wavelength_nm(entries, "l3") == pytest.approx(1550.0)
+        assert read(parse_config_text("length = 1 cm"), "length") == 1.0
+        assert read(parse_config_text("length = 10 mm"), "length") == pytest.approx(1.0)
+        assert read(parse_config_text("lambda = 1550 nm"), "lambda") == pytest.approx(1550.0)
 
     def test_percent_efficiency_is_the_dangerous_conversion(self):
-        entries = parse_config_text("e1 = 500000 %/W/cm^2\ne2 = 5000 1/W/cm^2")
-        assert get_sfg_efficiency(entries, "e1") == pytest.approx(5000.0)
-        assert get_sfg_efficiency(entries, "e2") == pytest.approx(5000.0)
+        entries = parse_config_text("eta_sfg = 500000 %/W/cm^2\neta_shg = 5000 1/W/cm^2")
+        assert read(entries, "eta_sfg") == pytest.approx(5000.0)
+        assert read(entries, "eta_shg") == pytest.approx(5000.0)
 
     def test_acceptance_units(self):
-        entries = parse_config_text("acc = 6 GHz*cm")
-        assert get_acceptance_hz_cm(entries, "acc") == pytest.approx(6e9)
+        entries = parse_config_text("accept = 6 GHz*cm")
+        assert read(entries, "accept") == pytest.approx(6e9)
 
     def test_dimensionless_and_percent(self):
-        entries = parse_config_text("eta = 0.5\npct = 50 %")
-        assert get_dimensionless(entries, "eta") == 0.5
-        assert get_dimensionless(entries, "pct") == pytest.approx(0.5)
-        with pytest.raises(ConfigError, match="eta2"):
-            get_dimensionless(parse_config_text("eta2 = 5 MHz"), "eta2")
+        entries = parse_config_text("eta_a = 0.5\neta_b = 50 %")
+        assert read(entries, "eta_a") == 0.5
+        assert read(entries, "eta_b") == pytest.approx(0.5)
+        with pytest.raises(ConfigError, match="eps_a"):
+            read(parse_config_text("eps_a = 5 MHz"), "eps_a")
 
     def test_string_accessor(self):
-        entries = parse_config_text("mode = fast\nn = 3")
-        assert get_string(entries, "mode") == "fast"
-        with pytest.raises(ConfigError, match="n"):
-            get_string(entries, "n")
+        entries = parse_config_text("scale = fast\nvariable = 3")
+        assert read(entries, "scale") == "fast"
+        with pytest.raises(ConfigError, match="variable"):
+            read(entries, "variable")
+
+    @pytest.mark.parametrize(
+        "text", ["length = 1e308 m", "lambda = 1e302 m", "accept = 1e308 THz*cm", "g = 1e305 THz"]
+    )
+    def test_a_conversion_that_overflows_is_refused(self, text):
+        # Each magnitude is finite, so only the unit factor takes it past a float.
+        key = text.split()[0]
+        with pytest.raises(ConfigError, match=f"key '{key}' overflows a float"):
+            read(parse_config_text(text), key)
+
+
+class TestKinds:
+    def test_every_kind_names_a_key_some_command_reads(self):
+        read_keys = {*LINK_KEYS, *CAVITY_KEYS, *WAVEGUIDE_KEYS, *SPEC_KEYS,
+                     *VERIFY_DEFAULTS, *RATE_DEFAULTS}
+        assert set(KEY_KINDS) <= read_keys, sorted(set(KEY_KINDS) - read_keys)
+
+    def test_an_int_default_does_not_make_a_count(self):
+        assert resolve(parse_config_text("eta_a = 0.5"), {"eta_a": 1}) == {"eta_a": 0.5}
 
 
 class TestCounts:
     def test_whole_numbers_below_2_53_are_exact(self):
-        assert get_count(parse_config_text("seed = 9007199254740991"), "seed") == 2**53 - 1
-        assert get_count(parse_config_text("samples = 2e5"), "samples") == 200_000
+        assert read(parse_config_text("seed = 9007199254740991"), "seed") == 2**53 - 1
+        assert read(parse_config_text("samples = 2e5"), "samples") == 200_000
 
     @pytest.mark.parametrize("text", ["9007199254740992", "9007199254740993", "1e300"])
     def test_counts_from_2_53_are_refused(self, text):
         # 9007199254740993 parses as 2**53: as a seed it would select another stream.
         with pytest.raises(ConfigError, match="key 'seed' must be below 2\\*\\*53"):
-            get_count(parse_config_text(f"seed = {text}"), "seed")
+            read(parse_config_text(f"seed = {text}"), "seed")
 
     def test_resolve_reads_by_default(self):
         entries = parse_config_text("clock = 2 MHz\nseed = 7\ndelta = 2 %")

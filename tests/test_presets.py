@@ -1,6 +1,6 @@
 import pytest
 
-from entswap.config import build_cavity, build_waveguide, get_dimensionless, resolve_link
+from entswap.config import build_cavity, build_waveguide, read, resolve_link
 from entswap.errors import ConfigError
 from entswap.presets import DEMONSTRATED_RING_P_SFG, get_preset, preset_names
 from entswap.sfg_device import p_sfg_cavity, p_sfg_waveguide
@@ -20,9 +20,9 @@ class TestCatalog:
 class TestSweepPreset:
     def test_grid_definition(self):
         params = get_preset("fig2")
-        assert get_dimensionless(params, "start") == pytest.approx(1e-3)
-        assert get_dimensionless(params, "stop") == pytest.approx(0.25)
-        assert get_dimensionless(params, "points") == 200
+        assert read(params, "start") == pytest.approx(1e-3)
+        assert read(params, "stop") == pytest.approx(0.25)
+        assert read(params, "points") == 200
         assert params["scale"] == "log"
         assert params["variable"] == "p"
 
@@ -38,7 +38,7 @@ class TestDevicePresets:
 
     def test_lnoi_order_of_magnitude_only(self):
         params = get_preset("lnoi-ring")
-        assert get_dimensionless(params, "p_sfg") == pytest.approx(1e-4)
+        assert read(params, "p_sfg") == pytest.approx(1e-4)
         assert "g" not in params and "q_a" not in params
 
     def test_demonstrated_reference_scale(self):
@@ -51,7 +51,7 @@ class TestSatellitePreset:
         scen = resolve_link(params).scenario
         assert scen.eta_a == 1.0
         assert scen.eta_b == 1e-5
-        assert get_dimensionless(params, "p_sfg") == 1e-3
+        assert read(params, "p_sfg") == 1e-3
 
     def test_evaluates_without_warnings(self):
         import warnings
@@ -62,5 +62,5 @@ class TestSatellitePreset:
         scen = resolve_link(params).scenario
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p_total_sfg(scen, get_dimensionless(params, "p_sfg"))
+            p_total_sfg(scen, read(params, "p_sfg"))
             fidelity_nlo(scen)

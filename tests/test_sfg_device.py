@@ -386,3 +386,21 @@ def test_nan_rejected(call):
 def test_cavity_rejects_infinite_fields(name, value):
     with pytest.raises(DomainError, match=f"{name} must be finite"):
         dataclasses.replace(ingap_ring(), **{name: value})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: eta_sfg_cavity(dataclasses.replace(ingap_ring(), g=1e172)),
+                     id="eta-sfg-cavity"),
+        pytest.param(lambda: p_sfg_cavity(dataclasses.replace(ingap_ring(), g=1e172)),
+                     id="p-sfg-cavity"),
+        pytest.param(lambda: p_sfg_waveguide(WaveguideParams(1e200, 1e200, 1.0, 2e14)),
+                     id="p-sfg-waveguide"),
+        pytest.param(lambda: p_sfg_from_eta(ingap_ring(), 1e300), id="p-sfg-from-eta"),
+    ],
+)
+def test_overflowing_result_is_refused(call):
+    # Every field is finite; only the product leaves the float range.
+    with pytest.raises(DomainError, match="the device parameters overflow a float"):
+        call()
