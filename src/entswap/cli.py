@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, fields
 from itertools import chain
 
@@ -61,6 +62,9 @@ EXIT_VERIFY_FAIL = 2
 EXIT_MODEL_VALIDITY = 3
 
 NUMBER_FORMAT = "%.12e"
+# Rows of a sweep table turned into text at once: the output is written block by
+# block, so no more than one block's floats and text are held at a time.
+CSV_BLOCK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,23 +72,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _format_csv(columns: list[str], rows: list[list[float]]) -> str:
-    """The header line, then the whole table formatted by a single ``%``."""
+def _format_csv(columns: list[str], table) -> Iterator[str]:
+    """The header line, then the rows of the array ``table`` in blocks, each
+    formatted by a single ``%``."""
+    yield ",".join(columns) + "\n"
     row_format = ",".join([NUMBER_FORMAT] * len(columns)) + "\n"
-    return ",".join(columns) + "\n" + (row_format * len(rows)) % tuple(chain.from_iterable(rows))
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        rows = table[start:start + CSV_BLOCK_ROWS].tolist()
+        yield (row_format * len(rows)) % tuple(chain.from_iterable(rows))
 
 
-def _format_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _format_json(payload) -> Iterator[str]:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, in pieces."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    yield "\n"
 
 
-def _write_output(text: str, out: str) -> None:
+def _write_output(chunks: Iterable[str], out: str) -> None:
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write output file {out!r}: {exc}") from exc
 
@@ -113,11 +123,11 @@ def _collect_entries(args: argparse.Namespace) -> dict:
 
 def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec.from_entries(_collect_entries(args))
-    columns, rows = run_sweep(spec)
+    columns, table = run_sweep(spec)
     if args.format == "csv":
-        _write_output(_format_csv(columns, rows), args.out)
+        _write_output(_format_csv(columns, table), args.out)
     else:
-        _write_output(_format_json({"columns": columns, "rows": rows}), args.out)
+        _write_output(_format_json({"columns": columns, "rows": table.tolist()}), args.out)
     return EXIT_OK
 
 
@@ -161,7 +171,7 @@ def cmd_device(args: argparse.Namespace) -> int:
         lines.append(f"reference demonstrated p_sfg = {DEMONSTRATED_RING_P_SFG:.1e}")
         for message in caught:
             lines.append(f"warning: {message}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_output(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -225,7 +235,7 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
             f"two-photon probability ratio vs balanced lo: "
             f"{narrative['pair_prob_ratio_balanced']:.1f}",
         ]
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_output(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -278,7 +288,7 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
         if args.dump_states:
             text += dump_reference_states()
-        _write_output(text, args.out)
+        _write_output([text], args.out)
     return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VERIFY_FAIL
 
 

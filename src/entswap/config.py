@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .photon_stats import SwapScenario, check_clock, check_probability, epsilon_from_p
+from .photon_stats import SwapScenario, check_nonnegative, check_probability, epsilon_from_p
 from .sfg_device import (
     CavityParams,
     WaveguideParams,
@@ -205,7 +205,7 @@ class Link:
 
     def __post_init__(self) -> None:
         check_probability(self.p_sfg, "p_sfg")
-        check_clock(self.clock)
+        check_nonnegative(self.clock, "clock rate")
 
 
 def _either(entries: dict[str, ConfigValue], first: str, second: str, what: str) -> str:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, EntswapError, InputError, TruncationError
+from .errors import EntswapError, InputError, TruncationError
+from .photon_stats import check_count, check_nonnegative
 
 _SQRT_HALF = 2.0**-0.5
 
@@ -64,21 +64,11 @@ class BellOutcome:
 
 def tri_mode_state(n_a: int, n_b: int, n_c: int, cutoff: int) -> np.ndarray:
     """Fock basis state |n_a, n_b, n_c> as an array indexed [n_a, n_b, n_c]."""
-    occupations = (n_a, n_b, n_c)
-    if not all(isinstance(n, Integral) for n in (*occupations, cutoff)):
-        raise DomainError(
-            f"occupations and cutoff must be whole numbers, got {occupations} and {cutoff}"
-        )
-    if min(occupations) < 0 or max(occupations) > cutoff:
-        raise DomainError(f"occupations {occupations} outside 0..{cutoff}")
+    cutoff = check_count(cutoff, "cutoff", 0)
+    occupations = tuple(check_count(n, f"n_{m}", 0, cutoff) for n, m in zip((n_a, n_b, n_c), "abc"))
     state = np.zeros((cutoff + 1,) * 3, dtype=complex)
     state[occupations] = 1.0
     return state
-
-
-def _check_gt(gt: float) -> None:
-    if not 0.0 <= gt < math.inf:
-        raise DomainError(f"gt must be finite and >= 0, got {gt}")
 
 
 def _chain_propagator(a_total: int, b_total: int, gt: float):
@@ -105,7 +95,7 @@ def _chain_amplitude(start: tuple, target: tuple, gt: float) -> complex:
     so the two agree bit for bit; at gt = 0 the amplitude is exactly 1 or 0, as
     sfg_evolve returns its input then.
     """
-    _check_gt(gt)
+    check_nonnegative(gt, "gt")
     if gt == 0.0:
         return complex(start == target)
     n_a, n_b, n_c = start
@@ -135,7 +125,8 @@ def sfg_evolve(state: np.ndarray, gt: float, cutoff: int) -> np.ndarray:
     (``_chain_propagator``); a chain reaching past the cutoff raises
     TruncationError, so the truncated evolution is exact whenever it returns.
     """
-    _check_gt(gt)
+    check_nonnegative(gt, "gt")
+    cutoff = check_count(cutoff, "cutoff", 0)
     state = _as_array(state, "tri-mode state")
     if state.shape != (cutoff + 1,) * 3:
         raise InputError(
@@ -161,8 +152,7 @@ def herald_amplitude(n_a: int, n_b: int, gt: float) -> complex:
 
     To leading order this is -i sqrt(p_sfg n_a n_b) with p_sfg = (gt)^2.
     """
-    if not all(isinstance(n, Integral) and n >= 1 for n in (n_a, n_b)):
-        raise DomainError(f"input occupations must be whole numbers >= 1, got {(n_a, n_b)}")
+    n_a, n_b = check_count(n_a, "n_a", 1), check_count(n_b, "n_b", 1)
     return _chain_amplitude((n_a, n_b, 0), (n_a - 1, n_b - 1, 1), gt)
 
 

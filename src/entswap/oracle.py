@@ -21,9 +21,9 @@ estimates are bit-identical for any worker count and fully reproducible per seed
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -33,7 +33,13 @@ from .errors import (
     ModelValidityError,
     UndefinedFidelityError,
 )
-from .photon_stats import SwapScenario, check_epsilon, check_probability, truncation_tail_bound
+from .photon_stats import (
+    SwapScenario,
+    check_count,
+    check_epsilon,
+    check_probability,
+    truncation_tail_bound,
+)
 
 RNG_DESCRIPTION = (
     "scenarios: Python random.Random(seed) (Mersenne Twister); "
@@ -85,18 +91,9 @@ class OracleConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_max", "samples", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.n_max <= N_MAX_LIMIT:
-            raise DomainError(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
-        if not 1 <= self.samples <= SAMPLES_LIMIT:
-            raise DomainError(f"samples must be in [1, {SAMPLES_LIMIT}], got {self.samples}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.workers <= WORKERS_LIMIT:
-            raise DomainError(f"workers must be in [1, {WORKERS_LIMIT}], got {self.workers}")
+        for name, low, high in (("n_max", 1, N_MAX_LIMIT), ("samples", 1, SAMPLES_LIMIT),
+                                ("seed", 0, math.inf), ("workers", 1, WORKERS_LIMIT)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low, high))
 
     @property
     def shards(self) -> int:
@@ -310,9 +307,10 @@ def random_scenarios(
     Each value is ``low + (high - low) * rng.random()`` with
     ``rng = random.Random(seed)``: it depends only on ``random()``, whose
     stream Python fixes for an int seed, and drawing loads no numpy.random.
-    A seed that is not an int >= 0 is refused, because ``random.Random``
-    gives -3 the stream of 3 and also takes floats and strings.  Each range
-    is checked at its endpoints, so a bad range fails for every seed.
+    A seed that is not an integer >= 0 is refused, because ``random.Random``
+    gives -3 the stream of 3 and also takes floats and strings; a numpy
+    integer draws the stream of its int.  Each range is checked at its
+    endpoints, so a bad range fails for every seed.
     """
     for name, (low, high), check in (
         ("eps", eps_range, check_epsilon),
@@ -322,11 +320,8 @@ def random_scenarios(
         check(high, f"{name}_max")
         if not low <= high:
             raise DomainError(f"{name}_min must be <= {name}_max, got {low} > {high}")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise DomainError(f"seed must be an int >= 0, got {seed!r}")
-    if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= SCENARIOS_LIMIT:
-        raise DomainError(f"scenarios must be an int in [0, {SCENARIOS_LIMIT}], got {count!r}")
-    rng = random.Random(seed)
+    count = check_count(count, "scenarios", 0, SCENARIOS_LIMIT)
+    rng = random.Random(check_count(seed, "seed", 0))
 
     def draw(low: float, high: float) -> float:
         return low + (high - low) * rng.random()

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError
 
-# The domain rules, one function each, for a float or an array of floats.
-# Each states the condition that must hold, so NaN, which fails every
-# comparison, is rejected.  Errors name the key and the first failing value.
+# The domain rules, one function each, for a float or an array of floats
+# (check_count takes one count).  Each states the condition that must hold, so
+# NaN, which fails every comparison, is rejected.  Errors name the key and the
+# first failing value.
 
 
 def _require(ok, value, rule: str) -> None:
@@ -43,9 +45,22 @@ def check_epsilon(eps, name: str) -> None:
     _require((0.0 <= eps) & (eps < 1.0), eps, f"{name} must be in [0, 1)")
 
 
-def check_clock(clock) -> None:
-    """Reject a pump clock rate (Hz) that is negative or not finite."""
-    _require((0.0 <= clock) & (clock < math.inf), clock, "clock rate must be finite and >= 0")
+def check_nonnegative(value, name: str) -> None:
+    """Reject a value that is negative or not finite: "gt must be finite and >= 0, got inf"."""
+    _require((0.0 <= value) & (value < math.inf), value, f"{name} must be finite and >= 0")
+
+
+def check_count(value, name: str, low: int, high: float = math.inf) -> int:
+    """``value`` as an int: an integer in [low, high], numpy's included.
+
+    A bool is refused, though Python counts True as 1, and so are 2.5 and 3.0.
+    """
+    bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
+    if not low <= value <= high:
+        raise DomainError(f"{name} must be {bounds}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .photon_stats import SwapScenario, check_clock, check_probability, p_from_epsilon
+from .photon_stats import SwapScenario, check_nonnegative, check_probability, p_from_epsilon
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ def rate_lo(scenario: SwapScenario, clock: float) -> float:
     """Linear-optical swapping rate eta_A eta_B p_A p_B R_c, with the A-side
     pair probability replaced by the optimal-fidelity value eta_B p_B / eta_A,
     giving eta_B^2 p_B^2 R_c."""
-    check_clock(clock)
+    check_nonnegative(clock, "clock rate")
     if np.any(scenario.eta_a <= 0.0):
         raise DomainError("the attenuation convention needs eta_a > 0")
     flux_b = scenario.eta_b * p_from_epsilon(scenario.eps_b)
@@ -38,7 +38,7 @@ def rate_lo(scenario: SwapScenario, clock: float) -> float:
 
 def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
     """SFG-heralded swapping rate p_sfg eta_A eta_B p_A p_B R_c (no attenuation)."""
-    check_clock(clock)
+    check_nonnegative(clock, "clock rate")
     check_probability(p_sfg, "p_sfg")
     p_a, p_b = p_from_epsilon(scenario.eps_a), p_from_epsilon(scenario.eps_b)
     return p_sfg * scenario.eta_a * scenario.eta_b * p_a * p_b * clock

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, ModelValidityWarning
+from .photon_stats import check_nonnegative
 
 # Exact SI values (2019 redefinition), written out so that importing this
 # module loads no scipy; tests pin them to scipy.constants with ==.
@@ -123,6 +125,20 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
+@contextmanager
+def _in_float_range(name: str):
+    """Refuse, as DomainError, a computation of ``name`` that leaves the float range
+    by raising: Python raises ZeroDivisionError where a denominator underflows to 0,
+    and OverflowError where ``**`` or a complex ``abs`` overflows."""
+    try:
+        yield
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(
+            f"{name}: an intermediate value underflows to 0 or overflows; "
+            "the device parameters leave the float range"
+        ) from None
+
+
 def kappa_from_q(omega: float, q: float) -> float:
     """Linewidth kappa = omega / Q for a resonance at angular frequency omega."""
     if not q > 0.0:
@@ -134,7 +150,8 @@ def omega_from_wavelength_nm(wavelength_nm: float) -> float:
     """Angular frequency 2 pi c / lambda for a vacuum wavelength in nm."""
     if not wavelength_nm > 0.0:
         raise DomainError(f"wavelength must be > 0, got {wavelength_nm}")
-    return 2.0 * math.pi * _C_LIGHT / (wavelength_nm * 1e-9)
+    with _in_float_range("omega"):
+        return 2.0 * math.pi * _C_LIGHT / (wavelength_nm * 1e-9)
 
 
 def sfg_coupling_from_shg(g_shg: float) -> float:
@@ -157,22 +174,26 @@ def cavity_steady_state(cav: CavityParams, power_a: float, power_b: float) -> St
         a = i sqrt(kappa_ae/2) a_in / (kappa_a/2)
         c = -i g a b / (i (omega_c - omega_a - omega_b) + kappa_c/2)
     """
-    if not (power_a >= 0.0 and power_b >= 0.0):
-        raise DomainError("pump powers must be >= 0")
-    a_in = (power_a / (_HBAR * cav.omega_a)) ** 0.5
-    b_in = (power_b / (_HBAR * cav.omega_b)) ** 0.5
-    amp_a = 1j * (cav.kappa_ae / 2.0) ** 0.5 * a_in / (cav.kappa_a / 2.0)
-    amp_b = 1j * (cav.kappa_be / 2.0) ** 0.5 * b_in / (cav.kappa_b / 2.0)
-    amp_c = -1j * cav.g * amp_a * amp_b / (
-        1j * (cav.omega_c - cav.omega_a - cav.omega_b) + cav.kappa_c / 2.0
-    )
-    return SteadyState(amp_a=amp_a, amp_b=amp_b, amp_c=amp_c, a_in=a_in, b_in=b_in)
+    check_nonnegative(power_a, "power_a")
+    check_nonnegative(power_b, "power_b")
+    with _in_float_range("the steady state"):
+        a_in = (power_a / (_HBAR * cav.omega_a)) ** 0.5
+        b_in = (power_b / (_HBAR * cav.omega_b)) ** 0.5
+        amp_a = 1j * (cav.kappa_ae / 2.0) ** 0.5 * a_in / (cav.kappa_a / 2.0)
+        amp_b = 1j * (cav.kappa_be / 2.0) ** 0.5 * b_in / (cav.kappa_b / 2.0)
+        amp_c = -1j * cav.g * amp_a * amp_b / (
+            1j * (cav.omega_c - cav.omega_a - cav.omega_b) + cav.kappa_c / 2.0
+        )
+        state = SteadyState(amp_a=amp_a, amp_b=amp_b, amp_c=amp_c, a_in=a_in, b_in=b_in)
+        for name in ("n_a", "n_b", "n_c"):
+            _finite(getattr(state, name), name)
+    return state
 
 
 def sfg_output_power(cav: CavityParams, power_a: float, power_b: float) -> float:
     """Outgoing SFG power P_c = (kappa_ce/2) hbar omega_c |c|^2 under both drives."""
     state = cavity_steady_state(cav, power_a, power_b)
-    return (cav.kappa_ce / 2.0) * _HBAR * cav.omega_c * state.n_c
+    return _finite((cav.kappa_ce / 2.0) * _HBAR * cav.omega_c * state.n_c, "P_c")
 
 
 def eta_sfg_cavity(cav: CavityParams) -> float:
@@ -187,13 +208,14 @@ def eta_sfg_cavity(cav: CavityParams) -> float:
     """
     mismatch = cav.omega_c - cav.omega_a - cav.omega_b
     half_a, half_b, half_c = cav.kappa_a / 2.0, cav.kappa_b / 2.0, cav.kappa_c / 2.0
-    eta = (
-        cav.g * cav.g
-        * (cav.kappa_ae / 2.0) / (half_a * half_a)
-        * (cav.kappa_be / 2.0) / (half_b * half_b)
-        * (cav.kappa_ce / 2.0) / (mismatch * mismatch + half_c * half_c)
-        * (_HBAR * cav.omega_c) / ((_HBAR * cav.omega_a) * (_HBAR * cav.omega_b))
-    )
+    with _in_float_range("eta_sfg"):
+        eta = (
+            cav.g * cav.g
+            * (cav.kappa_ae / 2.0) / (half_a * half_a)
+            * (cav.kappa_be / 2.0) / (half_b * half_b)
+            * (cav.kappa_ce / 2.0) / (mismatch * mismatch + half_c * half_c)
+            * (_HBAR * cav.omega_c) / ((_HBAR * cav.omega_a) * (_HBAR * cav.omega_b))
+        )
     return _finite(eta, "eta_sfg")
 
 
@@ -211,7 +233,8 @@ def p_sfg_cavity(cav: CavityParams) -> float:
             ModelValidityWarning,
             stacklevel=2,
         )
-    p = _finite(4.0 * cav.g * cav.g / (cav.kappa_a * cav.kappa_c), "p_sfg")
+    with _in_float_range("p_sfg"):
+        p = _finite(4.0 * cav.g * cav.g / (cav.kappa_a * cav.kappa_c), "p_sfg")
     if p > 1.0:
         warnings.warn(
             f"p_sfg = {p:g} exceeds 1; coupling too strong for the perturbative "
@@ -237,13 +260,14 @@ def p_sfg_from_eta(cav: CavityParams, eta_sfg: float) -> float:
     if not eta_sfg >= 0.0:
         raise DomainError(f"eta_sfg must be >= 0, got {eta_sfg}")
     half_a, half_b = cav.kappa_a / 2.0, cav.kappa_b / 2.0
-    p = (
-        eta_sfg
-        * (half_a * half_a) / (cav.kappa_ae / 2.0)
-        * (half_b * half_b) / (cav.kappa_be / 2.0)
-        * cav.kappa_c / (cav.kappa_a * cav.kappa_ce / 2.0)
-        * (_HBAR * cav.omega_a) * (_HBAR * cav.omega_b) / (_HBAR * cav.omega_c)
-    )
+    with _in_float_range("p_sfg"):
+        p = (
+            eta_sfg
+            * (half_a * half_a) / (cav.kappa_ae / 2.0)
+            * (half_b * half_b) / (cav.kappa_be / 2.0)
+            * cav.kappa_c / (cav.kappa_a * cav.kappa_ce / 2.0)
+            * (_HBAR * cav.omega_a) * (_HBAR * cav.omega_b) / (_HBAR * cav.omega_c)
+        )
     return _finite(p, "p_sfg")
 
 

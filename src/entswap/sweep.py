@@ -16,7 +16,7 @@ import numpy as np
 from . import lo_bsm, nlo_bsm, rates
 from .config import ConfigValue, read, resolve_link
 from .errors import UsageError
-from .photon_stats import epsilon_from_p, p_from_epsilon
+from .photon_stats import check_count, epsilon_from_p, p_from_epsilon
 
 SWEEP_VARIABLES = ("p", "epsilon", "eta_a", "eta_b", "p_sfg")
 SPEC_KEYS = ("variable", "start", "stop", "points", "scale", "outputs")
@@ -45,7 +45,7 @@ COLUMNS = {
 SWEEP_OUTPUTS = tuple(COLUMNS)
 
 # Largest grid a sweep accepts.  At the limit, a sweep of all seven outputs
-# peaks at about 105 MB resident as CSV and 175 MB as JSON, 30 MB of it the
+# peaks at about 44 MB resident as CSV and 74 MB as JSON, 29 MB of it the
 # import (Python 3.11, numpy 2.4, Linux x86-64); --points 1e13 would ask
 # numpy for an 80 TB grid.
 POINTS_LIMIT = 100_000
@@ -68,10 +68,7 @@ class SweepSpec:
             raise UsageError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
         if not self.start < self.stop:
             raise UsageError(f"need start < stop, got {self.start} >= {self.stop}")
-        if self.points < 2:
-            raise UsageError(f"need points >= 2, got {self.points}")
-        if self.points > POINTS_LIMIT:
-            raise UsageError(f"need points <= {POINTS_LIMIT}, got {self.points}")
+        object.__setattr__(self, "points", check_count(self.points, "points", 2, POINTS_LIMIT))
         if self.scale not in ("linear", "log"):
             raise UsageError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0.0:
@@ -106,8 +103,9 @@ class SweepSpec:
         return values
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
-    """Evaluate all requested columns over the grid, rows in grid order.
+def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
+    """The column names and the (points x columns) table of the grid and every
+    requested output, rows in grid order.
 
     A swept value outside its domain fails the whole sweep, and the error
     names the first grid value that is.
@@ -117,4 +115,4 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     swept = epsilon_from_p(grid) if spec.variable == "p" else grid
     link = resolve_link(spec.fixed, dict.fromkeys(fields, swept))
     columns = [np.broadcast_to(COLUMNS[name](link), grid.shape) for name in spec.outputs]
-    return [spec.variable, *spec.outputs], np.column_stack([grid, *columns]).tolist()
+    return [spec.variable, *spec.outputs], np.column_stack([grid, *columns])

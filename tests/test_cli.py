@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from entswap.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, _collect_entries, build_parser, main
-from entswap.errors import UsageError
+from entswap.errors import DomainError, UsageError
 from entswap.fock_sim import run_fock_checks
 from entswap.sweep import SweepSpec, run_sweep
 from entswap.lo_bsm import fidelity_balanced_smalleta
@@ -39,7 +39,7 @@ class TestSweepSpec:
             SweepSpec("p", 0.2, 0.1, 10, "linear", {}, ("f_nlo",))
 
     def test_too_few_points(self):
-        with pytest.raises(UsageError, match="points"):
+        with pytest.raises(DomainError, match=r"^points must be in \[2, 100000\], got 1$"):
             SweepSpec("p", 0.1, 0.2, 1, "linear", {}, ("f_nlo",))
 
     def test_log_scale_needs_positive_start(self):
@@ -181,6 +181,14 @@ class TestDeviceCommand:
         assert code == EXIT_OK
         assert payload["waveguide"]["p_sfg"] == pytest.approx(2.4157e-5, rel=1e-3)
         assert payload["reference_demonstrated_p_sfg"] == 4e-5
+
+    @pytest.mark.parametrize("preset", ["ingap-ring", "ingap-wg", "lnoi-ring"])
+    @pytest.mark.parametrize("fmt, reference", [("text", "txt"), ("json", "json")])
+    def test_preset_matches_reference_file(self, capsys, preset, fmt, reference):
+        code, out, _ = run_cli(capsys, "device", "--preset", preset, "--format", fmt)
+        assert code == EXIT_OK
+        path = Path(__file__).parent / "data" / f"device_{preset}.{reference}"
+        assert out.encode() == path.read_bytes()
 
     def test_quoted_preset(self, capsys):
         code, out, _ = run_cli(capsys, "device", "--preset", "lnoi-ring", "--format", "json")
@@ -495,6 +503,10 @@ class TestRejectedInputs:
                          id="device-ring-g-overflow"),
             pytest.param(RING, "q_b = 1e-145\n", f"p_sfg = nan: {DEVICE_OVERFLOW}",
                          id="device-ring-q-b-overflow"),
+            # kappa_a near 1e-235: its square underflows to 0 in a denominator.
+            pytest.param(RING, "lambda_a = 1e250 nm\n",
+                         "eta_sfg: an intermediate value underflows to 0 or overflows",
+                         id="device-ring-linewidth-underflow"),
             # Any key of a section builds it, so the builder names what is missing.
             pytest.param(RING, "length = 2 cm\n", "missing normalized efficiency 'eta_sfg'",
                          id="device-ring-with-waveguide-key"),
@@ -521,7 +533,7 @@ class TestRejectedInputs:
             pytest.param(("verify", "--samples", "64000000001"), None, "samples must be in",
                          id="verify-samples-above-limit"),
             pytest.param(("verify", "--scenarios", "10001"), None,
-                         "scenarios must be an int in [0, 10000], got 10001",
+                         "scenarios must be in [0, 10000], got 10001",
                          id="verify-scenarios-above-limit"),
             # A flag carries one value: a line break or a comment in it would
             # be read as config syntax, another line or a dropped tail.
@@ -572,11 +584,12 @@ class TestRejectedInputs:
                 id="device-link-preset",
             ),
             pytest.param(
-                (*SWEEP_P, "--points", "1e13"), None, "need points <= 100000, got 10000000000000",
+                (*SWEEP_P, "--points", "1e13"), None,
+                "points must be in [2, 100000], got 10000000000000",
                 id="points-1e13",
             ),
             pytest.param(
-                (*SWEEP_P, "--points", "100001"), None, "need points <= 100000, got 100001",
+                (*SWEEP_P, "--points", "100001"), None, "points must be in [2, 100000], got 100001",
                 id="points-above-limit",
             ),
             pytest.param(("fock-check",), "p_sfg = 1e-3\n", "unrecognized arguments: --config",

@@ -207,16 +207,16 @@ class TestSfgEvolve:
             sfg_evolve(state.ravel(), 0.1, 2)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, message",
         [
-            lambda: tri_mode_state(1.5, 1, 0, 3),
-            lambda: tri_mode_state(1, 1, 0, 2.5),
-            lambda: herald_amplitude(1.5, 1, 0.1),
+            (lambda: tri_mode_state(1.5, 1, 0, 3), r"n_a must be an integer in \[0, 3\], got 1.5"),
+            (lambda: tri_mode_state(1, 1, 0, 2.5), "cutoff must be an integer >= 0, got 2.5"),
+            (lambda: herald_amplitude(1.5, 1, 0.1), "n_a must be an integer >= 1, got 1.5"),
         ],
         ids=["occupation-1.5", "cutoff-2.5", "herald-1.5"],
     )
-    def test_fractional_counts_rejected(self, call):
-        with pytest.raises(DomainError, match="whole numbers"):
+    def test_fractional_counts_rejected(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             call()
 
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -363,11 +364,22 @@ class TestRandomScenarios:
         with pytest.raises(DomainError, match="seed"):
             random_scenarios(1, seed)
 
+    def test_numpy_integer_seed_is_its_int(self):
+        # np.int64(3) used to pass OracleConfig but be refused here, and the
+        # report it seeded failed json.dumps.
+        cfg = OracleConfig(n_max=50, seed=np.int64(3))
+        assert type(cfg.seed) is int
+        scenarios = random_scenarios(2, np.int64(3))
+        assert scenarios == random_scenarios(2, 3)
+        report = verification_report(scenarios, cfg, p_sfg=0.05, methods=("exact-sum",))
+        assert json.loads(json.dumps(report))["seed"] == 3
+
     @pytest.mark.parametrize("count", [SCENARIOS_LIMIT + 1, -1, 2.0, True])
     def test_count_is_capped(self, monkeypatch, count):
         # Refused before any draw: an unchecked count near 2**53 asks for TBs.
         monkeypatch.setattr(oracle.random, "Random", None)
-        with pytest.raises(DomainError, match=r"scenarios must be an int in \[0, 10000\]"):
+        message = rf"^scenarios must be (an integer )?in \[0, 10000\], got {count!r}$"
+        with pytest.raises(DomainError, match=message):
             random_scenarios(count, 0)
 
 

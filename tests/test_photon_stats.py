@@ -7,15 +7,27 @@ from scipy import stats
 from entswap.errors import DomainError
 from entswap.photon_stats import (
     SwapScenario,
-    check_clock,
+    check_count,
     check_epsilon,
+    check_nonnegative,
     check_pair_probability,
     check_probability,
     epsilon_from_p,
     p_from_epsilon,
     truncation_tail_bound,
 )
-from entswap.oracle import _arrival_table, _arrival_tables
+from entswap.fock_sim import herald_amplitude, sfg_evolve, tri_mode_state
+from entswap.oracle import (
+    N_MAX_LIMIT,
+    SAMPLES_LIMIT,
+    SCENARIOS_LIMIT,
+    WORKERS_LIMIT,
+    OracleConfig,
+    _arrival_table,
+    _arrival_tables,
+    random_scenarios,
+)
+from entswap.sweep import POINTS_LIMIT, SweepSpec
 
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
@@ -113,8 +125,8 @@ class TestDomainChecksOnArrays:
                 id="epsilon",
             ),
             pytest.param(
-                check_clock, [1e9, -1.0, math.inf], "clock rate must be finite and >= 0, got -1.0",
-                id="clock",
+                lambda v: check_nonnegative(v, "clock rate"), [1e9, -1.0, math.inf],
+                "clock rate must be finite and >= 0, got -1.0", id="clock",
             ),
         ],
     )
@@ -128,7 +140,59 @@ class TestDomainChecksOnArrays:
         check_probability(grid, "eta")
         check_pair_probability(grid, "p")
         check_epsilon(grid, "eps")
-        check_clock(grid)
+        check_nonnegative(grid, "clock rate")
+
+
+# Every count a library call takes: the call on one count, a count it accepts,
+# and the largest count it accepts (None where no limit is set).
+COUNT_INPUTS = [
+    pytest.param(lambda n: OracleConfig(n_max=n), 10, N_MAX_LIMIT, id="oracle-n_max"),
+    pytest.param(lambda n: OracleConfig(samples=n), 10, SAMPLES_LIMIT, id="oracle-samples"),
+    pytest.param(lambda n: OracleConfig(seed=n), 3, None, id="oracle-seed"),
+    pytest.param(lambda n: OracleConfig(workers=n), 2, WORKERS_LIMIT, id="oracle-workers"),
+    pytest.param(lambda n: random_scenarios(n, 0), 2, SCENARIOS_LIMIT, id="random-scenarios-count"),
+    pytest.param(lambda n: random_scenarios(1, n), 3, None, id="random-scenarios-seed"),
+    pytest.param(lambda n: SweepSpec("p", 1e-3, 0.2, n, "linear", {}, ("f_nlo",)), 10,
+                 POINTS_LIMIT, id="sweep-points"),
+    pytest.param(lambda n: tri_mode_state(n, 0, 0, 3), 2, 3, id="tri-mode-n_a"),
+    pytest.param(lambda n: tri_mode_state(0, n, 0, 3), 2, 3, id="tri-mode-n_b"),
+    pytest.param(lambda n: tri_mode_state(0, 0, n, 3), 2, 3, id="tri-mode-n_c"),
+    pytest.param(lambda n: tri_mode_state(0, 0, 0, n), 2, None, id="tri-mode-cutoff"),
+    pytest.param(lambda n: sfg_evolve(tri_mode_state(1, 1, 0, 2), 0.1, n), 2, None,
+                 id="sfg-evolve-cutoff"),
+    pytest.param(lambda n: herald_amplitude(n, 1, 0.01), 2, None, id="herald-n_a"),
+    pytest.param(lambda n: herald_amplitude(1, n, 0.01), 2, None, id="herald-n_b"),
+]
+
+
+@pytest.mark.parametrize("call, good, high", COUNT_INPUTS)
+def test_every_count_input_takes_integers_in_range_only(call, good, high):
+    # A bool used to pass as 0 or 1 (tri_mode_state(True, 0, 0, 2) had norm
+    # sqrt(3)), and a fractional sweep size failed inside np.linspace.
+    for bad in [True, False, 2.5, 3.0, -1, *([] if high is None else [high + 1])]:
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            call(bad)
+    call(np.int64(good))
+
+
+class TestCheckCount:
+    def test_returns_a_python_int(self):
+        value = check_count(np.int64(7), "n", 0, 10)
+        assert value == 7 and type(value) is int
+
+    @pytest.mark.parametrize(
+        "value, high, message",
+        [
+            (2.5, 10, "n must be an integer in [1, 10], got 2.5"),
+            (True, math.inf, "n must be an integer >= 1, got True"),
+            (0, math.inf, "n must be >= 1, got 0"),
+            (np.int64(11), 10, "n must be in [1, 10], got 11"),
+        ],
+    )
+    def test_message_names_the_key_its_bounds_and_the_value(self, value, high, message):
+        with pytest.raises(DomainError) as info:
+            check_count(value, "n", 1, high)
+        assert str(info.value) == message
 
 
 class TestJointArrivalPmf:

@@ -388,6 +388,9 @@ def test_cavity_rejects_infinite_fields(name, value):
         dataclasses.replace(ingap_ring(), **{name: value})
 
 
+OVERFLOW = "the device parameters overflow a float"
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -402,5 +405,53 @@ def test_cavity_rejects_infinite_fields(name, value):
 )
 def test_overflowing_result_is_refused(call):
     # Every field is finite; only the product leaves the float range.
-    with pytest.raises(DomainError, match="the device parameters overflow a float"):
+    with pytest.raises(DomainError, match=OVERFLOW):
+        call()
+
+
+def tiny_linewidths(kappa):
+    """The ring with every linewidth ``kappa``: squares of kappa/2 underflow to 0."""
+    names = ("kappa_a", "kappa_b", "kappa_c", "kappa_ae", "kappa_be", "kappa_ce")
+    return dataclasses.replace(ingap_ring(), **dict.fromkeys(names, kappa))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: eta_sfg_cavity(tiny_linewidths(1e-200)), id="eta-sfg-cavity"),
+        pytest.param(lambda: p_sfg_cavity(tiny_linewidths(1e-200)), id="p-sfg-cavity"),
+        pytest.param(lambda: p_sfg_from_eta(tiny_linewidths(5e-324), 1.0), id="p-sfg-from-eta"),
+        pytest.param(lambda: cavity_steady_state(tiny_linewidths(5e-324), 1e-3, 1e-3),
+                     id="steady-state-linewidth"),
+        pytest.param(lambda: cavity_steady_state(ingap_ring(), 1e280, 1e280),
+                     id="steady-state-photon-number"),
+        pytest.param(lambda: omega_from_wavelength_nm(1e-316), id="omega-from-wavelength"),
+    ],
+)
+def test_intermediate_underflow_or_overflow_is_refused(call):
+    # Python raises ZeroDivisionError where a product in a denominator underflows
+    # to 0, and OverflowError where a square overflows; both must come out typed.
+    with pytest.raises(DomainError, match="the device parameters leave the float range"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: cavity_steady_state(ingap_ring(), math.inf, 1e-3),
+                     "power_a must be finite and >= 0, got inf", id="power-a-inf"),
+        pytest.param(lambda: cavity_steady_state(ingap_ring(), 1e-3, math.inf),
+                     "power_b must be finite and >= 0, got inf", id="power-b-inf"),
+        pytest.param(lambda: sfg_output_power(ingap_ring(), math.inf, 1e-3),
+                     "power_a must be finite and >= 0, got inf", id="output-power-a-inf"),
+        pytest.param(lambda: cavity_steady_state(ingap_ring(), 1e300, 1e300),
+                     f"n_a = nan: {OVERFLOW}", id="steady-state-overflow"),
+        pytest.param(lambda: sfg_output_power(ingap_ring(), 1e300, 1e300),
+                     f"n_a = nan: {OVERFLOW}", id="output-overflow"),
+    ],
+)
+def test_steady_state_never_returns_nan(call, message):
+    # An infinite pump, or a photon flux P / (hbar omega) past the float range,
+    # used to give n_c = nan.
+    with pytest.raises(DomainError, match=f"^{message}$"):
         call()

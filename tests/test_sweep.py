@@ -70,7 +70,7 @@ def test_swept_value_outside_domain_names_first_failing_point():
 
 def test_only_f_nlo_refuses_p_sfg_zero():
     spec = SweepSpec("p_sfg", 0.0, 1.0, 3, "linear", FIXED, ("r_nlo",))
-    assert run_sweep(spec)[1][0] == [0.0, 0.0]
+    assert run_sweep(spec)[1][0].tolist() == [0.0, 0.0]
     spec = SweepSpec("p_sfg", 0.0, 1.0, 3, "linear", FIXED, ("r_nlo", "f_nlo"))
     with pytest.raises(UndefinedFidelityError, match="p_sfg = 0 never heralds"):
         run_sweep(spec)
