@@ -15,14 +15,17 @@ Two routes, both deliberately avoiding the algebra used by the closed forms:
 Each measurement's herald h(k, l) is one vectorised function read by both.
 
 Monte Carlo work is split into logical shards, as many as ``samples`` sets,
-each seeded from (seed, shard_index); thread workers only schedule shards, so
-estimates are bit-identical for any worker count and fully reproducible per seed.
+each seeded from (seed, shard_index).  ``workers`` threads run them, the
+calling thread and ``workers - 1`` pool threads; they only choose which thread
+runs a shard, so estimates are bit-identical for any worker count and fully
+reproducible per seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,16 +67,17 @@ TAIL_TARGET = 1e-3 * EXACT_ABS_TOLERANCE
 # Most scenarios one verification draws: at the limit verify --method exact
 # --n-max 10 peaks at about 105 MB resident, where 2**53 - 1 would ask for TBs.
 SCENARIOS_LIMIT = 10_000
-# Most samples a Monte Carlo shard draws at once: at the limit an estimate peaks
-# at about 83 MB resident (131 MB with two workers), 29 MB of it the import.
+# Most samples a Monte Carlo shard draws at once: at the limit an nlo estimate
+# peaks at about 66 MB resident (98 MB with two workers), 27 MB of it the import.
 SHARD_SAMPLES_LIMIT = 1_000_000
 # Fewest Monte Carlo shards; a larger estimate takes as many as it needs.
 SHARDS = 64
 # Most samples one estimate draws: 1024 full shards, each a generator and a pool task.
 SAMPLES_LIMIT = 1024 * SHARD_SAMPLES_LIMIT
-# Most worker threads: each holds one shard's arrays, about 53 MB at
-# SHARD_SAMPLES_LIMIT, so 32 workers peak near 1.7 GB where 1024 would ask
-# for 54 GB; the pool also starts no more threads than there are shards.
+# Most threads that run shards, the calling one included: each holds one
+# shard's arrays, so at SHARD_SAMPLES_LIMIT an nlo estimate on 32 workers peaks
+# at about 950 MB resident, 29 MB a thread, where 1024 would ask for 30 GB.
+# There are never fewer shards (SHARDS) than workers.
 WORKERS_LIMIT = 32
 
 
@@ -82,7 +86,8 @@ class OracleConfig:
     """Verification settings.
 
     ``shards`` (derived from ``samples``) fixes the logical partition of Monte
-    Carlo samples; ``workers`` only sets thread concurrency, not results.
+    Carlo samples; ``workers`` counts the threads that run shards, the calling
+    one included, and sets concurrency only, not results.
     """
 
     n_max: int = 200
@@ -237,23 +242,60 @@ def _shard_sizes(samples: int, shards: int) -> list[int]:
 
 def _sample_arrivals(
     rng: np.random.Generator, scenario: SwapScenario, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrivals k, l of ``size`` trials and the mask of faithful trials, those
+    with the (1|1, 1|1) pattern.  The draw order is n, m, k, l.  n is masked
+    and dropped before l is drawn, so l can take n's freed block instead of
+    growing the heap, and the pair numbers never reach the herald."""
     # geometric(p) has support {1, 2, ...}; shifting gives P(n) = (1-eps) eps^n.
-    n = rng.geometric(1.0 - scenario.eps_a, size) - 1
-    m = rng.geometric(1.0 - scenario.eps_b, size) - 1
+    n = rng.geometric(1.0 - scenario.eps_a, size)
+    n -= 1
+    m = rng.geometric(1.0 - scenario.eps_b, size)
+    m -= 1
     k = rng.binomial(n, scenario.eta_a)
+    faithful = n == 1
+    faithful &= k == 1
+    del n
     l = rng.binomial(m, scenario.eta_b)
-    return n, m, k, l
+    faithful &= m == 1
+    faithful &= l == 1
+    return k, l, faithful
 
 
 def _run_shards(cfg: OracleConfig, shard_fn) -> list[tuple[int, int]]:
+    """``shard_fn(idx, size)`` of every shard, in shard order.
+
+    The calling thread and ``workers - 1`` pool threads take shards from one
+    queue.  A raising shard empties it, so no new shard starts, and its
+    exception is raised once the running shards end.
+    """
     sizes = _shard_sizes(cfg.samples, cfg.shards)
+    results = [None] * len(sizes)
+    pending = deque(enumerate(sizes))  # popleft and clear are atomic
+
+    def work() -> None:
+        while True:
+            try:
+                idx, size = pending.popleft()
+            except IndexError:
+                return
+            try:
+                results[idx] = shard_fn(idx, size)
+            except BaseException:
+                pending.clear()
+                raise
+
     if cfg.workers == 1:
-        return [shard_fn(idx, size) for idx, size in enumerate(sizes)]
+        work()
+        return results
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(shard_fn, range(cfg.shards), sizes))
+    with ThreadPoolExecutor(max_workers=cfg.workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(cfg.workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def _mc_fidelity(scenario: SwapScenario, cfg: OracleConfig, herald) -> OracleEstimate:
@@ -263,17 +305,18 @@ def _mc_fidelity(scenario: SwapScenario, cfg: OracleConfig, herald) -> OracleEst
 
     def shard(idx: int, size: int) -> tuple[int, int]:
         rng = np.random.default_rng([cfg.seed, idx])
-        n, m, k, l = _sample_arrivals(rng, scenario, size)
+        k, l, faithful = _sample_arrivals(rng, scenario, size)
         accept = herald(k, l)
+        del k, l  # the uniform draw below can take their blocks
         if accept.dtype != bool:
             if np.any(accept > 1.0):
                 raise ModelValidityError(
                     "a sampled event has herald weight k*l*p_sfg > 1; reduce p_sfg "
                     "or the source efficiencies"
                 )
-            accept = rng.uniform(size=k.size) < accept
-        faithful = accept & (n == 1) & (m == 1) & (k == 1) & (l == 1)
-        return int(accept.sum()), int(faithful.sum())
+            accept = rng.uniform(size=accept.size) < accept
+        faithful &= accept
+        return int(np.count_nonzero(accept)), int(np.count_nonzero(faithful))
 
     counts = _run_shards(cfg, shard)
     heralds = sum(h for h, _ in counts)

@@ -16,7 +16,7 @@ import numpy as np
 from . import lo_bsm, nlo_bsm, rates
 from .config import ConfigValue, read, resolve_link
 from .errors import UsageError
-from .photon_stats import check_count, epsilon_from_p, p_from_epsilon
+from .photon_stats import check_count, check_nonnegative, epsilon_from_p, p_from_epsilon
 
 SWEEP_VARIABLES = ("p", "epsilon", "eta_a", "eta_b", "p_sfg")
 SPEC_KEYS = ("variable", "start", "stop", "points", "scale", "outputs")
@@ -68,6 +68,8 @@ class SweepSpec:
             raise UsageError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
         if not self.start < self.stop:
             raise UsageError(f"need start < stop, got {self.start} >= {self.stop}")
+        check_nonnegative(self.start, "start")  # every sweep variable is >= 0
+        check_nonnegative(self.stop, "stop")
         object.__setattr__(self, "points", check_count(self.points, "points", 2, POINTS_LIMIT))
         if self.scale not in ("linear", "log"):
             raise UsageError(f"scale must be 'linear' or 'log', got {self.scale!r}")

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,13 @@ class TestSweepSpec:
             SweepSpec("q", 0.1, 0.2, 10, "linear", {}, ("f_nlo",))
         with pytest.raises(UsageError, match="outputs"):
             SweepSpec("p", 0.1, 0.2, 10, "linear", {}, ("nope",))
+
+    @pytest.mark.parametrize("start, stop", [(0.1, math.inf), (-math.inf, 0.1), (-0.5, 0.1)])
+    def test_endpoints_must_be_finite_and_non_negative(self, start, stop):
+        # An infinite stop used to reach np.linspace, whose RuntimeWarning
+        # came before the swept field's DomainError.
+        with pytest.raises(DomainError, match=r"^(start|stop) must be finite and >= 0, got"):
+            run_sweep(SweepSpec("eta_a", start, stop, 10, "linear", {}, ("f_nlo",)))
 
     def test_grid_endpoints_are_exact(self):
         spec = SweepSpec("p", 1e-3, 0.25, 200, "log", {}, ("f_nlo",))

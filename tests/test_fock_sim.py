@@ -210,7 +210,7 @@ class TestSfgEvolve:
         "call, message",
         [
             (lambda: tri_mode_state(1.5, 1, 0, 3), r"n_a must be an integer in \[0, 3\], got 1.5"),
-            (lambda: tri_mode_state(1, 1, 0, 2.5), "cutoff must be an integer >= 0, got 2.5"),
+            (lambda: tri_mode_state(1, 1, 0, 2.5), r"cutoff must be an integer in \[0, 100\], got 2.5"),
             (lambda: herald_amplitude(1.5, 1, 0.1), "n_a must be an integer >= 1, got 1.5"),
         ],
         ids=["occupation-1.5", "cutoff-2.5", "herald-1.5"],

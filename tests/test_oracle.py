@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -160,8 +161,8 @@ class TestHeraldMatrices:
     def sampled_heralds(cls, monkeypatch, estimator, *args, draws=None):
         """Heralds the Monte Carlo shard counts when its trials are the grid
         (n, m, k, l) = (K, L, K, L) and its uniform draws are ``draws``."""
-        grid = (cls.K, cls.L, cls.K, cls.L)
-        monkeypatch.setattr(oracle, "_sample_arrivals", lambda rng, s, size: grid)
+        monkeypatch.setattr(oracle, "_sample_arrivals",
+                            lambda rng, s, size: (cls.K, cls.L, (cls.K == 1) & (cls.L == 1)))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(draws))
         monkeypatch.setattr(oracle, "SHARDS", 1)
         return estimator(PINNED[0], *args, OracleConfig(samples=1)).heralds
@@ -282,11 +283,20 @@ class TestMonteCarloLo:
         assert first == second
 
     def test_worker_count_does_not_change_the_estimate(self):
+        # At 2 and 3 workers the calling thread runs shards beside the pool; a
+        # short switch interval makes the threads interleave often, so a shard
+        # lost or run twice would change the herald count.
         scen = scenario(0.2, 0.2, 0.5, 0.5)
-        kwargs = dict(samples=300_000, seed=5)
-        serial = mc_fidelity_lo(scen, OracleConfig(workers=1, **kwargs))
-        threaded = mc_fidelity_lo(scen, OracleConfig(workers=4, **kwargs))
-        assert serial == threaded
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for estimate in (lambda cfg: mc_fidelity_lo(scen, cfg),
+                             lambda cfg: mc_fidelity_nlo(scen, 1e-2, cfg)):
+                serial, *threaded = (estimate(OracleConfig(samples=300_000, seed=5, workers=w))
+                                     for w in (1, 2, 3))
+                assert threaded == [serial, serial]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_five_sigma_agreement(self):
         scen = scenario(0.2, 0.2, 0.5, 0.5)
@@ -343,6 +353,25 @@ class TestMonteCarloNlo:
         cfg = OracleConfig(samples=200_000, seed=1)
         with pytest.raises(ModelValidityError):
             mc_fidelity_nlo(scen, 0.5, cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refused_run_stops_starting_shards(self, monkeypatch, workers):
+        # 200001 samples give shard 0 one sample more than the other 63, and
+        # only shard 0 gets a trial of herald weight 2*2*0.5 > 1.
+        started = []
+
+        def counted(rng, s, size, sample=oracle._sample_arrivals):
+            started.append(size)
+            k, l, faithful = sample(rng, s, size)
+            if size > 3125:
+                k[0] = l[0] = 2
+            return k, l, faithful
+
+        monkeypatch.setattr(oracle, "_sample_arrivals", counted)
+        cfg = OracleConfig(samples=200_001, seed=1, workers=workers)
+        with pytest.raises(ModelValidityError, match="herald weight"):
+            mc_fidelity_nlo(scenario(0.01, 0.01, 0.5, 0.5), 0.5, cfg)
+        assert 1 <= len(started) < cfg.shards
 
     def test_weak_pumping_fidelity_reaches_one(self):
         # At unit conversion probability only single-pair events herald once

@@ -16,7 +16,7 @@ from entswap.photon_stats import (
     p_from_epsilon,
     truncation_tail_bound,
 )
-from entswap.fock_sim import herald_amplitude, sfg_evolve, tri_mode_state
+from entswap.fock_sim import CUTOFF_LIMIT, herald_amplitude, sfg_evolve, tri_mode_state
 from entswap.oracle import (
     N_MAX_LIMIT,
     SAMPLES_LIMIT,
@@ -157,18 +157,20 @@ COUNT_INPUTS = [
     pytest.param(lambda n: tri_mode_state(n, 0, 0, 3), 2, 3, id="tri-mode-n_a"),
     pytest.param(lambda n: tri_mode_state(0, n, 0, 3), 2, 3, id="tri-mode-n_b"),
     pytest.param(lambda n: tri_mode_state(0, 0, n, 3), 2, 3, id="tri-mode-n_c"),
-    pytest.param(lambda n: tri_mode_state(0, 0, 0, n), 2, None, id="tri-mode-cutoff"),
-    pytest.param(lambda n: sfg_evolve(tri_mode_state(1, 1, 0, 2), 0.1, n), 2, None,
+    pytest.param(lambda n: tri_mode_state(0, 0, 0, n), 2, CUTOFF_LIMIT, id="tri-mode-cutoff"),
+    pytest.param(lambda n: sfg_evolve(tri_mode_state(1, 1, 0, 2), 0.1, n), 2, CUTOFF_LIMIT,
                  id="sfg-evolve-cutoff"),
     pytest.param(lambda n: herald_amplitude(n, 1, 0.01), 2, None, id="herald-n_a"),
     pytest.param(lambda n: herald_amplitude(1, n, 0.01), 2, None, id="herald-n_b"),
+    pytest.param(lambda n: herald_amplitude(n, n, 0.01), 2, CUTOFF_LIMIT, id="herald-chain"),
 ]
 
 
 @pytest.mark.parametrize("call, good, high", COUNT_INPUTS)
 def test_every_count_input_takes_integers_in_range_only(call, good, high):
     # A bool used to pass as 0 or 1 (tri_mode_state(True, 0, 0, 2) had norm
-    # sqrt(3)), and a fractional sweep size failed inside np.linspace.
+    # sqrt(3)), a fractional sweep size failed inside np.linspace, and
+    # tri_mode_state(0, 0, 0, 10**5) raised numpy's MemoryError.
     for bad in [True, False, 2.5, 3.0, -1, *([] if high is None else [high + 1])]:
         with pytest.raises(DomainError, match=f"got {bad!r}$"):
             call(bad)
