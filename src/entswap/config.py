@@ -32,7 +32,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .photon_stats import SwapScenario, check_nonnegative, check_probability, epsilon_from_p
+from .photon_stats import (
+    SwapScenario,
+    check_nonnegative,
+    check_positive,
+    check_probability,
+    epsilon_from_p,
+)
 from .sfg_device import (
     CavityParams,
     WaveguideParams,
@@ -234,11 +240,18 @@ def resolve_link(entries: dict[str, ConfigValue], swept: dict[str, float] | None
     return Link(SwapScenario(**values), p_sfg, clock)
 
 
+def _device_value(entries: dict[str, ConfigValue], key: str, check) -> float:
+    """``read(entries, key)``, refused under ``key`` unless ``check`` passes it."""
+    value = read(entries, key)
+    check(value, key)
+    return value
+
+
 def _mode_omega(entries: dict[str, ConfigValue], mode: str) -> float:
     key = _either(entries, f"lambda_{mode}", f"freq_{mode}", "mode frequency")
     if key.startswith("lambda"):
-        return omega_from_wavelength_nm(read(entries, key))
-    return 2.0 * math.pi * read(entries, key)
+        return omega_from_wavelength_nm(_device_value(entries, key, check_positive))
+    return 2.0 * math.pi * _device_value(entries, key, check_positive)
 
 
 def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
@@ -251,7 +264,7 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
     drives are on resonance.
     """
     key = _either(entries, "g", "g_shg", "coupling rate")
-    g = 2.0 * math.pi * read(entries, key)
+    g = 2.0 * math.pi * _device_value(entries, key, check_nonnegative)
     if key == "g_shg":
         g = sfg_coupling_from_shg(g)
 
@@ -264,10 +277,10 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
 
     kappas = {}
     for mode, omega in (("a", omega_a), ("b", omega_b), ("c", omega_c)):
-        kappas[mode] = kappa_from_q(omega, read(entries, f"q_{mode}"))
+        kappas[mode] = kappa_from_q(omega, _device_value(entries, f"q_{mode}", check_positive))
         qe_key = f"qe_{mode}"
         if qe_key in entries:
-            kappas[mode + "e"] = kappa_from_q(omega, read(entries, qe_key))
+            kappas[mode + "e"] = kappa_from_q(omega, _device_value(entries, qe_key, check_positive))
         else:
             kappas[mode + "e"] = kappas[mode] / 2.0
 
@@ -288,14 +301,14 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
 def build_waveguide(entries: dict[str, ConfigValue]) -> WaveguideParams:
     """Waveguide from keys eta_sfg (or eta_shg), accept, length, lambda."""
     key = _either(entries, "eta_sfg", "eta_shg", "normalized efficiency")
-    eta = read(entries, key)
+    eta = _device_value(entries, key, check_positive)
     if key == "eta_shg":
         eta = sfg_efficiency_from_shg(eta)
-    wavelength_nm = read(entries, "lambda")
+    wavelength_nm = _device_value(entries, "lambda", check_positive)
     photon_frequency = omega_from_wavelength_nm(wavelength_nm) / (2.0 * math.pi)
     return WaveguideParams(
         eta_sfg_norm=eta,
-        spectral_acceptance=read(entries, "accept"),
-        length=read(entries, "length"),
+        spectral_acceptance=_device_value(entries, "accept", check_positive),
+        length=_device_value(entries, "length", check_nonnegative),
         photon_frequency=photon_frequency,
     )

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedFidelityError
-from .photon_stats import SwapScenario, check_pair_probability, check_probability
+from .photon_stats import SwapScenario, check_pair_probability, check_positive, check_probability
 
 ONE_THIRD = 1.0 / 3.0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,34 @@ def fidelity_general(scenario: SwapScenario) -> LoFidelityReport:
     """
     ua, ub, a, b, dd = _herald_terms(scenario)
     poly = _herald_polynomial(ua, ub, a, b)
-    if np.any(poly <= 0.0):
-        raise UndefinedFidelityError(
-            "herald probability is zero (no source pumped into a transmitting channel)"
-        )
     p_faithful = (ua * ub) * (a * b)
+    if np.any(np.minimum(p_faithful, poly) < _TINY):
+        _refuse_lost_terms(scenario, p_faithful, poly)
     fidelity = p_faithful * (dd * dd) / poly
     return LoFidelityReport(
         fidelity=fidelity,
         p_faithful=p_faithful,
         p_herald=poly / (dd * dd),
     )
+
+
+def _refuse_lost_terms(scenario: SwapScenario, p_faithful, poly) -> None:
+    """Refuse a point where nothing heralds, or where a term fidelity_general
+    divides or reports has lost digits below the smallest normal float."""
+    # A side is lit where its source is pumped into a transmitting channel.
+    lit_a = np.minimum(scenario.eps_a, scenario.eta_a)
+    lit_b = np.minimum(scenario.eps_b, scenario.eta_b)
+    if np.any(np.maximum(lit_a, lit_b) == 0.0):
+        raise UndefinedFidelityError(
+            "herald probability is zero (no source pumped into a transmitting channel)"
+        )
+    # With one side dark, p_faithful is exactly 0 and poly needs only to be > 0.
+    lost = (np.minimum(lit_a, lit_b) > 0.0) & (np.minimum(p_faithful, poly) < _TINY)
+    if np.any(lost | (poly <= 0.0)):
+        raise DomainError(
+            "p_faithful or the herald probability underflows below the smallest normal "
+            "float; the pumping or the transmission is too small"
+        )
 
 
 def fidelity_balanced_smalleta(p: float) -> float:
@@ -155,7 +173,6 @@ def optimal_epsilon_a(eps_b: float, eta_a: float, eta_b: float) -> float:
         raise DomainError(f"eps_b must be in (0, 1), got {eps_b}")
     check_probability(eta_a, "eta_a")
     check_probability(eta_b, "eta_b")
-    if eta_a == 0.0:
-        raise DomainError(f"eta_a must be > 0, got {eta_a}")
+    check_positive(eta_a, "eta_a")
     flux_b = eps_b * eta_b
     return flux_b / ((1.0 - eps_b) * eta_a + flux_b)

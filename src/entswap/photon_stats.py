@@ -50,6 +50,11 @@ def check_nonnegative(value, name: str) -> None:
     _require((0.0 <= value) & (value < math.inf), value, f"{name} must be finite and >= 0")
 
 
+def check_positive(value, name: str) -> None:
+    """Reject a value that is not > 0 or not finite: "q_b must be finite and > 0, got 0.0"."""
+    _require((0.0 < value) & (value < math.inf), value, f"{name} must be finite and > 0")
+
+
 def check_count(value, name: str, low: int, high: float = math.inf) -> int:
     """``value`` as an int: an integer in [low, high], numpy's included.
 
@@ -99,11 +104,13 @@ def p_from_epsilon(eps: float) -> float:
 def epsilon_from_p(p: float) -> float:
     """Invert p = (1 - eps) * eps on the lower branch: eps = (1 - sqrt(1 - 4p)) / 2.
 
-    Valid for 0 <= p <= 1/4; a few ulps of overshoot above 1/4 are tolerated
-    so that swept grids may end exactly at the boundary.
+    Evaluated as 2p / (1 + sqrt(1 - 4p)), which does not cancel for small p,
+    capped at 1/2.  Valid for 0 <= p <= 1/4; a few ulps of overshoot above 1/4
+    are tolerated so that swept grids may end exactly at the boundary, where
+    the cap keeps eps at 1/2.
     """
     check_pair_probability(p, "pair probability")
-    return 0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p)))
+    return np.minimum(0.5, 2.0 * p / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p))))
 
 
 def truncation_tail_bound(scenario: SwapScenario, n_max: int) -> float:

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError
-from .photon_stats import SwapScenario, check_nonnegative, check_probability, p_from_epsilon
+from .photon_stats import (
+    SwapScenario,
+    check_nonnegative,
+    check_positive,
+    check_probability,
+    p_from_epsilon,
+)
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,7 @@ def rate_lo(scenario: SwapScenario, clock: float) -> float:
     pair probability replaced by the optimal-fidelity value eta_B p_B / eta_A,
     giving eta_B^2 p_B^2 R_c."""
     check_nonnegative(clock, "clock rate")
-    if np.any(scenario.eta_a <= 0.0):
-        raise DomainError("the attenuation convention needs eta_a > 0")
+    check_positive(scenario.eta_a, "eta_a")  # the attenuation divides by it
     flux_b = scenario.eta_b * p_from_epsilon(scenario.eps_b)
     return flux_b * flux_b * clock
 
@@ -54,8 +56,8 @@ def crossover(p_sfg: float, eta_a: float, eta_b: float) -> CrossoverResult:
     check_probability(eta_a, "eta_a")
     check_probability(eta_b, "eta_b")
     check_probability(p_sfg, "p_sfg")
-    if eta_b == 0.0:
-        raise DomainError(f"eta_b must be > 0, got {eta_b}")
-    ratio = p_sfg * eta_a / eta_b
+    check_positive(eta_b, "eta_b")
+    ratio = p_sfg * eta_a / eta_b  # overflows where eta_b is subnormal
+    check_nonnegative(ratio, "crossover ratio p_sfg * eta_a / eta_b")
     return CrossoverResult(nlo_wins=ratio > 1.0, ratio=ratio)
 

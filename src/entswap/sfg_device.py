@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, ModelValidityWarning
-from .photon_stats import check_nonnegative
+from .photon_stats import check_nonnegative, check_positive
 
 # Exact SI values (2019 redefinition), written out so that importing this
 # module loads no scipy; tests pin them to scipy.constants with ==.
@@ -57,19 +57,13 @@ class CavityParams:
     kappa_ce: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite, got {value}")
-        if not self.g >= 0.0:
-            raise DomainError(f"g must be >= 0, got {self.g}")
-        for name in ("omega_a", "omega_b", "omega_c", "kappa_a", "kappa_b", "kappa_c"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
+        check_nonnegative(self.g, "g")
+        for f in fields(self)[1:]:  # every field after g is a frequency or a linewidth
+            check_positive(getattr(self, f.name), f.name)
         for ext, tot in (("kappa_ae", "kappa_a"), ("kappa_be", "kappa_b"), ("kappa_ce", "kappa_c")):
             ext_v, tot_v = getattr(self, ext), getattr(self, tot)
-            if not 0.0 < ext_v <= tot_v:
-                raise DomainError(f"need 0 < {ext} <= {tot}, got {ext_v} vs {tot_v}")
+            if not ext_v <= tot_v:
+                raise DomainError(f"need {ext} <= {tot}, got {ext_v} vs {tot_v}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +106,8 @@ class WaveguideParams:
 
     def __post_init__(self) -> None:
         for name in ("eta_sfg_norm", "spectral_acceptance", "photon_frequency"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.length >= 0.0:
-            raise DomainError(f"length must be >= 0, got {self.length}")
+            check_positive(getattr(self, name), name)
+        check_nonnegative(self.length, "length")
 
 
 def _finite(value: float, name: str) -> float:
@@ -141,15 +133,13 @@ def _in_float_range(name: str):
 
 def kappa_from_q(omega: float, q: float) -> float:
     """Linewidth kappa = omega / Q for a resonance at angular frequency omega."""
-    if not q > 0.0:
-        raise DomainError(f"quality factor must be > 0, got {q}")
+    check_positive(q, "q")
     return omega / q
 
 
 def omega_from_wavelength_nm(wavelength_nm: float) -> float:
     """Angular frequency 2 pi c / lambda for a vacuum wavelength in nm."""
-    if not wavelength_nm > 0.0:
-        raise DomainError(f"wavelength must be > 0, got {wavelength_nm}")
+    check_positive(wavelength_nm, "wavelength_nm")
     with _in_float_range("omega"):
         return 2.0 * math.pi * _C_LIGHT / (wavelength_nm * 1e-9)
 
@@ -257,8 +247,7 @@ def p_sfg_from_eta(cav: CavityParams, eta_sfg: float) -> float:
     reproduces 4 g^2 / (kappa_a kappa_c) identically; a below-ideal measured
     efficiency scales p_sfg down linearly.
     """
-    if not eta_sfg >= 0.0:
-        raise DomainError(f"eta_sfg must be >= 0, got {eta_sfg}")
+    check_nonnegative(eta_sfg, "eta_sfg")
     half_a, half_b = cav.kappa_a / 2.0, cav.kappa_b / 2.0
     with _in_float_range("p_sfg"):
         p = (

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from entswap.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, _collect_entries, build_parser, main
+from entswap.config import CAVITY_KEYS, KEY_KINDS, WAVEGUIDE_KEYS
 from entswap.errors import DomainError, UsageError
 from entswap.fock_sim import run_fock_checks
 from entswap.sweep import SweepSpec, run_sweep
@@ -110,6 +111,24 @@ class TestFidelitySweepCommand:
         assert last[2] == pytest.approx(1.0 / 48.0, abs=1e-12)
         assert last[3] == pytest.approx(1.0 / 12.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "start, output, row",
+        [
+            # epsilon_from_p cancelled: r_lo read 1.000621987061e-27 here.
+            pytest.param("1e-13", "r_lo", "1.000000000000e-13,1.000000000000e-27", id="r-lo"),
+            # Every term is still a normal float; at p = 1e-159 p_faithful is not.
+            pytest.param("1e-100", "f_lo_general", "1.000000000000e-100,9.999900000000e-06",
+                         id="f-lo-general"),
+        ],
+    )
+    def test_tiny_pair_probabilities_keep_their_digits(self, capsys, start, output, row):
+        code, out, _ = run_cli(
+            capsys, "fidelity-sweep", "--preset", "satellite", "--variable", "p", "--start", start,
+            "--stop", "1e-3", "--points", "2", "--scale", "log", "--outputs", output,
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == row
+
     def test_csv_format_is_stable(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -174,6 +193,15 @@ class TestFidelitySweepCommand:
         assert first == second
 
 
+# The alternative keys (g_shg, freq_x, qe_x, eta_shg) next to a quoted p_sfg.
+ALTERNATIVE_DEVICE_KEYS = (
+    "g_shg = 10 MHz\nfreq_a = 193 THz\nfreq_b = 193 THz\nfreq_c = 386 THz\n"
+    "q_a = 4e5\nq_b = 4e5\nq_c = 1e5\nqe_a = 8e5\nqe_b = 8e5\nqe_c = 2e5\n"
+    "eta_shg = 1000 %/W/cm^2\naccept = 6 GHz*cm\nlength = 1 cm\nlambda = 1550 nm\n"
+    "p_sfg = 1e-4\n"
+)
+
+
 class TestDeviceCommand:
     def test_ring_preset_text(self, capsys):
         code, out, _ = run_cli(capsys, "device", "--preset", "ingap-ring")
@@ -222,14 +250,8 @@ class TestDeviceCommand:
         assert "lambda_a" in err
 
     def test_every_key_the_builders_read_is_accepted(self, tmp_path, capsys):
-        # The alternative keys (g_shg, freq_x, qe_x, eta_shg) next to a quoted p_sfg.
         cfg = tmp_path / "device.cfg"
-        cfg.write_text(
-            "g_shg = 10 MHz\nfreq_a = 193 THz\nfreq_b = 193 THz\nfreq_c = 386 THz\n"
-            "q_a = 4e5\nq_b = 4e5\nq_c = 1e5\nqe_a = 8e5\nqe_b = 8e5\nqe_c = 2e5\n"
-            "eta_shg = 1000 %/W/cm^2\naccept = 6 GHz*cm\nlength = 1 cm\nlambda = 1550 nm\n"
-            "p_sfg = 1e-4\n"
-        )
+        cfg.write_text(ALTERNATIVE_DEVICE_KEYS)
         code, out, err = run_cli(capsys, "device", "--config", str(cfg), "--format", "json")
         assert code == EXIT_OK, err
         assert {"cavity", "waveguide"} <= set(json.loads(out))
@@ -480,6 +502,20 @@ WG_LONG = "eta_sfg = 500000 %/W/cm^2\naccept = 6 GHz*cm\nlength = 1e308 m\nlambd
 WG_HUGE_ETA = "eta_sfg = 1e200 /W/cm^2\naccept = 1e200 Hz*cm\nlength = 1 cm\nlambda = 1550 nm\n"
 RING = ("device", "--preset", "ingap-ring")
 DEVICE_OVERFLOW = "the device parameters overflow a float"
+# A key's other spelling in ALTERNATIVE_DEVICE_KEYS, and a unit of each kind.
+OTHER_SPELLING = {"g": "g_shg", "eta_sfg": "eta_shg", **{f"lambda_{m}": f"freq_{m}" for m in "abc"}}
+UNIT_OF_KIND = {"frequency": "MHz", "wavelength": "nm", "length": "cm", "acceptance": "GHz*cm",
+                "efficiency": "%/W/cm^2"}
+NON_NEGATIVE_DEVICE_KEYS = ("g", "g_shg", "length")
+
+
+def device_config_refusing(key):
+    """ALTERNATIVE_DEVICE_KEYS with ``key`` set to the first value its rule refuses."""
+    lines = dict(line.split(" = ") for line in ALTERNATIVE_DEVICE_KEYS.splitlines())
+    lines.pop(OTHER_SPELLING.get(key, key))
+    bad = "-1" if key in NON_NEGATIVE_DEVICE_KEYS else "0"
+    lines[key] = f"{bad} {UNIT_OF_KIND.get(KEY_KINDS.get(key), '')}"
+    return "".join(f"{k} = {v}\n" for k, v in lines.items())
 
 
 class TestRejectedInputs:
@@ -503,6 +539,19 @@ class TestRejectedInputs:
             pytest.param(("device",), RING_NAN_G, "'g' must be finite", id="device-g-nan"),
             pytest.param(("device",), WG_INF_ETA, "'eta_sfg' must be finite", id="device-eta-inf"),
             pytest.param(("device",), "p_sfg = 5", "p_sfg must be in [0, 1]", id="device-p-sfg-5"),
+            # q_b = 0 and qe_c = 0 both read "quality factor must be > 0".
+            *(pytest.param(("device",), device_config_refusing(key),
+                           f"error: {key} must be finite and "
+                           f"{'>=' if key in NON_NEGATIVE_DEVICE_KEYS else '>'} 0, got",
+                           id=f"device-{key}-refused")
+              for key in (*CAVITY_KEYS, *WAVEGUIDE_KEYS)),
+            pytest.param(("rate-compare", "--preset", "satellite"), "eta_b = 1e-320\n",
+                         "crossover ratio p_sfg * eta_a / eta_b must be finite and >= 0, got inf",
+                         id="rate-eta-b-subnormal"),
+            pytest.param(("fidelity-sweep", "--preset", "satellite", "--variable", "p",
+                          "--start", "1e-300", "--stop", "1e-200", "--points", "5",
+                          "--scale", "log", "--outputs", "f_lo_general"), None,
+                         "underflows below the smallest normal float", id="sweep-p-underflow"),
             pytest.param(("device",), WG_LONG, "key 'length' overflows a float",
                          id="device-length-overflow"),
             pytest.param(("device",), WG_HUGE_ETA, f"p_sfg = inf: {DEVICE_OVERFLOW}",

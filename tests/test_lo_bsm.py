@@ -99,6 +99,29 @@ class TestFidelityGeneral:
         with pytest.raises(UndefinedFidelityError):
             fidelity_general(scenario(0.2, 0.2, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pytest.param(1e-159, id="p-faithful-subnormal"),
+            pytest.param(1e-160, id="p-faithful-zero"),
+            pytest.param(1e-300, id="herald-zero"),
+            pytest.param(np.array([1e-3, 1e-100, 1e-160]), id="one-grid-point"),
+        ],
+    )
+    def test_underflow_is_refused(self, p):
+        # Subnormal terms gave 9.881e-06 at p = 1e-159 and 0.0 at 1e-160, where
+        # the limit is 9.9999e-06; at 1e-300 no source was said to be pumped.
+        eps = epsilon_from_p(p)
+        with pytest.raises(DomainError, match="underflows below the smallest normal float") as info:
+            fidelity_general(SwapScenario(eps, eps, 1.0, 1e-5))
+        assert type(info.value) is DomainError
+
+    def test_one_lit_side_whose_herald_underflows_is_refused(self):
+        # Mathematically the fidelity is 0 here, but the herald probability
+        # (1e-200)^2 rounds to 0, which is not a zero herald probability.
+        with pytest.raises(DomainError, match="underflows"):
+            fidelity_general(scenario(1e-200, 0.0, 1.0, 1.0))
+
     def test_single_silent_source_gives_zero(self):
         # Double pairs from the active source still herald, so the fidelity is
         # defined and exactly zero.

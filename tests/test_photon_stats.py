@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from entswap.photon_stats import (
     check_epsilon,
     check_nonnegative,
     check_pair_probability,
+    check_positive,
     check_probability,
     epsilon_from_p,
     p_from_epsilon,
@@ -26,6 +29,17 @@ from entswap.oracle import (
     _arrival_table,
     _arrival_tables,
     random_scenarios,
+)
+from entswap.config import Link
+from entswap.lo_bsm import optimal_epsilon_a
+from entswap.rates import crossover, rate_lo, rate_nlo
+from entswap.sfg_device import (
+    CavityParams,
+    WaveguideParams,
+    cavity_steady_state,
+    kappa_from_q,
+    omega_from_wavelength_nm,
+    p_sfg_from_eta,
 )
 from entswap.sweep import POINTS_LIMIT, SweepSpec
 
@@ -103,6 +117,18 @@ class TestEpsilonPConversions:
         for p in np.linspace(0.0, 0.25, 26):
             assert p_from_epsilon(epsilon_from_p(float(p))) == pytest.approx(float(p), abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.25, 1e-3, 1e-10, 1e-17])
+    def test_epsilon_from_p_matches_a_decimal_reference(self, p):
+        # 0.5 * (1 - sqrt(1 - 4p)) cancels: it was off by 8.3e-8 relative at
+        # p = 1e-10, and gave 0 at p = 1e-17.
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (1 - (1 - 4 * Decimal(p)).sqrt()) / 2
+        assert epsilon_from_p(p) == pytest.approx(float(exact), rel=3e-16, abs=0.0)
+
+    def test_overshoot_above_a_quarter_stays_at_one_half(self):
+        assert epsilon_from_p(np.nextafter(0.25, 1.0)) == 0.5
+
 
 class TestDomainChecksOnArrays:
     @pytest.mark.parametrize(
@@ -128,6 +154,10 @@ class TestDomainChecksOnArrays:
                 lambda v: check_nonnegative(v, "clock rate"), [1e9, -1.0, math.inf],
                 "clock rate must be finite and >= 0, got -1.0", id="clock",
             ),
+            pytest.param(
+                lambda v: check_positive(v, "q_b"), [4e5, 0.0, math.inf],
+                "q_b must be finite and > 0, got 0.0", id="positive",
+            ),
         ],
     )
     def test_first_failing_value_is_named(self, check, values, message):
@@ -141,6 +171,7 @@ class TestDomainChecksOnArrays:
         check_pair_probability(grid, "p")
         check_epsilon(grid, "eps")
         check_nonnegative(grid, "clock rate")
+        check_positive(grid[1:], "q")
 
 
 # Every count a library call takes: the call on one count, a count it accepts,
@@ -175,6 +206,54 @@ def test_every_count_input_takes_integers_in_range_only(call, good, high):
         with pytest.raises(DomainError, match=f"got {bad!r}$"):
             call(bad)
     call(np.int64(good))
+
+
+RING = CavityParams(1e8, 1.2e15, 1.2e15, 2.4e15, 3e9, 3e9, 2.4e10, 1.5e9, 1.5e9, 1.2e10)
+GUIDE = WaveguideParams(5e3, 6e9, 1.0, 1.9e14)
+LINK = SwapScenario(0.01, 0.01, 1.0, 1e-5)
+
+# Every real a library call checks for sign: the call on one value, the name
+# its errors give, a value it accepts, and whether 0 is refused (> 0) or
+# accepted (>= 0).
+SIGNED_INPUTS = [
+    *(pytest.param(lambda v, name=f.name: dataclasses.replace(RING, **{name: v}), f.name,
+                   getattr(RING, f.name), f.name != "g", id=f"cavity-{f.name}")
+      for f in dataclasses.fields(CavityParams)),
+    *(pytest.param(lambda v, name=f.name: dataclasses.replace(GUIDE, **{name: v}), f.name,
+                   getattr(GUIDE, f.name), f.name != "length", id=f"waveguide-{f.name}")
+      for f in dataclasses.fields(WaveguideParams)),
+    pytest.param(lambda v: kappa_from_q(1.2e15, v), "q", 4e5, True, id="kappa-from-q"),
+    pytest.param(omega_from_wavelength_nm, "wavelength_nm", 1550.0, True,
+                 id="omega-from-wavelength"),
+    pytest.param(lambda v: p_sfg_from_eta(RING, v), "eta_sfg", 1e-3, False, id="p-sfg-from-eta"),
+    pytest.param(lambda v: cavity_steady_state(RING, v, 1e-3), "power_a", 1e-3, False,
+                 id="steady-state-power-a"),
+    pytest.param(lambda v: cavity_steady_state(RING, 1e-3, v), "power_b", 1e-3, False,
+                 id="steady-state-power-b"),
+    pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "eta_a", 0.5, True,
+                 id="rate-lo-eta-a"),
+    pytest.param(lambda v: rate_lo(LINK, v), "clock rate", 1e9, False, id="rate-lo-clock"),
+    pytest.param(lambda v: rate_nlo(LINK, 1e-3, v), "clock rate", 1e9, False, id="rate-nlo-clock"),
+    pytest.param(lambda v: Link(LINK, 1e-3, v), "clock rate", 1e9, False, id="link-clock"),
+    pytest.param(lambda v: crossover(1e-3, 1.0, v), "eta_b", 1e-5, True, id="crossover-eta-b"),
+    pytest.param(lambda v: optimal_epsilon_a(0.1, v, 0.5), "eta_a", 0.5, True,
+                 id="optimal-epsilon-a-eta-a"),
+    pytest.param(lambda v: sfg_evolve(tri_mode_state(1, 1, 0, 2), v, 2), "gt", 0.1, False,
+                 id="sfg-evolve-gt"),
+    pytest.param(lambda v: herald_amplitude(1, 1, v), "gt", 0.1, False, id="herald-gt"),
+]
+
+
+@pytest.mark.parametrize("call, name, good, positive", SIGNED_INPUTS)
+def test_every_signed_input_takes_finite_values_of_its_sign_only(call, name, good, positive):
+    # kappa_from_q(1e15, inf) and omega_from_wavelength_nm(inf) used to return
+    # 0.0, WaveguideParams took an infinite field, and p_sfg_from_eta(cav, inf)
+    # reported an overflow.  A transmission above is also checked to be in
+    # [0, 1], so its error names that interval.
+    for bad in [*([0.0] if positive else []), -1.0, math.inf, math.nan]:
+        with pytest.raises(DomainError, match=rf"^{name} must be .*, got {bad}$"):
+            call(bad)
+    call(np.float64(good))
 
 
 class TestCheckCount:

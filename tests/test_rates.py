@@ -73,6 +73,11 @@ class TestCrossover:
         with pytest.raises(DomainError):
             crossover(1e-3, 0.5, 0.0)
 
+    def test_ratio_past_the_float_range_rejected(self):
+        # A subnormal eta_b used to give ratio = inf, written to JSON as Infinity.
+        with pytest.raises(DomainError, match=r"must be finite and >= 0, got inf$"):
+            crossover(1e-3, 1.0, 1e-320)
+
 
 class TestRateRatioIdentity:
     def test_ratio_equals_crossover_ratio(self):
