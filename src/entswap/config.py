@@ -241,9 +241,10 @@ def resolve_link(entries: dict[str, ConfigValue], swept: dict[str, float] | None
 
 
 def _device_value(entries: dict[str, ConfigValue], key: str, check) -> float:
-    """``read(entries, key)``, refused under ``key`` unless ``check`` passes it."""
+    """``read(entries, key)``, refused under ``key`` unless ``check`` passes it as written
+    (before its unit's factor: the device model checks the converted value)."""
     value = read(entries, key)
-    check(value, key)
+    check(entries[key].value, key)
     return value
 
 

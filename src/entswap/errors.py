@@ -2,8 +2,8 @@
 
 Fidelities and probabilities are never reported as NaN: whenever a quantity
 is mathematically undefined (zero herald probability, parameter outside its
-domain) a typed exception is raised so that sweeps fail loudly instead of
-silently propagating NaN.
+domain) or a computed result over- or underflows the float range, a typed
+exception is raised: sweeps fail loudly rather than report NaN, inf or a false 0.
 """
 
 from __future__ import annotations

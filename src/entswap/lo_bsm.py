@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedFidelityError
-from .photon_stats import SwapScenario, check_pair_probability, check_positive, check_probability
+from .photon_stats import (SwapScenario, check_epsilon, check_float_range,
+                           check_pair_probability, check_positive, check_probability)
 
 ONE_THIRD = 1.0 / 3.0
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -70,33 +70,24 @@ def fidelity_general(scenario: SwapScenario) -> LoFidelityReport:
     ua, ub, a, b, dd = _herald_terms(scenario)
     poly = _herald_polynomial(ua, ub, a, b)
     p_faithful = (ua * ub) * (a * b)
-    if np.any(np.minimum(p_faithful, poly) < _TINY):
-        _refuse_lost_terms(scenario, p_faithful, poly)
+    check_float_range(p_faithful, "p_faithful", *vars(scenario).values())
+    if np.any(poly <= 0.0):
+        # A side is lit where its source is pumped into a transmitting channel; with
+        # a side lit, the bracket is 0 only where that side's terms underflow.
+        lit_a = np.minimum(scenario.eps_a, scenario.eta_a)
+        lit_b = np.minimum(scenario.eps_b, scenario.eta_b)
+        if np.any(np.maximum(lit_a, lit_b) == 0.0):
+            raise UndefinedFidelityError(
+                "herald probability is zero (no source pumped into a transmitting channel)"
+            )
+        raise DomainError("the herald probability underflows to 0; the pumping or the "
+                          "transmission is too small")
     fidelity = p_faithful * (dd * dd) / poly
     return LoFidelityReport(
         fidelity=fidelity,
         p_faithful=p_faithful,
         p_herald=poly / (dd * dd),
     )
-
-
-def _refuse_lost_terms(scenario: SwapScenario, p_faithful, poly) -> None:
-    """Refuse a point where nothing heralds, or where a term fidelity_general
-    divides or reports has lost digits below the smallest normal float."""
-    # A side is lit where its source is pumped into a transmitting channel.
-    lit_a = np.minimum(scenario.eps_a, scenario.eta_a)
-    lit_b = np.minimum(scenario.eps_b, scenario.eta_b)
-    if np.any(np.maximum(lit_a, lit_b) == 0.0):
-        raise UndefinedFidelityError(
-            "herald probability is zero (no source pumped into a transmitting channel)"
-        )
-    # With one side dark, p_faithful is exactly 0 and poly needs only to be > 0.
-    lost = (np.minimum(lit_a, lit_b) > 0.0) & (np.minimum(p_faithful, poly) < _TINY)
-    if np.any(lost | (poly <= 0.0)):
-        raise DomainError(
-            "p_faithful or the herald probability underflows below the smallest normal "
-            "float; the pumping or the transmission is too small"
-        )
 
 
 def fidelity_balanced_smalleta(p: float) -> float:
@@ -169,8 +160,7 @@ def optimal_epsilon_a(eps_b: float, eta_a: float, eta_b: float) -> float:
     p_A = (eta_B / eta_A) p_B, i.e. attenuating the source in the better
     channel to match the flux of the worse one.
     """
-    if not 0.0 < eps_b < 1.0:
-        raise DomainError(f"eps_b must be in (0, 1), got {eps_b}")
+    check_epsilon(eps_b, "eps_b")
     check_probability(eta_a, "eta_a")
     check_probability(eta_b, "eta_b")
     check_positive(eta_a, "eta_a")

@@ -19,9 +19,10 @@ import numpy as np
 from .errors import DomainError
 
 # The domain rules, one function each, for a float or an array of floats
-# (check_count takes one count).  Each states the condition that must hold, so
-# NaN, which fails every comparison, is rejected.  Errors name the key and the
-# first failing value.
+# (check_count takes one count, check_float_range a computed result).  Each
+# states the condition that must hold, so NaN, which fails every comparison, is
+# rejected.  Errors name the key and the first failing value.
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)  # 2.2e-308
 
 
 def _require(ok, value, rule: str) -> None:
@@ -66,6 +67,19 @@ def check_count(value, name: str, low: int, high: float = math.inf) -> int:
     if not low <= value <= high:
         raise DomainError(f"{name} must be {bounds}, got {value}")
     return int(value)
+
+
+def check_float_range(value, name: str, *factors):
+    """``value``, a computed result, refused if it is not finite, or if it underflows
+    below the smallest normal float (to 0, or to a subnormal short of digits) while
+    none of ``factors`` is 0, the only way the result is exactly 0."""
+    magnitude = abs(value)
+    ok = magnitude >= _SMALLEST_NORMAL
+    for factor in factors:
+        ok = ok | (factor == 0.0)
+    _require((magnitude < math.inf) & ok, value,
+             f"{name} must be finite and, when no factor is 0, of magnitude >= 2.2e-308")
+    return value
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .photon_stats import (
     SwapScenario,
+    check_float_range,
     check_nonnegative,
     check_positive,
     check_probability,
@@ -35,7 +36,8 @@ def rate_lo(scenario: SwapScenario, clock: float) -> float:
     check_nonnegative(clock, "clock rate")
     check_positive(scenario.eta_a, "eta_a")  # the attenuation divides by it
     flux_b = scenario.eta_b * p_from_epsilon(scenario.eps_b)
-    return flux_b * flux_b * clock
+    return check_float_range(flux_b * flux_b * clock, "rate_lo", scenario.eta_b, scenario.eps_b,
+                             clock)
 
 
 def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
@@ -43,7 +45,8 @@ def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
     check_nonnegative(clock, "clock rate")
     check_probability(p_sfg, "p_sfg")
     p_a, p_b = p_from_epsilon(scenario.eps_a), p_from_epsilon(scenario.eps_b)
-    return p_sfg * scenario.eta_a * scenario.eta_b * p_a * p_b * clock
+    rate = p_sfg * scenario.eta_a * scenario.eta_b * p_a * p_b * clock
+    return check_float_range(rate, "rate_nlo", p_sfg, clock, *vars(scenario).values())
 
 
 def crossover(p_sfg: float, eta_a: float, eta_b: float) -> CrossoverResult:
@@ -57,7 +60,7 @@ def crossover(p_sfg: float, eta_a: float, eta_b: float) -> CrossoverResult:
     check_probability(eta_b, "eta_b")
     check_probability(p_sfg, "p_sfg")
     check_positive(eta_b, "eta_b")
-    ratio = p_sfg * eta_a / eta_b  # overflows where eta_b is subnormal
-    check_nonnegative(ratio, "crossover ratio p_sfg * eta_a / eta_b")
+    ratio = p_sfg * eta_a / eta_b
+    check_float_range(ratio, "crossover ratio p_sfg * eta_a / eta_b", p_sfg, eta_a)
     return CrossoverResult(nlo_wins=ratio > 1.0, ratio=ratio)
 

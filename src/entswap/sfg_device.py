@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, ModelValidityWarning
-from .photon_stats import check_nonnegative, check_positive
+from .photon_stats import check_float_range, check_nonnegative, check_positive
 
 # Exact SI values (2019 redefinition), written out so that importing this
 # module loads no scipy; tests pin them to scipy.constants with ==.
@@ -110,25 +110,15 @@ class WaveguideParams:
         check_nonnegative(self.length, "length")
 
 
-def _finite(value: float, name: str) -> float:
-    """``value``, refused when the device parameters overflow a float."""
-    if not math.isfinite(value):
-        raise DomainError(f"{name} = {value}: the device parameters overflow a float")
-    return value
-
-
 @contextmanager
 def _in_float_range(name: str):
-    """Refuse, as DomainError, a computation of ``name`` that leaves the float range
-    by raising: Python raises ZeroDivisionError where a denominator underflows to 0,
-    and OverflowError where ``**`` or a complex ``abs`` overflows."""
+    """Refuse, as check_float_range refuses an infinite result, a computation of ``name``
+    that leaves the float range by raising: Python raises ZeroDivisionError where a
+    denominator underflows to 0, and OverflowError where ``**`` or a complex ``abs`` does."""
     try:
         yield
     except (ZeroDivisionError, OverflowError):
-        raise DomainError(
-            f"{name}: an intermediate value underflows to 0 or overflows; "
-            "the device parameters leave the float range"
-        ) from None
+        check_float_range(math.inf, name)
 
 
 def kappa_from_q(omega: float, q: float) -> float:
@@ -175,15 +165,17 @@ def cavity_steady_state(cav: CavityParams, power_a: float, power_b: float) -> St
             1j * (cav.omega_c - cav.omega_a - cav.omega_b) + cav.kappa_c / 2.0
         )
         state = SteadyState(amp_a=amp_a, amp_b=amp_b, amp_c=amp_c, a_in=a_in, b_in=b_in)
-        for name in ("n_a", "n_b", "n_c"):
-            _finite(getattr(state, name), name)
+        check_float_range(state.n_a, "n_a", power_a)
+        check_float_range(state.n_b, "n_b", power_b)
+        check_float_range(state.n_c, "n_c", cav.g, power_a, power_b)
     return state
 
 
 def sfg_output_power(cav: CavityParams, power_a: float, power_b: float) -> float:
     """Outgoing SFG power P_c = (kappa_ce/2) hbar omega_c |c|^2 under both drives."""
     state = cavity_steady_state(cav, power_a, power_b)
-    return _finite((cav.kappa_ce / 2.0) * _HBAR * cav.omega_c * state.n_c, "P_c")
+    power_c = (cav.kappa_ce / 2.0) * _HBAR * cav.omega_c * state.n_c
+    return check_float_range(power_c, "P_c", cav.g, power_a, power_b)
 
 
 def eta_sfg_cavity(cav: CavityParams) -> float:
@@ -206,7 +198,7 @@ def eta_sfg_cavity(cav: CavityParams) -> float:
             * (cav.kappa_ce / 2.0) / (mismatch * mismatch + half_c * half_c)
             * (_HBAR * cav.omega_c) / ((_HBAR * cav.omega_a) * (_HBAR * cav.omega_b))
         )
-    return _finite(eta, "eta_sfg")
+    return check_float_range(eta, "eta_sfg", cav.g)
 
 
 def p_sfg_cavity(cav: CavityParams) -> float:
@@ -224,7 +216,7 @@ def p_sfg_cavity(cav: CavityParams) -> float:
             stacklevel=2,
         )
     with _in_float_range("p_sfg"):
-        p = _finite(4.0 * cav.g * cav.g / (cav.kappa_a * cav.kappa_c), "p_sfg")
+        p = check_float_range(4.0 * cav.g * cav.g / (cav.kappa_a * cav.kappa_c), "p_sfg", cav.g)
     if p > 1.0:
         warnings.warn(
             f"p_sfg = {p:g} exceeds 1; coupling too strong for the perturbative "
@@ -257,7 +249,7 @@ def p_sfg_from_eta(cav: CavityParams, eta_sfg: float) -> float:
             * cav.kappa_c / (cav.kappa_a * cav.kappa_ce / 2.0)
             * (_HBAR * cav.omega_a) * (_HBAR * cav.omega_b) / (_HBAR * cav.omega_c)
         )
-    return _finite(p, "p_sfg")
+    return check_float_range(p, "p_sfg", eta_sfg)
 
 
 def p_sfg_waveguide(wg: WaveguideParams) -> float:
@@ -278,4 +270,4 @@ def p_sfg_waveguide(wg: WaveguideParams) -> float:
         * wg.spectral_acceptance
         * wg.length
     )
-    return _finite(p, "p_sfg")
+    return check_float_range(p, "p_sfg", wg.length)

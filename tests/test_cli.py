@@ -501,7 +501,8 @@ WG_INF_ETA = "eta_sfg = inf %/W/cm^2\naccept = 6 GHz*cm\nlength = 1 cm\nlambda =
 WG_LONG = "eta_sfg = 500000 %/W/cm^2\naccept = 6 GHz*cm\nlength = 1e308 m\nlambda = 1550 nm\n"
 WG_HUGE_ETA = "eta_sfg = 1e200 /W/cm^2\naccept = 1e200 Hz*cm\nlength = 1 cm\nlambda = 1550 nm\n"
 RING = ("device", "--preset", "ingap-ring")
-DEVICE_OVERFLOW = "the device parameters overflow a float"
+# check_float_range's message for a result outside the float range.
+RESULT_RULE = "must be finite and, when no factor is 0, of magnitude >= 2.2e-308"
 # A key's other spelling in ALTERNATIVE_DEVICE_KEYS, and a unit of each kind.
 OTHER_SPELLING = {"g": "g_shg", "eta_sfg": "eta_shg", **{f"lambda_{m}": f"freq_{m}" for m in "abc"}}
 UNIT_OF_KIND = {"frequency": "MHz", "wavelength": "nm", "length": "cm", "acceptance": "GHz*cm",
@@ -546,23 +547,40 @@ class TestRejectedInputs:
                            id=f"device-{key}-refused")
               for key in (*CAVITY_KEYS, *WAVEGUIDE_KEYS)),
             pytest.param(("rate-compare", "--preset", "satellite"), "eta_b = 1e-320\n",
-                         "crossover ratio p_sfg * eta_a / eta_b must be finite and >= 0, got inf",
+                         f"rate_lo {RESULT_RULE}, got 0.0",
                          id="rate-eta-b-subnormal"),
             pytest.param(("fidelity-sweep", "--preset", "satellite", "--variable", "p",
                           "--start", "1e-300", "--stop", "1e-200", "--points", "5",
                           "--scale", "log", "--outputs", "f_lo_general"), None,
-                         "underflows below the smallest normal float", id="sweep-p-underflow"),
+                         f"p_faithful {RESULT_RULE}, got 0.0", id="sweep-p-underflow"),
             pytest.param(("device",), WG_LONG, "key 'length' overflows a float",
                          id="device-length-overflow"),
-            pytest.param(("device",), WG_HUGE_ETA, f"p_sfg = inf: {DEVICE_OVERFLOW}",
+            pytest.param(("device",), WG_HUGE_ETA, f"p_sfg {RESULT_RULE}, got inf",
                          id="device-wg-p-sfg-overflow"),
-            pytest.param(RING, "g = 1e160 THz\n", f"eta_sfg = inf: {DEVICE_OVERFLOW}",
+            pytest.param(RING, "g = 1e160 THz\n", f"eta_sfg {RESULT_RULE}, got inf",
                          id="device-ring-g-overflow"),
-            pytest.param(RING, "q_b = 1e-145\n", f"p_sfg = nan: {DEVICE_OVERFLOW}",
+            # kappa_b near 1e160: its square overflows, and eta_sfg rounds to 0.
+            pytest.param(RING, "q_b = 1e-145\n", f"eta_sfg {RESULT_RULE}, got 0.0",
                          id="device-ring-q-b-overflow"),
+            # Both rates underflow to 0 with no zero factor.
+            pytest.param(("fidelity-sweep", "--preset", "satellite", "--variable", "p",
+                          "--start", "1e-200", "--stop", "1e-199", "--points", "2",
+                          "--scale", "log", "--outputs", "r_lo,r_nlo"), None,
+                         f"rate_lo {RESULT_RULE}, got 0.0", id="sweep-rates-underflow"),
+            pytest.param(("rate-compare", "--preset", "satellite"), "eta_b = 1e-300\n",
+                         f"rate_lo {RESULT_RULE}, got 0.0", id="rate-eta-b-1e-300"),
+            # A refused device value is reported as written, before its unit's factor.
+            pytest.param(RING, "g = -1 MHz\n", "g must be finite and >= 0, got -1.0\n",
+                         id="device-g-as-written"),
+            pytest.param(RING, "lambda_b = -1 um\n", "lambda_b must be finite and > 0, got -1.0\n",
+                         id="device-lambda-b-as-written"),
+            # A positive value whose conversion underflows to 0 is refused downstream.
+            pytest.param(RING, "lambda_b = 5e-324 nm\n",
+                         "wavelength_nm must be finite and > 0, got 0.0",
+                         id="device-lambda-b-converts-to-0"),
             # kappa_a near 1e-235: its square underflows to 0 in a denominator.
             pytest.param(RING, "lambda_a = 1e250 nm\n",
-                         "eta_sfg: an intermediate value underflows to 0 or overflows",
+                         f"eta_sfg {RESULT_RULE}, got inf",
                          id="device-ring-linewidth-underflow"),
             # Any key of a section builds it, so the builder names what is missing.
             pytest.param(RING, "length = 2 cm\n", "missing normalized efficiency 'eta_sfg'",

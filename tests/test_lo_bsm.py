@@ -112,7 +112,8 @@ class TestFidelityGeneral:
         # Subnormal terms gave 9.881e-06 at p = 1e-159 and 0.0 at 1e-160, where
         # the limit is 9.9999e-06; at 1e-300 no source was said to be pumped.
         eps = epsilon_from_p(p)
-        with pytest.raises(DomainError, match="underflows below the smallest normal float") as info:
+        with pytest.raises(DomainError, match="^p_faithful must be finite and, when no factor is 0, "
+                           "of magnitude >= 2.2e-308, got") as info:
             fidelity_general(SwapScenario(eps, eps, 1.0, 1e-5))
         assert type(info.value) is DomainError
 
@@ -215,6 +216,14 @@ class TestStrongLossCurves:
 class TestOptimalAttenuation:
     def test_symmetric_channels(self):
         assert optimal_epsilon_a(0.17, 0.4, 0.4) == pytest.approx(0.17, rel=1e-14)
+
+    def test_unpumped_source_b_gives_zero(self):
+        # eps_b = 0 used to be refused, though a dark channel B, the same zero
+        # flux, gave 0.0.
+        assert optimal_epsilon_a(0.0, 1.0, 1.0) == 0.0 == optimal_epsilon_a(0.1, 1.0, 0.0)
+        for bad in (math.nan, 1.0, -0.1):
+            with pytest.raises(DomainError, match=rf"^eps_b must be in \[0, 1\), got {bad}$"):
+                optimal_epsilon_a(bad, 1.0, 1.0)
 
     def test_strongly_asymmetric_value(self):
         eps_a = optimal_epsilon_a(0.1, 1.0, 0.01)

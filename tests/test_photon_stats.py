@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,6 +12,7 @@ from entswap.photon_stats import (
     SwapScenario,
     check_count,
     check_epsilon,
+    check_float_range,
     check_nonnegative,
     check_pair_probability,
     check_positive,
@@ -31,15 +33,19 @@ from entswap.oracle import (
     random_scenarios,
 )
 from entswap.config import Link
-from entswap.lo_bsm import optimal_epsilon_a
+from entswap.lo_bsm import fidelity_general, optimal_epsilon_a
 from entswap.rates import crossover, rate_lo, rate_nlo
 from entswap.sfg_device import (
     CavityParams,
     WaveguideParams,
     cavity_steady_state,
+    eta_sfg_cavity,
     kappa_from_q,
     omega_from_wavelength_nm,
+    p_sfg_cavity,
     p_sfg_from_eta,
+    p_sfg_waveguide,
+    sfg_output_power,
 )
 from entswap.sweep import POINTS_LIMIT, SweepSpec
 
@@ -158,6 +164,16 @@ class TestDomainChecksOnArrays:
                 lambda v: check_positive(v, "q_b"), [4e5, 0.0, math.inf],
                 "q_b must be finite and > 0, got 0.0", id="positive",
             ),
+            # A result of 0 is kept only where one of its factors is 0.
+            pytest.param(
+                lambda v: check_float_range(v, "rate", np.array([1.0, 0.0, 1.0, 0.0])),
+                [-1.0, 0.0, 1e-310, math.inf], "rate must be finite and, when no factor is 0, "
+                "of magnitude >= 2.2e-308, got 1e-310", id="float-range-subnormal",
+            ),
+            pytest.param(
+                lambda v: check_float_range(v, "rate", np.array([1.0, 0.0, 0.0])),
+                [3e-308, 0.0, math.nan], "got nan", id="float-range-nan-beside-a-zero-factor",
+            ),
         ],
     )
     def test_first_failing_value_is_named(self, check, values, message):
@@ -254,6 +270,41 @@ def test_every_signed_input_takes_finite_values_of_its_sign_only(call, name, goo
         with pytest.raises(DomainError, match=rf"^{name} must be .*, got {bad}$"):
             call(bad)
     call(np.float64(good))
+
+
+# Every computed result check_float_range guards: the call on one value, the
+# name its error gives, a value that takes the result out of the float range,
+# and a zero factor, with which the result is exactly 0.
+RESULTS = [
+    pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_b=v), 1e9), "rate_lo", 1e-160,
+                 0.0, id="rate-lo"),
+    pytest.param(lambda v: rate_nlo(LINK, v, 1e9), "rate_nlo", 1e-310, 0.0, id="rate-nlo"),
+    pytest.param(lambda v: crossover(1e-300, v, 1.0).ratio, "crossover ratio p_sfg * eta_a / eta_b",
+                 1e-300, 0.0, id="crossover"),
+    pytest.param(lambda v: p_sfg_cavity(dataclasses.replace(RING, g=v)), "p_sfg", 1e-160, 0.0,
+                 id="p-sfg-cavity"),
+    pytest.param(lambda v: eta_sfg_cavity(dataclasses.replace(RING, g=v)), "eta_sfg", 1e-160, 0.0,
+                 id="eta-sfg-cavity"),
+    pytest.param(lambda v: p_sfg_from_eta(RING, v), "p_sfg", 1e-300, 0.0, id="p-sfg-from-eta"),
+    pytest.param(lambda v: p_sfg_waveguide(dataclasses.replace(GUIDE, length=v)), "p_sfg", 1e-305,
+                 0.0, id="p-sfg-waveguide"),
+    pytest.param(lambda v: cavity_steady_state(dataclasses.replace(RING, g=v), 1e-3, 1e-3).n_c,
+                 "n_c", 1e-160, 0.0, id="steady-state"),
+    pytest.param(lambda v: sfg_output_power(dataclasses.replace(RING, g=v), 1e-3, 1e-3), "P_c",
+                 1e-148, 0.0, id="output-power"),
+    pytest.param(lambda v: fidelity_general(SwapScenario(v, 0.01, 1.0, 1e-5)).p_faithful,
+                 "p_faithful", 1e-310, 0.0, id="fidelity-general"),
+]
+
+
+@pytest.mark.parametrize("call, name, bad, zero", RESULTS)
+def test_every_result_leaving_the_float_range_is_refused(call, name, bad, zero):
+    # rate_lo, rate_nlo and crossover's ratio used to underflow to 0.0 without a
+    # word, and so did p_sfg_cavity at g = 1e-160; only a zero factor gives 0.
+    rule = f"^{re.escape(name)} must be finite and, when no factor is 0, of magnitude >= 2.2e-308"
+    with pytest.raises(DomainError, match=rule):
+        call(bad)
+    assert call(zero) == 0.0
 
 
 class TestCheckCount:
