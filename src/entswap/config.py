@@ -242,9 +242,11 @@ def resolve_link(entries: dict[str, ConfigValue], swept: dict[str, float] | None
 
 def _device_value(entries: dict[str, ConfigValue], key: str, check) -> float:
     """``read(entries, key)``, refused under ``key`` unless ``check`` passes it as written
-    (before its unit's factor: the device model checks the converted value)."""
+    (so that the message quotes the file) and then converted (a unit's factor can take a
+    positive value to 0)."""
     value = read(entries, key)
     check(entries[key].value, key)
+    check(value, key)
     return value
 
 

@@ -574,10 +574,12 @@ class TestRejectedInputs:
                          id="device-g-as-written"),
             pytest.param(RING, "lambda_b = -1 um\n", "lambda_b must be finite and > 0, got -1.0\n",
                          id="device-lambda-b-as-written"),
-            # A positive value whose conversion underflows to 0 is refused downstream.
+            # A positive value whose conversion underflows to 0 is refused under its key.
             pytest.param(RING, "lambda_b = 5e-324 nm\n",
-                         "wavelength_nm must be finite and > 0, got 0.0",
+                         "lambda_b must be finite and > 0, got 0.0\n",
                          id="device-lambda-b-converts-to-0"),
+            pytest.param(RING, "q_a = 5e-324 %\n", "q_a must be finite and > 0, got 0.0\n",
+                         id="device-q-a-converts-to-0"),
             # kappa_a near 1e-235: its square underflows to 0 in a denominator.
             pytest.param(RING, "lambda_a = 1e250 nm\n",
                          f"eta_sfg {RESULT_RULE}, got inf",

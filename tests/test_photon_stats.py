@@ -38,14 +38,12 @@ from entswap.rates import crossover, rate_lo, rate_nlo
 from entswap.sfg_device import (
     CavityParams,
     WaveguideParams,
-    cavity_steady_state,
     eta_sfg_cavity,
     kappa_from_q,
     omega_from_wavelength_nm,
     p_sfg_cavity,
     p_sfg_from_eta,
     p_sfg_waveguide,
-    sfg_output_power,
 )
 from entswap.sweep import POINTS_LIMIT, SweepSpec
 
@@ -242,10 +240,6 @@ SIGNED_INPUTS = [
     pytest.param(omega_from_wavelength_nm, "wavelength_nm", 1550.0, True,
                  id="omega-from-wavelength"),
     pytest.param(lambda v: p_sfg_from_eta(RING, v), "eta_sfg", 1e-3, False, id="p-sfg-from-eta"),
-    pytest.param(lambda v: cavity_steady_state(RING, v, 1e-3), "power_a", 1e-3, False,
-                 id="steady-state-power-a"),
-    pytest.param(lambda v: cavity_steady_state(RING, 1e-3, v), "power_b", 1e-3, False,
-                 id="steady-state-power-b"),
     pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "eta_a", 0.5, True,
                  id="rate-lo-eta-a"),
     pytest.param(lambda v: rate_lo(LINK, v), "clock rate", 1e9, False, id="rate-lo-clock"),
@@ -288,10 +282,6 @@ RESULTS = [
     pytest.param(lambda v: p_sfg_from_eta(RING, v), "p_sfg", 1e-300, 0.0, id="p-sfg-from-eta"),
     pytest.param(lambda v: p_sfg_waveguide(dataclasses.replace(GUIDE, length=v)), "p_sfg", 1e-305,
                  0.0, id="p-sfg-waveguide"),
-    pytest.param(lambda v: cavity_steady_state(dataclasses.replace(RING, g=v), 1e-3, 1e-3).n_c,
-                 "n_c", 1e-160, 0.0, id="steady-state"),
-    pytest.param(lambda v: sfg_output_power(dataclasses.replace(RING, g=v), 1e-3, 1e-3), "P_c",
-                 1e-148, 0.0, id="output-power"),
     pytest.param(lambda v: fidelity_general(SwapScenario(v, 0.01, 1.0, 1e-5)).p_faithful,
                  "p_faithful", 1e-310, 0.0, id="fidelity-general"),
 ]

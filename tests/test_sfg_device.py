@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from entswap.errors import DomainError, ModelValidityWarning
 from entswap.sfg_device import (
     CavityParams,
     WaveguideParams,
-    cavity_steady_state,
     eta_sfg_cavity,
     kappa_from_q,
     omega_from_wavelength_nm,
@@ -21,7 +21,6 @@ from entswap.sfg_device import (
     p_sfg_waveguide,
     sfg_coupling_from_shg,
     sfg_efficiency_from_shg,
-    sfg_output_power,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -90,62 +89,6 @@ class TestKappaFromQ:
             kappa_from_q(1e15, -2.0)
 
 
-class TestSteadyState:
-    def test_undriven_mode_stays_empty(self):
-        cav = ingap_ring()
-        state = cavity_steady_state(cav, 0.0, 1e-3)
-        assert state.amp_a == 0.0
-        assert state.amp_c == 0.0
-        assert state.n_b > 0.0
-
-    def test_on_resonance_photon_number(self):
-        cav = ingap_ring()
-        power = 1e-3
-        state = cavity_steady_state(cav, power, 0.0)
-        expected = (cav.kappa_ae / 2) / (cav.kappa_a / 2) ** 2 * power / (HBAR * cav.omega_a)
-        assert state.n_a == pytest.approx(expected, rel=1e-12)
-
-    def test_half_linewidth_detuning_halves_the_population(self):
-        # A sum-frequency mode half a linewidth off omega_a + omega_b holds
-        # half the photons; the input modes do not see it.
-        base = ingap_ring()
-        detuned = dataclasses.replace(base, omega_c=base.omega_c - base.kappa_c / 2)
-        on = cavity_steady_state(base, 1e-3, 1e-3)
-        off = cavity_steady_state(detuned, 1e-3, 1e-3)
-        assert off.n_a == on.n_a
-        # omega_c only stores the detuning to ~ulp(omega_c) absolute.
-        assert off.n_c == pytest.approx(on.n_c / 2, rel=1e-9)
-
-    def test_solution_satisfies_the_mode_equations(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            cav = random_resonant_cavity(rng)
-            state = cavity_steady_state(cav, 2e-3, 5e-4)
-            residual_a = (
-                -(cav.kappa_a / 2) * state.amp_a
-                + 1j * math.sqrt(cav.kappa_ae / 2) * state.a_in
-            )
-            residual_c = (
-                -(1j * (cav.omega_c - cav.omega_a - cav.omega_b) + cav.kappa_c / 2)
-                * state.amp_c
-                - 1j * cav.g * state.amp_a * state.amp_b
-            )
-            scale_a = abs(state.amp_a) * cav.kappa_a
-            scale_c = max(abs(state.amp_c) * cav.kappa_c, 1e-300)
-            assert abs(residual_a) <= 1e-10 * scale_a
-            assert abs(residual_c) <= 1e-10 * scale_c
-
-    def test_sum_frequency_population_is_bilinear(self):
-        cav = ingap_ring()
-        reference = cavity_steady_state(cav, 1e-6, 1e-6).n_c
-        for decades in (1, 2, 3):
-            factor = 10.0**decades
-            scaled_a = cavity_steady_state(cav, 1e-6 * factor, 1e-6).n_c
-            scaled_b = cavity_steady_state(cav, 1e-6, 1e-6 * factor).n_c
-            assert scaled_a == pytest.approx(factor * reference, rel=1e-9)
-            assert scaled_b == pytest.approx(factor * reference, rel=1e-9)
-
-
 class TestEfficiency:
     def test_far_detuning_kills_the_efficiency(self):
         base = ingap_ring()
@@ -165,11 +108,29 @@ class TestEfficiency:
         assert eta_sfg_cavity(cav) == pytest.approx(expected, rel=1e-12)
 
     def test_power_relation(self):
-        cav = ingap_ring()
+        # P_c = eta_sfg P_a P_b against the coupled-mode equations solved here,
+        # driven on resonance, to leading order in g/kappa.
+        def output_power(cav, p_a, p_b):
+            a_in = math.sqrt(p_a / (HBAR * cav.omega_a))
+            b_in = math.sqrt(p_b / (HBAR * cav.omega_b))
+            a = 1j * math.sqrt(cav.kappa_ae / 2) * a_in / (cav.kappa_a / 2)
+            b = 1j * math.sqrt(cav.kappa_be / 2) * b_in / (cav.kappa_b / 2)
+            mismatch = cav.omega_c - cav.omega_a - cav.omega_b
+            c = -1j * cav.g * a * b / (1j * mismatch + cav.kappa_c / 2)
+            return (cav.kappa_ce / 2) * HBAR * cav.omega_c * abs(c) ** 2
+
+        ring = ingap_ring()
+        rng = np.random.default_rng(8)
+        cavities = [
+            ring,
+            dataclasses.replace(ring, omega_c=ring.omega_c - ring.kappa_c / 2),
+            *(random_resonant_cavity(rng) for _ in range(5)),
+        ]
         p_a, p_b = 2e-3, 7e-4
-        assert sfg_output_power(cav, p_a, p_b) == pytest.approx(
-            eta_sfg_cavity(cav) * p_a * p_b, rel=1e-10
-        )
+        for cav in cavities:
+            assert output_power(cav, p_a, p_b) == pytest.approx(
+                eta_sfg_cavity(cav) * p_a * p_b, rel=1e-10, abs=0.0
+            )
 
 
 class TestConversionProbability:
@@ -214,6 +175,21 @@ class TestConversionProbability:
         assert p_sfg_from_eta(cav, ideal / 2) == pytest.approx(
             p_sfg_cavity(cav) / 2, rel=1e-12
         )
+
+    def test_small_efficiency_keeps_its_digits(self):
+        # Multiplying by hbar omega_a and hbar omega_b before dividing by hbar omega_c
+        # took this product through 2e-323 and returned 7.808e-305, 2.8 % off.
+        cav = CavityParams(1e8, 1.2e15, 1.2e15, 2.4e15, 3e9, 3e9, 2.4e10, 1.5e9, 1.5e9, 1.2e10)
+        x = {f.name: Fraction(getattr(cav, f.name)) for f in dataclasses.fields(cav)}
+        eta = 1e-295
+        exact = (
+            Fraction(eta)
+            * (x["kappa_a"] / 2) ** 2 / (x["kappa_ae"] / 2)
+            * (x["kappa_b"] / 2) ** 2 / (x["kappa_be"] / 2)
+            * x["kappa_c"] / (x["kappa_a"] * x["kappa_ce"] / 2)
+            * Fraction(HBAR) * x["omega_a"] * x["omega_b"] / x["omega_c"]
+        )
+        assert p_sfg_from_eta(cav, eta) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
     def test_linewidth_disparity_warns(self):
         omega = omega_from_wavelength_nm(1550.0)
@@ -370,8 +346,6 @@ NAN_INPUTS = [
     pytest.param(lambda: kappa_from_q(1e15, math.nan), id="kappa-from-q"),
     pytest.param(lambda: omega_from_wavelength_nm(math.nan), id="omega-from-wavelength"),
     pytest.param(lambda: p_sfg_from_eta(ingap_ring(), math.nan), id="p-sfg-from-eta"),
-    pytest.param(lambda: cavity_steady_state(ingap_ring(), math.nan, 1e-3), id="power-a"),
-    pytest.param(lambda: cavity_steady_state(ingap_ring(), 1e-3, math.nan), id="power-b"),
 ]
 
 
@@ -422,37 +396,11 @@ def tiny_linewidths(kappa):
         pytest.param(lambda: eta_sfg_cavity(tiny_linewidths(1e-200)), id="eta-sfg-cavity"),
         pytest.param(lambda: p_sfg_cavity(tiny_linewidths(1e-200)), id="p-sfg-cavity"),
         pytest.param(lambda: p_sfg_from_eta(tiny_linewidths(5e-324), 1.0), id="p-sfg-from-eta"),
-        pytest.param(lambda: cavity_steady_state(tiny_linewidths(5e-324), 1e-3, 1e-3),
-                     id="steady-state-linewidth"),
-        pytest.param(lambda: cavity_steady_state(ingap_ring(), 1e280, 1e280),
-                     id="steady-state-photon-number"),
         pytest.param(lambda: omega_from_wavelength_nm(1e-316), id="omega-from-wavelength"),
     ],
 )
 def test_intermediate_underflow_or_overflow_is_refused(call):
-    # Python raises ZeroDivisionError where a product in a denominator underflows
-    # to 0, and OverflowError where a square overflows; both must come out typed.
+    # Every case is a denominator that underflows to 0, where Python raises
+    # ZeroDivisionError; it must come out typed.
     with pytest.raises(DomainError, match=f"{RESULT_RULE}, got inf$"):
-        call()
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        pytest.param(lambda: cavity_steady_state(ingap_ring(), math.inf, 1e-3),
-                     "power_a must be finite and >= 0, got inf", id="power-a-inf"),
-        pytest.param(lambda: cavity_steady_state(ingap_ring(), 1e-3, math.inf),
-                     "power_b must be finite and >= 0, got inf", id="power-b-inf"),
-        pytest.param(lambda: sfg_output_power(ingap_ring(), math.inf, 1e-3),
-                     "power_a must be finite and >= 0, got inf", id="output-power-a-inf"),
-        pytest.param(lambda: cavity_steady_state(ingap_ring(), 1e300, 1e300),
-                     f"n_a {RESULT_RULE}, got nan", id="steady-state-overflow"),
-        pytest.param(lambda: sfg_output_power(ingap_ring(), 1e300, 1e300),
-                     f"n_a {RESULT_RULE}, got nan", id="output-overflow"),
-    ],
-)
-def test_steady_state_never_returns_nan(call, message):
-    # An infinite pump, or a photon flux P / (hbar omega) past the float range,
-    # used to give n_c = nan.
-    with pytest.raises(DomainError, match=f"^{message}$"):
         call()
