@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, UndefinedFidelityError
 from .photon_stats import (SwapScenario, check_epsilon, check_float_range,
-                           check_pair_probability, check_positive, check_probability)
+                           check_pair_probability, check_positive, check_probability, side_terms)
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -34,14 +34,6 @@ class LoFidelityReport:
     p_herald: float
 
 
-def _herald_terms(scenario: SwapScenario) -> tuple[float, float, float, float, float]:
-    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
-    ua, ub = 1.0 - ea, 1.0 - eb
-    a, b = ea * ha, eb * hb
-    da, db = ua + a, ub + b  # = 1 - eps*(1 - eta)
-    return ua, ub, a, b, da * db
-
-
 def _herald_polynomial(ua: float, ub: float, a: float, b: float) -> float:
     # 1 - P0 - P1 rearranged over the common denominator (D_A D_B)^2 into a
     # sum of positive terms, so small-epsilon evaluation does not cancel:
@@ -55,7 +47,9 @@ def _herald_polynomial(ua: float, ub: float, a: float, b: float) -> float:
 
 def fidelity_upper_bound(scenario: SwapScenario) -> float:
     """Loss-dependent ceiling (1/3) (1 - eps_A(1-eta_A))^2 (1 - eps_B(1-eta_B))^2."""
-    _, _, _, _, dd = _herald_terms(scenario)
+    _, _, da = side_terms(scenario.eps_a, scenario.eta_a)
+    _, _, db = side_terms(scenario.eps_b, scenario.eta_b)
+    dd = da * db
     return ONE_THIRD * dd * dd
 
 
@@ -67,7 +61,9 @@ def fidelity_general(scenario: SwapScenario) -> LoFidelityReport:
     accurate down to arbitrarily small pumping and loss.  Exactly symmetric
     under exchanging the A and B sides.
     """
-    ua, ub, a, b, dd = _herald_terms(scenario)
+    ua, a, da = side_terms(scenario.eps_a, scenario.eta_a)
+    ub, b, db = side_terms(scenario.eps_b, scenario.eta_b)
+    dd = da * db
     poly = _herald_polynomial(ua, ub, a, b)
     p_faithful = (ua * ub) * (a * b)
     check_float_range(p_faithful, "p_faithful", *vars(scenario).values())
@@ -164,5 +160,5 @@ def optimal_epsilon_a(eps_b: float, eta_a: float, eta_b: float) -> float:
     check_probability(eta_a, "eta_a")
     check_probability(eta_b, "eta_b")
     check_positive(eta_a, "eta_a")
-    flux_b = eps_b * eta_b
-    return flux_b / ((1.0 - eps_b) * eta_a + flux_b)
+    u_b, flux_b, _ = side_terms(eps_b, eta_b)
+    return flux_b / (u_b * eta_a + flux_b)

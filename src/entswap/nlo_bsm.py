@@ -25,7 +25,7 @@ from .errors import (
     ModelValidityWarning,
     UndefinedFidelityError,
 )
-from .photon_stats import SwapScenario, check_probability
+from .photon_stats import SwapScenario, check_probability, p_from_epsilon, side_terms
 
 # Above this single-photon conversion probability the weak-interaction
 # expansion behind the herald weights starts to be questionable unless the
@@ -47,7 +47,9 @@ def _check_p_sfg(p_sfg: float) -> None:
 def p_faithful_sfg(scenario: SwapScenario, p_sfg: float) -> float:
     """Herald probability of the faithful event (single pair each, both arrive)."""
     ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
-    return (1.0 - ea) * (1.0 - eb) * ea * eb * ha * hb * p_sfg
+    ua, _, _ = side_terms(ea, ha)
+    ub, _, _ = side_terms(eb, hb)
+    return ua * ub * ea * eb * ha * hb * p_sfg
 
 
 def p_total_sfg(scenario: SwapScenario, p_sfg: float) -> float:
@@ -57,7 +59,9 @@ def p_total_sfg(scenario: SwapScenario, p_sfg: float) -> float:
     """
     _check_p_sfg(p_sfg)
     ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
-    return p_sfg * ha * hb * (ea / (1.0 - ea)) * (eb / (1.0 - eb))
+    ua, _, _ = side_terms(ea, ha)
+    ub, _, _ = side_terms(eb, hb)
+    return p_sfg * ha * hb * (ea / ua) * (eb / ub)
 
 
 def check_p_sfg_heralds(p_sfg) -> None:
@@ -73,7 +77,8 @@ def fidelity_nlo(scenario: SwapScenario) -> float:
         raise UndefinedFidelityError(
             "eps = 0 or eta = 0 never heralds, so the fidelity is undefined"
         )
-    ua, ub = 1.0 - ea, 1.0 - eb
+    ua, _, _ = side_terms(ea, scenario.eta_a)
+    ub, _, _ = side_terms(eb, scenario.eta_b)
     return (ua * ua) * (ub * ub)
 
 
@@ -91,4 +96,4 @@ def p_for_target_fidelity(f_target: float) -> float:
             f"target fidelity {f_target:g} needs eps = {eps:g} >= 1/2, outside the "
             "p <= 1/4 domain"
         )
-    return eps * (1.0 - eps)
+    return p_from_epsilon(eps)

@@ -41,6 +41,7 @@ from .photon_stats import (
     check_count,
     check_epsilon,
     check_probability,
+    mean_arrival_tail,
     truncation_tail_bound,
 )
 
@@ -176,22 +177,14 @@ def _bounded_tail(
     return value * truncation_tail_bound(scenario, n) / denominator
 
 
-def _mean_arrival_tail(eps: float, eta: float, n_max: int) -> float:
-    # sum_{n > N} n eps^n = eps^{N+1} ((N+1)(1-eps) + eps) / (1-eps)^2
-    if eps == 0.0:
-        return 0.0
-    tail_n = eps ** (n_max + 1) * ((n_max + 1) * (1.0 - eps) + eps) / (1.0 - eps) ** 2
-    return eta * (1.0 - eps) * tail_n
-
-
 def _product_tail(
     scenario: SwapScenario, tables, n: int, value: float, denominator: float
 ) -> float:
     """Tail of a herald proportional to k l, whose sum is the product of the
     mean arrivals: the relative error of each truncated mean, compounded."""
     k = np.arange(n + 1, dtype=float)
-    rel_a = _mean_arrival_tail(scenario.eps_a, scenario.eta_a, n) / float(tables[0] @ k)
-    rel_b = _mean_arrival_tail(scenario.eps_b, scenario.eta_b, n) / float(tables[1] @ k)
+    rel_a = mean_arrival_tail(scenario.eps_a, scenario.eta_a, n) / float(tables[0] @ k)
+    rel_b = mean_arrival_tail(scenario.eps_b, scenario.eta_b, n) / float(tables[1] @ k)
     return value * (rel_a + rel_b + rel_a * rel_b)
 
 

@@ -4,8 +4,9 @@ A source with conversion efficiency ``eps`` emits n photon pairs with
 probability (1-eps)*eps**n (a geometric distribution), and each photon sent
 into a channel with transmission ``eta`` survives independently, so the
 number of arrivals is a binomial thinning of the emission number.  The
-scenario type and the domain checks defined here feed every fidelity formula
-in :mod:`entswap.lo_bsm` and :mod:`entswap.nlo_bsm`.
+scenario type, the domain checks and the model's per-side terms and tails
+defined here feed every closed form in :mod:`entswap.lo_bsm` and
+:mod:`entswap.nlo_bsm` and the oracle's tail bounds.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def check_pair_probability(p, name: str) -> None:
 def check_epsilon(eps, name: str) -> None:
     """Reject a conversion efficiency outside [0, 1)."""
     _require((0.0 <= eps) & (eps < 1.0), eps, f"{name} must be in [0, 1)")
+
+
+def check_lower_branch(eps, name: str) -> None:
+    """Reject eps above 1/2, where a form in p = (1 - eps) eps would read 1 - eps."""
+    _require(eps <= 0.5, eps, f"{name} must be <= 1/2")
 
 
 def check_nonnegative(value, name: str) -> None:
@@ -127,10 +133,25 @@ def epsilon_from_p(p: float) -> float:
     return np.minimum(0.5, 2.0 * p / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p))))
 
 
-def truncation_tail_bound(scenario: SwapScenario, n_max: int) -> float:
-    """Upper bound on the probability mass with more than n_max pairs on either side.
+def side_terms(eps, eta):
+    """One side's u = 1 - eps, a = eps eta and D = u + a: P(k=0) = u/D, P(k=1) = a u/D^2."""
+    u = 1.0 - eps
+    a = eps * eta
+    return u, a, u + a
 
-    Geometric tails: eps**(N+1) / (1 - eps) per source, summed.
-    """
-    ea, eb = scenario.eps_a, scenario.eps_b
-    return ea ** (n_max + 1) / (1.0 - ea) + eb ** (n_max + 1) / (1.0 - eb)
+
+def pair_tail(eps, n_max: int):
+    """sum_{n > N} eps^n = eps^(N+1) / (1 - eps) >= P(n > N) = eps^(N+1), at N = n_max."""
+    return eps ** (n_max + 1) / (1.0 - eps)
+
+
+def mean_arrival_tail(eps, eta, n_max: int):
+    """The part of E[k] = a/u from more than N = n_max pairs, eta (1-eps) sum_{n > N} n eps^n."""
+    # sum_{n > N} n eps^n = eps^{N+1} ((N+1)(1-eps) + eps) / (1-eps)^2
+    tail_n = eps ** (n_max + 1) * ((n_max + 1) * (1.0 - eps) + eps) / (1.0 - eps) ** 2
+    return eta * (1.0 - eps) * tail_n
+
+
+def truncation_tail_bound(scenario: SwapScenario, n_max: int) -> float:
+    """Upper bound on the probability mass with more than n_max pairs on either side."""
+    return pair_tail(scenario.eps_a, n_max) + pair_tail(scenario.eps_b, n_max)

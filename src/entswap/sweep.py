@@ -16,7 +16,8 @@ import numpy as np
 from . import lo_bsm, nlo_bsm, rates
 from .config import ConfigValue, read, resolve_link
 from .errors import UsageError
-from .photon_stats import check_count, check_nonnegative, epsilon_from_p, p_from_epsilon
+from .photon_stats import (check_count, check_lower_branch, check_nonnegative, epsilon_from_p,
+                           p_from_epsilon)
 
 SWEEP_VARIABLES = ("p", "epsilon", "eta_a", "eta_b", "p_sfg")
 SPEC_KEYS = ("variable", "start", "stop", "points", "scale", "outputs")
@@ -28,15 +29,16 @@ def _f_nlo(link):
     return nlo_bsm.fidelity_nlo(link.scenario)
 
 
+def _limit_p(link):
+    check_lower_branch(link.scenario.eps_b, "eps_b of a strong-loss limit column")
+    return p_from_epsilon(link.scenario.eps_b)
+
+
 # Each output column from the grid's link.
 COLUMNS = {
     "f_lo_general": lambda link: lo_bsm.fidelity_general(link.scenario).fidelity,
-    "f_lo_balanced_smalleta": lambda link: lo_bsm.fidelity_balanced_smalleta(
-        p_from_epsilon(link.scenario.eps_b)
-    ),
-    "f_lo_unbalanced": lambda link: lo_bsm.fidelity_unbalanced_limit(
-        p_from_epsilon(link.scenario.eps_b)
-    ),
+    "f_lo_balanced_smalleta": lambda link: lo_bsm.fidelity_balanced_smalleta(_limit_p(link)),
+    "f_lo_unbalanced": lambda link: lo_bsm.fidelity_unbalanced_limit(_limit_p(link)),
     "f_nlo": _f_nlo,
     "r_lo": lambda link: rates.rate_lo(link.scenario, link.clock),
     "r_nlo": lambda link: rates.rate_nlo(link.scenario, link.p_sfg, link.clock),

@@ -170,9 +170,9 @@ def test_04a_sweep_preset_reproduces_the_curves():
 
         # Each row matches its analytic value.
         for row in rows:
-            assert row[1] == pytest.approx(fidelity_nlo(_equal_sources(row[0])), rel=1e-12)
-            assert row[2] == pytest.approx(fidelity_balanced_smalleta(row[0]), rel=1e-12)
-            assert row[3] == pytest.approx(fidelity_unbalanced_limit(row[0]), rel=1e-12)
+            assert row[1] == pytest.approx(fidelity_nlo(_equal_sources(row[0])), rel=1e-12, abs=0.0)
+            assert row[2] == pytest.approx(fidelity_balanced_smalleta(row[0]), rel=1e-12, abs=0.0)
+            assert row[3] == pytest.approx(fidelity_unbalanced_limit(row[0]), rel=1e-12, abs=0.0)
 
     criterion(4, "sweep preset reproduces the analytic fidelity curves", body)
 
@@ -308,7 +308,7 @@ def test_08_rate_crossover_ratio():
         eps = epsilon_from_p(0.01)
         scen = SwapScenario.from_values(eps, eps, 1.0, 1e-5)
         ratio = rate_nlo(scen, 1e-3, 1e9) / rate_lo(scen, 1e9)
-        assert ratio == pytest.approx(100.0, rel=RATE_RATIO_REL_TOL)
+        assert ratio == pytest.approx(100.0, rel=RATE_RATIO_REL_TOL, abs=0.0)
         verdict = crossover(1e-3, 1.0, 1e-5)
         assert verdict.ratio == 100.0
         assert verdict.nlo_wins

@@ -8,7 +8,7 @@ from entswap.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, _collect_entries,
 from entswap.config import CAVITY_KEYS, KEY_KINDS, WAVEGUIDE_KEYS
 from entswap.errors import DomainError, UsageError
 from entswap.fock_sim import run_fock_checks
-from entswap.sweep import SweepSpec, run_sweep
+from entswap.sweep import SWEEP_OUTPUTS, SweepSpec, run_sweep
 from entswap.lo_bsm import fidelity_balanced_smalleta
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import OracleConfig, verification_report
@@ -80,8 +80,8 @@ class TestRunSweep:
             p = row[0]
             eps = epsilon_from_p(p)
             expected = fidelity_nlo(SwapScenario(eps, eps, 1.0, 1.0))
-            assert row[1] == pytest.approx(expected, rel=1e-12)
-            assert row[2] == pytest.approx(fidelity_balanced_smalleta(p), rel=1e-12)
+            assert row[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert row[2] == pytest.approx(fidelity_balanced_smalleta(p), rel=1e-12, abs=0.0)
 
     def test_eta_sweep_holds_sources_fixed(self):
         from entswap.config import parse_config_text
@@ -93,7 +93,7 @@ class TestRunSweep:
         eps = epsilon_from_p(0.04)
         for eta_a, value in rows:
             scen = SwapScenario.from_values(eps, eps, eta_a, 0.5)
-            assert value == pytest.approx(fidelity_general(scen).fidelity, rel=1e-13)
+            assert value == pytest.approx(fidelity_general(scen).fidelity, rel=1e-13, abs=0.0)
 
 
 class TestFidelitySweepCommand:
@@ -187,6 +187,23 @@ class TestFidelitySweepCommand:
         assert code == EXIT_OK
         assert out.encode() == (Path(__file__).parent / "data" / "fig2.csv").read_bytes()
 
+    @pytest.mark.parametrize("variable, grid", [
+        ("p", ("--start", "1e-3", "--stop", "0.25", "--scale", "log")),
+        ("epsilon", ("--start", "0.01", "--stop", "0.5")),
+        ("eta_a", ("--start", "1e-6", "--stop", "1", "--scale", "log")),
+        ("eta_b", ("--start", "1e-6", "--stop", "1", "--scale", "log")),
+        ("p_sfg", ("--start", "1e-6", "--stop", "0.1", "--scale", "log")),
+    ])
+    def test_every_output_of_each_variable_matches_reference_file(self, capsys, variable, grid):
+        # fig2.csv sweeps only p and has no f_lo_general, r_lo or r_nlo column.
+        code, out, _ = run_cli(
+            capsys, "fidelity-sweep", "--preset", "satellite", "--variable", variable, *grid,
+            "--points", "50", "--outputs", ",".join(SWEEP_OUTPUTS),
+        )
+        assert code == EXIT_OK
+        reference = Path(__file__).parent / "data" / f"sweep_{variable}.csv"
+        assert out.encode() == reference.read_bytes()
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "fidelity-sweep", "--preset", "fig2")
         _, second, _ = run_cli(capsys, "fidelity-sweep", "--preset", "fig2")
@@ -268,9 +285,9 @@ class TestRateCompareCommand:
         )
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["crossover_ratio"] == pytest.approx(100.0, rel=1e-12)
+        assert payload["crossover_ratio"] == pytest.approx(100.0, rel=1e-12, abs=0.0)
         assert payload["nlo_wins"] is True
-        assert payload["rate_nlo"] / payload["rate_lo"] == pytest.approx(100.0, rel=1e-12)
+        assert payload["rate_nlo"] / payload["rate_lo"] == pytest.approx(100.0, rel=1e-12, abs=0.0)
         assert payload["matched_fidelity"]["p_nlo"] == pytest.approx(0.1825, abs=5e-4)
 
     @pytest.mark.parametrize("fmt, reference", [("text", "txt"), ("json", "json")])
@@ -292,7 +309,7 @@ class TestRateCompareCommand:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["p_sfg"] == 1e-4
-        assert payload["crossover_ratio"] == pytest.approx(10.0, rel=1e-12)
+        assert payload["crossover_ratio"] == pytest.approx(10.0, rel=1e-12, abs=0.0)
 
     def test_flag_overrides_preset(self, tmp_path, capsys):
         cfg = tmp_path / "link.cfg"
@@ -306,7 +323,7 @@ class TestRateCompareCommand:
         )
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["crossover_ratio"] == pytest.approx(0.1, rel=1e-12)
+        assert payload["crossover_ratio"] == pytest.approx(0.1, rel=1e-12, abs=0.0)
         assert payload["nlo_wins"] is False
 
     def test_config_overrides_preset_and_flag_overrides_both(self, tmp_path, capsys):
@@ -318,7 +335,7 @@ class TestRateCompareCommand:
             code, out, _ = run_cli(capsys, *args, *extra)
             assert code == EXIT_OK
             ratios.append(json.loads(out)["crossover_ratio"])
-        assert ratios == pytest.approx([100.0, 10.0, 100.0], rel=1e-12)
+        assert ratios == pytest.approx([100.0, 10.0, 100.0], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_delta_from_config_or_flag(self, tmp_path, capsys, fmt):
@@ -503,6 +520,8 @@ WG_HUGE_ETA = "eta_sfg = 1e200 /W/cm^2\naccept = 1e200 Hz*cm\nlength = 1 cm\nlam
 RING = ("device", "--preset", "ingap-ring")
 # check_float_range's message for a result outside the float range.
 RESULT_RULE = "must be finite and, when no factor is 0, of magnitude >= 2.2e-308"
+# The limit columns' message for an eps_b off the branch their p is inverted on.
+LIMIT_RULE = "error: eps_b of a strong-loss limit column must be <= 1/2"
 # A key's other spelling in ALTERNATIVE_DEVICE_KEYS, and a unit of each kind.
 OTHER_SPELLING = {"g": "g_shg", "eta_sfg": "eta_shg", **{f"lambda_{m}": f"freq_{m}" for m in "abc"}}
 UNIT_OF_KIND = {"frequency": "MHz", "wavelength": "nm", "length": "cm", "acceptance": "GHz*cm",
@@ -622,6 +641,15 @@ class TestRejectedInputs:
                          id="sweep-eta-b-0-f-nlo"),
             pytest.param((*SWEEP_FROM_0, "--variable", "p_sfg"), EPS_ONLY, "p_sfg = 0 never heralds",
                          id="sweep-p-sfg-0-f-nlo"),
+            # The limit columns are written in p on the branch eps <= 1/2; above
+            # it they would give the curve at 1 - eps_b, (1/3) 0.7^4 for (1/3) 0.3^4.
+            pytest.param(("fidelity-sweep", "--variable", "eta_a", "--start", "0.1", "--stop", "1",
+                          "--points", "3", "--outputs", "f_lo_balanced_smalleta"),
+                         "eps_a = 0.7\neps_b = 0.7\n", f"{LIMIT_RULE}, got 0.7\n",
+                         id="sweep-balanced-limit-eps-b-0.7"),
+            pytest.param(("fidelity-sweep", "--variable", "epsilon", "--start", "0", "--stop",
+                          "0.999", "--points", "4", "--outputs", "f_lo_unbalanced"), None,
+                         f"{LIMIT_RULE}, got 0.666\n", id="sweep-unbalanced-limit-epsilon-0.999"),
             pytest.param(
                 ("verify",), "eps_min = 0.3\neps_max = 0.2\n", "eps_min must be <= eps_max",
                 id="verify-eps-range-reversed",

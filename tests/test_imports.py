@@ -98,3 +98,14 @@ def test_photon_stats_loads_neither_oracle():
     loaded = loaded_after("import entswap.photon_stats")
     assert "entswap.oracle" not in loaded
     assert "entswap.fock_sim" not in loaded
+
+
+def test_cli_import_loads_every_module_the_benchmark_times():
+    """perfbench/run.py::import_probes reads each of these modules' import time
+    from ``import entswap.cli`` and raises KeyError on one that is not loaded,
+    so loading one lazily would break only the traced benchmark run.  This test
+    goes once the benchmark records a missing module as 0 ms (ROADMAP item 12).
+    """
+    loaded = loaded_after("import entswap.cli")
+    for module in ("numpy", "entswap.sfg_device", "entswap.oracle", "entswap.fock_sim"):
+        assert module in loaded

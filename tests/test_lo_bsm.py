@@ -64,7 +64,7 @@ class TestFidelityGeneral:
         for eps in (0.05, 0.1, 0.3):
             report = fidelity_general(scenario(eps, eps, 1.0, 1.0))
             assert report.fidelity == pytest.approx(
-                (1 - eps) ** 2 / (3 - 2 * eps), rel=1e-13
+                (1 - eps) ** 2 / (3 - 2 * eps), rel=1e-13, abs=0.0
             )
 
     def test_weak_pumping_approaches_the_ceiling(self):
@@ -89,9 +89,10 @@ class TestFidelityGeneral:
         scen = scenario(0.2, 0.1, 0.7, 0.4)
         report = fidelity_general(scen)
         assert report.p_faithful <= report.p_herald
-        assert report.fidelity == pytest.approx(report.p_faithful / report.p_herald, rel=1e-12)
+        assert report.fidelity == pytest.approx(report.p_faithful / report.p_herald,
+                                                rel=1e-12, abs=0.0)
         assert report.fidelity <= fidelity_upper_bound(scen) <= ONE_THIRD + 1e-12
-        assert report.p_herald == pytest.approx(summed_herald(scen), rel=1e-12)
+        assert report.p_herald == pytest.approx(summed_herald(scen), rel=1e-12, abs=0.0)
 
     def test_no_heralds_is_undefined(self):
         with pytest.raises(UndefinedFidelityError):
@@ -148,10 +149,10 @@ class TestFidelityGeneral:
 class TestUpperBound:
     def test_lossless_and_silent_limits(self):
         assert fidelity_upper_bound(scenario(0.3, 0.4, 1.0, 1.0)) == pytest.approx(
-            ONE_THIRD, rel=1e-15
+            ONE_THIRD, rel=1e-15, abs=0.0
         )
         assert fidelity_upper_bound(scenario(0.0, 0.0, 0.2, 0.7)) == pytest.approx(
-            ONE_THIRD, rel=1e-15
+            ONE_THIRD, rel=1e-15, abs=0.0
         )
 
     def test_bound_holds_on_random_grid(self):
@@ -181,18 +182,18 @@ class TestBalanced:
         eps, eta = 0.2, 0.5
         u, d = 1.0 - eps, 1.0 - eps + eps * eta
         assert fidelity_general(scenario(eps, eps, eta, eta)).fidelity == pytest.approx(
-            u * u * d**3 / (3.0 * u + eps * eta), rel=1e-12
+            u * u * d**3 / (3.0 * u + eps * eta), rel=1e-12, abs=0.0
         )
 
 
 class TestStrongLossCurves:
     def test_balanced_smalleta_endpoints(self):
-        assert fidelity_balanced_smalleta(0.0) == pytest.approx(ONE_THIRD, rel=1e-15)
-        assert fidelity_balanced_smalleta(0.25) == pytest.approx(1.0 / 48.0, rel=1e-12)
+        assert fidelity_balanced_smalleta(0.0) == pytest.approx(ONE_THIRD, rel=1e-15, abs=0.0)
+        assert fidelity_balanced_smalleta(0.25) == pytest.approx(1.0 / 48.0, rel=1e-12, abs=0.0)
 
     def test_balanced_smalleta_value(self):
         q = (1 + (1 - 0.04) ** 0.5) / 2
-        assert fidelity_balanced_smalleta(0.01) == pytest.approx(q**4 / 3.0, rel=1e-14)
+        assert fidelity_balanced_smalleta(0.01) == pytest.approx(q**4 / 3.0, rel=1e-14, abs=0.0)
 
     def test_balanced_smalleta_is_the_strong_loss_limit(self):
         p = 0.05
@@ -201,8 +202,8 @@ class TestStrongLossCurves:
         assert value == pytest.approx(fidelity_balanced_smalleta(p), rel=1e-5)
 
     def test_unbalanced_endpoints(self):
-        assert fidelity_unbalanced_limit(0.0) == pytest.approx(ONE_THIRD, rel=1e-15)
-        assert fidelity_unbalanced_limit(0.25) == pytest.approx(1.0 / 12.0, rel=1e-12)
+        assert fidelity_unbalanced_limit(0.0) == pytest.approx(ONE_THIRD, rel=1e-15, abs=0.0)
+        assert fidelity_unbalanced_limit(0.25) == pytest.approx(1.0 / 12.0, rel=1e-12, abs=0.0)
 
     def test_unbalanced_is_the_asymmetric_limit(self):
         p_b = 0.09
@@ -215,7 +216,7 @@ class TestStrongLossCurves:
 
 class TestOptimalAttenuation:
     def test_symmetric_channels(self):
-        assert optimal_epsilon_a(0.17, 0.4, 0.4) == pytest.approx(0.17, rel=1e-14)
+        assert optimal_epsilon_a(0.17, 0.4, 0.4) == pytest.approx(0.17, rel=1e-14, abs=0.0)
 
     def test_unpumped_source_b_gives_zero(self):
         # eps_b = 0 used to be refused, though a dark channel B, the same zero
@@ -227,7 +228,7 @@ class TestOptimalAttenuation:
 
     def test_strongly_asymmetric_value(self):
         eps_a = optimal_epsilon_a(0.1, 1.0, 0.01)
-        assert eps_a == pytest.approx(0.001 / 0.901, rel=1e-12)
+        assert eps_a == pytest.approx(0.001 / 0.901, rel=1e-12, abs=0.0)
         residual = (1 - 0.1) * eps_a * 1.0 - (1 - eps_a) * 0.1 * 0.01
         assert abs(residual) < 1e-15
 
@@ -300,19 +301,20 @@ class TestHeraldProbability:
             ea, eb = rng.uniform(0.05, 0.5, 2)
             ha, hb = rng.uniform(0.1, 1.0, 2)
             scen = scenario(float(ea), float(eb), float(ha), float(hb))
-            assert fidelity_general(scen).p_herald == pytest.approx(summed_herald(scen), rel=1e-10)
+            assert fidelity_general(scen).p_herald == pytest.approx(summed_herald(scen),
+                                                                    rel=1e-10, abs=0.0)
 
 
 class TestTargetInversion:
     def test_balanced_round_trip(self):
         for f in (1.0 / 47.0, 0.1, 0.3, ONE_THIRD):
             p = p_for_balanced_smalleta(f)
-            assert fidelity_balanced_smalleta(p) == pytest.approx(f, rel=1e-12)
+            assert fidelity_balanced_smalleta(p) == pytest.approx(f, rel=1e-12, abs=0.0)
 
     def test_unbalanced_round_trip(self):
         for f in (1.0 / 11.0, 0.2, 0.3, ONE_THIRD):
             p = p_for_unbalanced_limit(f)
-            assert fidelity_unbalanced_limit(p) == pytest.approx(f, rel=1e-12)
+            assert fidelity_unbalanced_limit(p) == pytest.approx(f, rel=1e-12, abs=0.0)
 
     def test_unreachable_targets_rejected(self):
         with pytest.raises(DomainError):

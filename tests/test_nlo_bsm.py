@@ -52,14 +52,14 @@ class TestHeraldPmf:
     def test_faithful_event_value(self):
         scen = scenario(0.3, 0.2, 0.6, 0.4)
         expected = 0.7 * 0.8 * 0.3 * 0.2 * 0.6 * 0.4 * 1e-3
-        assert herald_pmf(scen, 1e-3, 1, 1, 1, 1) == pytest.approx(expected, rel=1e-13)
-        assert p_faithful_sfg(scen, 1e-3) == pytest.approx(expected, rel=1e-13)
+        assert herald_pmf(scen, 1e-3, 1, 1, 1, 1) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert p_faithful_sfg(scen, 1e-3) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_multiphoton_term_arithmetic(self):
         # Sources 0.1/0.1, channels 0.5/0.5, pattern (2|2, 1|1), weight 2*1.
         scen = scenario(0.1, 0.1, 0.5, 0.5)
         expected = (0.9 * 0.1**2) * (0.5 * 0.5) * (0.9 * 0.1) * 0.5 * 2 * 1 * 1e-3
-        assert herald_pmf(scen, 1e-3, 2, 2, 1, 1) == pytest.approx(expected, rel=1e-13)
+        assert herald_pmf(scen, 1e-3, 2, 2, 1, 1) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_multiphoton_term_monte_carlo(self):
         scen = scenario(0.1, 0.1, 0.5, 0.5)
@@ -89,21 +89,21 @@ class TestTotalHerald:
     def test_validity_boundary(self):
         with pytest.warns(ModelValidityWarning):
             value = p_total_sfg(scenario(0.5, 0.5, 1.0, 1.0), 1.0)
-        assert value == pytest.approx(1.0, rel=1e-14)
+        assert value == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_closed_form_matches_summation(self):
         scen = scenario(0.2, 0.2, 0.3, 0.7)
         closed = p_total_sfg(scen, 1e-4)
-        assert closed == pytest.approx(summed_total_herald(scen, 1e-4), rel=1e-13)
+        assert closed == pytest.approx(summed_total_herald(scen, 1e-4), rel=1e-13, abs=0.0)
 
     def test_linearity(self):
         scen = scenario(0.17, 0.23, 0.5, 0.25)
         base = p_total_sfg(scen, 1e-4)
         assert p_total_sfg(scen, 2e-4) == 2.0 * base
         doubled_eta_a = scenario(0.17, 0.23, 1.0, 0.25)
-        assert p_total_sfg(doubled_eta_a, 1e-4) == pytest.approx(2.0 * base, rel=1e-14)
+        assert p_total_sfg(doubled_eta_a, 1e-4) == pytest.approx(2.0 * base, rel=1e-14, abs=0.0)
         doubled_eta_b = scenario(0.17, 0.23, 0.5, 0.5)
-        assert p_total_sfg(doubled_eta_b, 1e-4) == pytest.approx(2.0 * base, rel=1e-14)
+        assert p_total_sfg(doubled_eta_b, 1e-4) == pytest.approx(2.0 * base, rel=1e-14, abs=0.0)
 
 
 class TestFidelity:
@@ -114,12 +114,12 @@ class TestFidelity:
     def test_equal_sources_at_p02(self):
         scen = equal_sources(0.2)
         q = (1 + (1 - 0.8) ** 0.5) / 2
-        assert fidelity_nlo(scen) == pytest.approx(q**4, rel=1e-12)
+        assert fidelity_nlo(scen) == pytest.approx(q**4, rel=1e-12, abs=0.0)
         assert fidelity_nlo(scen) == pytest.approx(0.2742, abs=5e-5)
 
     def test_one_third_crossing(self):
         p = p_for_target_fidelity(1.0 / 3.0)
-        assert fidelity_nlo(equal_sources(p)) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert fidelity_nlo(equal_sources(p)) == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_silent_source_is_undefined(self):
         with pytest.raises(UndefinedFidelityError):
@@ -142,7 +142,7 @@ class TestFidelity:
             scen = scenario(0.25, 0.15, float(ha), float(hb))
             fidelity = fidelity_nlo(scen)
             assert fidelity == pytest.approx(
-                p_faithful_sfg(scen, 1e-3) / p_total_sfg(scen, 1e-3), rel=1e-12
+                p_faithful_sfg(scen, 1e-3) / p_total_sfg(scen, 1e-3), rel=1e-12, abs=0.0
             )
             if reference is None:
                 reference = fidelity
@@ -151,7 +151,7 @@ class TestFidelity:
     def test_always_thrice_the_balanced_strong_loss_curve(self):
         for p in np.linspace(0.001, 0.25, 40):
             assert fidelity_nlo(equal_sources(float(p))) == pytest.approx(
-                3.0 * fidelity_balanced_smalleta(float(p)), rel=1e-12
+                3.0 * fidelity_balanced_smalleta(float(p)), rel=1e-12, abs=0.0
             )
 
 

@@ -18,7 +18,10 @@ from entswap.photon_stats import (
     check_positive,
     check_probability,
     epsilon_from_p,
+    mean_arrival_tail,
     p_from_epsilon,
+    pair_tail,
+    side_terms,
     truncation_tail_bound,
 )
 from entswap.fock_sim import CUTOFF_LIMIT, herald_amplitude, sfg_evolve, tri_mode_state
@@ -28,12 +31,15 @@ from entswap.oracle import (
     SCENARIOS_LIMIT,
     WORKERS_LIMIT,
     OracleConfig,
+    _arrival_marginal,
     _arrival_table,
     _arrival_tables,
+    _product_tail,
     random_scenarios,
 )
 from entswap.config import Link
-from entswap.lo_bsm import fidelity_general, optimal_epsilon_a
+from entswap.lo_bsm import fidelity_general, fidelity_upper_bound, optimal_epsilon_a
+from entswap.nlo_bsm import fidelity_nlo, p_faithful_sfg, p_total_sfg
 from entswap.rates import crossover, rate_lo, rate_nlo
 from entswap.sfg_device import (
     CavityParams,
@@ -334,7 +340,7 @@ class TestJointArrivalPmf:
         # Term-by-term: sources 0.1/0.1, channels 0.5/0.8, pattern (1|2, 0|1).
         scen = scenario(0.1, 0.1, 0.5, 0.8)
         expected = (0.9 * 0.1**2) * (2 * 0.5 * 0.5) * (0.9 * 0.1) * (1 * 0.2)
-        assert joint_arrival_pmf(scen, 1, 2, 0, 1) == pytest.approx(expected, rel=1e-13)
+        assert joint_arrival_pmf(scen, 1, 2, 0, 1) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_mixed_term_monte_carlo_frequency(self):
         scen = scenario(0.1, 0.1, 0.5, 0.8)
@@ -381,5 +387,86 @@ class TestBinomialCoefficient:
         _, pmf = _arrival_table(0.1, 0.5, 200)
         for n, k in ((80, 13), (150, 75), (200, 3)):
             assert pmf[n, k] * 2.0**n == pytest.approx(
-                float(stats.binom(n, 0.5).pmf(k) * 2.0**n), rel=1e-10
+                float(stats.binom(n, 0.5).pmf(k) * 2.0**n), rel=1e-10, abs=0.0
             )
+
+
+def side_draws(seed, count=200):
+    """Random (eps, eta) of one side: eps in [0, 0.45), eta log-uniform in [1e-6, 1)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield float(rng.uniform(0.0, 0.45)), float(10.0 ** rng.uniform(-6.0, 0.0))
+
+
+class TestSourceModel:
+    """side_terms, pair_tail and mean_arrival_tail against the exact-sum
+    oracle's marginal, which thins one photon at a time instead."""
+
+    def test_vacuum_and_single_arrival_match_the_generative_marginal(self):
+        n_max = 64
+        for eps, eta in side_draws(2027):
+            assert pair_tail(eps, n_max) < 1e-17
+            u, a, d = side_terms(eps, eta)
+            arr, _ = _arrival_marginal(eps, eta, n_max)
+            assert arr[0] == pytest.approx(u / d, rel=1e-13, abs=0.0)
+            assert arr[1] == pytest.approx(a * u / (d * d), rel=1e-13, abs=0.0)
+
+    def test_mean_arrival_tail_is_the_mean_a_truncation_leaves_out(self):
+        # E[k] = a/u.  At n_max = 1 the part left out is about 2 eps of it, so
+        # the subtraction keeps its digits for every eps drawn.
+        n_max = 1
+        for eps, eta in side_draws(2028):
+            u, a, _ = side_terms(eps, eta)
+            arr, _ = _arrival_marginal(eps, eta, n_max)
+            left_out = a / u - float(arr @ np.arange(n_max + 1))
+            assert left_out == pytest.approx(mean_arrival_tail(eps, eta, n_max), rel=1e-11, abs=0.0)
+
+    def test_no_pairs_leave_no_tail(self):
+        assert pair_tail(0.0, 10) == 0.0
+        assert mean_arrival_tail(0.0, 0.5, 10) == 0.0
+
+
+# The floats of the functions that read the source model, at fixed inputs, as
+# computed with each function's own copy of the per-side algebra: reading it
+# from photon_stats keeps each caller's float grouping.  Per scenario:
+# truncation_tail_bound and _product_tail (value 0.7) at N = 32 and 64,
+# fidelity_upper_bound, fidelity_general's three fields, p_faithful_sfg and
+# p_total_sfg at p_sfg = 0.05, and fidelity_nlo.
+SOURCE_MODEL_FLOATS = [
+    ((0.1, 0.3, 0.7, 0.05),
+     (7.94151509507931e-18, 1.471578780125359e-34),
+     (3.035247069339315e-16, 1.1008390327857764e-32),
+     0.16033720083333333, (0.09421957878203285, 0.0006615, 0.007020833764607578),
+     3.3075e-05, 8.333333333333333e-05, 0.3969),
+    ((0.45, 0.02, 1e-06, 1.0),
+     (6.541092114402962e-12, 5.2293860726683416e-23),
+     (1.0409057919601082e-10, 1.6195989709950815e-21),
+     0.10083349833340086, (1.2127013797500815e-05, 4.851e-09, 0.0004000160370065476),
+     2.4255e-10, 8.348794063079777e-10, 0.29052100000000003),
+    ((1e-08, 0.2, 0.5, 0.9),
+     (1.0737418240000018e-23, 4.611686018427404e-46),
+     (7.997229105152012e-22, 6.740440284533492e-44),
+     0.32013333013199996, (2.13422215345284e-08, 7.199999928000001e-10, 0.03373594410662226),
+     3.599999964000001e-11, 5.625000056250002e-11, 0.6399999872000002),
+    ((0.37, 0.37, 0.013, 0.6),
+     (1.787912828138942e-14, 2.7214572122229564e-28),
+     (4.509193467717915e-13, 1.3402897269187074e-26),
+     0.09750916865664479, (0.006107271096117898, 0.000423817758, 0.06939560260709579),
+     2.1190887900000003e-05, 0.00013452003023431595, 0.15752961000000001),
+]
+
+
+@pytest.mark.parametrize("values, tails, product_tails, upper, general, faithful, total, nlo",
+                         SOURCE_MODEL_FLOATS)
+def test_source_model_readers_keep_their_floats(values, tails, product_tails, upper, general,
+                                               faithful, total, nlo):
+    scen = scenario(*values)
+    for n_max, tail, product_tail in zip((32, 64), tails, product_tails):
+        assert truncation_tail_bound(scen, n_max) == tail
+        assert _product_tail(scen, _arrival_tables(scen, n_max), n_max, 0.7, 1.0) == product_tail
+    assert fidelity_upper_bound(scen) == upper
+    report = fidelity_general(scen)
+    assert (report.fidelity, report.p_faithful, report.p_herald) == general
+    assert p_faithful_sfg(scen, 0.05) == faithful
+    assert p_total_sfg(scen, 0.05) == total
+    assert fidelity_nlo(scen) == nlo

@@ -14,11 +14,11 @@ def scenario_from_p(p_a, p_b, eta_a, eta_b):
 class TestRateLo:
     def test_symmetric_substitution(self):
         scen = scenario_from_p(0.01, 0.01, 0.3, 0.3)
-        assert rate_lo(scen, 1e6) == pytest.approx(0.3**2 * 0.01**2 * 1e6, rel=1e-12)
+        assert rate_lo(scen, 1e6) == pytest.approx(0.3**2 * 0.01**2 * 1e6, rel=1e-12, abs=0.0)
 
     def test_asymmetric_attenuated_value(self):
         scen = scenario_from_p(0.01, 0.01, 1.0, 1e-3)
-        assert rate_lo(scen, 1e9) == pytest.approx(1e-6 * 1e-4 * 1e9, rel=1e-12)
+        assert rate_lo(scen, 1e9) == pytest.approx(1e-6 * 1e-4 * 1e9, rel=1e-12, abs=0.0)
 
     def test_zero_clock(self):
         scen = scenario_from_p(0.01, 0.01, 0.5, 0.5)
@@ -28,19 +28,19 @@ class TestRateLo:
         # p_a = eta_b p_b / eta_a already, so the attenuation changes nothing.
         scen = scenario_from_p(0.005, 0.01, 0.6, 0.3)
         expected = 0.6 * 0.3 * p_from_epsilon(scen.eps_a) * p_from_epsilon(scen.eps_b) * 1e9
-        assert rate_lo(scen, 1e9) == pytest.approx(expected, rel=1e-12)
+        assert rate_lo(scen, 1e9) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestRateNlo:
     def test_unit_conversion_probability(self):
         scen = scenario_from_p(0.01, 0.01, 0.6, 0.3)
         expected = 0.6 * 0.3 * p_from_epsilon(scen.eps_a) * p_from_epsilon(scen.eps_b) * 1e9
-        assert rate_nlo(scen, 1.0, 1e9) == pytest.approx(expected, rel=1e-12)
+        assert rate_nlo(scen, 1.0, 1e9) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_asymmetric_value(self):
         scen = scenario_from_p(0.01, 0.01, 1.0, 1e-3)
         assert rate_nlo(scen, 1e-3, 1e9) == pytest.approx(
-            1e-3 * 1e-3 * 1e-4 * 1e9, rel=1e-12
+            1e-3 * 1e-3 * 1e-4 * 1e9, rel=1e-12, abs=0.0
         )
 
     def test_zero_conversion(self):
@@ -62,11 +62,11 @@ class TestCrossover:
     def test_weak_conversion_loses(self):
         result = crossover(1e-8, 1.0, 1e-3)
         assert not result.nlo_wins
-        assert result.ratio == pytest.approx(1e-5, rel=1e-12)
+        assert result.ratio == pytest.approx(1e-5, rel=1e-12, abs=0.0)
 
     def test_boundary_is_strict(self):
         result = crossover(1e-3, 0.5, 5e-4)
-        assert result.ratio == pytest.approx(1.0, rel=1e-12)
+        assert result.ratio == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert not result.nlo_wins
 
     def test_zero_eta_b_rejected(self):
@@ -83,7 +83,7 @@ class TestRateRatioIdentity:
     def test_ratio_equals_crossover_ratio(self):
         scen = scenario_from_p(0.01, 0.01, 1.0, 1e-5)
         ratio = rate_nlo(scen, 1e-3, 1e9) / rate_lo(scen, 1e9)
-        assert ratio == pytest.approx(crossover(1e-3, 1.0, 1e-5).ratio, rel=1e-13)
+        assert ratio == pytest.approx(crossover(1e-3, 1.0, 1e-5).ratio, rel=1e-13, abs=0.0)
 
 
 class TestNonFiniteInputs:

@@ -105,7 +105,7 @@ class TestEfficiency:
             * (cav.kappa_ce / 2) / (cav.kappa_c / 2) ** 2
             * cav.omega_c / (HBAR * cav.omega_a * cav.omega_b)
         )
-        assert eta_sfg_cavity(cav) == pytest.approx(expected, rel=1e-12)
+        assert eta_sfg_cavity(cav) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_power_relation(self):
         # P_c = eta_sfg P_a P_b against the coupled-mode equations solved here,
@@ -149,7 +149,7 @@ class TestConversionProbability:
         for _ in range(200):
             cav = random_resonant_cavity(rng)
             composed = p_sfg_from_eta(cav, eta_sfg_cavity(cav))
-            assert composed == pytest.approx(p_sfg_cavity(cav), rel=1e-12)
+            assert composed == pytest.approx(p_sfg_cavity(cav), rel=1e-12, abs=0.0)
 
     def test_overcoupled_composition_unchanged(self):
         omega = omega_from_wavelength_nm(1550.0)
@@ -166,14 +166,14 @@ class TestConversionProbability:
             kappa_ce=kappa_from_q(2 * omega, 1e5),
         )
         assert p_sfg_from_eta(cav, eta_sfg_cavity(cav)) == pytest.approx(
-            p_sfg_cavity(cav), rel=1e-12
+            p_sfg_cavity(cav), rel=1e-12, abs=0.0
         )
 
     def test_degraded_efficiency_scales_linearly(self):
         cav = ingap_ring()
         ideal = eta_sfg_cavity(cav)
         assert p_sfg_from_eta(cav, ideal / 2) == pytest.approx(
-            p_sfg_cavity(cav) / 2, rel=1e-12
+            p_sfg_cavity(cav) / 2, rel=1e-12, abs=0.0
         )
 
     def test_small_efficiency_keeps_its_digits(self):
@@ -276,7 +276,7 @@ class TestWaveguide:
         )
         value, leftover = product
         assert leftover == {}
-        assert value == pytest.approx(p_sfg_waveguide(wg), rel=1e-12)
+        assert value == pytest.approx(p_sfg_waveguide(wg), rel=1e-12, abs=0.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
