@@ -1,13 +1,15 @@
 """Command-line surface: sweeps, device numbers, rate comparison, verification.
 
 Argument parsing, output formatting and exit codes only: the sweep engine is
-``entswap.sweep`` and the Fock invariant suite ``fock_sim.run_fock_checks``.
+``entswap.sweep``, rate-compare's matched-fidelity comparison
+``rates.matched_fidelity`` and the Fock invariant suite ``fock_sim.run_fock_checks``.
 
 Subcommands
 -----------
 fidelity-sweep   fidelity (and rate) columns over a parameter grid, CSV/JSON
 device           single-photon conversion probability of a cavity or waveguide
-rate-compare     swapping rates of the two schemes plus the crossover verdict
+rate-compare     swapping rates of the two schemes, the crossover verdict and
+                 the pair probabilities of each at a matched fidelity
 verify           oracle-vs-closed-form comparison, machine-readable JSON
 fock-check       exact small-Hilbert-space invariant suite
 
@@ -34,7 +36,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import asdict, fields
 from itertools import chain
 
-from . import lo_bsm, nlo_bsm, oracle, rates, sfg_device
+from . import oracle, rates, sfg_device
 from .config import (
     CAVITY_KEYS,
     LINK_KEYS,
@@ -188,27 +190,7 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
     rate_lo = rates.rate_lo(scenario, link.clock)
     rate_nlo = rates.rate_nlo(scenario, link.p_sfg, link.clock)
     verdict = rates.crossover(link.p_sfg, scenario.eta_a, scenario.eta_b)
-
-    # Pair probabilities needed to reach the same target fidelity under each
-    # scheme; the linear-optical curves only touch 1/3 at zero pumping, so the
-    # comparison backs off the target by delta.
-    f_target = 1.0 / 3.0
-    delta = resolve(entries, RATE_DEFAULTS)["delta"]
-    narrative = {
-        "f_target_nlo": f_target,
-        "p_nlo": nlo_bsm.p_for_target_fidelity(f_target),
-        "f_target_lo": f_target - delta,
-        "p_lo_balanced": lo_bsm.p_for_balanced_smalleta(f_target - delta),
-        "p_lo_unbalanced": lo_bsm.p_for_unbalanced_limit(f_target - delta),
-    }
-    # A target of 1/3, or one that rounds to it, inverts to p = 0; the balanced
-    # curve's q = (3f)^(1/4) rounds to 1 before the unbalanced curve's does.
-    if not narrative["p_lo_balanced"] > 0.0:
-        raise UsageError(f"delta must move the target fidelity below 1/3, got {delta!r}")
-    narrative["pair_prob_ratio_balanced"] = (narrative["p_nlo"] / narrative["p_lo_balanced"]) ** 2
-    narrative["pair_prob_ratio_unbalanced"] = (
-        narrative["p_nlo"] / narrative["p_lo_unbalanced"]
-    ) ** 2
+    matched = rates.matched_fidelity(resolve(entries, RATE_DEFAULTS)["delta"])
 
     report = {
         "scenario": asdict(scenario),
@@ -218,7 +200,7 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
         "rate_nlo": rate_nlo,
         "crossover_ratio": verdict.ratio,
         "nlo_wins": verdict.nlo_wins,
-        "matched_fidelity": narrative,
+        "matched_fidelity": matched,
     }
     if args.format == "json":
         _write_output(_format_json(report), args.out)
@@ -228,12 +210,13 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
             f"rate_nlo = {rate_nlo:.6e} /s (p_sfg = {link.p_sfg:g})",
             f"rate_nlo / rate_lo = {verdict.ratio:.6e}"
             + ("  -> nonlinear scheme wins" if verdict.nlo_wins else "  -> linear scheme wins"),
-            f"pair probability for fidelity {f_target:.4f}: nlo {narrative['p_nlo']:.4f}",
-            f"pair probability for fidelity {f_target - delta:.4f}: "
-            f"lo balanced {narrative['p_lo_balanced']:.6f}, "
-            f"lo unbalanced {narrative['p_lo_unbalanced']:.6f}",
+            f"pair probability for fidelity {matched['f_target_nlo']:.4f}: "
+            f"nlo {matched['p_nlo']:.4f}",
+            f"pair probability for fidelity {matched['f_target_lo']:.4f}: "
+            f"lo balanced {matched['p_lo_balanced']:.6f}, "
+            f"lo unbalanced {matched['p_lo_unbalanced']:.6f}",
             f"two-photon probability ratio vs balanced lo: "
-            f"{narrative['pair_prob_ratio_balanced']:.1f}",
+            f"{matched['pair_prob_ratio_balanced']:.1f}",
         ]
         _write_output(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedFidelityError
-from .photon_stats import (SwapScenario, check_epsilon, check_float_range,
-                           check_pair_probability, check_positive, check_probability, side_terms)
+from .photon_stats import (SwapScenario, check_epsilon, check_float_range, check_pair_probability,
+                           check_positive, check_probability, p_for_target, side_terms)
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -116,32 +116,15 @@ def _q(p):
 
 
 def p_for_balanced_smalleta(f_target: float) -> float:
-    """Pair probability at which the balanced strong-loss fidelity hits a target.
-
-    Inverts (1/3) q^4 = f with q = (1 + sqrt(1-4p))/2; defined for targets in
-    [1/48, 1/3].
-    """
-    return _p_for_target(f_target, 0.25)
+    """Pair probability at which the balanced strong-loss fidelity (1/3) q^4 hits
+    a target in [1/48, 1/3]."""
+    return p_for_target(f_target, 3.0, 0.25)
 
 
 def p_for_unbalanced_limit(f_target: float) -> float:
-    """Pair probability at which the attenuated unbalanced fidelity hits a target.
-
-    Inverts (1/3) q^2 = f; defined for targets in [1/12, 1/3].
-    """
-    return _p_for_target(f_target, 0.5)
-
-
-def _p_for_target(f_target: float, power: float) -> float:
-    # q = (3 f)^power.  A negative target would give a complex root and NaN
-    # fails every comparison, so both take q = 0, which is out of reach.
-    q = (3.0 * f_target) ** power if f_target >= 0.0 else 0.0
-    if not 0.5 <= q <= 1.0 + 1e-15:
-        raise DomainError(
-            f"target fidelity {f_target:g} is outside the reachable range of this curve"
-        )
-    root = 2.0 * q - 1.0
-    return max(0.0, (1.0 - root * root) / 4.0)
+    """Pair probability at which the attenuated unbalanced fidelity (1/3) q^2 hits
+    a target in [1/12, 1/3]."""
+    return p_for_target(f_target, 3.0, 0.5)
 
 
 def optimal_epsilon_a(eps_b: float, eta_a: float, eta_b: float) -> float:

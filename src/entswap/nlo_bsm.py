@@ -20,12 +20,8 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ModelValidityWarning,
-    UndefinedFidelityError,
-)
-from .photon_stats import SwapScenario, check_probability, p_from_epsilon, side_terms
+from .errors import ModelValidityWarning, UndefinedFidelityError
+from .photon_stats import SwapScenario, check_probability, p_for_target, side_terms
 
 # Above this single-photon conversion probability the weak-interaction
 # expansion behind the herald weights starts to be questionable unless the
@@ -83,17 +79,6 @@ def fidelity_nlo(scenario: SwapScenario) -> float:
 
 
 def p_for_target_fidelity(f_target: float) -> float:
-    """Pair probability at which two equal sources reach a target fidelity.
-
-    Inverts (1 - eps)^4 = f_target via eps = 1 - f_target**(1/4); errors if
-    the required eps reaches 1/2, where p = eps(1-eps) stops being invertible.
-    """
-    if not 0.0 < f_target <= 1.0:
-        raise DomainError(f"target fidelity must be in (0, 1], got {f_target}")
-    eps = 1.0 - f_target**0.25
-    if eps >= 0.5:
-        raise DomainError(
-            f"target fidelity {f_target:g} needs eps = {eps:g} >= 1/2, outside the "
-            "p <= 1/4 domain"
-        )
-    return p_from_epsilon(eps)
+    """Pair probability at which two equal sources reach a target fidelity
+    q^4 = (1 - eps)^4 in [1/16, 1]."""
+    return p_for_target(f_target, 1.0, 0.25)

@@ -61,8 +61,8 @@ EXACT_ABS_TOLERANCE = 1e-10
 # The exact sums try truncations FIRST_TRUNCATION, twice that, ... up to n_max,
 # and stop at the first whose tail bound is at most TAIL_TARGET: the row's own
 # bound, which widens its tolerance by at most 0.1 %.  A rule on the pair
-# tail alone (truncation_tail_bound <= 1e-17) stops at N = 50 for eps = 0.45,
-# eta = 1e-6, where the row's tail bound is still 1.1e-7.
+# tail alone (truncation_tail_bound <= 1e-17) stops at N = 49 for eps = 0.45,
+# eta = 1e-6, where the row's tail bound is still 1.4e-7.
 FIRST_TRUNCATION = 32
 TAIL_TARGET = 1e-3 * EXACT_ABS_TOLERANCE
 # Most scenarios one verification draws: at the limit verify --method exact

@@ -4,9 +4,9 @@ A source with conversion efficiency ``eps`` emits n photon pairs with
 probability (1-eps)*eps**n (a geometric distribution), and each photon sent
 into a channel with transmission ``eta`` survives independently, so the
 number of arrivals is a binomial thinning of the emission number.  The
-scenario type, the domain checks and the model's per-side terms and tails
-defined here feed every closed form in :mod:`entswap.lo_bsm` and
-:mod:`entswap.nlo_bsm` and the oracle's tail bounds.
+scenario type, the domain checks, the model's per-side terms and tails and
+the target-fidelity inversion defined here feed every closed form in
+:mod:`entswap.lo_bsm` and :mod:`entswap.nlo_bsm` and the oracle's tail bounds.
 """
 
 from __future__ import annotations
@@ -133,6 +133,22 @@ def epsilon_from_p(p: float) -> float:
     return np.minimum(0.5, 2.0 * p / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p))))
 
 
+def p_for_target(f_target: float, scale: float, power: float) -> float:
+    """Pair probability p = (1 - q) q at which a curve f = q^(1/power) / scale of
+    q = 1 - eps reaches ``f_target``: q = (scale f)^power on the lower branch
+    [1/2, 1] (ulps above 1 allowed, so a curve's top inverts to p = 0), p written
+    (1 - (2q - 1)^2) / 4.  Any other target raises ``DomainError``."""
+    # A negative target would give a complex root and NaN fails every
+    # comparison, so both take q = 0, which is out of reach.
+    q = (scale * f_target) ** power if f_target >= 0.0 else 0.0
+    if not 0.5 <= q <= 1.0 + 1e-15:
+        raise DomainError(
+            f"target fidelity {f_target:g} is outside the reachable range of this curve"
+        )
+    root = 2.0 * q - 1.0
+    return max(0.0, (1.0 - root * root) / 4.0)
+
+
 def side_terms(eps, eta):
     """One side's u = 1 - eps, a = eps eta and D = u + a: P(k=0) = u/D, P(k=1) = a u/D^2."""
     u = 1.0 - eps
@@ -141,8 +157,8 @@ def side_terms(eps, eta):
 
 
 def pair_tail(eps, n_max: int):
-    """sum_{n > N} eps^n = eps^(N+1) / (1 - eps) >= P(n > N) = eps^(N+1), at N = n_max."""
-    return eps ** (n_max + 1) / (1.0 - eps)
+    """P(n > N) = eps^(N+1), the probability of more than N = n_max pairs."""
+    return eps ** (n_max + 1)
 
 
 def mean_arrival_tail(eps, eta, n_max: int):

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DomainError
+from .lo_bsm import ONE_THIRD, p_for_balanced_smalleta, p_for_unbalanced_limit
+from .nlo_bsm import p_for_target_fidelity
 from .photon_stats import (
     SwapScenario,
     check_float_range,
@@ -64,3 +67,24 @@ def crossover(p_sfg: float, eta_a: float, eta_b: float) -> CrossoverResult:
     check_float_range(ratio, "crossover ratio p_sfg * eta_a / eta_b", p_sfg, eta_a)
     return CrossoverResult(nlo_wins=ratio > 1.0, ratio=ratio)
 
+
+def matched_fidelity(delta: float) -> dict:
+    """Pair probabilities at which each scheme reaches the same target fidelity.
+
+    The SFG herald is inverted at 1/3; the linear-optical strong-loss curves
+    touch 1/3 only at zero pumping, so they are inverted at 1/3 - delta.  Also
+    returns the two-photon probability ratios (p_nlo / p_lo)^2.
+    """
+    f_lo = ONE_THIRD - delta
+    p_nlo = p_for_target_fidelity(ONE_THIRD)
+    p_balanced, p_unbalanced = p_for_balanced_smalleta(f_lo), p_for_unbalanced_limit(f_lo)
+    # A target of 1/3, or one that rounds to it, inverts to p = 0; the balanced
+    # curve's q = (3f)^(1/4) rounds to 1 before the unbalanced curve's does.
+    if not p_balanced > 0.0:
+        raise DomainError(f"delta must move the target fidelity below 1/3, got {delta!r}")
+    return {
+        "f_target_nlo": ONE_THIRD, "p_nlo": p_nlo,
+        "f_target_lo": f_lo, "p_lo_balanced": p_balanced, "p_lo_unbalanced": p_unbalanced,
+        "pair_prob_ratio_balanced": (p_nlo / p_balanced) ** 2,
+        "pair_prob_ratio_unbalanced": (p_nlo / p_unbalanced) ** 2,
+    }

@@ -290,11 +290,16 @@ class TestRateCompareCommand:
         assert payload["rate_nlo"] / payload["rate_lo"] == pytest.approx(100.0, rel=1e-12, abs=0.0)
         assert payload["matched_fidelity"]["p_nlo"] == pytest.approx(0.1825, abs=5e-4)
 
-    @pytest.mark.parametrize("fmt, reference", [("text", "txt"), ("json", "json")])
-    def test_satellite_matches_reference_file(self, capsys, fmt, reference):
-        code, out, _ = run_cli(capsys, "rate-compare", "--preset", "satellite", "--format", fmt)
+    @pytest.mark.parametrize("argv, reference", [
+        pytest.param(("--format", "text"), "satellite.txt", id="text-txt"),
+        pytest.param(("--format", "json"), "satellite.json", id="json-json"),
+        pytest.param(("--format", "json", "--delta", "0.001"), "satellite_delta_0.001.json",
+                     id="json-delta-0.001"),
+    ])
+    def test_satellite_matches_reference_file(self, capsys, argv, reference):
+        code, out, _ = run_cli(capsys, "rate-compare", "--preset", "satellite", *argv)
         assert code == EXIT_OK
-        path = Path(__file__).parent / "data" / f"rate_compare_satellite.{reference}"
+        path = Path(__file__).parent / "data" / f"rate_compare_{reference}"
         assert out.encode() == path.read_bytes()
 
     def test_p_sfg_flag_overrides_preset(self, capsys):

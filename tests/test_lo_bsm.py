@@ -316,8 +316,23 @@ class TestTargetInversion:
             p = p_for_unbalanced_limit(f)
             assert fidelity_unbalanced_limit(p) == pytest.approx(f, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("invert, lowest", [(p_for_balanced_smalleta, 1.0 / 48.0),
+                                                (p_for_unbalanced_limit, 1.0 / 12.0)])
+    def test_endpoints_of_each_curve(self, invert, lowest):
+        # The lowest target is the curve at p = 1/4 (q = 1/2), the highest at p = 0.
+        assert invert(lowest) == 0.25
+        assert invert(ONE_THIRD) == 0.0
+
     def test_unreachable_targets_rejected(self):
         with pytest.raises(DomainError):
             p_for_balanced_smalleta(1.0 / 50.0)
         with pytest.raises(DomainError):
             p_for_unbalanced_limit(0.4)
+        for bad in (0.0, -1.0, 1.5, math.nan):
+            for invert in (p_for_balanced_smalleta, p_for_unbalanced_limit):
+                with pytest.raises(DomainError):
+                    invert(bad)
+        with pytest.raises(DomainError):
+            p_for_balanced_smalleta(1.0 / 49.0)
+        with pytest.raises(DomainError):
+            p_for_unbalanced_limit(1.0 / 17.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,10 @@ class TestTargetInversion:
     def test_perfect_fidelity_needs_no_pumping(self):
         assert p_for_target_fidelity(1.0) == 0.0
 
+    def test_lowest_target_is_the_quarter_pumping_endpoint(self):
+        # (1 - 1/2)^4 = 1/16 at eps = 1/2, the p = 1/4 end of fig2's f_nlo curve.
+        assert p_for_target_fidelity(1.0 / 16.0) == 0.25
+
     def test_one_third_target(self):
         p = p_for_target_fidelity(1.0 / 3.0)
         assert 0.180 <= p <= 0.185
@@ -169,7 +175,7 @@ class TestTargetInversion:
         assert p_for_target_fidelity(0.9**4) == pytest.approx(0.09, abs=1e-12)
         assert epsilon_from_p(p_for_target_fidelity(0.9**4)) == pytest.approx(0.1, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.1])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.1, -1.0, 1.5, math.nan])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(DomainError):
             p_for_target_fidelity(bad)
