@@ -22,8 +22,9 @@ values.  Sweeps and rate-compare read the link through ``config.resolve_link``:
 a source is eps_x or p_x, never both, and required unless swept; numbers are
 finite and counts whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3,
 clock = 1 GHz, and rate-compare's delta = 0.01.  ``verify`` reads no link; its
-keys and defaults are ``VERIFY_DEFAULTS``.  Exit codes: 0 success, 1 usage
-error, 2 verification failure (or nothing compared), 3 model-validity error.
+keys and defaults are ``VERIFY_DEFAULTS``.  Exit codes: 0 success, 1
+refused input (an ``error:`` line on stderr), 2 verification failure (or
+nothing compared).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .config import (
     resolve,
     resolve_link,
 )
-from .errors import ConfigError, DomainError, InputError, ModelValidityError, UsageError
+from .errors import EntswapError, UsageError
 # Re-exported: perfbench's tracer test looks sfg_evolve up as cli.sfg_evolve.
 from .fock_sim import dump_reference_states, run_fock_checks, sfg_evolve  # noqa: F401
 from .photon_stats import check_probability
@@ -61,7 +62,6 @@ from .sweep import SPEC_KEYS, SweepSpec, run_sweep
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
-EXIT_MODEL_VALIDITY = 3
 
 NUMBER_FORMAT = "%.12e"
 # Rows of a sweep table turned into text at once: the output is written block by
@@ -333,12 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError, DomainError, InputError) as exc:
+    except EntswapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ModelValidityError as exc:
-        print(f"model validity error: {exc}", file=sys.stderr)
-        return EXIT_MODEL_VALIDITY
 
 
 if __name__ == "__main__":

@@ -132,12 +132,7 @@ def sfg_evolve(state: np.ndarray, gt: float, cutoff: int) -> np.ndarray:
     """
     check_nonnegative(gt, "gt")
     cutoff = check_count(cutoff, "cutoff", 0, CUTOFF_LIMIT)
-    state = _as_array(state, "tri-mode state")
-    if state.shape != (cutoff + 1,) * 3:
-        raise InputError(
-            f"state of shape {state.shape} is not a tri-mode state for cutoff {cutoff}"
-        )
-    _check_amplitudes(state, "tri-mode state")
+    state = _state_array(state, (cutoff + 1,) * 3, f"tri-mode state for cutoff {cutoff}")
     state = state.astype(complex)  # a copy, evolved in place
     chains = _occupied_chains(state, cutoff)
     if gt == 0.0:
@@ -204,21 +199,16 @@ def _as_array(state, what: str) -> np.ndarray:
         raise InputError(f"{what} must be a rectangular array of amplitudes") from exc
 
 
-def _check_amplitudes(state: np.ndarray, what: str) -> None:
-    """Refuse amplitudes that are not finite numbers (strings, None, NaN, inf)."""
+def _state_array(state, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``state`` as an array, which must have ``shape`` and finite numeric
+    amplitudes (not strings, None, NaN or inf)."""
+    state = _as_array(state, what)
+    if state.shape != shape:
+        raise InputError(f"{what} must have shape {shape}, got {state.shape}")
     if state.dtype.kind not in "biufc":
         raise InputError(f"{what} must have numeric amplitudes, got dtype {state.dtype}")
     if not np.isfinite(state).all():
         raise InputError(f"{what} must have finite amplitudes")
-
-
-def _time_bin_array(state: np.ndarray, photons: int, what: str) -> np.ndarray:
-    """``state`` as an array, which must have one axis of length 2 per photon
-    and finite numeric amplitudes."""
-    state = _as_array(state, what)
-    if state.shape != (2,) * photons:
-        raise InputError(f"{what} must have shape {(2,) * photons}, got {state.shape}")
-    _check_amplitudes(state, what)
     return state
 
 
@@ -230,7 +220,7 @@ def bell_state(label: str) -> np.ndarray:
 def product_state(pair_12: np.ndarray, pair_34: np.ndarray) -> np.ndarray:
     """Four-photon state from two independent photon pairs, indexed [b1, b2, b3, b4]."""
     return np.multiply.outer(
-        _time_bin_array(pair_12, 2, "pair_12"), _time_bin_array(pair_34, 2, "pair_34")
+        _state_array(pair_12, (2, 2), "pair_12"), _state_array(pair_34, (2, 2), "pair_34")
     )
 
 
@@ -239,7 +229,7 @@ def dump_state(state: np.ndarray) -> str:
     state = _as_array(state, "state")
     return "\n".join(
         f"{''.join('el'[b] for b in bins)} {amp.real:.17e} {amp.imag:.17e}"
-        for bins, amp in np.ndenumerate(_time_bin_array(state, state.ndim, "state"))
+        for bins, amp in np.ndenumerate(_state_array(state, (2,) * state.ndim, "state"))
     )
 
 
@@ -264,7 +254,7 @@ def swap_condition_on_sfg(state: np.ndarray) -> list[BellOutcome]:
     photon-(1,2) pair state and a photon-(3,4) pair state; outcome
     probabilities sum to the weight of the heralded subspace.
     """
-    state = _time_bin_array(state, 4, "input")
+    state = _state_array(state, (2,) * 4, "input")
     if not abs(np.linalg.norm(state) - 1.0) <= 1e-9:
         raise InputError("input state must be normalized")
     singular_values = np.linalg.svd(state.reshape(4, 4), compute_uv=False)
@@ -290,7 +280,7 @@ def swap_condition_on_sfg(state: np.ndarray) -> list[BellOutcome]:
 
 def bell_fidelity(state: np.ndarray, target: str) -> float:
     """Squared overlap of a two-photon (2, 2) state with a Bell state."""
-    overlap = np.vdot(_bell_amplitudes(target), _time_bin_array(state, 2, "state"))
+    overlap = np.vdot(_bell_amplitudes(target), _state_array(state, (2, 2), "state"))
     return float(abs(overlap) ** 2)
 
 

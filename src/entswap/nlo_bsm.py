@@ -16,48 +16,10 @@ depends on them.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import ModelValidityWarning, UndefinedFidelityError
-from .photon_stats import SwapScenario, check_probability, p_for_target, side_terms
-
-# Above this single-photon conversion probability the weak-interaction
-# expansion behind the herald weights starts to be questionable unless the
-# channels are very lossy; warn but keep computing.
-WEAK_SFG_WARN_THRESHOLD = 0.1
-
-
-def _check_p_sfg(p_sfg: float) -> None:
-    check_probability(p_sfg, "p_sfg")
-    if p_sfg > WEAK_SFG_WARN_THRESHOLD:
-        warnings.warn(
-            f"p_sfg = {p_sfg:g} is outside the weak-conversion regime; results "
-            "remain valid only for very lossy channels or weak sources",
-            ModelValidityWarning,
-            stacklevel=3,
-        )
-
-
-def p_faithful_sfg(scenario: SwapScenario, p_sfg: float) -> float:
-    """Herald probability of the faithful event (single pair each, both arrive)."""
-    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
-    ua, _, _ = side_terms(ea, ha)
-    ub, _, _ = side_terms(eb, hb)
-    return ua * ub * ea * eb * ha * hb * p_sfg
-
-
-def p_total_sfg(scenario: SwapScenario, p_sfg: float) -> float:
-    """Total herald probability, summed over every arrival pattern:
-
-        p_sfg * eta_A * eta_B * eps_A/(1-eps_A) * eps_B/(1-eps_B)
-    """
-    _check_p_sfg(p_sfg)
-    ea, eb, ha, hb = scenario.eps_a, scenario.eps_b, scenario.eta_a, scenario.eta_b
-    ua, _, _ = side_terms(ea, ha)
-    ub, _, _ = side_terms(eb, hb)
-    return p_sfg * ha * hb * (ea / ua) * (eb / ub)
+from .errors import UndefinedFidelityError
+from .photon_stats import SwapScenario, p_for_target, side_terms
 
 
 def check_p_sfg_heralds(p_sfg) -> None:

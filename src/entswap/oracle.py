@@ -278,12 +278,10 @@ def _run_shards(cfg: OracleConfig, shard_fn) -> list[tuple[int, int]]:
                 pending.clear()
                 raise
 
-    if cfg.workers == 1:
-        work()
-        return results
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=cfg.workers - 1) as pool:
+    # Threads start per submitted helper, so one worker starts none.
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         helpers = [pool.submit(work) for _ in range(cfg.workers - 1)]
         work()
         for helper in helpers:

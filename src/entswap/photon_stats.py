@@ -136,8 +136,9 @@ def epsilon_from_p(p: float) -> float:
 def p_for_target(f_target: float, scale: float, power: float) -> float:
     """Pair probability p = (1 - q) q at which a curve f = q^(1/power) / scale of
     q = 1 - eps reaches ``f_target``: q = (scale f)^power on the lower branch
-    [1/2, 1] (ulps above 1 allowed, so a curve's top inverts to p = 0), p written
-    (1 - (2q - 1)^2) / 4.  Any other target raises ``DomainError``."""
+    [1/2, 1] (ulps above 1 allowed, so a curve's top inverts to p = 0), p read
+    from ``p_from_epsilon`` at eps = 1 - q, which is exact there, so p is q (1 - q)
+    rounded once.  Any other target raises ``DomainError``."""
     # A negative target would give a complex root and NaN fails every
     # comparison, so both take q = 0, which is out of reach.
     q = (scale * f_target) ** power if f_target >= 0.0 else 0.0
@@ -145,8 +146,7 @@ def p_for_target(f_target: float, scale: float, power: float) -> float:
         raise DomainError(
             f"target fidelity {f_target:g} is outside the reachable range of this curve"
         )
-    root = 2.0 * q - 1.0
-    return max(0.0, (1.0 - root * root) / 4.0)
+    return p_from_epsilon(max(0.0, 1.0 - q))
 
 
 def side_terms(eps, eta):

@@ -273,6 +273,16 @@ class TestDeviceCommand:
         assert code == EXIT_OK, err
         assert {"cavity", "waveguide"} <= set(json.loads(out))
 
+    def test_unequal_linewidths_warn_in_the_text_report(self, tmp_path, capsys):
+        cfg = tmp_path / "device.cfg"
+        cfg.write_text("q_a = 4e5\nq_b = 1e5\n")
+        code, out, err = run_cli(capsys, "device", "--preset", "ingap-ring", "--config", str(cfg))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == (
+            "warning: kappa_a and kappa_b differ by 300%; the single-number conversion "
+            "probability assumes comparable input linewidths"
+        )
+
     def test_needs_some_parameters(self, capsys):
         code, _, err = run_cli(capsys, "device")
         assert code == EXIT_USAGE
@@ -712,6 +722,16 @@ class TestRejectedInputs:
                          "cannot write output file", id="out-in-missing-directory"),
             pytest.param(("device", "--preset", "ingap-ring", "--out", "."), None,
                          "cannot write output file", id="out-is-a-directory"),
+            pytest.param(("rate-compare",), "= 5\n", "input.cfg:1: empty key", id="config-empty-key"),
+            pytest.param(("rate-compare",), "eps_a = abc\n", "key 'eps_a' must be numeric, got 'abc'",
+                         id="rate-eps-a-not-numeric"),
+            pytest.param(RING, "lambda_a = 1550\n",
+                         "key 'lambda_a' needs a length unit (nm, um, mm, cm, m)",
+                         id="device-length-without-unit"),
+            pytest.param(("fidelity-sweep", "--preset", "fig2", "--scale", "cubic"), None,
+                         "scale must be 'linear' or 'log', got 'cubic'", id="sweep-scale-cubic"),
+            pytest.param(("fidelity-sweep", "--preset", "fig2", "--outputs", ","), None,
+                         "at least one output column is required", id="sweep-outputs-empty"),
         ],
     )
     def test_usage_error_without_output(self, tmp_path, capsys, argv, config, message):

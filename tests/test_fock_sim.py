@@ -355,6 +355,8 @@ class TestSwapMeasurement:
         state = bell_state("phi+")
         with pytest.raises(InputError):
             swap_condition_on_sfg(state)
+        with pytest.raises(InputError, match="input state must be normalized"):
+            swap_condition_on_sfg(2.0 * product_state(bell_state("phi+"), bell_state("phi+")))
         four = product_state(bell_state("phi+"), bell_state("phi+"))
         four[0, 0, 0, 0] = math.nan
         with pytest.raises(InputError, match="finite"):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from entswap.lo_bsm import (
     p_for_unbalanced_limit,
 )
 from entswap.oracle import OracleConfig, exact_fidelity_lo
-from entswap.photon_stats import SwapScenario, epsilon_from_p, p_from_epsilon
+from entswap.photon_stats import SwapScenario, epsilon_from_p, p_for_target, p_from_epsilon
 
 
 def scenario(eps_a, eps_b, eta_a, eta_b):
@@ -322,6 +323,17 @@ class TestTargetInversion:
         # The lowest target is the curve at p = 1/4 (q = 1/2), the highest at p = 0.
         assert invert(lowest) == 0.25
         assert invert(ONE_THIRD) == 0.0
+
+    @pytest.mark.parametrize("f_target, scale, power", [
+        *((q, 1.0, 1.0) for q in (0.999999, 0.9999999999, 1.0 - 2.0**-40, math.nextafter(1.0, 0.0))),
+        # rate-compare --delta 1e-9: both strong-loss curves at 1/3 - 1e-9, the SFG herald at 1/3.
+        (ONE_THIRD - 1e-9, 3.0, 0.25), (ONE_THIRD - 1e-9, 3.0, 0.5), (ONE_THIRD, 1.0, 0.25),
+    ])
+    def test_pair_probability_is_q_times_one_minus_q_rounded_once(self, f_target, scale, power):
+        # q (1 - q) does not cancel as q -> 1, where (1 - (2q - 1)^2) / 4 would.
+        q = Fraction((scale * f_target) ** power)
+        assert p_for_target(f_target, scale, power) == pytest.approx(float(q * (1 - q)),
+                                                                     rel=1e-15, abs=0.0)
 
     def test_unreachable_targets_rejected(self):
         with pytest.raises(DomainError):

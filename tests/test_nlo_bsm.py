@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from entswap.errors import DomainError, ModelValidityWarning, UndefinedFidelityError
+from entswap.errors import DomainError, UndefinedFidelityError
 from entswap.lo_bsm import fidelity_balanced_smalleta
-from entswap.nlo_bsm import (
-    fidelity_nlo,
-    p_faithful_sfg,
-    p_for_target_fidelity,
-    p_total_sfg,
-)
-from entswap.oracle import _arrival_table, _arrival_tables, _grid, _nlo_herald
+from entswap.nlo_bsm import fidelity_nlo, p_for_target_fidelity
+from entswap.oracle import _arrival_table, _grid, _nlo_herald
 from entswap.photon_stats import SwapScenario, epsilon_from_p
 
 
@@ -23,17 +18,6 @@ def equal_sources(p):
     """Two sources at pair probability p behind lossless channels."""
     eps = epsilon_from_p(p)
     return SwapScenario(eps, eps, 1.0, 1.0)
-
-
-def summed_total_herald(scen, p_sfg, n_max=30):
-    """Independent oracle: the exact-sum arrival marginals through the herald
-    k*l*p_sfg on the index grid.
-
-    The truncation tail is geometric (eps**31 ~ 1e-22 for eps <= 0.2), far
-    below the comparison tolerance.
-    """
-    arr_a, arr_b, _ = _arrival_tables(scen, n_max)
-    return float(arr_a @ _grid(_nlo_herald(p_sfg), n_max) @ arr_b)
 
 
 def herald_pmf(scen, p_sfg, k, n, l, m):
@@ -55,7 +39,6 @@ class TestHeraldPmf:
         scen = scenario(0.3, 0.2, 0.6, 0.4)
         expected = 0.7 * 0.8 * 0.3 * 0.2 * 0.6 * 0.4 * 1e-3
         assert herald_pmf(scen, 1e-3, 1, 1, 1, 1) == pytest.approx(expected, rel=1e-13, abs=0.0)
-        assert p_faithful_sfg(scen, 1e-3) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_multiphoton_term_arithmetic(self):
         # Sources 0.1/0.1, channels 0.5/0.5, pattern (2|2, 1|1), weight 2*1.
@@ -77,35 +60,6 @@ class TestHeraldPmf:
         prob = herald_pmf(scen, p_sfg, 2, 2, 1, 1)
         sigma = (prob * (1 - prob) / size) ** 0.5
         assert hits / size == pytest.approx(prob, abs=5 * sigma)
-
-    def test_large_p_sfg_warns(self):
-        scen = scenario(0.2, 0.2, 0.5, 0.5)
-        with pytest.warns(ModelValidityWarning):
-            p_total_sfg(scen, 0.5)
-
-
-class TestTotalHerald:
-    def test_silent_source_gives_zero(self):
-        assert p_total_sfg(scenario(0.0, 0.3, 0.5, 0.5), 1e-3) == 0.0
-
-    def test_validity_boundary(self):
-        with pytest.warns(ModelValidityWarning):
-            value = p_total_sfg(scenario(0.5, 0.5, 1.0, 1.0), 1.0)
-        assert value == pytest.approx(1.0, rel=1e-14, abs=0.0)
-
-    def test_closed_form_matches_summation(self):
-        scen = scenario(0.2, 0.2, 0.3, 0.7)
-        closed = p_total_sfg(scen, 1e-4)
-        assert closed == pytest.approx(summed_total_herald(scen, 1e-4), rel=1e-13, abs=0.0)
-
-    def test_linearity(self):
-        scen = scenario(0.17, 0.23, 0.5, 0.25)
-        base = p_total_sfg(scen, 1e-4)
-        assert p_total_sfg(scen, 2e-4) == 2.0 * base
-        doubled_eta_a = scenario(0.17, 0.23, 1.0, 0.25)
-        assert p_total_sfg(doubled_eta_a, 1e-4) == pytest.approx(2.0 * base, rel=1e-14, abs=0.0)
-        doubled_eta_b = scenario(0.17, 0.23, 0.5, 0.5)
-        assert p_total_sfg(doubled_eta_b, 1e-4) == pytest.approx(2.0 * base, rel=1e-14, abs=0.0)
 
 
 class TestFidelity:
@@ -143,9 +97,6 @@ class TestFidelity:
             ha, hb = rng.uniform(0.01, 1.0, 2)
             scen = scenario(0.25, 0.15, float(ha), float(hb))
             fidelity = fidelity_nlo(scen)
-            assert fidelity == pytest.approx(
-                p_faithful_sfg(scen, 1e-3) / p_total_sfg(scen, 1e-3), rel=1e-12, abs=0.0
-            )
             if reference is None:
                 reference = fidelity
             assert fidelity == reference

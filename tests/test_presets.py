@@ -56,11 +56,10 @@ class TestSatellitePreset:
     def test_evaluates_without_warnings(self):
         import warnings
 
-        from entswap.nlo_bsm import fidelity_nlo, p_total_sfg
+        from entswap.nlo_bsm import fidelity_nlo
 
         params = get_preset("satellite")
         scen = resolve_link(params).scenario
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p_total_sfg(scen, read(params, "p_sfg"))
             fidelity_nlo(scen)

@@ -51,8 +51,6 @@ INVOCATIONS = [
 UNREACHED = {
     "lo_bsm.fidelity_upper_bound",  # acceptance test 01 checks the lossy bound with it
     "lo_bsm.optimal_epsilon_a",  # ROADMAP item 10 gives it a caller
-    "nlo_bsm.p_faithful_sfg",  # ROADMAP items 4 and 11 give it a caller
-    "nlo_bsm.p_total_sfg",  # ROADMAP items 4 and 11 give it a caller
 }
 
 
