@@ -1,8 +1,8 @@
 """Command-line surface: sweeps, device numbers, rate comparison, verification.
 
 Argument parsing, output formatting and exit codes only: the sweep engine is
-``entswap.sweep``, rate-compare's matched-fidelity comparison
-``rates.matched_fidelity`` and the Fock invariant suite ``fock_sim.run_fock_checks``.
+``entswap.sweep``, rate-compare's numbers ``rates.compare`` and
+``rates.matched_fidelity``, and the Fock invariant suite ``fock_sim.run_fock_checks``.
 
 Subcommands
 -----------
@@ -186,30 +186,25 @@ RATE_DEFAULTS = {"delta": 0.01}
 def cmd_rate_compare(args: argparse.Namespace) -> int:
     entries = _collect_entries(args)
     link = resolve_link(entries)
-    scenario = link.scenario
-    rate_lo = rates.rate_lo(scenario, link.clock)
-    rate_nlo = rates.rate_nlo(scenario, link.p_sfg, link.clock)
-    verdict = rates.crossover(link.p_sfg, scenario.eta_a, scenario.eta_b)
+    compared = rates.compare(link.scenario, link.p_sfg, link.clock)
     matched = rates.matched_fidelity(resolve(entries, RATE_DEFAULTS)["delta"])
 
     report = {
-        "scenario": asdict(scenario),
+        "scenario": asdict(link.scenario),
         "p_sfg": link.p_sfg,
         "clock": link.clock,
-        "rate_lo": rate_lo,
-        "rate_nlo": rate_nlo,
-        "crossover_ratio": verdict.ratio,
-        "nlo_wins": verdict.nlo_wins,
+        **compared,
         "matched_fidelity": matched,
     }
     if args.format == "json":
         _write_output(_format_json(report), args.out)
     else:
         lines = [
-            f"rate_lo  = {rate_lo:.6e} /s (attenuated, p_a = eta_b p_b / eta_a)",
-            f"rate_nlo = {rate_nlo:.6e} /s (p_sfg = {link.p_sfg:g})",
-            f"rate_nlo / rate_lo = {verdict.ratio:.6e}"
-            + ("  -> nonlinear scheme wins" if verdict.nlo_wins else "  -> linear scheme wins"),
+            f"rate_lo  = {compared['rate_lo']:.6e} /s "
+            "(brighter source attenuated to eta_a p_a = eta_b p_b)",
+            f"rate_nlo = {compared['rate_nlo']:.6e} /s (p_sfg = {link.p_sfg:g})",
+            f"rate_nlo / rate_lo = {compared['crossover_ratio']:.6e}"
+            + ("  -> nonlinear scheme wins" if compared["nlo_wins"] else "  -> linear scheme wins"),
             f"pair probability for fidelity {matched['f_target_nlo']:.4f}: "
             f"nlo {matched['p_nlo']:.4f}",
             f"pair probability for fidelity {matched['f_target_lo']:.4f}: "
@@ -225,9 +220,10 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
 # --- subcommand: verify -----------------------------------------------------------
 
 
-VERIFY_DEFAULTS = {"seed": 0, "scenarios": 20, "samples": 200_000, "n_max": 200, "workers": 1,
-                   "p_sfg": 0.05, "eps_min": 0.01, "eps_max": 0.45, "eta_min": 0.05,
-                   "eta_max": 1.0}
+_ORACLE = oracle.OracleConfig()  # the oracle's keys default as the library does
+VERIFY_DEFAULTS = {"seed": _ORACLE.seed, "scenarios": 20, "samples": _ORACLE.samples,
+                   "n_max": _ORACLE.n_max, "workers": _ORACLE.workers, "p_sfg": 0.05,
+                   "eps_min": 0.01, "eps_max": 0.45, "eta_min": 0.05, "eta_max": 1.0}
 # The scenario ranges come from presets and config files only.
 VERIFY_FLAGS = ("seed", "scenarios", "samples", "n_max", "workers", "p_sfg")
 

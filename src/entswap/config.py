@@ -50,13 +50,7 @@ from .sfg_device import (
 
 _FREQUENCY_HZ = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "THz": 1e12}
 _LENGTH_CM = {"nm": 1e-7, "um": 1e-4, "mm": 0.1, "cm": 1.0, "m": 100.0}
-_ACCEPTANCE_HZ_CM = {
-    "Hz*cm": 1.0,
-    "kHz*cm": 1e3,
-    "MHz*cm": 1e6,
-    "GHz*cm": 1e9,
-    "THz*cm": 1e12,
-}
+_ACCEPTANCE_HZ_CM = {f"{unit}*cm": factor for unit, factor in _FREQUENCY_HZ.items()}
 _SFG_EFFICIENCY = {"%/W/cm^2": 1e-2, "1/W/cm^2": 1.0, "/W/cm^2": 1.0}
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EntswapError, InputError, TruncationError
+from .errors import DomainError, EntswapError, InputError, TruncationError
 from .photon_stats import check_count, check_nonnegative
 
 _SQRT_HALF = 2.0**-0.5
@@ -89,6 +89,11 @@ def _chain_propagator(a_total: int, b_total: int, gt: float):
     lower = j[:-1]
     coupling = np.sqrt((a_total - lower) * (b_total - lower) * (lower + 1.0))
     w, v = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+    # Python floats: a phase past the float range gives inf here, not numpy's nan.
+    top = float(np.abs(w).max())
+    if not float(gt) * top < math.inf:
+        raise DomainError(f"gt * max|w| must be finite on chain ({a_total}, {b_total}), "
+                          f"got gt = {gt!r} with max|w| = {top!r}")
     return (a_total - j, b_total - j, j), v, np.exp(-1j * gt * w)
 
 

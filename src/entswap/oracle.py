@@ -92,7 +92,7 @@ class OracleConfig:
     """
 
     n_max: int = 200
-    samples: int = 1_000_000
+    samples: int = 200_000
     seed: int = 0
     workers: int = 1
 

@@ -1,15 +1,15 @@
 """Swapping-rate comparison between the linear-optical and SFG-heralded schemes.
 
-The linear-optical scheme has to attenuate the source behind the better
-channel (p_A = eta_B p_B / eta_A) to reach its best fidelity, which costs
-rate; the SFG scheme pays its conversion probability instead but can drive
-both sources equally hard.  Under the attenuation convention the two rates
-differ by exactly p_sfg * eta_A / eta_B.
+The linear-optical scheme reaches its best fidelity only when both arriving
+fluxes match, so it attenuates the brighter source until eta_A p_A = eta_B p_B,
+which costs rate; the SFG scheme pays its conversion probability instead but
+drives both sources as they are.  The rate ratio is therefore
+p_sfg max(eta_A p_A, eta_B p_B) / min(eta_A p_A, eta_B p_B).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .errors import DomainError
 from .lo_bsm import ONE_THIRD, p_for_balanced_smalleta, p_for_unbalanced_limit
@@ -18,29 +18,19 @@ from .photon_stats import (
     SwapScenario,
     check_float_range,
     check_nonnegative,
-    check_positive,
     check_probability,
     p_from_epsilon,
 )
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
-    """Whether the SFG scheme out-rates the attenuated linear-optical one."""
-
-    nlo_wins: bool
-    ratio: float
-
-
 def rate_lo(scenario: SwapScenario, clock: float) -> float:
-    """Linear-optical swapping rate eta_A eta_B p_A p_B R_c, with the A-side
-    pair probability replaced by the optimal-fidelity value eta_B p_B / eta_A,
-    giving eta_B^2 p_B^2 R_c."""
+    """Linear-optical swapping rate eta_A eta_B p_A p_B R_c with the brighter
+    source attenuated until both arriving fluxes match, giving
+    min(eta_A p_A, eta_B p_B)^2 R_c."""
     check_nonnegative(clock, "clock rate")
-    check_positive(scenario.eta_a, "eta_a")  # the attenuation divides by it
-    flux_b = scenario.eta_b * p_from_epsilon(scenario.eps_b)
-    return check_float_range(flux_b * flux_b * clock, "rate_lo", scenario.eta_b, scenario.eps_b,
-                             clock)
+    flux = np.minimum(scenario.eta_a * p_from_epsilon(scenario.eps_a),
+                      scenario.eta_b * p_from_epsilon(scenario.eps_b))
+    return check_float_range(flux * flux * clock, "rate_lo", clock, *vars(scenario).values())
 
 
 def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
@@ -52,20 +42,15 @@ def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
     return check_float_range(rate, "rate_nlo", p_sfg, clock, *vars(scenario).values())
 
 
-def crossover(p_sfg: float, eta_a: float, eta_b: float) -> CrossoverResult:
-    """Rate-advantage test: the SFG scheme wins when p_sfg > eta_B / eta_A.
-
-    Returns the verdict together with the ratio p_sfg * eta_A / eta_B, which
-    equals rate_nlo / rate_lo when the linear-optical side runs attenuated
-    and the SFG side runs at p_A = p_B.
-    """
-    check_probability(eta_a, "eta_a")
-    check_probability(eta_b, "eta_b")
-    check_probability(p_sfg, "p_sfg")
-    check_positive(eta_b, "eta_b")
-    ratio = p_sfg * eta_a / eta_b
-    check_float_range(ratio, "crossover ratio p_sfg * eta_a / eta_b", p_sfg, eta_a)
-    return CrossoverResult(nlo_wins=ratio > 1.0, ratio=ratio)
+def compare(scenario: SwapScenario, p_sfg: float, clock: float) -> dict:
+    """Both rates, their ratio rate_nlo / rate_lo and whether the SFG scheme wins
+    (ratio > 1).  A link whose rate_lo is 0 has no ratio and is refused."""
+    lo, nlo = rate_lo(scenario, clock), rate_nlo(scenario, p_sfg, clock)
+    if lo == 0.0:
+        raise DomainError("rate_lo is 0 (a dark channel, an unpumped source or a zero clock), "
+                          "so the rates have no ratio")
+    ratio = check_float_range(nlo / lo, "crossover_ratio", nlo)
+    return {"rate_lo": lo, "rate_nlo": nlo, "crossover_ratio": ratio, "nlo_wins": bool(ratio > 1.0)}
 
 
 def matched_fidelity(delta: float) -> dict:

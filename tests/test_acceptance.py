@@ -13,6 +13,7 @@ import pytest
 
 from entswap import cli
 from entswap.config import build_cavity, build_waveguide
+from entswap.errors import UndefinedFidelityError
 from entswap.fock_sim import (
     BELL_LABELS,
     bell_fidelity,
@@ -33,7 +34,7 @@ from entswap.oracle import (
 )
 from entswap.photon_stats import SwapScenario, epsilon_from_p
 from entswap.presets import get_preset
-from entswap.rates import crossover, rate_lo, rate_nlo
+from entswap.rates import compare, rate_lo, rate_nlo
 from entswap.sfg_device import eta_sfg_cavity, p_sfg_cavity, p_sfg_from_eta, p_sfg_waveguide
 
 BOUND_SLACK = 1e-12
@@ -74,7 +75,7 @@ def test_01_lossy_fidelity_bound():
             bound = fidelity_upper_bound(scen)
             try:
                 fidelity = fidelity_general(scen).fidelity
-            except Exception:
+            except UndefinedFidelityError:
                 continue  # degenerate corner with no heralds
             assert fidelity <= bound + BOUND_SLACK
             assert fidelity <= ONE_THIRD + BOUND_SLACK
@@ -98,7 +99,8 @@ def test_02_oracle_equivalence():
         for index, scen in enumerate(
             random_scenarios(20, seed=2003, eps_range=(0.05, 0.45), eta_range=(0.2, 1.0))
         ):
-            cfg = OracleConfig(samples=10_000_000, seed=2004 + index)
+            # Estimates are bit-identical for any worker count (criterion 9).
+            cfg = OracleConfig(samples=10_000_000, seed=2004 + index, workers=2)
             estimate = mc_fidelity_lo(scen, cfg)
             closed = fidelity_general(scen).fidelity
             assert abs(estimate.value - closed) <= MC_SIGMAS * estimate.std_error
@@ -309,9 +311,9 @@ def test_08_rate_crossover_ratio():
         scen = SwapScenario.from_values(eps, eps, 1.0, 1e-5)
         ratio = rate_nlo(scen, 1e-3, 1e9) / rate_lo(scen, 1e9)
         assert ratio == pytest.approx(100.0, rel=RATE_RATIO_REL_TOL, abs=0.0)
-        verdict = crossover(1e-3, 1.0, 1e-5)
-        assert verdict.ratio == 100.0
-        assert verdict.nlo_wins
+        verdict = compare(scen, 1e-3, 1e9)
+        assert verdict["crossover_ratio"] == 100.0
+        assert verdict["nlo_wins"]
 
     criterion(8, "rate advantage is exactly the conversion-to-asymmetry ratio", body)
 

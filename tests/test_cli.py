@@ -626,6 +626,13 @@ class TestRejectedInputs:
             pytest.param((*RATE, "--delta", "1"), None, "reachable range", id="rate-delta-1"),
             pytest.param((*RATE, "--delta", "0"), None, "below 1/3", id="rate-delta-0"),
             pytest.param((*RATE, "--delta", "1e-17"), None, "below 1/3", id="rate-delta-1e-17"),
+            # A zero rate_lo has no ratio: clock = 0 and p_b = 0 used to print two
+            # zero rates and "nonlinear scheme wins".
+            *(pytest.param(("rate-compare", "--preset", "satellite"), config,
+                           "error: rate_lo is 0 (a dark channel, an unpumped source or a zero "
+                           "clock), so the rates have no ratio\n", id=f"rate-zero-{name}")
+              for name, config in (("clock", "clock = 0\n"), ("p-a", "p_a = 0\n"),
+                                   ("p-b", "p_b = 0\n"), ("eta-a", "eta_a = 0\n"))),
             pytest.param(("verify", "--seed", "-1"), None, "key 'seed' must be a whole number >= 0",
                          id="verify-seed-neg"),
             pytest.param(("verify", "--seed", "9007199254740993"), None,

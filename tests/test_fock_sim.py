@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -198,6 +199,21 @@ class TestSfgEvolve:
             herald_amplitude(1, 1, gt)
         with pytest.raises(DomainError):
             dfg_spurious_amplitude(gt)
+
+    @pytest.mark.parametrize("call", [
+        lambda: herald_amplitude(2, 3, 1e308),
+        lambda: sfg_evolve(tri_mode_state(2, 3, 0, 5), 1e308, 5),
+    ], ids=["herald", "evolve"])
+    def test_phase_past_the_float_range_rejected(self, call):
+        # gt max|w| above the float range used to give nan amplitudes after two
+        # numpy warnings, or a "unitarity lost" error that blamed the generator.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^gt \* max\|w\| must be finite on chain "
+                                                  r"\(2, 3\), got gt = 1e\+308 "):
+                call()
+            # Its chains have max|w| <= sqrt(2), so the phase stays in range.
+            assert all(math.isfinite(abs(amp)) for amp in dfg_spurious_amplitude(1e308))
 
     def test_wrong_basis_rejected(self):
         state = tri_mode_state(1, 1, 0, 2)

@@ -40,7 +40,7 @@ from entswap.oracle import (
 from entswap.config import Link
 from entswap.lo_bsm import fidelity_general, fidelity_upper_bound, optimal_epsilon_a
 from entswap.nlo_bsm import fidelity_nlo
-from entswap.rates import crossover, rate_lo, rate_nlo
+from entswap.rates import compare, rate_lo, rate_nlo
 from entswap.sfg_device import (
     CavityParams,
     WaveguideParams,
@@ -246,12 +246,12 @@ SIGNED_INPUTS = [
     pytest.param(omega_from_wavelength_nm, "wavelength_nm", 1550.0, True,
                  id="omega-from-wavelength"),
     pytest.param(lambda v: p_sfg_from_eta(RING, v), "eta_sfg", 1e-3, False, id="p-sfg-from-eta"),
-    pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "eta_a", 0.5, True,
+    # eta_a = 0 gives rate 0, as eta_b = 0 does: nothing divides by eta_a.
+    pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "eta_a", 0.5, False,
                  id="rate-lo-eta-a"),
     pytest.param(lambda v: rate_lo(LINK, v), "clock rate", 1e9, False, id="rate-lo-clock"),
     pytest.param(lambda v: rate_nlo(LINK, 1e-3, v), "clock rate", 1e9, False, id="rate-nlo-clock"),
     pytest.param(lambda v: Link(LINK, 1e-3, v), "clock rate", 1e9, False, id="link-clock"),
-    pytest.param(lambda v: crossover(1e-3, 1.0, v), "eta_b", 1e-5, True, id="crossover-eta-b"),
     pytest.param(lambda v: optimal_epsilon_a(0.1, v, 0.5), "eta_a", 0.5, True,
                  id="optimal-epsilon-a-eta-a"),
     pytest.param(lambda v: sfg_evolve(tri_mode_state(1, 1, 0, 2), v, 2), "gt", 0.1, False,
@@ -278,9 +278,13 @@ def test_every_signed_input_takes_finite_values_of_its_sign_only(call, name, goo
 RESULTS = [
     pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_b=v), 1e9), "rate_lo", 1e-160,
                  0.0, id="rate-lo"),
+    pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "rate_lo", 1e-160,
+                 0.0, id="rate-lo-eta-a"),
     pytest.param(lambda v: rate_nlo(LINK, v, 1e9), "rate_nlo", 1e-310, 0.0, id="rate-nlo"),
-    pytest.param(lambda v: crossover(1e-300, v, 1.0).ratio, "crossover ratio p_sfg * eta_a / eta_b",
-                 1e-300, 0.0, id="crossover"),
+    # Equal fluxes, so the ratio is p_sfg; rate_nlo is normal only after its
+    # product passed through a subnormal.
+    pytest.param(lambda v: compare(SwapScenario(0.01, 0.01, 1.0, 1.0), v, 1e300)["crossover_ratio"],
+                 "crossover_ratio", 1e-310, 0.0, id="crossover"),
     pytest.param(lambda v: p_sfg_cavity(dataclasses.replace(RING, g=v)), "p_sfg", 1e-160, 0.0,
                  id="p-sfg-cavity"),
     pytest.param(lambda v: eta_sfg_cavity(dataclasses.replace(RING, g=v)), "eta_sfg", 1e-160, 0.0,
@@ -295,7 +299,7 @@ RESULTS = [
 
 @pytest.mark.parametrize("call, name, bad, zero", RESULTS)
 def test_every_result_leaving_the_float_range_is_refused(call, name, bad, zero):
-    # rate_lo, rate_nlo and crossover's ratio used to underflow to 0.0 without a
+    # rate_lo, rate_nlo and the rate ratio used to underflow to 0.0 without a
     # word, and so did p_sfg_cavity at g = 1e-160; only a zero factor gives 0.
     rule = f"^{re.escape(name)} must be finite and, when no factor is 0, of magnitude >= 2.2e-308"
     with pytest.raises(DomainError, match=rule):

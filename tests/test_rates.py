@@ -4,7 +4,7 @@ import pytest
 
 from entswap.errors import DomainError
 from entswap.photon_stats import SwapScenario, epsilon_from_p, p_from_epsilon
-from entswap.rates import crossover, rate_lo, rate_nlo
+from entswap.rates import compare, rate_lo, rate_nlo
 
 
 def scenario_from_p(p_a, p_b, eta_a, eta_b):
@@ -19,6 +19,11 @@ class TestRateLo:
     def test_asymmetric_attenuated_value(self):
         scen = scenario_from_p(0.01, 0.01, 1.0, 1e-3)
         assert rate_lo(scen, 1e9) == pytest.approx(1e-6 * 1e-4 * 1e9, rel=1e-12, abs=0.0)
+
+    def test_brighter_source_is_attenuated_on_either_side(self):
+        # eta_b p_b = 1e-4 > eta_a p_a = 1e-5, so source B is the one attenuated.
+        scen = scenario_from_p(1e-5, 0.01, 1.0, 1e-2)
+        assert rate_lo(scen, 1e9) == pytest.approx(1e-10 * 1e9, rel=1e-12, abs=0.0)
 
     def test_zero_clock(self):
         scen = scenario_from_p(0.01, 0.01, 0.5, 0.5)
@@ -55,35 +60,64 @@ class TestRateNlo:
 
 class TestCrossover:
     def test_strong_asymmetry_favors_nonlinear(self):
-        result = crossover(1e-3, 1.0, 1e-5)
-        assert result.nlo_wins
-        assert result.ratio == 100.0
+        result = compare(scenario_from_p(0.01, 0.01, 1.0, 1e-5), 1e-3, 1e9)
+        assert result["nlo_wins"]
+        assert result["crossover_ratio"] == 100.0
 
     def test_weak_conversion_loses(self):
-        result = crossover(1e-8, 1.0, 1e-3)
-        assert not result.nlo_wins
-        assert result.ratio == pytest.approx(1e-5, rel=1e-12, abs=0.0)
+        result = compare(scenario_from_p(0.01, 0.01, 1.0, 1e-3), 1e-8, 1e9)
+        assert not result["nlo_wins"]
+        assert result["crossover_ratio"] == pytest.approx(1e-5, rel=1e-12, abs=0.0)
 
     def test_boundary_is_strict(self):
-        result = crossover(1e-3, 0.5, 5e-4)
-        assert result.ratio == pytest.approx(1.0, rel=1e-12, abs=0.0)
-        assert not result.nlo_wins
+        # Both rates round alike here, so the ratio is exactly 1.
+        result = compare(scenario_from_p(0.01, 0.01, 1.0, 0.5), 0.5, 1e9)
+        assert result["crossover_ratio"] == 1.0
+        assert not result["nlo_wins"]
 
     def test_zero_eta_b_rejected(self):
-        with pytest.raises(DomainError):
-            crossover(1e-3, 0.5, 0.0)
+        with pytest.raises(DomainError, match="^rate_lo is 0 .*, so the rates have no ratio$"):
+            compare(scenario_from_p(0.01, 0.01, 0.5, 0.0), 1e-3, 1e9)
 
     def test_ratio_past_the_float_range_rejected(self):
-        # A subnormal eta_b used to give ratio = inf, written to JSON as Infinity.
-        with pytest.raises(DomainError, match=r"of magnitude >= 2.2e-308, got inf$"):
-            crossover(1e-3, 1.0, 1e-320)
+        # A subnormal eta_b used to give ratio = inf, written to JSON as Infinity;
+        # rate_lo now underflows first and is refused.
+        with pytest.raises(DomainError, match=r"^rate_lo .* of magnitude >= 2.2e-308, got 0.0$"):
+            compare(scenario_from_p(0.01, 0.01, 1.0, 1e-320), 1e-3, 1e9)
 
 
 class TestRateRatioIdentity:
     def test_ratio_equals_crossover_ratio(self):
         scen = scenario_from_p(0.01, 0.01, 1.0, 1e-5)
         ratio = rate_nlo(scen, 1e-3, 1e9) / rate_lo(scen, 1e9)
-        assert ratio == pytest.approx(crossover(1e-3, 1.0, 1e-5).ratio, rel=1e-13, abs=0.0)
+        assert ratio == pytest.approx(compare(scen, 1e-3, 1e9)["crossover_ratio"], rel=1e-13,
+                                      abs=0.0)
+
+    def test_mirrored_link_gives_the_same_rates(self):
+        # The attenuation used to act on source A only: with A behind the lossier
+        # channel rate_lo read 1e5 /s, i.e. p_a = 1000.
+        forward = compare(scenario_from_p(0.01, 0.01, 1.0, 1e-5), 1e-3, 1e9)
+        mirrored = compare(scenario_from_p(0.01, 0.01, 1e-5, 1.0), 1e-3, 1e9)
+        for key in ("rate_lo", "rate_nlo", "crossover_ratio"):
+            assert mirrored[key] == pytest.approx(forward[key], rel=1e-14, abs=0.0)
+        assert mirrored["nlo_wins"] and forward["nlo_wins"]
+
+    @pytest.mark.parametrize("p_a, p_b, eta_a, eta_b, p_sfg", [
+        (1e-5, 0.01, 1.0, 1e-5, 2e-3), (0.01, 1e-5, 1.0, 1e-5, 2e-3),
+        (0.2, 0.003, 0.07, 0.9, 0.4), (0.003, 0.2, 0.9, 0.07, 1e-4),
+    ])
+    def test_unequal_sources_ratio_and_verdict_are_the_rates(self, p_a, p_b, eta_a, eta_b, p_sfg):
+        # On unequal sources the ratio used to be p_sfg eta_a / eta_b: 200, "nonlinear
+        # scheme wins", above rates of 1e-5 and 2e-6 /s in the first row.
+        scen = scenario_from_p(p_a, p_b, eta_a, eta_b)
+        result = compare(scen, p_sfg, 1e9)
+        assert result["rate_lo"] == rate_lo(scen, 1e9)
+        assert result["rate_nlo"] == rate_nlo(scen, p_sfg, 1e9)
+        assert result["crossover_ratio"] == result["rate_nlo"] / result["rate_lo"]
+        assert result["nlo_wins"] == (result["crossover_ratio"] > 1.0)
+        flux = sorted([eta_a * p_a, eta_b * p_b])
+        assert result["crossover_ratio"] == pytest.approx(p_sfg * flux[1] / flux[0], rel=1e-12,
+                                                          abs=0.0)
 
 
 class TestNonFiniteInputs:
@@ -98,4 +132,4 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("eta_a, eta_b", [(math.nan, 0.5), (0.5, math.nan)])
     def test_crossover_rejects_nan_transmission(self, eta_a, eta_b):
         with pytest.raises(DomainError):
-            crossover(0.1, eta_a, eta_b)
+            compare(scenario_from_p(0.01, 0.01, eta_a, eta_b), 0.1, 1e9)
