@@ -90,6 +90,28 @@ def _format_json(payload) -> Iterator[str]:
     yield "\n"
 
 
+def _format_text(value, name: str = "") -> Iterator[str]:
+    """One ``name = value`` line per leaf of the JSON-shaped ``value``, in the
+    JSON's sorted key order: nested keys joined by ``.``, each list item on a
+    line of its own under the list's name, floats as ``%.6e``, strings as
+    written and any other value as JSON spells it."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _format_text(value[key], f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _format_text(item, name)
+    elif isinstance(value, float):
+        yield f"{name} = {value:.6e}\n"
+    else:
+        yield f"{name} = {value if isinstance(value, str) else json.dumps(value)}\n"
+
+
+def _format_report(report: dict, fmt: str) -> Iterator[str]:
+    """A report as JSON, or as text lines named after its JSON keys."""
+    return _format_json(report) if fmt == "json" else _format_text(report)
+
+
 def _write_output(chunks: Iterable[str], out: str) -> None:
     if out == "-":
         sys.stdout.writelines(chunks)
@@ -139,7 +161,6 @@ def cmd_fidelity_sweep(args: argparse.Namespace) -> int:
 def cmd_device(args: argparse.Namespace) -> int:
     entries = _collect_entries(args)
     report: dict = {"reference_demonstrated_p_sfg": DEMONSTRATED_RING_P_SFG}
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
         if any(key in entries for key in CAVITY_KEYS):
@@ -157,23 +178,10 @@ def cmd_device(args: argparse.Namespace) -> int:
             p_sfg = read(entries, "p_sfg")
             check_probability(p_sfg, "p_sfg")
             report["quoted"] = {"p_sfg": p_sfg}
-        caught = [str(record.message) for record in records]
+        report["warnings"] = [str(record.message) for record in records]
     if not any(key in report for key in ("cavity", "waveguide", "quoted")):
         raise UsageError("no device parameters found (expected cavity, waveguide, or p_sfg keys)")
-    report["warnings"] = caught
-
-    if args.format == "json":
-        _write_output(_format_json(report), args.out)
-    else:
-        lines = []
-        for section in ("cavity", "waveguide", "quoted"):
-            if section in report:
-                for key, value in report[section].items():
-                    lines.append(f"{section}.{key} = {value:.6e}")
-        lines.append(f"reference demonstrated p_sfg = {DEMONSTRATED_RING_P_SFG:.1e}")
-        for message in caught:
-            lines.append(f"warning: {message}")
-        _write_output(["\n".join(lines) + "\n"], args.out)
+    _write_output(_format_report(report, args.format), args.out)
     return EXIT_OK
 
 
@@ -186,34 +194,14 @@ RATE_DEFAULTS = {"delta": 0.01}
 def cmd_rate_compare(args: argparse.Namespace) -> int:
     entries = _collect_entries(args)
     link = resolve_link(entries)
-    compared = rates.compare(link.scenario, link.p_sfg, link.clock)
-    matched = rates.matched_fidelity(resolve(entries, RATE_DEFAULTS)["delta"])
-
     report = {
         "scenario": asdict(link.scenario),
         "p_sfg": link.p_sfg,
         "clock": link.clock,
-        **compared,
-        "matched_fidelity": matched,
+        **rates.compare(link.scenario, link.p_sfg, link.clock),
+        "matched_fidelity": rates.matched_fidelity(resolve(entries, RATE_DEFAULTS)["delta"]),
     }
-    if args.format == "json":
-        _write_output(_format_json(report), args.out)
-    else:
-        lines = [
-            f"rate_lo  = {compared['rate_lo']:.6e} /s "
-            "(brighter source attenuated to eta_a p_a = eta_b p_b)",
-            f"rate_nlo = {compared['rate_nlo']:.6e} /s (p_sfg = {link.p_sfg:g})",
-            f"rate_nlo / rate_lo = {compared['crossover_ratio']:.6e}"
-            + ("  -> nonlinear scheme wins" if compared["nlo_wins"] else "  -> linear scheme wins"),
-            f"pair probability for fidelity {matched['f_target_nlo']:.4f}: "
-            f"nlo {matched['p_nlo']:.4f}",
-            f"pair probability for fidelity {matched['f_target_lo']:.4f}: "
-            f"lo balanced {matched['p_lo_balanced']:.6f}, "
-            f"lo unbalanced {matched['p_lo_unbalanced']:.6f}",
-            f"two-photon probability ratio vs balanced lo: "
-            f"{matched['pair_prob_ratio_balanced']:.1f}",
-        ]
-        _write_output(["\n".join(lines) + "\n"], args.out)
+    _write_output(_format_report(report, args.format), args.out)
     return EXIT_OK
 
 

@@ -396,6 +396,10 @@ def _tolerance(method: str, estimate: OracleEstimate) -> float:
             f"only {estimate.heralds} heralds sampled; "
             f"need >= {MIN_HERALDS} for a meaningful comparison"
         )
+    if estimate.value in (0.0, 1.0):
+        raise InsufficientStatisticsError(
+            f"{'all' if estimate.value else 'none'} of {estimate.heralds} heralds faithful, "
+            "so the binomial error is 0 and sets no band; increase samples")
     return MC_SIGMA_TOLERANCE * estimate.std_error
 
 
@@ -423,10 +427,11 @@ def verification_report(
 ) -> dict:
     """Compare oracle estimates against the closed forms on a scenario grid.
 
-    Rows where a Monte Carlo run sampled fewer than ``MIN_HERALDS`` heralds,
-    an exact sum's tolerance exceeds ``MAX_TOLERANCE``, or the run left the
-    model, are reported with an ``error`` field and excluded from the
-    pass/fail count; a report that compared no row does not pass.
+    Rows where a Monte Carlo run sampled fewer than ``MIN_HERALDS`` heralds
+    or found all or none of them faithful, an exact sum's tolerance exceeds
+    ``MAX_TOLERANCE``, or the run left the model, are reported with an
+    ``error`` field and excluded from the pass/fail count; a report that
+    compared no row does not pass.
     """
     from . import lo_bsm, nlo_bsm
 

@@ -23,13 +23,22 @@ from .photon_stats import (
 )
 
 
+def kept_source(scenario: SwapScenario):
+    """The eps and arriving flux eta p of the source the linear-optical scheme
+    keeps unattenuated: the dimmer one, B on a tie (scalars for scalar fields)."""
+    flux_a = scenario.eta_a * p_from_epsilon(scenario.eps_a)
+    flux_b = scenario.eta_b * p_from_epsilon(scenario.eps_b)
+    keep_a = flux_a < flux_b
+    return (np.where(keep_a, scenario.eps_a, scenario.eps_b)[()],
+            np.where(keep_a, flux_a, flux_b)[()])
+
+
 def rate_lo(scenario: SwapScenario, clock: float) -> float:
     """Linear-optical swapping rate eta_A eta_B p_A p_B R_c with the brighter
     source attenuated until both arriving fluxes match, giving
     min(eta_A p_A, eta_B p_B)^2 R_c."""
     check_nonnegative(clock, "clock rate")
-    flux = np.minimum(scenario.eta_a * p_from_epsilon(scenario.eps_a),
-                      scenario.eta_b * p_from_epsilon(scenario.eps_b))
+    _, flux = kept_source(scenario)
     return check_float_range(flux * flux * clock, "rate_lo", clock, *vars(scenario).values())
 
 

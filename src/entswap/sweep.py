@@ -30,8 +30,9 @@ def _f_nlo(link):
 
 
 def _limit_p(link):
-    check_lower_branch(link.scenario.eps_b, "eps_b of a strong-loss limit column")
-    return p_from_epsilon(link.scenario.eps_b)
+    eps = rates.kept_source(link.scenario)[0]
+    check_lower_branch(eps, "eps of the unattenuated source of a strong-loss limit column")
+    return p_from_epsilon(eps)
 
 
 # Each output column from the grid's link.

@@ -9,7 +9,7 @@ from entswap.config import CAVITY_KEYS, KEY_KINDS, WAVEGUIDE_KEYS
 from entswap.errors import DomainError, UsageError
 from entswap.fock_sim import run_fock_checks
 from entswap.sweep import SWEEP_OUTPUTS, SweepSpec, run_sweep
-from entswap.lo_bsm import fidelity_balanced_smalleta
+from entswap.lo_bsm import fidelity_balanced_smalleta, fidelity_unbalanced_limit
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import OracleConfig, verification_report
 from entswap.photon_stats import SwapScenario, epsilon_from_p
@@ -110,6 +110,22 @@ class TestFidelitySweepCommand:
         assert last[1] == pytest.approx(0.0625, abs=1e-12)
         assert last[2] == pytest.approx(1.0 / 48.0, abs=1e-12)
         assert last[3] == pytest.approx(1.0 / 12.0, abs=1e-12)
+
+    def test_limit_columns_read_the_unattenuated_source(self, tmp_path, capsys):
+        # eta_a p_a = 2e-7 at most, below eta_b p_b = 0.01: A is kept, B attenuated.
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text("eta_b = 1\np_a = 0.2\np_b = 0.01\n")
+        code, out, _ = run_cli(
+            capsys, "fidelity-sweep", "--config", str(cfg), "--variable", "eta_a",
+            "--start", "1e-6", "--stop", "1e-5", "--points", "3",
+            "--outputs", "f_lo_balanced_smalleta,f_lo_unbalanced",
+        )
+        assert code == EXIT_OK
+        rows = [line.split(",", 1)[1] for line in out.splitlines()[1:]]
+        # The curves at p_a; at p_b they would read 3.200666631952e-01,3.266326495189e-01.
+        assert rows == ["9.138802621666e-02,1.745355992500e-01"] * 3
+        assert rows[0] == (f"{fidelity_balanced_smalleta(0.2):.12e},"
+                           f"{fidelity_unbalanced_limit(0.2):.12e}")
 
     @pytest.mark.parametrize(
         "start, output, row",
@@ -219,12 +235,49 @@ ALTERNATIVE_DEVICE_KEYS = (
 )
 
 
+def _json_leaves(value, name=""):
+    """(path, leaf) of each leaf of a JSON value in sorted key order, nested
+    keys joined by ``.``; each list item is a leaf under the list's path."""
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value)
+                for leaf in _json_leaves(value[key], f"{name}.{key}" if name else key)]
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _json_leaves(item, name)]
+    return [(name, value)]
+
+
+@pytest.mark.parametrize("argv, config", [
+    *(pytest.param(("device", "--preset", preset), None, id=f"device-{preset}")
+      for preset in ("ingap-ring", "ingap-wg", "lnoi-ring")),
+    pytest.param(("device", "--preset", "ingap-ring"), "q_a = 4e5\nq_b = 1e5\n",
+                 id="device-unequal-linewidths"),
+    pytest.param(("rate-compare", "--preset", "satellite"), None, id="rate-compare-satellite"),
+])
+def test_text_report_names_each_json_leaf(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "input.cfg"
+        path.write_text(config)
+        argv = (*argv, "--config", str(path))
+    code, text, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    leaves = _json_leaves(json.loads(out))
+    lines = [line.split(" = ", 1) for line in text.splitlines()]
+    assert [name for name, _ in lines] == [path for path, _ in leaves]
+    for (_, written), (path, value) in zip(lines, leaves):
+        if isinstance(value, float):
+            assert written == f"{value:.6e}", path
+        else:
+            assert written == (value if isinstance(value, str) else json.dumps(value)), path
+
+
 class TestDeviceCommand:
     def test_ring_preset_text(self, capsys):
         code, out, _ = run_cli(capsys, "device", "--preset", "ingap-ring")
         assert code == EXIT_OK
         assert "cavity.p_sfg = 8.554054e-04" in out
-        assert "4.0e-05" in out  # demonstrated reference annotation
+        assert "reference_demonstrated_p_sfg = 4.000000e-05" in out.splitlines()
 
     def test_waveguide_preset_json(self, capsys):
         code, out, _ = run_cli(
@@ -279,7 +332,7 @@ class TestDeviceCommand:
         code, out, err = run_cli(capsys, "device", "--preset", "ingap-ring", "--config", str(cfg))
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == (
-            "warning: kappa_a and kappa_b differ by 300%; the single-number conversion "
+            "warnings = kappa_a and kappa_b differ by 300%; the single-number conversion "
             "probability assumes comparable input linewidths"
         )
 
@@ -360,7 +413,9 @@ class TestRateCompareCommand:
         code, from_flag, _ = run_cli(capsys, *args, "--delta", "0.02")
         assert code == EXIT_OK
         assert run_cli(capsys, *args, "--config", str(cfg)) == (EXIT_OK, from_flag, "")
-        assert "0.3133" in from_flag  # 1/3 - 0.02
+        target = {"text": "matched_fidelity.f_target_lo = 3.133333e-01",
+                  "json": '"f_target_lo": 0.3133'}[fmt]
+        assert target in from_flag  # 1/3 - 0.02
         _, default, _ = run_cli(capsys, *args)
         assert default != from_flag
 
@@ -535,8 +590,9 @@ WG_HUGE_ETA = "eta_sfg = 1e200 /W/cm^2\naccept = 1e200 Hz*cm\nlength = 1 cm\nlam
 RING = ("device", "--preset", "ingap-ring")
 # check_float_range's message for a result outside the float range.
 RESULT_RULE = "must be finite and, when no factor is 0, of magnitude >= 2.2e-308"
-# The limit columns' message for an eps_b off the branch their p is inverted on.
-LIMIT_RULE = "error: eps_b of a strong-loss limit column must be <= 1/2"
+# The limit columns' message for a kept eps off the branch their p is inverted on.
+LIMIT_RULE = ("error: eps of the unattenuated source of a strong-loss limit column "
+              "must be <= 1/2")
 # A key's other spelling in ALTERNATIVE_DEVICE_KEYS, and a unit of each kind.
 OTHER_SPELLING = {"g": "g_shg", "eta_sfg": "eta_shg", **{f"lambda_{m}": f"freq_{m}" for m in "abc"}}
 UNIT_OF_KIND = {"frequency": "MHz", "wavelength": "nm", "length": "cm", "acceptance": "GHz*cm",

@@ -549,3 +549,14 @@ class TestVerificationReport:
         )
         assert report["errors"] >= 1
         assert all(row["pass"] is not False for row in report["rows"] if "error" in row)
+
+    def test_zero_variance_row_is_an_error_row_not_a_failure(self):
+        # None of the 299 linear-optical heralds is faithful, so the binomial
+        # error, and with it the tolerance, would be 0 and fail any closed form.
+        cfg = OracleConfig(samples=300, seed=0)
+        report = verification_report(
+            [SwapScenario(0.97, 0.97, 1, 1)], cfg, p_sfg=0.05, methods=("monte-carlo",)
+        )
+        lo = next(row for row in report["rows"] if row["model"] == "lo")
+        assert lo["pass"] is None
+        assert lo["error"].startswith("none of 299 heralds faithful")

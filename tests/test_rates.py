@@ -4,7 +4,7 @@ import pytest
 
 from entswap.errors import DomainError
 from entswap.photon_stats import SwapScenario, epsilon_from_p, p_from_epsilon
-from entswap.rates import compare, rate_lo, rate_nlo
+from entswap.rates import compare, kept_source, rate_lo, rate_nlo
 
 
 def scenario_from_p(p_a, p_b, eta_a, eta_b):
@@ -24,6 +24,14 @@ class TestRateLo:
         # eta_b p_b = 1e-4 > eta_a p_a = 1e-5, so source B is the one attenuated.
         scen = scenario_from_p(1e-5, 0.01, 1.0, 1e-2)
         assert rate_lo(scen, 1e9) == pytest.approx(1e-10 * 1e9, rel=1e-12, abs=0.0)
+
+    def test_kept_source_is_the_dimmer_one_b_on_a_tie(self):
+        dim_a = scenario_from_p(1e-5, 0.01, 1.0, 1e-2)
+        assert kept_source(dim_a) == (dim_a.eps_a, p_from_epsilon(dim_a.eps_a))
+        dark = SwapScenario(0.1, 0.2, 0.0, 0.0)
+        assert kept_source(dark) == (0.2, 0.0)
+        # Scalars, not 0-d arrays, so that a JSON report can hold them.
+        assert all(isinstance(value, float) for value in kept_source(dark))
 
     def test_zero_clock(self):
         scen = scenario_from_p(0.01, 0.01, 0.5, 0.5)

@@ -12,7 +12,7 @@ from entswap.lo_bsm import (
 )
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.photon_stats import epsilon_from_p, p_from_epsilon
-from entswap.rates import rate_lo, rate_nlo
+from entswap.rates import kept_source, rate_lo, rate_nlo
 from entswap.sweep import SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec, run_sweep
 
 FIXED = parse_config_text(
@@ -37,10 +37,11 @@ def _scalar_point(variable, x):
     else:
         link = resolve_link(FIXED, {variable: x})
     s = link.scenario
+    p_kept = p_from_epsilon(kept_source(s)[0])
     return {
         "f_lo_general": fidelity_general(s).fidelity,
-        "f_lo_balanced_smalleta": fidelity_balanced_smalleta(p_from_epsilon(s.eps_b)),
-        "f_lo_unbalanced": fidelity_unbalanced_limit(p_from_epsilon(s.eps_b)),
+        "f_lo_balanced_smalleta": fidelity_balanced_smalleta(p_kept),
+        "f_lo_unbalanced": fidelity_unbalanced_limit(p_kept),
         "f_nlo": fidelity_nlo(s),
         "r_lo": rate_lo(s, link.clock),
         "r_nlo": rate_nlo(s, link.p_sfg, link.clock),
