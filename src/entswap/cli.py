@@ -22,8 +22,9 @@ values.  Sweeps and rate-compare read the link through ``config.resolve_link``:
 a source is eps_x or p_x, never both, and required unless swept; numbers are
 finite and counts whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3,
 clock = 1 GHz, and rate-compare's delta = 0.01.  ``verify`` reads no link; its
-keys and defaults are ``VERIFY_DEFAULTS``.  Exit codes: 0 success, 1
-refused input (an ``error:`` line on stderr), 2 verification failure (or
+keys and defaults are ``VERIFY_DEFAULTS``.  A flag matches its full spelling
+only.  Exit codes: 0 success, 1 refused input or a stdout closed before the
+output was written (an ``error:`` line on stderr), 2 verification failure (or
 nothing compared).
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
@@ -70,6 +72,9 @@ CSV_BLOCK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a flag matches its full spelling only
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # keep exit-code contract instead of argparse's 2
         raise UsageError(message)
 
@@ -114,7 +119,16 @@ def _format_report(report: dict, fmt: str) -> Iterator[str]:
 
 def _write_output(chunks: Iterable[str], out: str) -> None:
     if out == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # The reader is gone (``| head``): point fd 1 at devnull, so that the
+            # interpreter's final flush of what is still buffered stays quiet.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError("cannot write to stdout: the reader closed the pipe") from exc
     else:
         try:
             with open(out, "w", encoding="utf-8") as handle:
@@ -211,7 +225,8 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
 _ORACLE = oracle.OracleConfig()  # the oracle's keys default as the library does
 VERIFY_DEFAULTS = {"seed": _ORACLE.seed, "scenarios": 20, "samples": _ORACLE.samples,
                    "n_max": _ORACLE.n_max, "workers": _ORACLE.workers, "p_sfg": 0.05,
-                   "eps_min": 0.01, "eps_max": 0.45, "eta_min": 0.05, "eta_max": 1.0}
+                   "eps_min": oracle.EPS_RANGE[0], "eps_max": oracle.EPS_RANGE[1],
+                   "eta_min": oracle.ETA_RANGE[0], "eta_max": oracle.ETA_RANGE[1]}
 # The scenario ranges come from presets and config files only.
 VERIFY_FLAGS = ("seed", "scenarios", "samples", "n_max", "workers", "p_sfg")
 

@@ -131,7 +131,8 @@ _UNITS = {
 def read(entries: dict[str, ConfigValue], key: str) -> float | str:
     """``key``'s entry in the unit of its kind in ``KEY_KINDS``: a frequency in Hz
     (a bare number is Hz), a wavelength in nm, a length in cm, an acceptance in
-    Hz*cm, an efficiency in 1/(W cm^2), a count as an int, a word as a string."""
+    Hz*cm, an efficiency in 1/(W cm^2), a count (written with no unit, not even %)
+    as an int, a word as a string."""
     if key not in entries:
         raise ConfigError(f"missing key {key!r}")
     q, kind = entries[key], KEY_KINDS.get(key, "dimensionless")
@@ -141,6 +142,8 @@ def read(entries: dict[str, ConfigValue], key: str) -> float | str:
         return q
     if not isinstance(q, Quantity):
         raise ConfigError(f"key {key!r} must be numeric, got {q!r}")
+    if kind == "count" and q.unit is not None:
+        raise ConfigError(f"key {key!r} is a count and takes no unit, got {q.unit!r}")
     if kind in ("dimensionless", "count"):
         if q.unit not in (None, "%"):
             raise ConfigError(f"key {key!r} must be dimensionless, got unit {q.unit!r}")
@@ -257,8 +260,8 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
     Needs g (or g_shg) as an ordinary frequency, lambda_a/lambda_b (or
     freq_a/freq_b) and quality factors q_a, q_b, q_c.  The sum-frequency mode
     defaults to omega_a + omega_b unless lambda_c/freq_c is given; external
-    quality factors qe_x default to 2*q_x (half the loss through the port);
-    drives are on resonance.
+    quality factors qe_x default to 2*q_x (half the loss through the port) and
+    may not be below q_x; drives are on resonance.
     """
     key = _either(entries, "g", "g_shg", "coupling rate")
     g = 2.0 * math.pi * _device_value(entries, key, check_nonnegative)
@@ -274,10 +277,16 @@ def build_cavity(entries: dict[str, ConfigValue]) -> CavityParams:
 
     kappas = {}
     for mode, omega in (("a", omega_a), ("b", omega_b), ("c", omega_c)):
-        kappas[mode] = kappa_from_q(omega, _device_value(entries, f"q_{mode}", check_positive))
-        qe_key = f"qe_{mode}"
+        q_key, qe_key = f"q_{mode}", f"qe_{mode}"
+        q = _device_value(entries, q_key, check_positive)
+        kappas[mode] = kappa_from_q(omega, q)
         if qe_key in entries:
-            kappas[mode + "e"] = kappa_from_q(omega, _device_value(entries, qe_key, check_positive))
+            qe = _device_value(entries, qe_key, check_positive)
+            # The port's loss is part of the total: kappa_xe <= kappa_x is qe_x >= q_x.
+            if qe < q:
+                raise ConfigError(f"need {qe_key} >= {q_key}, got {qe_key} = {qe!r} "
+                                  f"vs {q_key} = {q!r}")
+            kappas[mode + "e"] = kappa_from_q(omega, qe)
         else:
             kappas[mode + "e"] = kappas[mode] / 2.0
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedFidelityError
-from .photon_stats import (SwapScenario, check_epsilon, check_float_range, check_pair_probability,
-                           check_positive, check_probability, p_for_target, side_terms)
+from .photon_stats import (SwapScenario, check_epsilon, check_float_range, check_positive,
+                           check_probability, epsilon_from_p, p_for_target, side_terms)
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -89,30 +89,22 @@ def fidelity_general(scenario: SwapScenario) -> LoFidelityReport:
 def fidelity_balanced_smalleta(p: float) -> float:
     """Strong-loss limit of the balanced case, as a function of pair probability:
 
-        (1/3) * ((1 + sqrt(1 - 4p)) / 2)^4
+        (1/3) * q^4,  q = 1 - eps, eps = epsilon_from_p(p)
     """
-    check_pair_probability(p, "p")
-    q = _q(p)
+    q = 1.0 - epsilon_from_p(p)
     return ONE_THIRD * ((q * q) * (q * q))
 
 
 def fidelity_unbalanced_limit(p_b: float) -> float:
     """Optimal fidelity when one channel is far lossier than the other:
 
-        (1/3) * ((1 + sqrt(1 - 4 p_B)) / 2)^2
+        (1/3) * q_B^2,  q_B = 1 - eps_B, eps_B = epsilon_from_p(p_B)
 
     p_B is the pair probability of the source behind the lossier channel;
     the other source is assumed attenuated to the matching photon flux.
     """
-    check_pair_probability(p_b, "p_b")
-    q = _q(p_b)
+    q = 1.0 - epsilon_from_p(p_b)
     return ONE_THIRD * q * q
-
-
-def _q(p):
-    # (1 + sqrt(1 - 4p)) / 2 = 1 - eps, from sqrt rather than ** 0.5: see
-    # docs/formulas.md on why the closed forms a sweep reaches avoid **.
-    return 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p)))
 
 
 def p_for_balanced_smalleta(f_target: float) -> float:

@@ -65,6 +65,9 @@ EXACT_ABS_TOLERANCE = 1e-10
 # eta = 1e-6, where the row's tail bound is still 1.4e-7.
 FIRST_TRUNCATION = 32
 TAIL_TARGET = 1e-3 * EXACT_ABS_TOLERANCE
+# The default ranges random_scenarios draws eps and eta from, and verify's defaults.
+EPS_RANGE = (0.01, 0.45)
+ETA_RANGE = (0.05, 1.0)
 # Most scenarios one verification draws: at the limit verify --method exact
 # --n-max 10 peaks at about 105 MB resident, where 2**53 - 1 would ask for TBs.
 SCENARIOS_LIMIT = 10_000
@@ -333,8 +336,8 @@ def mc_fidelity_nlo(
 def random_scenarios(
     count: int,
     seed: int,
-    eps_range: tuple[float, float] = (0.01, 0.45),
-    eta_range: tuple[float, float] = (0.05, 1.0),
+    eps_range: tuple[float, float] = EPS_RANGE,
+    eta_range: tuple[float, float] = ETA_RANGE,
 ) -> list[SwapScenario]:
     """Reproducible random parameter grid for verification runs.
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from entswap.nlo_bsm import fidelity_nlo
 from entswap.oracle import OracleConfig, verification_report
 from entswap.photon_stats import SwapScenario, epsilon_from_p
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Scenarios in which an nlo exact-sum row differs from the closed form by more
 # than its tail bound, at the keyed --n-max, by less than the rounding floor.
@@ -795,6 +799,25 @@ class TestRejectedInputs:
                          "scale must be 'linear' or 'log', got 'cubic'", id="sweep-scale-cubic"),
             pytest.param(("fidelity-sweep", "--preset", "fig2", "--outputs", ","), None,
                          "at least one output column is required", id="sweep-outputs-empty"),
+            # A count is a bare number: "300 %" used to read as 3 points.
+            pytest.param(("fidelity-sweep", "--preset", "fig2", "--points", "300 %"), None,
+                         "key 'points' is a count and takes no unit, got '%'",
+                         id="points-percent"),
+            pytest.param(("verify", "--scenarios", "100 %"), None,
+                         "key 'scenarios' is a count and takes no unit, got '%'",
+                         id="scenarios-percent"),
+            # An external Q below the total Q is refused under the keys it was read from.
+            pytest.param(RING, "qe_a = 1e5\n",
+                         "error: need qe_a >= q_a, got qe_a = 100000.0 vs q_a = 400000.0",
+                         id="device-qe-below-q"),
+            # A flag matches its full spelling only, not a prefix of it.
+            *(pytest.param(argv, None, f"unrecognized arguments: {argv[-2]} {argv[-1]}",
+                           id=f"prefix{argv[-2]}")
+              for argv in (("verify", "--sam", "1000"),
+                           ("fidelity-sweep", "--preset", "fig2", "--poi", "3"),
+                           ("fidelity-sweep", "--pre", "fig2"))),
+            pytest.param(("fock-check", "--dump"), None, "unrecognized arguments: --dump",
+                         id="prefix--dump"),
         ],
     )
     def test_usage_error_without_output(self, tmp_path, capsys, argv, config, message):
@@ -857,6 +880,22 @@ class TestFlags:
 
 
 class TestOutputFile:
+    def test_closed_stdout_ends_in_one_error_line(self):
+        # The reader takes one line and closes the pipe, as `| head -1` does,
+        # long before the 100000 rows are written.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "entswap.cli", "fidelity-sweep", "--preset", "fig2",
+             "--points", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout.readline().startswith(b"p,f_nlo,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_USAGE
+        assert err == "error: cannot write to stdout: the reader closed the pipe\n"
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(

@@ -123,6 +123,12 @@ class TestCounts:
         with pytest.raises(ConfigError, match="key 'seed' must be below 2\\*\\*53"):
             read(parse_config_text(f"seed = {text}"), "seed")
 
+    @pytest.mark.parametrize("key", [key for key, kind in KEY_KINDS.items() if kind == "count"])
+    def test_a_count_takes_no_percent(self, key):
+        # "300 %" used to read as 3, as if a count were a dimensionless fraction.
+        with pytest.raises(ConfigError, match=f"key '{key}' is a count and takes no unit, got '%'"):
+            read(parse_config_text(f"{key} = 300 %"), key)
+
     def test_resolve_reads_by_default(self):
         entries = parse_config_text("clock = 2 MHz\nseed = 7\ndelta = 2 %")
         defaults = {"clock": 1e9, "seed": 0, "delta": 0.01, "p_sfg": 0.05}
@@ -199,6 +205,12 @@ class TestCavityBuilder:
     def test_explicit_external_quality_factor(self):
         cav = build_cavity(parse_config_text(self.BASE + "qe_a = 4e5"))
         assert cav.kappa_ae == pytest.approx(cav.kappa_a)
+
+    @pytest.mark.parametrize("mode, q", [("a", "400000.0"), ("b", "400000.0"), ("c", "100000.0")])
+    def test_external_quality_factor_below_the_total_names_both_keys(self, mode, q):
+        with pytest.raises(ConfigError, match=f"^need qe_{mode} >= q_{mode}, "
+                                              f"got qe_{mode} = 50000.0 vs q_{mode} = {q}$"):
+            build_cavity(parse_config_text(self.BASE + f"qe_{mode} = 5e4"))
 
 
 class TestWaveguideBuilder:

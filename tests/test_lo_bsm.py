@@ -206,6 +206,18 @@ class TestStrongLossCurves:
         assert fidelity_unbalanced_limit(0.0) == pytest.approx(ONE_THIRD, rel=1e-15, abs=0.0)
         assert fidelity_unbalanced_limit(0.25) == pytest.approx(1.0 / 12.0, rel=1e-12, abs=0.0)
 
+    def test_both_curves_within_1e_15_of_a_50_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        # Log-spaced over [1e-12, 1/4], 1/4 itself, and p just below 1/4, where sqrt(1 - 4p) -> 0.
+        p = np.concatenate([np.logspace(-12, math.log10(0.25), 600), [0.25],
+                            0.25 - np.logspace(-16, -3, 100)])
+        balanced, unbalanced = fidelity_balanced_smalleta(p), fidelity_unbalanced_limit(p)
+        with mpmath.workdps(50):
+            for p_i, f_bal, f_unb in zip(p.tolist(), balanced.tolist(), unbalanced.tolist()):
+                q = (1 + mpmath.sqrt(1 - 4 * mpmath.mpf(p_i))) / 2
+                assert abs(f_bal - q**4 / 3) <= 1e-15 * q**4 / 3, p_i
+                assert abs(f_unb - q**2 / 3) <= 1e-15 * q**2 / 3, p_i
+
     def test_unbalanced_is_the_asymmetric_limit(self):
         p_b = 0.09
         eps_b = epsilon_from_p(p_b)
