@@ -49,9 +49,6 @@ from .sfg_device import (
 )
 
 _FREQUENCY_HZ = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "THz": 1e12}
-_LENGTH_CM = {"nm": 1e-7, "um": 1e-4, "mm": 0.1, "cm": 1.0, "m": 100.0}
-_ACCEPTANCE_HZ_CM = {f"{unit}*cm": factor for unit, factor in _FREQUENCY_HZ.items()}
-_SFG_EFFICIENCY = {"%/W/cm^2": 1e-2, "1/W/cm^2": 1.0, "/W/cm^2": 1.0}
 
 
 @dataclass(frozen=True)
@@ -118,21 +115,24 @@ KEY_KINDS = {
     **dict.fromkeys(("points", "seed", "scenarios", "samples", "n_max", "workers"), "count"),
     **dict.fromkeys(("variable", "scale", "outputs"), "word"),
 }
-# The unit table of each kind that has one, and the kind's name in messages.
+# Each numeric kind's unit table: every unit token the kind accepts, None
+# standing for a bare number, with its factor to the kind's unit.
 _UNITS = {
-    "frequency": (_FREQUENCY_HZ, "frequency"),
-    "wavelength": (_LENGTH_CM, "length"),
-    "length": (_LENGTH_CM, "length"),
-    "acceptance": (_ACCEPTANCE_HZ_CM, "bandwidth-length"),
-    "efficiency": (_SFG_EFFICIENCY, "normalized-efficiency"),
+    "dimensionless": {None: 1.0, "%": 1e-2},
+    "count": {None: 1.0},
+    "frequency": {None: 1.0, **_FREQUENCY_HZ},
+    "wavelength": {"nm": 1.0, "um": 1e3, "mm": 1e6, "cm": 1e7, "m": 1e9},
+    "length": {"nm": 1e-7, "um": 1e-4, "mm": 0.1, "cm": 1.0, "m": 100.0},
+    "acceptance": {f"{unit}*cm": factor for unit, factor in _FREQUENCY_HZ.items()},
+    "efficiency": {"%/W/cm^2": 1e-2, "1/W/cm^2": 1.0, "/W/cm^2": 1.0},
 }
 
 
 def read(entries: dict[str, ConfigValue], key: str) -> float | str:
-    """``key``'s entry in the unit of its kind in ``KEY_KINDS``: a frequency in Hz
-    (a bare number is Hz), a wavelength in nm, a length in cm, an acceptance in
-    Hz*cm, an efficiency in 1/(W cm^2), a count (written with no unit, not even %)
-    as an int, a word as a string."""
+    """``key``'s entry in the unit of its kind in ``KEY_KINDS``, written in one of
+    the units of the kind's row of ``_UNITS``: a frequency in Hz (a bare number is
+    Hz), a wavelength in nm, a length in cm, an acceptance in Hz*cm, an efficiency
+    in 1/(W cm^2), a count (a bare number) as an int, a word as a string."""
     if key not in entries:
         raise ConfigError(f"missing key {key!r}")
     q, kind = entries[key], KEY_KINDS.get(key, "dimensionless")
@@ -142,23 +142,13 @@ def read(entries: dict[str, ConfigValue], key: str) -> float | str:
         return q
     if not isinstance(q, Quantity):
         raise ConfigError(f"key {key!r} must be numeric, got {q!r}")
-    if kind == "count" and q.unit is not None:
-        raise ConfigError(f"key {key!r} is a count and takes no unit, got {q.unit!r}")
-    if kind in ("dimensionless", "count"):
-        if q.unit not in (None, "%"):
-            raise ConfigError(f"key {key!r} must be dimensionless, got unit {q.unit!r}")
-        value = q.value * 1e-2 if q.unit == "%" else q.value
-    elif kind == "frequency" and q.unit is None:
-        value = q.value  # bare numbers are Hz
-    else:
-        table, what = _UNITS[kind]
-        if q.unit is None:
-            raise ConfigError(f"key {key!r} needs a {what} unit ({', '.join(table)})")
-        if q.unit not in table:
-            raise ConfigError(f"key {key!r} has unsupported {what} unit {q.unit!r}")
-        value = q.value * table[q.unit]
-        if kind == "wavelength":
-            value = value / _LENGTH_CM["nm"]
+    table = _UNITS[kind]
+    if q.unit not in table:
+        *rest, last = ("no unit" if unit is None else unit for unit in table)
+        accepted = f"{', '.join(rest)} or {last}" if rest else last
+        got = "no unit" if q.unit is None else repr(q.unit)
+        raise ConfigError(f"key {key!r} takes {accepted}, got {got}")
+    value = q.value * table[q.unit]
     # The parser checks the magnitude only; a unit factor can still overflow it.
     if not math.isfinite(value):
         raise ConfigError(f"key {key!r} overflows a float once converted, got {q.value!r} {q.unit}")

@@ -47,7 +47,8 @@ def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
     check_nonnegative(clock, "clock rate")
     check_probability(p_sfg, "p_sfg")
     p_a, p_b = p_from_epsilon(scenario.eps_a), p_from_epsilon(scenario.eps_b)
-    rate = p_sfg * scenario.eta_a * scenario.eta_b * p_a * p_b * clock
+    # p_sfg meets the clock first: left to right, a small p_sfg passed through a subnormal.
+    rate = (p_sfg * clock) * ((scenario.eta_a * p_a) * (scenario.eta_b * p_b))
     return check_float_range(rate, "rate_nlo", p_sfg, clock, *vars(scenario).values())
 
 

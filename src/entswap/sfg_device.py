@@ -99,47 +99,53 @@ def _in_float_range(name: str):
 
 def kappa_from_q(omega: float, q: float) -> float:
     """Linewidth kappa = omega / Q for a resonance at angular frequency omega."""
+    check_positive(omega, "omega")
     check_positive(q, "q")
-    return omega / q
+    return check_float_range(omega / q, "kappa")
 
 
 def omega_from_wavelength_nm(wavelength_nm: float) -> float:
     """Angular frequency 2 pi c / lambda for a vacuum wavelength in nm."""
     check_positive(wavelength_nm, "wavelength_nm")
     with _in_float_range("omega"):
-        return 2.0 * math.pi * _C_LIGHT / (wavelength_nm * 1e-9)
+        return check_float_range(2.0 * math.pi * _C_LIGHT / (wavelength_nm * 1e-9), "omega")
 
 
 def sfg_coupling_from_shg(g_shg: float) -> float:
     """Nonlinear coupling rate for SFG given the measured SHG rate (factor 2)."""
+    check_nonnegative(g_shg, "g_shg")
     return 2.0 * g_shg
 
 
 def sfg_efficiency_from_shg(eta_shg: float) -> float:
     """Normalized SFG efficiency given the measured SHG efficiency (factor 4)."""
+    check_positive(eta_shg, "eta_shg")
     return 4.0 * eta_shg
 
 
-def eta_sfg_cavity(cav: CavityParams) -> float:
-    """Classical conversion efficiency eta_sfg (per W), driven on resonance:
+def _drive_factor(cav: CavityParams, mismatch: float) -> float:
+    """eta_sfg / g^2 at sum-frequency mismatch omega_c - omega_a - omega_b:
 
-        g^2 * (kappa_ae/2) / (kappa_a/2)^2
-            * (kappa_be/2) / (kappa_b/2)^2
-            * (kappa_ce/2) / ((omega_c - omega_a - omega_b)^2 + (kappa_c/2)^2)
+        (kappa_ae/2) / (kappa_a/2)^2 * (kappa_be/2) / (kappa_b/2)^2
+            * (kappa_ce/2) / (mismatch^2 + (kappa_c/2)^2)
             * hbar omega_c / (hbar omega_a hbar omega_b)
-
-    A sum-frequency mismatch far beyond kappa_c drives the efficiency to zero.
     """
-    mismatch = cav.omega_c - cav.omega_a - cav.omega_b
     half_a, half_b, half_c = cav.kappa_a / 2.0, cav.kappa_b / 2.0, cav.kappa_c / 2.0
+    return (
+        (cav.kappa_ae / 2.0) / (half_a * half_a)
+        * (cav.kappa_be / 2.0) / (half_b * half_b)
+        * (cav.kappa_ce / 2.0) / (mismatch * mismatch + half_c * half_c)
+        * (_HBAR * cav.omega_c) / ((_HBAR * cav.omega_a) * (_HBAR * cav.omega_b))
+    )
+
+
+def eta_sfg_cavity(cav: CavityParams) -> float:
+    """Classical conversion efficiency eta_sfg (per W) with a and b driven on
+    resonance: g^2 times the drive factor at the cavity's sum-frequency mismatch.
+    A mismatch far beyond kappa_c drives the efficiency to zero.
+    """
     with _in_float_range("eta_sfg"):
-        eta = (
-            cav.g * cav.g
-            * (cav.kappa_ae / 2.0) / (half_a * half_a)
-            * (cav.kappa_be / 2.0) / (half_b * half_b)
-            * (cav.kappa_ce / 2.0) / (mismatch * mismatch + half_c * half_c)
-            * (_HBAR * cav.omega_c) / ((_HBAR * cav.omega_a) * (_HBAR * cav.omega_b))
-        )
+        eta = cav.g * cav.g * _drive_factor(cav, cav.omega_c - cav.omega_a - cav.omega_b)
     return check_float_range(eta, "eta_sfg", cav.g)
 
 
@@ -171,27 +177,14 @@ def p_sfg_cavity(cav: CavityParams) -> float:
 
 def p_sfg_from_eta(cav: CavityParams, eta_sfg: float) -> float:
     """Single-photon conversion probability from a measured classical efficiency:
+    g^2 = eta_sfg / (drive factor at zero mismatch), then 4 g^2 / (kappa_a kappa_c).
 
-        p_sfg = eta_sfg * (kappa_a/2)^2 / (kappa_ae/2)
-                        * (kappa_b/2)^2 / (kappa_be/2)
-                        * kappa_c / (kappa_a * kappa_ce/2)
-                        * hbar omega_a hbar omega_b / (hbar omega_c)
-
-    Composing eta_sfg_cavity (on resonance, frequency matched) with this map
-    reproduces 4 g^2 / (kappa_a kappa_c) identically; a below-ideal measured
-    efficiency scales p_sfg down linearly.
+    Composing eta_sfg_cavity (frequency matched) with this map reproduces
+    p_sfg_cavity; a below-ideal measured efficiency scales p_sfg down linearly.
     """
     check_nonnegative(eta_sfg, "eta_sfg")
-    half_a, half_b = cav.kappa_a / 2.0, cav.kappa_b / 2.0
     with _in_float_range("p_sfg"):
-        p = (
-            eta_sfg
-            * (half_a * half_a) / (cav.kappa_ae / 2.0)
-            * (half_b * half_b) / (cav.kappa_be / 2.0)
-            * cav.kappa_c / (cav.kappa_a * cav.kappa_ce / 2.0)
-            # hbar once: three factors of 1e-19 would pass a small eta_sfg through subnormals.
-            * (_HBAR * (cav.omega_a * cav.omega_b / cav.omega_c))
-        )
+        p = 4.0 * (eta_sfg / _drive_factor(cav, 0.0)) / (cav.kappa_a * cav.kappa_c)
     return check_float_range(p, "p_sfg", eta_sfg)
 
 

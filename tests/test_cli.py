@@ -669,11 +669,11 @@ class TestRejectedInputs:
             pytest.param(RING, "lambda_b = -1 um\n", "lambda_b must be finite and > 0, got -1.0\n",
                          id="device-lambda-b-as-written"),
             # A positive value whose conversion underflows to 0 is refused under its key.
-            pytest.param(RING, "lambda_b = 5e-324 nm\n",
-                         "lambda_b must be finite and > 0, got 0.0\n",
-                         id="device-lambda-b-converts-to-0"),
             pytest.param(RING, "q_a = 5e-324 %\n", "q_a must be finite and > 0, got 0.0\n",
                          id="device-q-a-converts-to-0"),
+            # No wavelength unit scales a value down, so 5e-324 nm reaches 2 pi c / lambda.
+            pytest.param(RING, "lambda_b = 5e-324 nm\n", f"omega {RESULT_RULE}, got inf\n",
+                         id="device-lambda-b-omega-overflows"),
             # kappa_a near 1e-235: its square underflows to 0 in a denominator.
             pytest.param(RING, "lambda_a = 1e250 nm\n",
                          f"eta_sfg {RESULT_RULE}, got inf",
@@ -793,7 +793,7 @@ class TestRejectedInputs:
             pytest.param(("rate-compare",), "eps_a = abc\n", "key 'eps_a' must be numeric, got 'abc'",
                          id="rate-eps-a-not-numeric"),
             pytest.param(RING, "lambda_a = 1550\n",
-                         "key 'lambda_a' needs a length unit (nm, um, mm, cm, m)",
+                         "key 'lambda_a' takes nm, um, mm, cm or m, got no unit",
                          id="device-length-without-unit"),
             pytest.param(("fidelity-sweep", "--preset", "fig2", "--scale", "cubic"), None,
                          "scale must be 'linear' or 'log', got 'cubic'", id="sweep-scale-cubic"),
@@ -801,10 +801,10 @@ class TestRejectedInputs:
                          "at least one output column is required", id="sweep-outputs-empty"),
             # A count is a bare number: "300 %" used to read as 3 points.
             pytest.param(("fidelity-sweep", "--preset", "fig2", "--points", "300 %"), None,
-                         "key 'points' is a count and takes no unit, got '%'",
+                         "key 'points' takes no unit, got '%'",
                          id="points-percent"),
             pytest.param(("verify", "--scenarios", "100 %"), None,
-                         "key 'scenarios' is a count and takes no unit, got '%'",
+                         "key 'scenarios' takes no unit, got '%'",
                          id="scenarios-percent"),
             # An external Q below the total Q is refused under the keys it was read from.
             pytest.param(RING, "qe_a = 1e5\n",

@@ -15,6 +15,7 @@ from entswap.config import (
     read,
     resolve,
     resolve_link,
+    _UNITS,
 )
 from entswap.errors import ConfigError
 from entswap.sweep import SPEC_KEYS
@@ -70,6 +71,12 @@ class TestConversions:
         assert read(parse_config_text("length = 10 mm"), "length") == pytest.approx(1.0)
         assert read(parse_config_text("lambda = 1550 nm"), "lambda") == pytest.approx(1550.0)
 
+    def test_a_wavelength_is_scaled_once(self):
+        # Through cm and back to nm, 1.31 um read 1310.0000000000002.
+        for value in (1.55, 1.31):
+            entries = parse_config_text(f"lambda = {value} um")
+            assert read(entries, "lambda") == value * 1000.0
+
     def test_percent_efficiency_is_the_dangerous_conversion(self):
         entries = parse_config_text("eta_sfg = 500000 %/W/cm^2\neta_shg = 5000 1/W/cm^2")
         assert read(entries, "eta_sfg") == pytest.approx(5000.0)
@@ -102,7 +109,27 @@ class TestConversions:
             read(parse_config_text(text), key)
 
 
+# Every unit token of every kind's row, None standing for a bare number.
+ALL_UNITS = sorted({unit for table in _UNITS.values() for unit in table}, key=str)
+
+
 class TestKinds:
+    @pytest.mark.parametrize("key", [*(k for k, kind in KEY_KINDS.items() if kind != "word"),
+                                     "eta_a"])
+    def test_read_takes_exactly_the_units_of_its_kind(self, key):
+        table = _UNITS[KEY_KINDS.get(key, "dimensionless")]
+        for unit in ALL_UNITS:
+            entries = parse_config_text(f"{key} = 2" + ("" if unit is None else f" {unit}"))
+            if unit in table:
+                assert read(entries, key) == 2.0 * table[unit]
+                continue
+            names = ["no unit" if name is None else name for name in table]
+            listed = f"{', '.join(names[:-1])} or {names[-1]}" if len(names) > 1 else names[0]
+            got = "no unit" if unit is None else repr(unit)
+            with pytest.raises(ConfigError) as info:
+                read(entries, key)
+            assert str(info.value) == f"key {key!r} takes {listed}, got {got}"
+
     def test_every_kind_names_a_key_some_command_reads(self):
         read_keys = {*LINK_KEYS, *CAVITY_KEYS, *WAVEGUIDE_KEYS, *SPEC_KEYS,
                      *VERIFY_DEFAULTS, *RATE_DEFAULTS}
@@ -126,7 +153,7 @@ class TestCounts:
     @pytest.mark.parametrize("key", [key for key, kind in KEY_KINDS.items() if kind == "count"])
     def test_a_count_takes_no_percent(self, key):
         # "300 %" used to read as 3, as if a count were a dimensionless fraction.
-        with pytest.raises(ConfigError, match=f"key '{key}' is a count and takes no unit, got '%'"):
+        with pytest.raises(ConfigError, match=f"key '{key}' takes no unit, got '%'"):
             read(parse_config_text(f"{key} = 300 %"), key)
 
     def test_resolve_reads_by_default(self):
@@ -137,7 +164,7 @@ class TestCounts:
         assert type(values["seed"]) is int
         with pytest.raises(ConfigError, match="key 'seed' must be a whole number"):
             resolve(parse_config_text("seed = 2.5"), defaults)
-        with pytest.raises(ConfigError, match="key 'delta' must be dimensionless"):
+        with pytest.raises(ConfigError, match="key 'delta' takes no unit or %, got 'GHz'"):
             resolve(parse_config_text("delta = 1 GHz"), defaults)
 
 

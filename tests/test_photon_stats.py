@@ -50,6 +50,8 @@ from entswap.sfg_device import (
     p_sfg_cavity,
     p_sfg_from_eta,
     p_sfg_waveguide,
+    sfg_coupling_from_shg,
+    sfg_efficiency_from_shg,
 )
 from entswap.sweep import POINTS_LIMIT, SweepSpec
 
@@ -245,6 +247,9 @@ SIGNED_INPUTS = [
     pytest.param(lambda v: kappa_from_q(1.2e15, v), "q", 4e5, True, id="kappa-from-q"),
     pytest.param(omega_from_wavelength_nm, "wavelength_nm", 1550.0, True,
                  id="omega-from-wavelength"),
+    pytest.param(lambda v: kappa_from_q(v, 4e5), "omega", 1.2e15, True, id="kappa-from-q-omega"),
+    pytest.param(sfg_coupling_from_shg, "g_shg", 1e8, False, id="sfg-coupling-from-shg"),
+    pytest.param(sfg_efficiency_from_shg, "eta_shg", 1250.0, True, id="sfg-efficiency-from-shg"),
     pytest.param(lambda v: p_sfg_from_eta(RING, v), "eta_sfg", 1e-3, False, id="p-sfg-from-eta"),
     # eta_a = 0 gives rate 0, as eta_b = 0 does: nothing divides by eta_a.
     pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "eta_a", 0.5, False,
@@ -263,9 +268,10 @@ SIGNED_INPUTS = [
 @pytest.mark.parametrize("call, name, good, positive", SIGNED_INPUTS)
 def test_every_signed_input_takes_finite_values_of_its_sign_only(call, name, good, positive):
     # kappa_from_q(1e15, inf) and omega_from_wavelength_nm(inf) used to return
-    # 0.0, WaveguideParams took an infinite field, and p_sfg_from_eta(cav, inf)
-    # reported an overflow.  A transmission above is also checked to be in
-    # [0, 1], so its error names that interval.
+    # 0.0, WaveguideParams took an infinite field, p_sfg_from_eta(cav, inf)
+    # reported an overflow, and kappa_from_q(-1, 2) and
+    # sfg_efficiency_from_shg(-1) returned -0.5 and -4.0.  A transmission above
+    # is also checked to be in [0, 1], so its error names that interval.
     for bad in [*([0.0] if positive else []), -1.0, math.inf, math.nan]:
         with pytest.raises(DomainError, match=rf"^{name} must be .*, got {bad}$"):
             call(bad)
@@ -274,15 +280,16 @@ def test_every_signed_input_takes_finite_values_of_its_sign_only(call, name, goo
 
 # Every computed result check_float_range guards: the call on one value, the
 # name its error gives, a value that takes the result out of the float range,
-# and a zero factor, with which the result is exactly 0.
+# and a zero factor, with which the result is exactly 0 (None where every
+# factor must be > 0).
 RESULTS = [
     pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_b=v), 1e9), "rate_lo", 1e-160,
                  0.0, id="rate-lo"),
     pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "rate_lo", 1e-160,
                  0.0, id="rate-lo-eta-a"),
     pytest.param(lambda v: rate_nlo(LINK, v, 1e9), "rate_nlo", 1e-310, 0.0, id="rate-nlo"),
-    # Equal fluxes, so the ratio is p_sfg; rate_nlo is normal only after its
-    # product passed through a subnormal.
+    # Equal fluxes, so the ratio is p_sfg, subnormal, though rate_nlo, whose
+    # product groups p_sfg with the clock, is normal.
     pytest.param(lambda v: compare(SwapScenario(0.01, 0.01, 1.0, 1.0), v, 1e300)["crossover_ratio"],
                  "crossover_ratio", 1e-310, 0.0, id="crossover"),
     pytest.param(lambda v: p_sfg_cavity(dataclasses.replace(RING, g=v)), "p_sfg", 1e-160, 0.0,
@@ -292,6 +299,8 @@ RESULTS = [
     pytest.param(lambda v: p_sfg_from_eta(RING, v), "p_sfg", 1e-300, 0.0, id="p-sfg-from-eta"),
     pytest.param(lambda v: p_sfg_waveguide(dataclasses.replace(GUIDE, length=v)), "p_sfg", 1e-305,
                  0.0, id="p-sfg-waveguide"),
+    pytest.param(lambda v: kappa_from_q(1.0, v), "kappa", 1e-320, None, id="kappa-from-q"),
+    pytest.param(omega_from_wavelength_nm, "omega", 1e-300, None, id="omega-from-wavelength"),
     pytest.param(lambda v: fidelity_general(SwapScenario(v, 0.01, 1.0, 1e-5)).p_faithful,
                  "p_faithful", 1e-310, 0.0, id="fidelity-general"),
 ]
@@ -304,7 +313,8 @@ def test_every_result_leaving_the_float_range_is_refused(call, name, bad, zero):
     rule = f"^{re.escape(name)} must be finite and, when no factor is 0, of magnitude >= 2.2e-308"
     with pytest.raises(DomainError, match=rule):
         call(bad)
-    assert call(zero) == 0.0
+    if zero is not None:
+        assert call(zero) == 0.0
 
 
 class TestCheckCount:

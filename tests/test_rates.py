@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +60,15 @@ class TestRateNlo:
     def test_zero_conversion(self):
         scen = scenario_from_p(0.01, 0.01, 0.5, 0.5)
         assert rate_nlo(scen, 0.0, 1e9) == 0.0
+
+    def test_small_p_sfg_keeps_its_digits(self):
+        # On the satellite link, multiplying left to right took p_sfg * eta_a * eta_b
+        # through a subnormal and returned 1.0000000000132873e-304.
+        scen = scenario_from_p(0.01, 0.01, 1.0, 1e-5)
+        factors = (1e-304, scen.eta_a, scen.eta_b, p_from_epsilon(scen.eps_a),
+                   p_from_epsilon(scen.eps_b), 1e9)
+        exact = math.prod(map(Fraction, factors))
+        assert rate_nlo(scen, 1e-304, 1e9) == pytest.approx(float(exact), rel=2e-16, abs=0.0)
 
     def test_linear_in_clock(self):
         scen = scenario_from_p(0.02, 0.03, 0.4, 0.9)

@@ -15,12 +15,13 @@ import entswap
 from entswap.cli import EXIT_OK, main
 
 # Device keys the presets do not use: the SHG forms, ordinary frequencies and
-# external quality factors.
+# external quality factors. freq_c, a bare number (Hz), and lambda, in um,
+# reach those rows of the unit table.
 DEVICE_CONFIG = """\
 g_shg = 10 MHz
 freq_a = 193.4 THz
 freq_b = 193.4 THz
-freq_c = 386.8 THz
+freq_c = 386.8e12
 q_a = 4e5
 q_b = 4e5
 q_c = 1e5
@@ -30,7 +31,7 @@ qe_c = 2e5
 eta_shg = 125000 %/W/cm^2
 accept = 6 GHz*cm
 length = 1 cm
-lambda = 1550 nm
+lambda = 1.55 um
 """
 
 INVOCATIONS = [

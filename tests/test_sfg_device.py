@@ -96,6 +96,22 @@ class TestEfficiency:
         detuned = dataclasses.replace(base, omega_c=base.omega_c + 1e6 * base.kappa_c)
         assert eta_sfg_cavity(detuned) < 1e-11 * on_value
 
+    def test_detuned_round_trip_keeps_the_lorentzian(self):
+        # eta_sfg_cavity reads the drive factor at the mismatch, p_sfg_from_eta at 0.
+        base = ingap_ring()
+        cav = dataclasses.replace(base, omega_c=omega_from_wavelength_nm(775.003))
+        mismatch = cav.omega_c - cav.omega_a - cav.omega_b
+        half_c = cav.kappa_c / 2
+        lorentzian = half_c**2 / (mismatch**2 + half_c**2)
+        assert 0.5 < lorentzian < 0.9
+        assert p_sfg_from_eta(cav, eta_sfg_cavity(cav)) == pytest.approx(
+            p_sfg_cavity(cav) * lorentzian, rel=1e-12, abs=0.0
+        )
+
+    def test_round_trip_is_exact_on_the_design_point(self):
+        cav = ingap_ring()
+        assert p_sfg_from_eta(cav, eta_sfg_cavity(cav)) == p_sfg_cavity(cav)
+
     def test_on_resonance_product_form(self):
         cav = ingap_ring()
         expected = (
