@@ -22,10 +22,11 @@ values.  Sweeps and rate-compare read the link through ``config.resolve_link``:
 a source is eps_x or p_x, never both, and required unless swept; numbers are
 finite and counts whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3,
 clock = 1 GHz, and rate-compare's delta = 0.01.  ``verify`` reads no link; its
-keys and defaults are ``VERIFY_DEFAULTS``.  A flag matches its full spelling
-only.  Exit codes: 0 success, 1 refused input or a stdout closed before the
-output was written (an ``error:`` line on stderr), 2 verification failure (or
-nothing compared).
+keys and defaults are ``VERIFY_DEFAULTS``, where each ``oracle.OracleConfig``
+field, p_sfg = 0.05 included, defaults as the library does.  A flag matches
+its full spelling only.  Exit codes: 0 success, 1 refused input or a stdout
+closed before the output was written (an ``error:`` line on stderr), 2
+verification failure (or nothing compared).
 """
 
 from __future__ import annotations
@@ -209,10 +210,8 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
     entries = _collect_entries(args)
     link = resolve_link(entries)
     report = {
-        "scenario": asdict(link.scenario),
-        "p_sfg": link.p_sfg,
-        "clock": link.clock,
-        **rates.compare(link.scenario, link.p_sfg, link.clock),
+        **asdict(link),
+        **rates.compare(link),
         "matched_fidelity": rates.matched_fidelity(resolve(entries, RATE_DEFAULTS)["delta"]),
     }
     _write_output(_format_report(report, args.format), args.out)
@@ -222,9 +221,9 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
 # --- subcommand: verify -----------------------------------------------------------
 
 
-_ORACLE = oracle.OracleConfig()  # the oracle's keys default as the library does
+_ORACLE = oracle.OracleConfig()  # the oracle's five keys default as the library does
 VERIFY_DEFAULTS = {"seed": _ORACLE.seed, "scenarios": 20, "samples": _ORACLE.samples,
-                   "n_max": _ORACLE.n_max, "workers": _ORACLE.workers, "p_sfg": 0.05,
+                   "n_max": _ORACLE.n_max, "workers": _ORACLE.workers, "p_sfg": _ORACLE.p_sfg,
                    "eps_min": oracle.EPS_RANGE[0], "eps_max": oracle.EPS_RANGE[1],
                    "eta_min": oracle.ETA_RANGE[0], "eta_max": oracle.ETA_RANGE[1]}
 # The scenario ranges come from presets and config files only.
@@ -245,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "mc": ("monte-carlo",),
         "both": ("exact-sum", "monte-carlo"),
     }[args.method]
-    report = oracle.verification_report(scenarios, cfg, p_sfg=values["p_sfg"], methods=methods)
+    report = oracle.verification_report(scenarios, cfg, methods)
     _write_output(_format_json(report), args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 

@@ -32,13 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .photon_stats import (
-    SwapScenario,
-    check_nonnegative,
-    check_positive,
-    check_probability,
-    epsilon_from_p,
-)
+from .photon_stats import Link, SwapScenario, check_nonnegative, check_positive, epsilon_from_p
 from .sfg_device import (
     CavityParams,
     WaveguideParams,
@@ -186,19 +180,6 @@ def check_known(entries: dict[str, ConfigValue], known: tuple[str, ...]) -> None
             f"unknown key{plural} {', '.join(map(repr, unknown))}; "
             f"this command reads {', '.join(sorted(known))}"
         )
-
-
-@dataclass(frozen=True)
-class Link:
-    """The resolved link: its scenario, plus p_sfg and the clock, which no scenario holds."""
-
-    scenario: SwapScenario
-    p_sfg: float
-    clock: float
-
-    def __post_init__(self) -> None:
-        check_probability(self.p_sfg, "p_sfg")
-        check_nonnegative(self.clock, "clock rate")
 
 
 def _either(entries: dict[str, ConfigValue], first: str, second: str, what: str) -> str:

@@ -39,11 +39,10 @@ _SQRT_HALF = 2.0**-0.5
 # 14.2 PiB.
 CUTOFF_LIMIT = 100
 
-SIGMA_MODES: tuple[str, ...] = ("e_S1", "l_S1", "e_S2", "l_S2")
 BELL_LABELS: tuple[str, ...] = ("phi+", "phi-", "psi+", "psi-")
 
 # The bins (e = 0, l = 1) of photons 2 and 3 that feed each up-converted mode,
-# in SIGMA_MODES order: the first element interacts equal bins, the second
+# in the order e_S1, l_S1, e_S2, l_S2: the first element interacts equal bins, the second
 # interacts opposite bins.
 _BINS_OF_SIGMA = ((0, 0), (1, 1), (0, 1), (1, 0))
 
@@ -239,7 +238,7 @@ def dump_state(state: np.ndarray) -> str:
 
 
 def sfg_projection_vectors() -> dict[str, np.ndarray]:
-    """Measurement vectors (e_Sx +/- l_Sx)/sqrt(2) on the mode order SIGMA_MODES."""
+    """Measurement vectors (e_Sx +/- l_Sx)/sqrt(2) on the mode order e_S1, l_S1, e_S2, l_S2."""
     vecs: dict[str, np.ndarray] = {}
     for element, (e_idx, l_idx) in (("S1", (0, 1)), ("S2", (2, 3))):
         for sign_label, sign in (("+", 1.0), ("-", -1.0)):

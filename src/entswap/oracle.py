@@ -13,6 +13,8 @@ Two routes, both deliberately avoiding the algebra used by the closed forms:
   probability h(k, l), and report a binomial standard error.
 
 Each measurement's herald h(k, l) is one vectorised function read by both.
+Every estimator takes (scenario, cfg): the up-conversion herald reads its
+p_sfg from the ``OracleConfig``, which checked it.
 
 Monte Carlo work is split into logical shards, as many as ``samples`` sets,
 each seeded from (seed, shard_index).  ``workers`` threads run them, the
@@ -91,18 +93,21 @@ class OracleConfig:
 
     ``shards`` (derived from ``samples``) fixes the logical partition of Monte
     Carlo samples; ``workers`` counts the threads that run shards, the calling
-    one included, and sets concurrency only, not results.
+    one included, and sets concurrency only, not results.  ``p_sfg`` is the
+    up-conversion herald's conversion probability, read by the nlo estimators.
     """
 
     n_max: int = 200
     samples: int = 200_000
     seed: int = 0
     workers: int = 1
+    p_sfg: float = 0.05
 
     def __post_init__(self) -> None:
         for name, low, high in (("n_max", 1, N_MAX_LIMIT), ("samples", 1, SAMPLES_LIMIT),
                                 ("seed", 0, math.inf), ("workers", 1, WORKERS_LIMIT)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, low, high))
+        check_probability(self.p_sfg, "p_sfg")
 
     @property
     def shards(self) -> int:
@@ -162,7 +167,6 @@ def _lo_herald(k, l):
 
 def _nlo_herald(p_sfg: float):
     """The weak up-conversion herald: k and l arrivals fire it with probability k l p_sfg."""
-    check_probability(p_sfg, "p_sfg")
     return lambda k, l: k * l * p_sfg
 
 
@@ -222,13 +226,11 @@ def exact_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstima
     return _exact_fidelity(scenario, cfg, _lo_herald, _bounded_tail)
 
 
-def exact_fidelity_nlo(
-    scenario: SwapScenario, p_sfg: float, cfg: OracleConfig
-) -> OracleEstimate:
-    """Truncated-sum evaluation of the up-conversion-heralded fidelity.  p_sfg
+def exact_fidelity_nlo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
+    """Truncated-sum evaluation of the up-conversion-heralded fidelity.  cfg.p_sfg
     scales the faithful and total herald weights alike, so it moves the value
     only by rounding; at p_sfg = 0 nothing heralds."""
-    return _exact_fidelity(scenario, cfg, _nlo_herald(p_sfg), _product_tail)
+    return _exact_fidelity(scenario, cfg, _nlo_herald(cfg.p_sfg), _product_tail)
 
 
 def _shard_sizes(samples: int, shards: int) -> list[int]:
@@ -326,11 +328,9 @@ def mc_fidelity_lo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
     return _mc_fidelity(scenario, cfg, _lo_herald)
 
 
-def mc_fidelity_nlo(
-    scenario: SwapScenario, p_sfg: float, cfg: OracleConfig
-) -> OracleEstimate:
-    """Sampled fidelity with acceptance probability k*l*p_sfg per trial."""
-    return _mc_fidelity(scenario, cfg, _nlo_herald(p_sfg))
+def mc_fidelity_nlo(scenario: SwapScenario, cfg: OracleConfig) -> OracleEstimate:
+    """Sampled fidelity with acceptance probability k*l*cfg.p_sfg per trial."""
+    return _mc_fidelity(scenario, cfg, _nlo_herald(cfg.p_sfg))
 
 
 def random_scenarios(
@@ -423,10 +423,7 @@ def _comparison(estimate: OracleEstimate, closed_form: float, tolerance: float) 
 
 
 def verification_report(
-    scenarios: list[SwapScenario],
-    cfg: OracleConfig,
-    p_sfg: float,
-    methods: tuple[str, ...],
+    scenarios: list[SwapScenario], cfg: OracleConfig, methods: tuple[str, ...]
 ) -> dict:
     """Compare oracle estimates against the closed forms on a scenario grid.
 
@@ -441,27 +438,16 @@ def verification_report(
     for method in methods:
         if method not in ("exact-sum", "monte-carlo"):
             raise DomainError(f"method must be 'exact-sum' or 'monte-carlo', got {method!r}")
-    # model: (closed form, {method: estimator}).  Both are looked up when
-    # called, not bound here, so a module attribute replaced at run time (a
-    # tracing wrapper, a corrupted closed form) is the one used.
+    # model: (closed form, {method: estimator}).  Both are read from the
+    # modules at each call, not at import, so a module attribute replaced at
+    # run time (a tracing wrapper, a corrupted closed form) is the one used.
     models = {
-        "lo": (
-            lambda s: lo_bsm.fidelity_general(s).fidelity,
-            {
-                "exact-sum": lambda s: exact_fidelity_lo(s, cfg),
-                "monte-carlo": lambda s: mc_fidelity_lo(s, cfg),
-            },
-        ),
-        "nlo": (
-            lambda s: nlo_bsm.fidelity_nlo(s),
-            {
-                "exact-sum": lambda s: exact_fidelity_nlo(s, p_sfg, cfg),
-                "monte-carlo": lambda s: mc_fidelity_nlo(s, p_sfg, cfg),
-            },
-        ),
+        "lo": (lambda s: lo_bsm.fidelity_general(s).fidelity,
+               {"exact-sum": exact_fidelity_lo, "monte-carlo": mc_fidelity_lo}),
+        "nlo": (nlo_bsm.fidelity_nlo,
+                {"exact-sum": exact_fidelity_nlo, "monte-carlo": mc_fidelity_nlo}),
     }
-    check_probability(p_sfg, "p_sfg")
-    nlo_bsm.check_p_sfg_heralds(p_sfg)
+    nlo_bsm.check_p_sfg_heralds(cfg.p_sfg)
 
     rows = []
     for scenario in scenarios:
@@ -470,7 +456,7 @@ def verification_report(
             for method in methods:
                 row = {"scenario": asdict(scenario), "model": model, "method": method}
                 try:
-                    estimate = estimators[method](scenario)
+                    estimate = estimators[method](scenario, cfg)
                     tolerance = _tolerance(method, estimate)
                 except (InsufficientStatisticsError, ModelValidityError) as exc:
                     rows.append({**row, "error": str(exc), "pass": None})
@@ -485,7 +471,7 @@ def verification_report(
         "n_max": cfg.n_max,
         "samples": cfg.samples,
         "shards": cfg.shards,
-        "p_sfg": p_sfg,
+        "p_sfg": cfg.p_sfg,
         "rows": rows,
         "checks": len(rows),
         "compared": compared,

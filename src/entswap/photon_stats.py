@@ -4,9 +4,10 @@ A source with conversion efficiency ``eps`` emits n photon pairs with
 probability (1-eps)*eps**n (a geometric distribution), and each photon sent
 into a channel with transmission ``eta`` survives independently, so the
 number of arrivals is a binomial thinning of the emission number.  The
-scenario type, the domain checks, the model's per-side terms and tails and
-the target-fidelity inversion defined here feed every closed form in
-:mod:`entswap.lo_bsm` and :mod:`entswap.nlo_bsm` and the oracle's tail bounds.
+scenario and link types, the domain checks, the model's per-side terms and
+tails and the target-fidelity inversion defined here feed every closed form in
+:mod:`entswap.lo_bsm`, :mod:`entswap.nlo_bsm` and :mod:`entswap.rates` and the
+oracle's tail bounds.
 """
 
 from __future__ import annotations
@@ -113,6 +114,20 @@ class SwapScenario:
     def from_values(cls, eps_a: float, eps_b: float, eta_a: float, eta_b: float) -> "SwapScenario":
         """The scenario of four positional values, in the constructor's order."""
         return cls(eps_a, eps_b, eta_a, eta_b)
+
+
+@dataclass(frozen=True)
+class Link:
+    """A scenario plus p_sfg and the clock, which no scenario holds: what the rates
+    read, and what ``config.resolve_link`` builds."""
+
+    scenario: SwapScenario
+    p_sfg: float
+    clock: float
+
+    def __post_init__(self) -> None:
+        check_probability(self.p_sfg, "p_sfg")
+        check_nonnegative(self.clock, "clock rate")
 
 
 def p_from_epsilon(eps: float) -> float:

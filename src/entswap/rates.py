@@ -5,6 +5,9 @@ fluxes match, so it attenuates the brighter source until eta_A p_A = eta_B p_B,
 which costs rate; the SFG scheme pays its conversion probability instead but
 drives both sources as they are.  The rate ratio is therefore
 p_sfg max(eta_A p_A, eta_B p_B) / min(eta_A p_A, eta_B p_B).
+
+The rates read a ``photon_stats.Link``, whose constructor checks p_sfg and
+the clock, so they check neither again.
 """
 
 from __future__ import annotations
@@ -14,13 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .lo_bsm import ONE_THIRD, p_for_balanced_smalleta, p_for_unbalanced_limit
 from .nlo_bsm import p_for_target_fidelity
-from .photon_stats import (
-    SwapScenario,
-    check_float_range,
-    check_nonnegative,
-    check_probability,
-    p_from_epsilon,
-)
+from .photon_stats import Link, SwapScenario, check_float_range, p_from_epsilon
 
 
 def kept_source(scenario: SwapScenario):
@@ -33,29 +30,28 @@ def kept_source(scenario: SwapScenario):
             np.where(keep_a, flux_a, flux_b)[()])
 
 
-def rate_lo(scenario: SwapScenario, clock: float) -> float:
+def rate_lo(link: Link) -> float:
     """Linear-optical swapping rate eta_A eta_B p_A p_B R_c with the brighter
     source attenuated until both arriving fluxes match, giving
     min(eta_A p_A, eta_B p_B)^2 R_c."""
-    check_nonnegative(clock, "clock rate")
-    _, flux = kept_source(scenario)
-    return check_float_range(flux * flux * clock, "rate_lo", clock, *vars(scenario).values())
+    _, flux = kept_source(link.scenario)
+    return check_float_range(flux * flux * link.clock, "rate_lo", link.clock,
+                             *vars(link.scenario).values())
 
 
-def rate_nlo(scenario: SwapScenario, p_sfg: float, clock: float) -> float:
+def rate_nlo(link: Link) -> float:
     """SFG-heralded swapping rate p_sfg eta_A eta_B p_A p_B R_c (no attenuation)."""
-    check_nonnegative(clock, "clock rate")
-    check_probability(p_sfg, "p_sfg")
-    p_a, p_b = p_from_epsilon(scenario.eps_a), p_from_epsilon(scenario.eps_b)
+    s = link.scenario
+    p_a, p_b = p_from_epsilon(s.eps_a), p_from_epsilon(s.eps_b)
     # p_sfg meets the clock first: left to right, a small p_sfg passed through a subnormal.
-    rate = (p_sfg * clock) * ((scenario.eta_a * p_a) * (scenario.eta_b * p_b))
-    return check_float_range(rate, "rate_nlo", p_sfg, clock, *vars(scenario).values())
+    rate = (link.p_sfg * link.clock) * ((s.eta_a * p_a) * (s.eta_b * p_b))
+    return check_float_range(rate, "rate_nlo", link.p_sfg, link.clock, *vars(s).values())
 
 
-def compare(scenario: SwapScenario, p_sfg: float, clock: float) -> dict:
+def compare(link: Link) -> dict:
     """Both rates, their ratio rate_nlo / rate_lo and whether the SFG scheme wins
     (ratio > 1).  A link whose rate_lo is 0 has no ratio and is refused."""
-    lo, nlo = rate_lo(scenario, clock), rate_nlo(scenario, p_sfg, clock)
+    lo, nlo = rate_lo(link), rate_nlo(link)
     if lo == 0.0:
         raise DomainError("rate_lo is 0 (a dark channel, an unpumped source or a zero clock), "
                           "so the rates have no ratio")

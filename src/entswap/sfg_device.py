@@ -144,8 +144,9 @@ def eta_sfg_cavity(cav: CavityParams) -> float:
     resonance: g^2 times the drive factor at the cavity's sum-frequency mismatch.
     A mismatch far beyond kappa_c drives the efficiency to zero.
     """
+    g2 = check_float_range(cav.g * cav.g, "eta_sfg", cav.g)
     with _in_float_range("eta_sfg"):
-        eta = cav.g * cav.g * _drive_factor(cav, cav.omega_c - cav.omega_a - cav.omega_b)
+        eta = g2 * _drive_factor(cav, cav.omega_c - cav.omega_a - cav.omega_b)
     return check_float_range(eta, "eta_sfg", cav.g)
 
 
@@ -163,8 +164,9 @@ def p_sfg_cavity(cav: CavityParams) -> float:
             ModelValidityWarning,
             stacklevel=2,
         )
+    g2 = check_float_range(cav.g * cav.g, "p_sfg", cav.g)
     with _in_float_range("p_sfg"):
-        p = check_float_range(4.0 * cav.g * cav.g / (cav.kappa_a * cav.kappa_c), "p_sfg", cav.g)
+        p = check_float_range(4.0 * g2 / (cav.kappa_a * cav.kappa_c), "p_sfg", cav.g)
     if p > 1.0:
         warnings.warn(
             f"p_sfg = {p:g} exceeds 1; coupling too strong for the perturbative "
@@ -184,7 +186,8 @@ def p_sfg_from_eta(cav: CavityParams, eta_sfg: float) -> float:
     """
     check_nonnegative(eta_sfg, "eta_sfg")
     with _in_float_range("p_sfg"):
-        p = 4.0 * (eta_sfg / _drive_factor(cav, 0.0)) / (cav.kappa_a * cav.kappa_c)
+        g2 = check_float_range(eta_sfg / _drive_factor(cav, 0.0), "p_sfg", eta_sfg)
+        p = 4.0 * g2 / (cav.kappa_a * cav.kappa_c)
     return check_float_range(p, "p_sfg", eta_sfg)
 
 

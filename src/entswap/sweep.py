@@ -35,14 +35,16 @@ def _limit_p(link):
     return p_from_epsilon(eps)
 
 
-# Each output column from the grid's link.
+# Each output column from the grid's link.  Every entry looks its function up
+# when called, so a module attribute replaced at run time (a tracing wrapper)
+# is the one used.
 COLUMNS = {
     "f_lo_general": lambda link: lo_bsm.fidelity_general(link.scenario).fidelity,
     "f_lo_balanced_smalleta": lambda link: lo_bsm.fidelity_balanced_smalleta(_limit_p(link)),
     "f_lo_unbalanced": lambda link: lo_bsm.fidelity_unbalanced_limit(_limit_p(link)),
     "f_nlo": _f_nlo,
-    "r_lo": lambda link: rates.rate_lo(link.scenario, link.clock),
-    "r_nlo": lambda link: rates.rate_nlo(link.scenario, link.p_sfg, link.clock),
+    "r_lo": lambda link: rates.rate_lo(link),
+    "r_nlo": lambda link: rates.rate_nlo(link),
     "lo_bound": lambda link: lo_bsm.ONE_THIRD,
 }
 SWEEP_OUTPUTS = tuple(COLUMNS)

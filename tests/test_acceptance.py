@@ -32,7 +32,7 @@ from entswap.oracle import (
     mc_fidelity_lo,
     random_scenarios,
 )
-from entswap.photon_stats import SwapScenario, epsilon_from_p
+from entswap.photon_stats import Link, SwapScenario, epsilon_from_p
 from entswap.presets import get_preset
 from entswap.rates import compare, rate_lo, rate_nlo
 from entswap.sfg_device import eta_sfg_cavity, p_sfg_cavity, p_sfg_from_eta, p_sfg_waveguide
@@ -112,13 +112,13 @@ def test_02_oracle_equivalence():
 def test_03_heralded_fidelity_is_loss_independent():
     def body():
         expected = fidelity_nlo(SwapScenario(0.22, 0.31, 1.0, 1.0))
-        cfg = OracleConfig(n_max=200)
+        cfg = OracleConfig(n_max=200, p_sfg=1e-3)
         rng = np.random.default_rng(3003)
         values = []
         for _ in range(100):
             ha, hb = rng.uniform(0.01, 1.0, 2)
             scen = SwapScenario(0.22, 0.31, float(ha), float(hb))
-            values.append(exact_fidelity_nlo(scen, 1e-3, cfg).value)
+            values.append(exact_fidelity_nlo(scen, cfg).value)
         assert max(values) - min(values) <= ENDPOINT_TOL
         assert all(abs(v - expected) <= ENDPOINT_TOL for v in values)
 
@@ -308,10 +308,10 @@ def test_07_exact_simulator_invariants():
 def test_08_rate_crossover_ratio():
     def body():
         eps = epsilon_from_p(0.01)
-        scen = SwapScenario.from_values(eps, eps, 1.0, 1e-5)
-        ratio = rate_nlo(scen, 1e-3, 1e9) / rate_lo(scen, 1e9)
+        link = Link(SwapScenario.from_values(eps, eps, 1.0, 1e-5), 1e-3, 1e9)
+        ratio = rate_nlo(link) / rate_lo(link)
         assert ratio == pytest.approx(100.0, rel=RATE_RATIO_REL_TOL, abs=0.0)
-        verdict = compare(scen, 1e-3, 1e9)
+        verdict = compare(link)
         assert verdict["crossover_ratio"] == 100.0
         assert verdict["nlo_wins"]
 

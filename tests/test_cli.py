@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from entswap.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, _collect_entries, build_parser, main
+from entswap import oracle
+from entswap.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, VERIFY_DEFAULTS, _collect_entries,
+                         build_parser, main)
 from entswap.config import CAVITY_KEYS, KEY_KINDS, WAVEGUIDE_KEYS
 from entswap.errors import DomainError, UsageError
 from entswap.fock_sim import run_fock_checks
@@ -436,6 +439,22 @@ class TestVerifyCommand:
         assert payload["failures"] == 0
         assert "PCG64" in payload["rng"]
 
+    def test_oracle_keys_default_as_the_library_does(self):
+        assert {f.name: VERIFY_DEFAULTS[f.name] for f in fields(OracleConfig)} == asdict(
+            OracleConfig()
+        )
+
+    @pytest.mark.parametrize("p_sfg, message", [
+        ("0", "error: p_sfg = 0 never heralds, so the fidelity is undefined\n"),
+        ("2", "error: p_sfg must be in [0, 1], got 2.0\n"),
+    ])
+    def test_p_sfg_is_refused_before_any_row(self, monkeypatch, capsys, p_sfg, message):
+        # OracleConfig refuses p_sfg outside [0, 1] and verification_report a p_sfg
+        # that never heralds, both before any estimator runs.
+        for name in ("exact_fidelity_lo", "exact_fidelity_nlo"):
+            monkeypatch.setattr(oracle, name, None)
+        assert run_cli(capsys, "verify", "--p-sfg", p_sfg) == (EXIT_USAGE, "", message)
+
     def test_flag_beats_config_and_config_beats_default(self, tmp_path, capsys):
         cfg = tmp_path / "verify.cfg"
         cfg.write_text("scenarios = 1\np_sfg = 0.02\n")
@@ -485,8 +504,8 @@ class TestVerifyCommand:
         # In these scenarios an nlo row exceeds its tail bound by rounding
         # alone, so they fail unless the floor adds to the bound.
         scenarios = [SwapScenario.from_values(*values) for values in ROUNDING_SCENARIOS[n_max]]
-        report = verification_report(scenarios, OracleConfig(n_max=int(n_max)),
-                                     p_sfg=1e-3, methods=("exact-sum",))
+        report = verification_report(scenarios, OracleConfig(n_max=int(n_max), p_sfg=1e-3),
+                                     ("exact-sum",))
         assert report["failures"] == 0
         assert report["compared"] == 2 * len(scenarios)
         assert any(row["abs_diff"] > row["tail_bound"] for row in report["rows"])

@@ -103,7 +103,7 @@ class TestConfig:
         # Nothing up-converts, so a passing nlo row would claim a fidelity that
         # no herald defines.
         with pytest.raises(UndefinedFidelityError, match="p_sfg = 0 never heralds"):
-            verification_report(PINNED, EXACT, p_sfg=0.0, methods=("exact-sum",))
+            verification_report(PINNED, replace(EXACT, p_sfg=0.0), ("exact-sum",))
 
     @pytest.mark.parametrize("method", ["exact-sum", "monte-carlo"])
     @pytest.mark.parametrize("bad", [10.5, True])
@@ -112,9 +112,7 @@ class TestConfig:
         # A fractional count used to fail deep inside with a TypeError, and
         # seed=True ran as seed 1.
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
-            verification_report(
-                PINNED[:1], OracleConfig(**{field: bad}), p_sfg=1e-3, methods=(method,)
-            )
+            verification_report(PINNED[:1], OracleConfig(**{field: bad}, p_sfg=1e-3), (method,))
 
 
 class TestArrivalTable:
@@ -149,23 +147,23 @@ class TestHeraldMatrices:
     K, L = (grid.ravel() for grid in np.meshgrid(np.arange(13), np.arange(13), indexing="ij"))
 
     @staticmethod
-    def sampled_herald(monkeypatch, estimator, *args):
+    def sampled_herald(monkeypatch, estimator, **fields):
         # Each mc_fidelity_* hands its herald to _mc_fidelity: capture it.
         heralds = []
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_mc_fidelity", lambda s, cfg, herald: heralds.append(herald))
-            estimator(PINNED[0], *args, OracleConfig(samples=1))
+            estimator(PINNED[0], OracleConfig(samples=1, **fields))
         return heralds[0]
 
     @classmethod
-    def sampled_heralds(cls, monkeypatch, estimator, *args, draws=None):
+    def sampled_heralds(cls, monkeypatch, estimator, draws=None, **fields):
         """Heralds the Monte Carlo shard counts when its trials are the grid
         (n, m, k, l) = (K, L, K, L) and its uniform draws are ``draws``."""
         monkeypatch.setattr(oracle, "_sample_arrivals",
                             lambda rng, s, size: (cls.K, cls.L, (cls.K == 1) & (cls.L == 1)))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(draws))
         monkeypatch.setattr(oracle, "SHARDS", 1)
-        return estimator(PINNED[0], *args, OracleConfig(samples=1)).heralds
+        return estimator(PINNED[0], OracleConfig(samples=1, **fields)).heralds
 
     def test_lo_herald_is_the_monte_carlo_rule(self, monkeypatch):
         grid = _grid(_lo_herald, 12).ravel()
@@ -180,14 +178,15 @@ class TestHeraldMatrices:
         p_sfg = 0.005  # k l p_sfg <= 1 up to k = l = 12
         weight = _grid(_nlo_herald(p_sfg), 12).ravel()
         np.testing.assert_array_equal(weight, self.K * self.L * p_sfg)
-        herald = self.sampled_herald(monkeypatch, mc_fidelity_nlo, p_sfg)
+        herald = self.sampled_herald(monkeypatch, mc_fidelity_nlo, p_sfg=p_sfg)
         np.testing.assert_array_equal(weight, herald(self.K, self.L))
         # The shard keeps a trial when its uniform draw is below the weight, so
         # draws at the weight and one ulp below it pin the weight exactly.
         with pytest.raises(InsufficientStatisticsError, match="no herald events"):
-            self.sampled_heralds(monkeypatch, mc_fidelity_nlo, p_sfg, draws=weight)
+            self.sampled_heralds(monkeypatch, mc_fidelity_nlo, draws=weight, p_sfg=p_sfg)
         below = np.nextafter(weight, -np.inf)
-        assert self.sampled_heralds(monkeypatch, mc_fidelity_nlo, p_sfg, draws=below) == weight.size
+        assert self.sampled_heralds(monkeypatch, mc_fidelity_nlo, draws=below,
+                                    p_sfg=p_sfg) == weight.size
 
 
 class TestExactSumLo:
@@ -248,7 +247,7 @@ class TestExactSumNlo:
         for _ in range(30):
             ha, hb = rng.uniform(0.01, 1.0, 2)
             scen = scenario(0.2764, 0.2764, float(ha), float(hb))
-            values.append(exact_fidelity_nlo(scen, 1e-3, EXACT).value)
+            values.append(exact_fidelity_nlo(scen, replace(EXACT, p_sfg=1e-3)).value)
         assert max(values) - min(values) <= 1e-12
         assert values[0] == pytest.approx(fidelity_nlo(src), abs=1e-12)
         assert values[0] == pytest.approx(0.2742, abs=5e-5)
@@ -257,21 +256,21 @@ class TestExactSumNlo:
         # p_sfg scales the faithful and total weights alike; it enters the
         # herald grid, so it may move the value by ulps, far below the 1e-10 floor.
         scen = scenario(0.3, 0.1, 0.6, 0.2)
-        lo = exact_fidelity_nlo(scen, 1e-6, EXACT)
-        hi = exact_fidelity_nlo(scen, 0.1, EXACT)
+        lo = exact_fidelity_nlo(scen, replace(EXACT, p_sfg=1e-6))
+        hi = exact_fidelity_nlo(scen, replace(EXACT, p_sfg=0.1))
         assert hi.value == pytest.approx(lo.value, rel=1e-12, abs=0.0)
 
     def test_zero_device_probability_is_undefined(self):
         # Nothing up-converts, so nothing heralds, as the sampled route finds too.
         scen = scenario(0.2, 0.3, 0.5, 0.5)
         with pytest.raises(UndefinedFidelityError, match="no herald events"):
-            exact_fidelity_nlo(scen, 0.0, OracleConfig())
+            exact_fidelity_nlo(scen, OracleConfig(p_sfg=0.0))
         with pytest.raises(InsufficientStatisticsError, match="no herald events"):
-            mc_fidelity_nlo(scen, 0.0, OracleConfig(samples=1000))
+            mc_fidelity_nlo(scen, OracleConfig(samples=1000, p_sfg=0.0))
 
     def test_silent_source_is_undefined(self):
         with pytest.raises(UndefinedFidelityError):
-            exact_fidelity_nlo(scenario(0.0, 0.2, 0.5, 0.5), 1e-3, EXACT)
+            exact_fidelity_nlo(scenario(0.0, 0.2, 0.5, 0.5), replace(EXACT, p_sfg=1e-3))
 
 
 class TestMonteCarloLo:
@@ -291,7 +290,7 @@ class TestMonteCarloLo:
         sys.setswitchinterval(1e-6)
         try:
             for estimate in (lambda cfg: mc_fidelity_lo(scen, cfg),
-                             lambda cfg: mc_fidelity_nlo(scen, 1e-2, cfg)):
+                             lambda cfg: mc_fidelity_nlo(scen, replace(cfg, p_sfg=1e-2))):
                 serial, *threaded = (estimate(OracleConfig(samples=300_000, seed=5, workers=w))
                                      for w in (1, 2, 3))
                 assert threaded == [serial, serial]
@@ -327,8 +326,8 @@ class TestMonteCarloLo:
 class TestMonteCarloNlo:
     def test_five_sigma_agreement(self):
         scen = scenario(0.2, 0.2, 0.9, 0.1)
-        cfg = OracleConfig(samples=2_000_000, seed=77)
-        estimate = mc_fidelity_nlo(scen, 1e-2, cfg)
+        cfg = OracleConfig(samples=2_000_000, seed=77, p_sfg=1e-2)
+        estimate = mc_fidelity_nlo(scen, cfg)
         closed = fidelity_nlo(scen)
         assert estimate.std_error > 0.0
         assert abs(estimate.value - closed) <= 5 * estimate.std_error
@@ -339,20 +338,20 @@ class TestMonteCarloNlo:
         closed = fidelity_nlo(scenario(0.25, 0.25, 1.0, 1.0))
         for seed, (ha, hb) in enumerate(((1.0, 1.0), (0.9, 0.2), (0.3, 0.6))):
             scen = scenario(0.25, 0.25, ha, hb)
-            cfg = OracleConfig(samples=2_000_000, seed=500 + seed)
-            estimate = mc_fidelity_nlo(scen, 2e-2, cfg)
+            cfg = OracleConfig(samples=2_000_000, seed=500 + seed, p_sfg=2e-2)
+            estimate = mc_fidelity_nlo(scen, cfg)
             assert abs(estimate.value - closed) <= 5 * estimate.std_error
 
     def test_seed_determinism(self):
         scen = scenario(0.2, 0.2, 0.9, 0.1)
-        cfg = OracleConfig(samples=500_000, seed=123)
-        assert mc_fidelity_nlo(scen, 1e-2, cfg) == mc_fidelity_nlo(scen, 1e-2, cfg)
+        cfg = OracleConfig(samples=500_000, seed=123, p_sfg=1e-2)
+        assert mc_fidelity_nlo(scen, cfg) == mc_fidelity_nlo(scen, cfg)
 
     def test_oversized_herald_weight_rejected(self):
         scen = scenario(0.45, 0.45, 1.0, 1.0)
-        cfg = OracleConfig(samples=200_000, seed=1)
+        cfg = OracleConfig(samples=200_000, seed=1, p_sfg=0.5)
         with pytest.raises(ModelValidityError):
-            mc_fidelity_nlo(scen, 0.5, cfg)
+            mc_fidelity_nlo(scen, cfg)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_refused_run_stops_starting_shards(self, monkeypatch, workers):
@@ -368,9 +367,9 @@ class TestMonteCarloNlo:
             return k, l, faithful
 
         monkeypatch.setattr(oracle, "_sample_arrivals", counted)
-        cfg = OracleConfig(samples=200_001, seed=1, workers=workers)
+        cfg = OracleConfig(samples=200_001, seed=1, workers=workers, p_sfg=0.5)
         with pytest.raises(ModelValidityError, match="herald weight"):
-            mc_fidelity_nlo(scenario(0.01, 0.01, 0.5, 0.5), 0.5, cfg)
+            mc_fidelity_nlo(scenario(0.01, 0.01, 0.5, 0.5), cfg)
         assert 1 <= len(started) < cfg.shards
 
     def test_weak_pumping_fidelity_reaches_one(self):
@@ -378,7 +377,7 @@ class TestMonteCarloNlo:
         # the pumping is weak; sampling that regime is starved by construction
         # (herald and weight-violation rates both scale as eps^2), so the
         # limit is pinned through the exact summation instead.
-        estimate = exact_fidelity_nlo(scenario(1e-6, 1e-6, 1.0, 1.0), 1.0, EXACT)
+        estimate = exact_fidelity_nlo(scenario(1e-6, 1e-6, 1.0, 1.0), replace(EXACT, p_sfg=1.0))
         assert estimate.value == pytest.approx(1.0, abs=5e-6)
 
 
@@ -400,7 +399,7 @@ class TestRandomScenarios:
         assert type(cfg.seed) is int
         scenarios = random_scenarios(2, np.int64(3))
         assert scenarios == random_scenarios(2, 3)
-        report = verification_report(scenarios, cfg, p_sfg=0.05, methods=("exact-sum",))
+        report = verification_report(scenarios, cfg, ("exact-sum",))
         assert json.loads(json.dumps(report))["seed"] == 3
 
     @pytest.mark.parametrize("count", [SCENARIOS_LIMIT + 1, -1, 2.0, True])
@@ -415,9 +414,7 @@ class TestRandomScenarios:
 class TestVerificationReport:
     def test_default_grid_passes(self):
         cfg = OracleConfig(n_max=200, samples=300_000, seed=0)
-        report = verification_report(
-            random_scenarios(5, seed=0), cfg, p_sfg=0.05, methods=("exact-sum",)
-        )
+        report = verification_report(random_scenarios(5, seed=0), cfg, ("exact-sum",))
         assert report["pass"]
         assert report["failures"] == 0
         assert report["seed"] == 0
@@ -430,10 +427,8 @@ class TestVerificationReport:
             return replace(true, fidelity=true.fidelity + 1e-6)
 
         monkeypatch.setattr(lo_bsm, "fidelity_general", corrupted)
-        cfg = OracleConfig(n_max=200, samples=100_000, seed=0)
-        report = verification_report(
-            random_scenarios(3, seed=0), cfg, p_sfg=1e-3, methods=("exact-sum",)
-        )
+        cfg = OracleConfig(n_max=200, samples=100_000, seed=0, p_sfg=1e-3)
+        report = verification_report(random_scenarios(3, seed=0), cfg, ("exact-sum",))
         assert not report["pass"]
         assert report["failures"] >= 3
 
@@ -445,8 +440,8 @@ class TestVerificationReport:
             estimator = getattr(oracle, name)
             counting = lambda *a, name=name, f=estimator: calls.append((name, a[-1])) or f(*a)
             monkeypatch.setattr(oracle, name, counting)
-        cfg = OracleConfig(samples=2_000)
-        verification_report(PINNED, cfg, p_sfg=1e-3, methods=("monte-carlo",))
+        cfg = OracleConfig(samples=2_000, p_sfg=1e-3)
+        verification_report(PINNED, cfg, ("monte-carlo",))
         assert sorted(name for name, _ in calls) == sorted(
             ["mc_fidelity_lo", "mc_fidelity_nlo"] * len(PINNED)
         )
@@ -460,11 +455,12 @@ class TestVerificationReport:
             estimator = getattr(oracle, name)
             counting = lambda *a, name=name, f=estimator: calls.append((name, a[-1])) or f(*a)
             monkeypatch.setattr(oracle, name, counting)
-        verification_report(PINNED, EXACT, p_sfg=1e-3, methods=("exact-sum",))
+        cfg = replace(EXACT, p_sfg=1e-3)
+        verification_report(PINNED, cfg, ("exact-sum",))
         assert sorted(name for name, _ in calls) == sorted(
             ["exact_fidelity_lo", "exact_fidelity_nlo"] * len(PINNED)
         )
-        assert all(arg is EXACT for _, arg in calls)
+        assert all(arg is cfg for _, arg in calls)
 
     @pytest.mark.parametrize("n_max", [1, 2, 7, 31, 32])
     def test_small_cap_is_one_truncation(self, n_max):
@@ -473,7 +469,7 @@ class TestVerificationReport:
         cfg = OracleConfig(n_max=n_max)
         for scen in PINNED + random_scenarios(10, seed=5):
             assert exact_fidelity_lo(scen, cfg) == _exact(scen, _lo_herald, _bounded_tail, n_max)
-            assert exact_fidelity_nlo(scen, 0.05, cfg) == _exact(
+            assert exact_fidelity_nlo(scen, cfg) == _exact(
                 scen, _nlo_herald(0.05), _product_tail, n_max
             )
 
@@ -488,7 +484,7 @@ class TestVerificationReport:
         ]
         cfg = OracleConfig(n_max=n_max, samples=1_000)
         methods = ("exact-sum", "monte-carlo")
-        rows = verification_report(scenarios, cfg, p_sfg=0.05, methods=methods)["rows"]
+        rows = verification_report(scenarios, cfg, methods)["rows"]
         exact = [row for row in rows if row["method"] == "exact-sum"]
         assert len(exact) == 2 * len(scenarios)
         assert all("truncation" not in row for row in rows if row["method"] != "exact-sum")
@@ -502,11 +498,11 @@ class TestVerificationReport:
         assert min(truncations) == min(32, n_max) and len(truncations) > 1
 
     def test_exact_rows_equal_the_public_estimators(self):
-        report = verification_report(PINNED, EXACT, p_sfg=0.05, methods=("exact-sum",))
+        report = verification_report(PINNED, EXACT, ("exact-sum",))
         expected = [
             estimate
             for scen in PINNED
-            for estimate in (exact_fidelity_lo(scen, EXACT), exact_fidelity_nlo(scen, 0.05, EXACT))
+            for estimate in (exact_fidelity_lo(scen, EXACT), exact_fidelity_nlo(scen, EXACT))
         ]
         assert len(report["rows"]) == len(expected)
         for row, estimate in zip(report["rows"], expected):
@@ -518,22 +514,19 @@ class TestVerificationReport:
             )
 
     def test_no_comparison_does_not_pass(self):
-        report = verification_report([], EXACT, p_sfg=1e-3, methods=("exact-sum",))
+        report = verification_report([], replace(EXACT, p_sfg=1e-3), ("exact-sum",))
         assert report["compared"] == 0
         assert report["failures"] == 0
         assert report["pass"] is False
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError, match="method"):
-            verification_report(
-                random_scenarios(1, seed=0), EXACT, p_sfg=1e-3, methods=("guess",)
-            )
+            verification_report(random_scenarios(1, seed=0), replace(EXACT, p_sfg=1e-3),
+                                ("guess",))
 
     def test_loose_tail_bound_is_an_error_row_not_a_pass(self):
-        cfg = OracleConfig(n_max=2)
-        report = verification_report(
-            random_scenarios(20, seed=3), cfg, p_sfg=1e-3, methods=("exact-sum",)
-        )
+        cfg = OracleConfig(n_max=2, p_sfg=1e-3)
+        report = verification_report(random_scenarios(20, seed=3), cfg, ("exact-sum",))
         loose = [row for row in report["rows"] if "error" in row]
         assert loose and report["compared"] > 0
         assert all("n_max=2" in row["error"] and "tail bound" in row["error"] for row in loose)
@@ -543,10 +536,8 @@ class TestVerificationReport:
         )
 
     def test_undersampled_rows_reported_not_fatal(self):
-        cfg = OracleConfig(n_max=200, samples=2_000, seed=0)
-        report = verification_report(
-            random_scenarios(2, seed=4), cfg, p_sfg=1e-3, methods=("monte-carlo",)
-        )
+        cfg = OracleConfig(n_max=200, samples=2_000, seed=0, p_sfg=1e-3)
+        report = verification_report(random_scenarios(2, seed=4), cfg, ("monte-carlo",))
         assert report["errors"] >= 1
         assert all(row["pass"] is not False for row in report["rows"] if "error" in row)
 
@@ -554,9 +545,7 @@ class TestVerificationReport:
         # None of the 299 linear-optical heralds is faithful, so the binomial
         # error, and with it the tolerance, would be 0 and fail any closed form.
         cfg = OracleConfig(samples=300, seed=0)
-        report = verification_report(
-            [SwapScenario(0.97, 0.97, 1, 1)], cfg, p_sfg=0.05, methods=("monte-carlo",)
-        )
+        report = verification_report([SwapScenario(0.97, 0.97, 1, 1)], cfg, ("monte-carlo",))
         lo = next(row for row in report["rows"] if row["model"] == "lo")
         assert lo["pass"] is None
         assert lo["error"].startswith("none of 299 heralds faithful")

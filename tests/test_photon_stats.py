@@ -9,6 +9,7 @@ from scipy import stats
 
 from entswap.errors import DomainError
 from entswap.photon_stats import (
+    Link,
     SwapScenario,
     check_count,
     check_epsilon,
@@ -37,7 +38,6 @@ from entswap.oracle import (
     _product_tail,
     random_scenarios,
 )
-from entswap.config import Link
 from entswap.lo_bsm import fidelity_general, fidelity_upper_bound, optimal_epsilon_a
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.rates import compare, rate_lo, rate_nlo
@@ -252,10 +252,8 @@ SIGNED_INPUTS = [
     pytest.param(sfg_efficiency_from_shg, "eta_shg", 1250.0, True, id="sfg-efficiency-from-shg"),
     pytest.param(lambda v: p_sfg_from_eta(RING, v), "eta_sfg", 1e-3, False, id="p-sfg-from-eta"),
     # eta_a = 0 gives rate 0, as eta_b = 0 does: nothing divides by eta_a.
-    pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "eta_a", 0.5, False,
-                 id="rate-lo-eta-a"),
-    pytest.param(lambda v: rate_lo(LINK, v), "clock rate", 1e9, False, id="rate-lo-clock"),
-    pytest.param(lambda v: rate_nlo(LINK, 1e-3, v), "clock rate", 1e9, False, id="rate-nlo-clock"),
+    pytest.param(lambda v: rate_lo(Link(dataclasses.replace(LINK, eta_a=v), 1e-3, 1e9)), "eta_a",
+                 0.5, False, id="rate-lo-eta-a"),
     pytest.param(lambda v: Link(LINK, 1e-3, v), "clock rate", 1e9, False, id="link-clock"),
     pytest.param(lambda v: optimal_epsilon_a(0.1, v, 0.5), "eta_a", 0.5, True,
                  id="optimal-epsilon-a-eta-a"),
@@ -278,25 +276,46 @@ def test_every_signed_input_takes_finite_values_of_its_sign_only(call, name, goo
     call(np.float64(good))
 
 
+@pytest.mark.parametrize("build, bad", [
+    pytest.param(lambda v: Link(LINK, v, 1e9), 1.5, id="link"),
+    pytest.param(lambda v: OracleConfig(p_sfg=v), 1.5, id="oracle-config"),
+    pytest.param(lambda v: OracleConfig(p_sfg=v), math.nan, id="oracle-config-nan"),
+])
+def test_p_sfg_is_checked_where_its_object_is_built(build, bad):
+    # The rates and the nlo estimators read p_sfg from a Link or an
+    # OracleConfig, whose constructor is its one check.
+    with pytest.raises(DomainError, match=rf"^p_sfg must be in \[0, 1\], got {bad}$"):
+        build(bad)
+
+
 # Every computed result check_float_range guards: the call on one value, the
 # name its error gives, a value that takes the result out of the float range,
 # and a zero factor, with which the result is exactly 0 (None where every
 # factor must be > 0).
 RESULTS = [
-    pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_b=v), 1e9), "rate_lo", 1e-160,
-                 0.0, id="rate-lo"),
-    pytest.param(lambda v: rate_lo(dataclasses.replace(LINK, eta_a=v), 1e9), "rate_lo", 1e-160,
-                 0.0, id="rate-lo-eta-a"),
-    pytest.param(lambda v: rate_nlo(LINK, v, 1e9), "rate_nlo", 1e-310, 0.0, id="rate-nlo"),
+    pytest.param(lambda v: rate_lo(Link(dataclasses.replace(LINK, eta_b=v), 1e-3, 1e9)), "rate_lo",
+                 1e-160, 0.0, id="rate-lo"),
+    pytest.param(lambda v: rate_lo(Link(dataclasses.replace(LINK, eta_a=v), 1e-3, 1e9)), "rate_lo",
+                 1e-160, 0.0, id="rate-lo-eta-a"),
+    pytest.param(lambda v: rate_nlo(Link(LINK, v, 1e9)), "rate_nlo", 1e-310, 0.0, id="rate-nlo"),
     # Equal fluxes, so the ratio is p_sfg, subnormal, though rate_nlo, whose
     # product groups p_sfg with the clock, is normal.
-    pytest.param(lambda v: compare(SwapScenario(0.01, 0.01, 1.0, 1.0), v, 1e300)["crossover_ratio"],
-                 "crossover_ratio", 1e-310, 0.0, id="crossover"),
+    pytest.param(lambda v: compare(Link(SwapScenario(0.01, 0.01, 1.0, 1.0), v, 1e300))[
+                     "crossover_ratio"], "crossover_ratio", 1e-310, 0.0, id="crossover"),
     pytest.param(lambda v: p_sfg_cavity(dataclasses.replace(RING, g=v)), "p_sfg", 1e-160, 0.0,
                  id="p-sfg-cavity"),
     pytest.param(lambda v: eta_sfg_cavity(dataclasses.replace(RING, g=v)), "eta_sfg", 1e-160, 0.0,
                  id="eta-sfg-cavity"),
     pytest.param(lambda v: p_sfg_from_eta(RING, v), "p_sfg", 1e-300, 0.0, id="p-sfg-from-eta"),
+    # Normal results from subnormal intermediates, g^2 and eta / (drive factor),
+    # used to pass short of digits: 6.09084e-120 against the exact 6.09102e-120,
+    # and 5.69294e-130 against 5.69469e-130.
+    pytest.param(lambda v: p_sfg_cavity(CavityParams(v, 1e15, 1e15, 2e15, *[1e-100] * 3,
+                                                     *[5e-101] * 3)),
+                 "p_sfg", 1.234e-160, 0.0, id="p-sfg-cavity-subnormal-g-squared"),
+    pytest.param(lambda v: p_sfg_from_eta(CavityParams(1e8, 1e15, 1e15, 2e15, *[2.7e-96] * 3,
+                                                       *[1.35e-96] * 3), v),
+                 "p_sfg", 1e-15, 0.0, id="p-sfg-from-eta-subnormal-g-squared"),
     pytest.param(lambda v: p_sfg_waveguide(dataclasses.replace(GUIDE, length=v)), "p_sfg", 1e-305,
                  0.0, id="p-sfg-waveguide"),
     pytest.param(lambda v: kappa_from_q(1.0, v), "kappa", 1e-320, None, id="kappa-from-q"),

@@ -43,8 +43,8 @@ def _scalar_point(variable, x):
         "f_lo_balanced_smalleta": fidelity_balanced_smalleta(p_kept),
         "f_lo_unbalanced": fidelity_unbalanced_limit(p_kept),
         "f_nlo": fidelity_nlo(s),
-        "r_lo": rate_lo(s, link.clock),
-        "r_nlo": rate_nlo(s, link.p_sfg, link.clock),
+        "r_lo": rate_lo(link),
+        "r_nlo": rate_nlo(link),
         "lo_bound": ONE_THIRD,
     }
 
