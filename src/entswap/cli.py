@@ -24,14 +24,16 @@ finite and counts whole; defaults are eta_a = eta_b = 1, p_sfg = 1e-3,
 clock = 1 GHz, and rate-compare's delta = 0.01.  ``verify`` reads no link; its
 keys and defaults are ``VERIFY_DEFAULTS``, where each ``oracle.OracleConfig``
 field, p_sfg = 0.05 included, defaults as the library does.  A flag matches
-its full spelling only.  Exit codes: 0 success, 1 refused input or a stdout
-closed before the output was written (an ``error:`` line on stderr), 2
-verification failure (or nothing compared).
+its full spelling only.  ``main`` can be called repeatedly in one process: the
+parser is built on the first call and reused.  Exit codes: 0 success, 1
+refused input or a stdout closed before the output was written (an
+``error:`` line on stderr), 2 verification failure (or nothing compared).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -221,13 +223,12 @@ def cmd_rate_compare(args: argparse.Namespace) -> int:
 # --- subcommand: verify -----------------------------------------------------------
 
 
-_ORACLE = oracle.OracleConfig()  # the oracle's five keys default as the library does
-VERIFY_DEFAULTS = {"seed": _ORACLE.seed, "scenarios": 20, "samples": _ORACLE.samples,
-                   "n_max": _ORACLE.n_max, "workers": _ORACLE.workers, "p_sfg": _ORACLE.p_sfg,
+# Each OracleConfig field is a key, defaulting as the library does.
+VERIFY_DEFAULTS = {**asdict(oracle.OracleConfig()), "scenarios": 20,
                    "eps_min": oracle.EPS_RANGE[0], "eps_max": oracle.EPS_RANGE[1],
                    "eta_min": oracle.ETA_RANGE[0], "eta_max": oracle.ETA_RANGE[1]}
 # The scenario ranges come from presets and config files only.
-VERIFY_FLAGS = ("seed", "scenarios", "samples", "n_max", "workers", "p_sfg")
+VERIFY_FLAGS = (*(f.name for f in fields(oracle.OracleConfig)), "scenarios")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -276,7 +277,11 @@ def cmd_fock_check(args: argparse.Namespace) -> int:
 # --- entry point --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on the first call and reused for the rest of the
+    process.  Each ``func`` looks its ``cmd_*`` up when it runs, so a wrapper
+    put on one after the parser was built is the one called."""
     parser = _Parser(prog="entswap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -296,23 +301,23 @@ def build_parser() -> _Parser:
     sweep = sub.add_parser("fidelity-sweep", help="fidelity/rate columns over a grid")
     add_inputs(sweep, (*SPEC_KEYS, *LINK_KEYS), SPEC_KEYS)
     add_common(sweep, "csv", ("csv", "json"))
-    sweep.set_defaults(func=cmd_fidelity_sweep)
+    sweep.set_defaults(func=lambda args: cmd_fidelity_sweep(args))
 
     device = sub.add_parser("device", help="conversion probability of a device")
     add_inputs(device, (*CAVITY_KEYS, *WAVEGUIDE_KEYS, "p_sfg"), ())
     add_common(device, "text", ("text", "json"))
-    device.set_defaults(func=cmd_device)
+    device.set_defaults(func=lambda args: cmd_device(args))
 
     rate = sub.add_parser("rate-compare", help="scheme rates and crossover")
     add_inputs(rate, (*LINK_KEYS, *RATE_DEFAULTS), ("p_sfg", "clock", *RATE_DEFAULTS))
     add_common(rate, "text", ("text", "json"))
-    rate.set_defaults(func=cmd_rate_compare)
+    rate.set_defaults(func=lambda args: cmd_rate_compare(args))
 
     verify = sub.add_parser("verify", help="oracle vs closed forms")
     add_inputs(verify, tuple(VERIFY_DEFAULTS), VERIFY_FLAGS)
     add_common(verify, "json", ("json",))
     verify.add_argument("--method", default="exact", choices=("exact", "mc", "both"))
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=lambda args: cmd_verify(args))
 
     fock = sub.add_parser("fock-check", help="exact simulator invariants")
     add_common(fock, "text", ("text", "json"))
@@ -321,7 +326,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="append byte-stable dumps of the conditioned Bell states",
     )
-    fock.set_defaults(func=cmd_fock_check)
+    fock.set_defaults(func=lambda args: cmd_fock_check(args))
 
     return parser
 

@@ -92,7 +92,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, ConfigVa
 
 def parse_config_file(path: str) -> dict[str, ConfigValue]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark an editor may write before the first key.
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

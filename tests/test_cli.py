@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from entswap import oracle
+from entswap import cli, oracle
 from entswap.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, VERIFY_DEFAULTS, _collect_entries,
                          build_parser, main)
 from entswap.config import CAVITY_KEYS, KEY_KINDS, WAVEGUIDE_KEYS
@@ -896,6 +896,46 @@ class TestFlags:
                               "--n-max", "--workers", "--p-sfg", "--method"]),
             "fock-check": sorted(["--format", "--out", "-h", "--help", "--dump-states"]),
         }
+
+
+    def test_every_oracle_setting_is_a_verify_flag(self):
+        dests = {action.dest for action in _subparsers()["verify"]._actions}
+        assert {f.name for f in fields(OracleConfig)} <= dests
+
+
+# Commands whose outputs must not depend on what ran before them in the process.
+REPEATED = [
+    ("fock-check", "--dump-states"),
+    ("device", "--preset", "ingap-ring", "--format", "json"),
+    ("device", "--preset", "ingap-wg"),
+    ("rate-compare", "--preset", "satellite", "--format", "json", "--p-sfg", "1e-3",
+     "--clock", "77.5 MHz"),
+    ("verify", "--method", "mc", "--scenarios", "1", "--samples", "20000", "--workers", "2"),
+]
+
+
+class TestRepeatedCalls:
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_command_replaced_after_the_first_call_is_the_one_run(self, monkeypatch, capsys):
+        assert run_cli(capsys, "device", "--preset", "ingap-ring")[0] == EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_device", lambda args: calls.append(args.preset) or EXIT_OK)
+        assert run_cli(capsys, "device", "--preset", "ingap-ring") == (EXIT_OK, "", "")
+        assert calls == ["ingap-ring"]
+
+    def test_each_call_prints_what_a_fresh_interpreter_prints(self, capsys):
+        fresh = {
+            argv: subprocess.run(
+                [sys.executable, "-m", "entswap.cli", *argv], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120, check=True,
+            ).stdout
+            for argv in REPEATED
+        }
+        for _ in range(2):
+            for argv in REPEATED:
+                assert run_cli(capsys, *argv) == (EXIT_OK, fresh[argv], ""), argv
 
 
 class TestOutputFile:

@@ -11,6 +11,7 @@ from entswap.config import (
     Quantity,
     build_cavity,
     build_waveguide,
+    parse_config_file,
     parse_config_text,
     read,
     resolve,
@@ -52,6 +53,18 @@ class TestParsing:
     def test_empty_value_rejected(self):
         with pytest.raises(ConfigError, match="q_a"):
             parse_config_text("q_a = ")
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(b"p_sfg = 1e-4\nclock = 10 MHz\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config_file(str(bom)) == parse_config_file(str(plain))
+
+    def test_a_file_that_is_not_utf8_is_refused(self, tmp_path):
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("lambda_a = 1550 nm # \u00b5m\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            parse_config_file(str(latin1))
 
 
 class TestConversions:
