@@ -14,7 +14,8 @@ Two routes, both deliberately avoiding the algebra used by the closed forms:
 
 Each measurement's herald h(k, l) is one vectorised function read by both.
 Every estimator takes (scenario, cfg): the up-conversion herald reads its
-p_sfg from the ``OracleConfig``, which checked it.
+p_sfg from the ``OracleConfig``, which checked it.  The models checked are
+the entries of ``sweep.MODELS`` that name a verify row (``lo``, ``nlo``).
 
 Monte Carlo work is split into logical shards, as many as ``samples`` sets,
 each seeded from (seed, shard_index).  ``workers`` threads run them, the
@@ -28,24 +29,14 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InsufficientStatisticsError,
-    ModelValidityError,
-    UndefinedFidelityError,
-)
-from .photon_stats import (
-    SwapScenario,
-    check_count,
-    check_epsilon,
-    check_probability,
-    mean_arrival_tail,
-    truncation_tail_bound,
-)
+from .errors import (DomainError, InsufficientStatisticsError, ModelValidityError,
+                     UndefinedFidelityError)
+from .photon_stats import (SwapScenario, check_count, check_epsilon, check_probability,
+                           mean_arrival_tail, truncation_tail_bound)
 
 RNG_DESCRIPTION = (
     "scenarios: Python random.Random(seed) (Mersenne Twister); "
@@ -432,27 +423,24 @@ def verification_report(
     ``MAX_TOLERANCE``, or the run left the model, are reported with an
     ``error`` field and excluded from the pass/fail count; a report that
     compared no row does not pass.
+
+    Each checked closed form runs once, on one array link of all scenarios,
+    so p_sfg = 0 is refused before any row, even with no scenarios.
     """
-    from . import lo_bsm, nlo_bsm
+    from . import config, sweep
 
     for method in methods:
         if method not in ("exact-sum", "monte-carlo"):
             raise DomainError(f"method must be 'exact-sum' or 'monte-carlo', got {method!r}")
-    # model: (closed form, {method: estimator}).  Both are read from the
-    # modules at each call, not at import, so a module attribute replaced at
-    # run time (a tracing wrapper, a corrupted closed form) is the one used.
-    models = {
-        "lo": (lambda s: lo_bsm.fidelity_general(s).fidelity,
-               {"exact-sum": exact_fidelity_lo, "monte-carlo": mc_fidelity_lo}),
-        "nlo": (nlo_bsm.fidelity_nlo,
-                {"exact-sum": exact_fidelity_nlo, "monte-carlo": mc_fidelity_nlo}),
-    }
-    nlo_bsm.check_p_sfg_heralds(cfg.p_sfg)
+    swept = {f.name: np.array([getattr(s, f.name) for s in scenarios], dtype=float)
+             for f in fields(SwapScenario)}
+    link = config.resolve_link({}, {**swept, "p_sfg": cfg.p_sfg})
+    models = [(checked[0], checked[1](), closed_form(link).tolist())
+              for closed_form, checked in sweep.MODELS.values() if checked]
 
     rows = []
-    for scenario in scenarios:
-        for model, (closed_form, estimators) in models.items():
-            closed = closed_form(scenario)
+    for i, scenario in enumerate(scenarios):
+        for model, estimators, closed in models:
             for method in methods:
                 row = {"scenario": asdict(scenario), "model": model, "method": method}
                 try:
@@ -461,7 +449,7 @@ def verification_report(
                 except (InsufficientStatisticsError, ModelValidityError) as exc:
                     rows.append({**row, "error": str(exc), "pass": None})
                     continue
-                rows.append({**row, **_comparison(estimate, closed, tolerance)})
+                rows.append({**row, **_comparison(estimate, closed[i], tolerance)})
 
     failures = sum(1 for row in rows if row["pass"] is False)
     compared = sum(1 for row in rows if row["pass"] is not None)

@@ -1,9 +1,11 @@
 """One-variable sweeps: a whole grid through the closed forms in one pass.
 
 The link is resolved once, with the swept field set to the grid itself, and
-each output column is one call of a closed form on that array.  The closed
-forms use the same float operations for a float and for an array, so every
-sweep value equals the scalar call at its grid point bit for bit.
+each output column is one call of its closed form in ``MODELS`` on that array.
+``MODELS`` is the one table of models: ``verify`` checks each entry that names
+a row against the oracles.  The closed forms use the same float operations
+for a float and for an array, so every sweep value equals the scalar call at
+its grid point bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lo_bsm, nlo_bsm, rates
+from . import lo_bsm, nlo_bsm, oracle, rates
 from .config import ConfigValue, read, resolve_link
 from .errors import UsageError
 from .photon_stats import (check_count, check_lower_branch, check_nonnegative, epsilon_from_p,
@@ -35,19 +37,23 @@ def _limit_p(link):
     return p_from_epsilon(eps)
 
 
-# Each output column from the grid's link.  Every entry looks its function up
-# when called, so a module attribute replaced at run time (a tracing wrapper)
-# is the one used.
-COLUMNS = {
-    "f_lo_general": lambda link: lo_bsm.fidelity_general(link.scenario).fidelity,
-    "f_lo_balanced_smalleta": lambda link: lo_bsm.fidelity_balanced_smalleta(_limit_p(link)),
-    "f_lo_unbalanced": lambda link: lo_bsm.fidelity_unbalanced_limit(_limit_p(link)),
-    "f_nlo": _f_nlo,
-    "r_lo": lambda link: rates.rate_lo(link),
-    "r_nlo": lambda link: rates.rate_nlo(link),
-    "lo_bound": lambda link: lo_bsm.ONE_THIRD,
+# Each model by sweep column: its closed form on a Link, and its verify row's
+# name with a function giving {method: estimator}, or None where no oracle
+# checks it.  Every function is looked up when called, so a module attribute
+# replaced at run time (a tracing wrapper, a corrupted closed form) is used.
+MODELS = {
+    "f_lo_general": (lambda link: lo_bsm.fidelity_general(link.scenario).fidelity,
+                     ("lo", lambda: {"exact-sum": oracle.exact_fidelity_lo,
+                                     "monte-carlo": oracle.mc_fidelity_lo})),
+    "f_lo_balanced_smalleta": (lambda link: lo_bsm.fidelity_balanced_smalleta(_limit_p(link)), None),
+    "f_lo_unbalanced": (lambda link: lo_bsm.fidelity_unbalanced_limit(_limit_p(link)), None),
+    "f_nlo": (_f_nlo, ("nlo", lambda: {"exact-sum": oracle.exact_fidelity_nlo,
+                                       "monte-carlo": oracle.mc_fidelity_nlo})),
+    "r_lo": (lambda link: rates.rate_lo(link), None),
+    "r_nlo": (lambda link: rates.rate_nlo(link), None),
+    "lo_bound": (lambda link: lo_bsm.ONE_THIRD, None),
 }
-SWEEP_OUTPUTS = tuple(COLUMNS)
+SWEEP_OUTPUTS = tuple(MODELS)
 
 # Largest grid a sweep accepts.  At the limit, a sweep of all seven outputs
 # peaks at about 44 MB resident as CSV and 74 MB as JSON, 29 MB of it the
@@ -83,6 +89,9 @@ class SweepSpec:
         unknown = [name for name in self.outputs if name not in SWEEP_OUTPUTS]
         if unknown:
             raise UsageError(f"unknown outputs {unknown}; available: {SWEEP_OUTPUTS}")
+        repeated = sorted({name for name in self.outputs if self.outputs.count(name) > 1})
+        if repeated:
+            raise UsageError(f"repeated outputs {repeated}; name each column once")
         if not self.outputs:
             raise UsageError("at least one output column is required")
 
@@ -121,5 +130,5 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
     fields = ("eps_a", "eps_b") if spec.variable in ("p", "epsilon") else (spec.variable,)
     swept = epsilon_from_p(grid) if spec.variable == "p" else grid
     link = resolve_link(spec.fixed, dict.fromkeys(fields, swept))
-    columns = [np.broadcast_to(COLUMNS[name](link), grid.shape) for name in spec.outputs]
+    columns = [np.broadcast_to(MODELS[name][0](link), grid.shape) for name in spec.outputs]
     return [spec.variable, *spec.outputs], np.column_stack([grid, *columns])

@@ -444,16 +444,20 @@ class TestVerifyCommand:
             OracleConfig()
         )
 
+    @pytest.mark.parametrize("scenarios", ["0", "2"])
     @pytest.mark.parametrize("p_sfg, message", [
         ("0", "error: p_sfg = 0 never heralds, so the fidelity is undefined\n"),
         ("2", "error: p_sfg must be in [0, 1], got 2.0\n"),
     ])
-    def test_p_sfg_is_refused_before_any_row(self, monkeypatch, capsys, p_sfg, message):
-        # OracleConfig refuses p_sfg outside [0, 1] and verification_report a p_sfg
-        # that never heralds, both before any estimator runs.
+    def test_p_sfg_is_refused_before_any_row(self, monkeypatch, capsys, p_sfg, message,
+                                             scenarios):
+        # OracleConfig refuses p_sfg outside [0, 1], and the f_nlo model's closed
+        # form a p_sfg that never heralds: both before any estimator runs, so even
+        # with no scenarios, where no row would be compared (exit 2).
         for name in ("exact_fidelity_lo", "exact_fidelity_nlo"):
             monkeypatch.setattr(oracle, name, None)
-        assert run_cli(capsys, "verify", "--p-sfg", p_sfg) == (EXIT_USAGE, "", message)
+        got = run_cli(capsys, "verify", "--p-sfg", p_sfg, "--scenarios", scenarios)
+        assert got == (EXIT_USAGE, "", message)
 
     def test_flag_beats_config_and_config_beats_default(self, tmp_path, capsys):
         cfg = tmp_path / "verify.cfg"
@@ -818,6 +822,10 @@ class TestRejectedInputs:
                          "scale must be 'linear' or 'log', got 'cubic'", id="sweep-scale-cubic"),
             pytest.param(("fidelity-sweep", "--preset", "fig2", "--outputs", ","), None,
                          "at least one output column is required", id="sweep-outputs-empty"),
+            # A repeated column used to give the ambiguous CSV header p,f_nlo,f_nlo.
+            pytest.param(("fidelity-sweep", "--preset", "satellite", "--variable", "p", "--start",
+                          "1e-3", "--stop", "0.01", "--points", "2", "--outputs", "f_nlo,f_nlo"),
+                         None, "repeated outputs ['f_nlo']", id="sweep-outputs-repeated"),
             # A count is a bare number: "300 %" used to read as 3 points.
             pytest.param(("fidelity-sweep", "--preset", "fig2", "--points", "300 %"), None,
                          "key 'points' takes no unit, got '%'",

@@ -513,6 +513,15 @@ class TestVerificationReport:
                 estimate.truncation,
             )
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_closed_form_fields_equal_the_scalar_calls_bit_for_bit(self, seed):
+        # The closed forms run once on an array link of every scenario, and each
+        # field must still be the scalar call's float.
+        scenarios = random_scenarios(25, seed)
+        rows = verification_report(scenarios, EXACT, ("exact-sum",))["rows"]
+        expected = [f for s in scenarios for f in (fidelity_general(s).fidelity, fidelity_nlo(s))]
+        assert [row["closed_form"] for row in rows] == expected
+
     def test_no_comparison_does_not_pass(self):
         report = verification_report([], replace(EXACT, p_sfg=1e-3), ("exact-sum",))
         assert report["compared"] == 0

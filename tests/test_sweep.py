@@ -1,7 +1,11 @@
-"""A sweep over a grid gives the same bits as the scalar closed forms at each point."""
+"""A sweep over a grid gives the same bits as the scalar closed forms at each point,
+and every sweep column is checked by a verify row or says why not."""
+
+import json
 
 import pytest
 
+from entswap.cli import EXIT_OK, main
 from entswap.config import parse_config_text, resolve_link
 from entswap.errors import DomainError, UndefinedFidelityError
 from entswap.lo_bsm import (
@@ -13,11 +17,19 @@ from entswap.lo_bsm import (
 from entswap.nlo_bsm import fidelity_nlo
 from entswap.photon_stats import epsilon_from_p, p_from_epsilon
 from entswap.rates import kept_source, rate_lo, rate_nlo
-from entswap.sweep import SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec, run_sweep
+from entswap.sweep import MODELS, SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec, run_sweep
 
 FIXED = parse_config_text(
     "p_a = 0.01\np_b = 0.02\neta_a = 0.7\neta_b = 1e-3\np_sfg = 1e-3\nclock = 250 MHz"
 )
+# The sweep columns no verify row checks, each for the reason given.
+NO_ORACLE = {
+    "f_lo_balanced_smalleta": "an eta -> 0 limit, which no finite-loss scenario reaches",
+    "f_lo_unbalanced": "an eta -> 0 limit, which no finite-loss scenario reaches",
+    "r_lo": "a rate: the oracles estimate fidelities, not rates",
+    "r_nlo": "a rate: the oracles estimate fidelities, not rates",
+    "lo_bound": "a constant, 1/3",
+}
 # Enough points that a float/array rounding split as rare as 1 in 1000 shows.
 POINTS = 5000
 RANGES = {
@@ -75,3 +87,21 @@ def test_only_f_nlo_refuses_p_sfg_zero():
     spec = SweepSpec("p_sfg", 0.0, 1.0, 3, "linear", FIXED, ("r_nlo", "f_nlo"))
     with pytest.raises(UndefinedFidelityError, match="p_sfg = 0 never heralds"):
         run_sweep(spec)
+
+
+def test_every_model_has_an_oracle_row_or_a_reason():
+    unchecked = {column for column, (_, checked) in MODELS.items() if checked is None}
+    assert unchecked == set(NO_ORACLE)
+    assert all(NO_ORACLE.values())
+
+
+def test_a_checked_entry_adds_its_verify_rows(monkeypatch, capsys):
+    # One more entry in MODELS, reusing the lo model's closed form and estimators,
+    # is all verify needs to check it.
+    closed_form, (_, estimators) = MODELS["f_lo_general"]
+    monkeypatch.setitem(MODELS, "f_lo_copy", (closed_form, ("lo_copy", estimators)))
+    assert main(["verify", "--scenarios", "2", "--n-max", "64"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["model"] for row in rows] == ["lo", "nlo", "lo_copy"] * 2
+    for lo, copy in zip(rows[::3], rows[2::3]):
+        assert copy == {**lo, "model": "lo_copy"}
