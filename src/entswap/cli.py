@@ -240,11 +240,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         eps_range=(values["eps_min"], values["eps_max"]),
         eta_range=(values["eta_min"], values["eta_max"]),
     )
-    methods = {
-        "exact": ("exact-sum",),
-        "mc": ("monte-carlo",),
-        "both": ("exact-sum", "monte-carlo"),
-    }[args.method]
+    methods = tuple(name for flag, name in oracle.METHODS.items() if args.method in (flag, "both"))
     report = oracle.verification_report(scenarios, cfg, methods)
     _write_output(_format_json(report), args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
@@ -316,7 +312,7 @@ def build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="oracle vs closed forms")
     add_inputs(verify, tuple(VERIFY_DEFAULTS), VERIFY_FLAGS)
     add_common(verify, "json", ("json",))
-    verify.add_argument("--method", default="exact", choices=("exact", "mc", "both"))
+    verify.add_argument("--method", default="exact", choices=(*oracle.METHODS, "both"))
     verify.set_defaults(func=lambda args: cmd_verify(args))
 
     fock = sub.add_parser("fock-check", help="exact simulator invariants")

@@ -19,15 +19,16 @@ the entries of ``sweep.MODELS`` that name a verify row (``lo``, ``nlo``).
 
 Monte Carlo work is split into logical shards, as many as ``samples`` sets,
 each seeded from (seed, shard_index).  ``workers`` threads run them, the
-calling thread and ``workers - 1`` pool threads; they only choose which thread
-runs a shard, so estimates are bit-identical for any worker count and fully
-reproducible per seed.
+calling thread and ``workers - 1`` helper threads; they only choose which
+thread runs a shard, so estimates are bit-identical for any worker count and
+fully reproducible per seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass, fields
 
@@ -69,7 +70,7 @@ SCENARIOS_LIMIT = 10_000
 SHARD_SAMPLES_LIMIT = 1_000_000
 # Fewest Monte Carlo shards; a larger estimate takes as many as it needs.
 SHARDS = 64
-# Most samples one estimate draws: 1024 full shards, each a generator and a pool task.
+# Most samples one estimate draws: 1024 full shards, each a generator and a queue entry.
 SAMPLES_LIMIT = 1024 * SHARD_SAMPLES_LIMIT
 # Most threads that run shards, the calling one included: each holds one
 # shard's arrays, so at SHARD_SAMPLES_LIMIT an nlo estimate on 32 workers peaks
@@ -254,13 +255,13 @@ def _sample_arrivals(
 def _run_shards(cfg: OracleConfig, shard_fn) -> list[tuple[int, int]]:
     """``shard_fn(idx, size)`` of every shard, in shard order.
 
-    The calling thread and ``workers - 1`` pool threads take shards from one
-    queue.  A raising shard empties it, so no new shard starts, and its
-    exception is raised once the running shards end.
+    The calling thread and ``workers - 1`` helper threads take shards from one
+    queue.  A raising shard records its exception and empties the queue, so no
+    thread takes another; once the helpers are joined the first one is raised.
     """
-    sizes = _shard_sizes(cfg.samples, cfg.shards)
-    results = [None] * len(sizes)
-    pending = deque(enumerate(sizes))  # popleft and clear are atomic
+    results = [None] * cfg.shards
+    pending = deque(enumerate(_shard_sizes(cfg.samples, cfg.shards)))  # atomic popleft and clear
+    errors = []
 
     def work() -> None:
         while True:
@@ -270,18 +271,19 @@ def _run_shards(cfg: OracleConfig, shard_fn) -> list[tuple[int, int]]:
                 return
             try:
                 results[idx] = shard_fn(idx, size)
-            except BaseException:
+            except BaseException as exc:
+                errors.append(exc)
                 pending.clear()
-                raise
 
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Threads start per submitted helper, so one worker starts none.
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        helpers = [pool.submit(work) for _ in range(cfg.workers - 1)]
-        work()
-        for helper in helpers:
-            helper.result()
+    helpers = [threading.Thread(target=work) for _ in range(cfg.workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        del errors[1:]  # raised off the list, which its traceback's frames hold
+        raise errors.pop()
     return results
 
 
@@ -305,11 +307,10 @@ def _mc_fidelity(scenario: SwapScenario, cfg: OracleConfig, herald) -> OracleEst
         faithful &= accept
         return int(np.count_nonzero(accept)), int(np.count_nonzero(faithful))
 
-    counts = _run_shards(cfg, shard)
-    heralds = sum(h for h, _ in counts)
+    heralds, faithful = map(sum, zip(*_run_shards(cfg, shard)))
     if heralds == 0:
         raise InsufficientStatisticsError("no herald events sampled; increase samples")
-    value = sum(f for _, f in counts) / heralds
+    value = faithful / heralds
     std_error = (value * (1.0 - value) / heralds) ** 0.5
     return OracleEstimate(value=value, std_error=std_error, tail_bound=0.0, heralds=heralds)
 
@@ -362,6 +363,8 @@ def random_scenarios(
     return scenarios
 
 
+# verify's methods: each --method spelling and its row name, in row order.
+METHODS = {"exact": "exact-sum", "mc": "monte-carlo"}
 MC_SIGMA_TOLERANCE = 5.0
 # Below this many heralds a 5-sigma band is meaningless (the binomial error
 # estimate itself is unreliable), so the row is reported as under-sampled.
@@ -376,7 +379,7 @@ MAX_TOLERANCE = MC_SIGMA_TOLERANCE * (0.25 / MIN_HERALDS) ** 0.5
 def _tolerance(method: str, estimate: OracleEstimate) -> float:
     """Allowed |oracle - closed form|, or InsufficientStatisticsError when the
     estimate is too coarse for a comparison to mean anything."""
-    if method == "exact-sum":
+    if method == METHODS["exact"]:
         tolerance = estimate.tail_bound + EXACT_ABS_TOLERANCE
         if tolerance > MAX_TOLERANCE:
             # Only a row that reached the cap is this loose, so its truncation is n_max.
@@ -430,8 +433,9 @@ def verification_report(
     from . import config, sweep
 
     for method in methods:
-        if method not in ("exact-sum", "monte-carlo"):
-            raise DomainError(f"method must be 'exact-sum' or 'monte-carlo', got {method!r}")
+        if method not in METHODS.values():
+            raise DomainError(f"method must be {' or '.join(map(repr, METHODS.values()))}, "
+                              f"got {method!r}")
     swept = {f.name: np.array([getattr(s, f.name) for s in scenarios], dtype=float)
              for f in fields(SwapScenario)}
     link = config.resolve_link({}, {**swept, "p_sfg": cfg.p_sfg})

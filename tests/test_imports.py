@@ -4,8 +4,10 @@ scipy is a test-only dependency: importing the package and running any
 command, the exact-sum and Monte Carlo oracles included, must leave it
 unloaded.  numpy.random is loaded only by the Monte Carlo oracle, which
 samples; the exact-sum oracle and every other command draw nothing from it.
-The package itself exports only ``__version__``, so importing it loads no
-submodule and no numpy, and a submodule loads only what it imports.
+The Monte Carlo oracle runs its shards on plain threads and loads no
+``concurrent.futures``.  The package itself exports only ``__version__``, so
+importing it loads no submodule and no numpy, and a submodule loads only what
+it imports.
 """
 
 import json
@@ -86,6 +88,13 @@ def loaded_after(statement):
         timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_monte_carlo_verify_on_two_workers_loads_no_concurrent_futures(tmp_path):
+    argv = ["verify", "--method", "mc", "--scenarios", "1", "--samples", "20000",
+            "--workers", "2", "--out", str(tmp_path / "verify.json")]
+    loaded = loaded_after(f"import entswap.cli; assert entswap.cli.main({argv!r}) == 0")
+    assert [m for m in loaded if m.split(".")[0] == "concurrent"] == []
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():

@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -282,10 +283,11 @@ class TestMonteCarloLo:
         assert first == second
 
     def test_worker_count_does_not_change_the_estimate(self):
-        # At 2 and 3 workers the calling thread runs shards beside the pool; a
-        # short switch interval makes the threads interleave often, so a shard
-        # lost or run twice would change the herald count.
+        # At 2 and 3 workers the calling thread runs shards beside its helper
+        # threads; a short switch interval makes the threads interleave often,
+        # so a shard lost or run twice would change the herald count.
         scen = scenario(0.2, 0.2, 0.5, 0.5)
+        threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -294,6 +296,7 @@ class TestMonteCarloLo:
                 serial, *threaded = (estimate(OracleConfig(samples=300_000, seed=5, workers=w))
                                      for w in (1, 2, 3))
                 assert threaded == [serial, serial]
+                assert threading.active_count() == threads
         finally:
             sys.setswitchinterval(interval)
 
@@ -353,7 +356,7 @@ class TestMonteCarloNlo:
         with pytest.raises(ModelValidityError):
             mc_fidelity_nlo(scen, cfg)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_refused_run_stops_starting_shards(self, monkeypatch, workers):
         # 200001 samples give shard 0 one sample more than the other 63, and
         # only shard 0 gets a trial of herald weight 2*2*0.5 > 1.
@@ -368,9 +371,11 @@ class TestMonteCarloNlo:
 
         monkeypatch.setattr(oracle, "_sample_arrivals", counted)
         cfg = OracleConfig(samples=200_001, seed=1, workers=workers, p_sfg=0.5)
+        threads = threading.active_count()
         with pytest.raises(ModelValidityError, match="herald weight"):
             mc_fidelity_nlo(scenario(0.01, 0.01, 0.5, 0.5), cfg)
         assert 1 <= len(started) < cfg.shards
+        assert threading.active_count() == threads  # every helper thread was joined
 
     def test_weak_pumping_fidelity_reaches_one(self):
         # At unit conversion probability only single-pair events herald once

@@ -15,6 +15,7 @@ from entswap.lo_bsm import (
     fidelity_unbalanced_limit,
 )
 from entswap.nlo_bsm import fidelity_nlo
+from entswap.oracle import METHODS
 from entswap.photon_stats import epsilon_from_p, p_from_epsilon
 from entswap.rates import kept_source, rate_lo, rate_nlo
 from entswap.sweep import MODELS, SWEEP_OUTPUTS, SWEEP_VARIABLES, SweepSpec, run_sweep
@@ -93,6 +94,10 @@ def test_every_model_has_an_oracle_row_or_a_reason():
     unchecked = {column for column, (_, checked) in MODELS.items() if checked is None}
     assert unchecked == set(NO_ORACLE)
     assert all(NO_ORACLE.values())
+    # Each checked entry estimates every verify method, keyed by its row name.
+    for _, checked in MODELS.values():
+        if checked:
+            assert list(checked[1]()) == list(METHODS.values())
 
 
 def test_a_checked_entry_adds_its_verify_rows(monkeypatch, capsys):
